@@ -1,11 +1,18 @@
 """Shooting-method cross-check, free of the analytic solution formulas.
 
-Integrates the first-order radial system outward from a Frobenius start
-near the origin and locates bound energies as sign changes of the
-far-boundary amplitude.  Because the growing mode dominates off an
-eigenvalue, the endpoint value of f (normalized by the largest interior
-amplitude) changes sign exactly when an eigenvalue is crossed, so plain
-bracketing plus Brent refinement is sufficient.
+Locates bound energies by matching two integrations of the Prufer angle
+theta = atan2(g, f) of the radial system,
+
+    theta' = (nu/r) sin 2theta + E + e/r - m_eff cos 2theta,
+
+at a fitting radius r_match: theta_out runs outward from the regular
+Frobenius start near the origin, theta_in inward from the decaying
+asymptotic angle at r_far.  The functional sin(theta_out - theta_in) is
+smooth in E, so Brent's method converges superlinearly on it, and the
+angle stays bounded where the amplitudes would grow or decay
+exponentially.  The unwrapped mismatch at a root is a multiple of pi that
+counts the nodes, which labels the level without the closed-form
+spectrum.
 """
 
 from __future__ import annotations
@@ -19,12 +26,14 @@ from scipy.optimize import brentq
 
 from .errors import (InvalidParams, MaxIterations, NoBracket, Overflow,
                      StepFailure)
-from .model import EnergyLevel, SystemParams, standard_vars
+from .model import EnergyLevel, SystemParams
 from .routes import RadialGrid, RadialSolution, default_grid
 
-# Magnitude cap: beyond this the integration is pure growing mode and
-# only its sign is informative.
+# Magnitude cap for the amplitude integration of integrate_radial.
 OVERFLOW_CAP = 1e250
+
+# Brent iteration budget of shoot_energy.
+MAX_ITERATIONS = 200
 
 # Default scan window for bracketing, in units of m.
 SCAN_E_MIN = 0.2
@@ -34,20 +43,17 @@ SCAN_POINTS = 200
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """Integration span and step control for one shooting run.
+    """Radii and local error tolerance of one shooting run.
 
-    r_match is carried for a future two-sided matcher; the current
-    functional is the far-endpoint amplitude, which is simpler and
-    sufficient given the exponential dichotomy of the two modes.
+    The outward angle is integrated over [r_start, r_match] and the inward
+    one over [r_match, r_far]; integrate_radial tabulates the amplitudes
+    over [r_start, r_far].
     """
 
     r_start: float
     r_match: float
     r_far: float
-    first_step: float = 0.0      # 0 lets the integrator choose
-    max_step: float = np.inf
     local_error_tol: float = 1e-12
-    max_iterations: int = 200
 
     def __post_init__(self):
         if not (0 < self.r_start < self.r_match < self.r_far):
@@ -61,9 +67,11 @@ class ShootConfig:
 
         The start radius is small enough (1e-6/lam) that the truncated
         Frobenius seed perturbs the integrated shape by well under the
-        1e-5 agreement budget against the analytic routes.
+        1e-5 agreement budget against the analytic routes.  Matching at
+        1/lam keeps the mismatch smooth in E: much farther out, theta_out
+        follows the growing mode and jumps by pi within ~1e-8 of a root.
         """
-        base = dict(r_start=1e-6 / lam, r_match=10.0 / lam, r_far=40.0 / lam)
+        base = dict(r_start=1e-6 / lam, r_match=1.0 / lam, r_far=40.0 / lam)
         base.update(overrides)
         return cls(**base)
 
@@ -100,41 +108,34 @@ def frobenius_start(params: SystemParams, E: float, r_start: float):
     return f0, g0, df0, dg0
 
 
-def _far_amplitude(params: SystemParams, E: float, cfg: ShootConfig) -> float:
-    """Endpoint f normalized by the running max |f|: the shooting functional.
+def _mismatch(params: SystemParams, E: float, cfg: ShootConfig) -> float:
+    """Unwrapped angle mismatch theta_out - theta_in at r_match.
 
-    Saturates with the correct sign when the growing mode overflows the
-    magnitude cap.
+    theta_out starts from the regular Frobenius data at r_start, theta_in
+    from the decaying asymptotic angle atan2(lam, E + m_eff) at r_far.
+    Each leg runs in the direction in which its angle is attracted to the
+    wanted solution, so neither needs an overflow guard.
     """
     f0, g0, _, _ = frobenius_start(params, E, cfg.r_start)
-    state = {"max_f": abs(f0), "halted_sign": 0.0}
+    nu, e, m_eff = params.nu, params.e, params.m_eff
+    lam = math.sqrt(params.m ** 2 - E ** 2)
 
-    rhs = _rhs(params, E)
+    def rhs(r, theta):
+        t2 = 2.0 * theta[0]
+        return [(nu / r) * math.sin(t2) + E + e / r - m_eff * math.cos(t2)]
 
-    def rhs_list(r, y):
-        return list(rhs(r, y))
+    solver = ode(rhs).set_integrator("dop853", rtol=cfg.local_error_tol,
+                                     atol=1e-14, nsteps=200_000)
 
-    def solout(r, y):
-        af = abs(y[0])
-        if af > state["max_f"]:
-            state["max_f"] = af
-        if af > OVERFLOW_CAP or abs(y[1]) > OVERFLOW_CAP:
-            state["halted_sign"] = math.copysign(1.0, y[0])
-            return -1
-        return 0
+    def leg(theta0, r0):
+        solver.set_initial_value([theta0], r0)
+        theta = solver.integrate(cfg.r_match)
+        if not solver.successful():
+            raise StepFailure(f"dop853 failed from r={r0:g} at E={E}")
+        return float(theta[0])
 
-    solver = ode(rhs_list).set_integrator(
-        "dop853", rtol=cfg.local_error_tol, atol=1e-280, nsteps=200_000,
-        first_step=cfg.first_step,
-        max_step=0.0 if not math.isfinite(cfg.max_step) else cfg.max_step)
-    solver.set_solout(solout)
-    solver.set_initial_value([f0, g0], cfg.r_start)
-    y_end = solver.integrate(cfg.r_far)
-    if state["halted_sign"] != 0.0:
-        return state["halted_sign"] * 1e6
-    if not solver.successful():
-        raise StepFailure(f"dop853 failed at E={E}")
-    return float(y_end[0] / state["max_f"])
+    return (leg(math.atan2(g0, f0), cfg.r_start)
+            - leg(math.atan2(lam, E + m_eff), cfg.r_far))
 
 
 def integrate_radial(params: SystemParams, E: float,
@@ -147,9 +148,9 @@ def integrate_radial(params: SystemParams, E: float,
 
     Note on tails: even at an eigenvalue, roundoff seeds the growing mode
     at relative size ~eps, which overtakes the decaying profile beyond
-    lam*r ~ 18-23 in double precision.  Shooting is unaffected (only the
-    sign of the overgrown endpoint matters), but wavefunction comparisons
-    should stay inside that window.
+    lam*r ~ 18-23 in double precision.  Shooting is unaffected (it matches
+    angles at r_match = 1/lam), but wavefunction comparisons should stay
+    inside that window.
     """
     if not (0.0 < E < params.m):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
@@ -178,8 +179,7 @@ def integrate_radial(params: SystemParams, E: float,
     sol = solve_ivp(rhs_arr, (config.r_start, config.r_far), np.array([f0, g0]),
                     method="DOP853", t_eval=r,
                     rtol=config.local_error_tol, atol=1e-280,
-                    first_step=config.first_step or None,
-                    max_step=config.max_step, events=overflow_event)
+                    events=overflow_event)
     if sol.status == 1:
         sign = math.copysign(1.0, sol.y_events[0][0][0]) if len(sol.y_events[0]) else 0.0
         raise Overflow(f"solution exceeded {OVERFLOW_CAP:g} at E={E}",
@@ -194,11 +194,10 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float,
                  config: ShootConfig | None = None) -> EnergyLevel:
     """Refine one bound energy inside a bracketing interval.
 
-    The bracket must contain exactly one sign change of the far-boundary
-    functional.  Brent's method (bisection with secant/inverse-quadratic
-    acceleration) refines to |dE|/m well below 1e-10.  The radial quantum
-    number of the result is read off algebraically from
-    n = round(eE/lam - sqrt(nu^2 - e^2)).
+    The bracket must contain exactly one sign change of the matched
+    functional sin(theta_out - theta_in).  Brent's method refines to
+    |dE|/m near 1e-15.  The radial quantum number of the result is read
+    off the unwrapped mismatch at the root, n = round(delta/pi) + 1.
     """
     if not (0.0 < E_lo < E_hi < params.m):
         raise InvalidParams(f"need 0 < E_lo < E_hi < m, got ({E_lo}, {E_hi})")
@@ -208,8 +207,15 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float,
         lam_hi = math.sqrt(params.m ** 2 - E_hi ** 2)
         config = ShootConfig.for_lambda(lam_hi)
 
+    # the mismatch closest to a multiple of pi is the one at the root
+    best = {"phi": math.inf, "delta": 0.0}
+
     def phi(E):
-        return _far_amplitude(params, E, config)
+        delta = _mismatch(params, E, config)
+        value = math.sin(delta)
+        if abs(value) < best["phi"]:
+            best["phi"], best["delta"] = abs(value), delta
+        return value
 
     phi_lo, phi_hi = phi(E_lo), phi(E_hi)
     if phi_lo == 0.0:
@@ -218,28 +224,24 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float,
         E = E_hi
     elif phi_lo * phi_hi > 0.0:
         raise NoBracket(
-            f"far-boundary functional has the same sign at both ends: "
+            f"matched functional has the same sign at both ends: "
             f"phi({E_lo})={phi_lo:.3e}, phi({E_hi})={phi_hi:.3e}"
         )
     else:
-        # xtol at the float floor: pinning the root to ~1 ulp minimizes
-        # the growing-mode seed left in the eigenstate
         E, res = brentq(phi, E_lo, E_hi, xtol=1e-15 * params.m, rtol=8.9e-16,
-                        maxiter=config.max_iterations, full_output=True,
-                        disp=False)
+                        maxiter=MAX_ITERATIONS, full_output=True, disp=False)
         if not res.converged:
             raise MaxIterations(
-                f"Brent refinement did not converge within {config.max_iterations} steps"
+                f"Brent refinement did not converge within {MAX_ITERATIONS} steps"
             )
-    sv = standard_vars(params, E)
-    n = round(sv.eps - params.frobenius_exponent)
-    return EnergyLevel(int(n), params.nu, params.parity, float(E), "oracle")
+    n = round(best["delta"] / math.pi) + 1
+    return EnergyLevel(n, params.nu, params.parity, float(E), "oracle")
 
 
 def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,
                   e_max_scale: float = SCAN_E_MAX, points: int = SCAN_POINTS,
                   scan_tol: float = 1e-9) -> list[tuple[float, float]]:
-    """Uniform energy scan for sign changes of the far-boundary functional.
+    """Uniform energy scan for sign changes of the matched functional.
 
     Each returned interval brackets one eigenvalue and can seed
     shoot_energy.  A looser integration tolerance is enough for sign
@@ -248,7 +250,7 @@ def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,
     energies = np.linspace(e_min_scale * params.m, e_max_scale * params.m, points)
     lam_ref = math.sqrt(params.m ** 2 - energies[len(energies) // 2] ** 2)
     cfg = ShootConfig.for_lambda(lam_ref, local_error_tol=scan_tol)
-    values = [_far_amplitude(params, float(E), cfg) for E in energies]
+    values = [math.sin(_mismatch(params, float(E), cfg)) for E in energies]
     brackets = []
     for i in range(len(energies) - 1):
         if values[i] == 0.0:

@@ -337,7 +337,7 @@ def run_verification(params: SystemParams, n_max: int,
             else:
                 results.append(fn(params, n_max, tol=tol_override))
         except HeunDiracError as exc:
-            results.append(CheckResult(name, False, math.inf,
-                                       tol_override or math.nan,
+            tol = math.nan if tol_override is None else tol_override
+            results.append(CheckResult(name, False, math.inf, tol,
                                        f"raised {type(exc).__name__}: {exc}"))
     return results

@@ -9,7 +9,10 @@ from heundirac import (InvalidParams, NoBracket, Overflow, ShootConfig,
                        SystemParams, energy_closed_form, frobenius_start,
                        integrate_radial, normalize, residual, scan_brackets,
                        shoot_energy, solve_heun_full)
+from heundirac import oracle
 from heundirac.routes import RadialGrid
+
+ALPHA = 0.0072973525693
 
 
 def level_bracket(p, n):
@@ -160,6 +163,51 @@ def test_shoot_first_excited_level():
     level = shoot_energy(p, lo, hi)
     assert level.E == pytest.approx(0.9659258262890684, abs=1e-8)
     assert level.n == 1
+
+
+@pytest.mark.parametrize("nu", (1, 3))
+@pytest.mark.parametrize("e_over_nu", (0.25, 0.95))
+@pytest.mark.parametrize("parity,n", [(-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2),
+                                      (1, 5), (-1, 5)])
+def test_shoot_label_from_angle_mismatch(nu, e_over_nu, parity, n):
+    # the level number comes from the unwrapped mismatch, not the formula
+    p = SystemParams(e_over_nu * nu, nu, parity=parity)
+    level = shoot_energy(p, *level_bracket(p, n))
+    assert level.n == n
+
+
+def test_shoot_evaluation_budget(monkeypatch):
+    # the matched functional is smooth, so Brent converges superlinearly;
+    # a step-like functional degrades it to ~50 bisection steps
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return frobenius_start(*args)
+
+    monkeypatch.setattr(oracle, "frobenius_start", counted)
+    p = SystemParams(0.5, 1)
+    shoot_energy(p, *level_bracket(p, 1))
+    assert len(calls) <= 20
+
+
+def test_shoot_small_coupling_excited_level():
+    p = SystemParams(ALPHA, 2)
+    level = shoot_energy(p, *level_bracket(p, 5))
+    ref = energy_closed_form(5, p).E
+    assert abs(level.E - ref) / ref < 1e-12
+    assert level.n == 5
+
+
+def test_shoot_deep_bracket_small_coupling_ground_level():
+    # at E = 0.2m the inward solution grows by ~e^6600 from r_far to
+    # r_match: amplitudes would overflow, the bounded angle does not
+    p = SystemParams(ALPHA, 1, parity=-1)
+    hi = level_bracket(p, 0)[1]
+    level = shoot_energy(p, 0.2 * p.m, hi)
+    ref = energy_closed_form(0, p).E
+    assert abs(level.E - ref) / ref < 1e-12
+    assert level.n == 0
 
 
 def test_shoot_no_bracket_between_levels():

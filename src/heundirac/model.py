@@ -189,17 +189,14 @@ def singular_point_D_consistency(params: SystemParams, E: float) -> tuple[float,
     return d_a, d_b
 
 
-def heun_params_case1(params: SystemParams, E: float,
-                      a_sign: int = 1, b_sign: int = -1) -> HeunCParams:
+def heun_params_case1(params: SystemParams, E: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-1 equation for F in y = r/R.
 
-    With a = a_sign*sqrt(nu^2-e^2) and b = b_sign*sqrt(m^2-E^2)*R:
+    With a = sqrt(nu^2-e^2) and b = -sqrt(m^2-E^2)*R, the signs of the
+    normalizable branch:
 
         alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eER,
         eta = 1 + m_eff R sin A - 2eER - nu cos A.
-
-    The default signs (a_sign=+1, b_sign=-1) are the normalizable branch;
-    the others are exposed for experimentation only.
     """
     _require_bound_energy(params, E)
     case = mixing_case("1", params, E)
@@ -209,25 +206,25 @@ def heun_params_case1(params: SystemParams, E: float,
             "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
         )
     lam = math.sqrt(params.m ** 2 - E ** 2)
-    a = a_sign * params.frobenius_exponent
-    b = b_sign * lam * R
+    a = params.frobenius_exponent
+    b = -lam * R
     delta = 2.0 * params.e * E * R
     eta = 1.0 + params.m_eff * R * case.sin_a - delta - params.nu * case.cos_a
     return HeunCParams(2.0 * b, 2.0 * a, -2.0, delta, eta)
 
 
-def heun_params_case2(params: SystemParams, E: float,
-                      a_sign: int = 1, b_sign: int = -1) -> HeunCParams:
+def heun_params_case2(params: SystemParams, E: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-2 equation for F in y = r/D.
 
-    Same structure as case 1 with R replaced by D and the case-2 angle.
+    Same structure and branch as case 1 with R replaced by D and the
+    case-2 angle.
     """
     _require_bound_energy(params, E)
     case = mixing_case("2", params, E)
     D = case.singular_point
     lam = math.sqrt(params.m ** 2 - E ** 2)
-    a = a_sign * params.frobenius_exponent
-    b = b_sign * lam * D
+    a = params.frobenius_exponent
+    b = -lam * D
     delta = 2.0 * params.e * E * D
     eta = 1.0 + params.m_eff * D * case.sin_a - delta - params.nu * case.cos_a
     return HeunCParams(2.0 * b, 2.0 * a, -2.0, delta, eta)
@@ -269,8 +266,13 @@ def standard_vars(params: SystemParams, E: float) -> StandardVars:
     return StandardVars(lam, mu, eps, a_frob)
 
 
-def quantization_residuals(params: SystemParams, E: float, n: int) -> dict[str, float]:
-    """Signed residual of each route's quantization condition at (E, n).
+def quantization_residuals(params: SystemParams, E: float, n: int,
+                           routes: tuple[str, ...] = ANALYTIC_ROUTES) -> dict[str, float]:
+    """Signed residual of each requested route's quantization condition at (E, n).
+
+    Only the parameter maps of the routes named in `routes` are built, so
+    one route's residual neither pays for nor fails on another route's
+    map; an unknown route name raises InvalidParams.
 
     standard: eps - a_frob - n.  For the Heun-based routes the residual is
     delta + (n + (beta+gamma+2)/2)*alpha of the respective parameter map,
@@ -281,17 +283,22 @@ def quantization_residuals(params: SystemParams, E: float, n: int) -> dict[str, 
     their roots coincide.
     """
     _require_bound_energy(params, E)
-    sv = standard_vars(params, E)
-
-    def poly_residual(hp: HeunCParams) -> float:
-        return hp.delta + (n + 0.5 * (hp.beta + hp.gamma + 2.0)) * hp.alpha
-
-    return {
-        "standard": sv.eps - sv.a_frob - n,
-        "mixed1": poly_residual(heun_params_case1(params, E)),
-        "mixed2": poly_residual(heun_params_case2(params, E)),
-        "heun": poly_residual(heun_params_full(params, E)),
-    }
+    residuals = {}
+    for route in routes:
+        if route == "standard":
+            sv = standard_vars(params, E)
+            residuals[route] = sv.eps - sv.a_frob - n
+            continue
+        if route == "mixed1":
+            hp = heun_params_case1(params, E)
+        elif route == "mixed2":
+            hp = heun_params_case2(params, E)
+        elif route == "heun":
+            hp = heun_params_full(params, E)
+        else:
+            raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
+        residuals[route] = hp.delta + (n + 0.5 * (hp.beta + hp.gamma + 2.0)) * hp.alpha
+    return residuals
 
 
 def solve_quantization(params: SystemParams, n: int, route: str,
@@ -300,17 +307,16 @@ def solve_quantization(params: SystemParams, n: int, route: str,
 
     Brackets on (0.01 m, m(1 - 1e-9)); eps(E) is strictly increasing
     there, so each condition changes sign exactly once.  tol is the
-    bisection tolerance in E/m.
+    bisection tolerance in E/m.  Each step evaluates only this route's
+    condition: the other routes' parameter maps are never built.
     """
-    if route not in ANALYTIC_ROUTES:
-        raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
     if int(n) != n or n < 0:
         raise InvalidParams(f"n must be a non-negative integer, got {n}")
     if params.e == 0.0:
         raise InvalidParams("zero coupling supports no bound states")
 
     def residual(E: float) -> float:
-        return quantization_residuals(params, E, n)[route]
+        return quantization_residuals(params, E, n, (route,))[route]
 
     m = params.m
     lo, hi = 0.01 * m, m * (1.0 - 1e-9)

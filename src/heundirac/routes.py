@@ -248,14 +248,11 @@ def _calibrate(target: np.ndarray, implied: np.ndarray, scale_hint: float):
     """
     n = len(target)
     floor = 1e-12 * scale_hint
-    order = [n // 2]
-    for k in range(1, n):
-        for idx in (n // 2 + k, n // 2 - k):
-            if 0 <= idx < n:
-                order.append(idx)
-    for idx in order:
-        if abs(target[idx]) > floor and abs(implied[idx]) > floor:
-            return target[idx] / implied[idx]
+    mid = n // 2
+    for k in range(n):
+        for idx in (mid + k, mid - k) if k else (mid,):
+            if 0 <= idx < n and abs(target[idx]) > floor and abs(implied[idx]) > floor:
+                return target[idx] / implied[idx]
     raise CalibrationFailure(
         "first-order relation vanished at every candidate calibration radius"
     )

@@ -49,6 +49,16 @@ def test_spectrum_rejects_non_half_integer_j(capsys):
     assert code == EXIT_INVALID_PARAMS
 
 
+def test_single_route_parity_minus_spectrum_exits_0(capsys):
+    # the standard-route bisection passes through E = m cos A, where only
+    # the (unused) case-1 map is singular
+    code, out, err = run_cli(capsys, "spectrum", "--route", "standard",
+                             "--coupling", "0.55", "--parity", "-1", "--n-max", "5",
+                             "--mass", "0.51099895", "--no-timestamp")
+    assert code == EXIT_OK, err
+    assert [lvl["n"] for lvl in json.loads(out)["levels"]] == list(range(6))
+
+
 def test_spectrum_csv_determinism(capsys):
     args = ("spectrum", "--coupling", "0.3", "--j", "1.5", "--n-max", "2",
             "--route", "standard", "--format", "csv", "--no-timestamp")

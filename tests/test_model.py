@@ -304,3 +304,44 @@ def test_solve_quantization_matches_closed_form():
 def test_solve_quantization_rejects_unknown_route():
     with pytest.raises(InvalidParams):
         solve_quantization(SystemParams(0.5, 1), 0, "bogus")
+
+
+# a parity -1 channel whose standard-route bisection passes through
+# E = m cos A, where the case-1 singular point R diverges
+SINGULAR_STEP_PARAMS = SystemParams(0.55, 1, 0.51099895, -1)
+
+
+@pytest.mark.parametrize("route", ["standard", "mixed2", "heun"])
+def test_solve_quantization_skips_other_routes_singular_map(route):
+    p = SINGULAR_STEP_PARAMS
+    for n in range(6):
+        ref = energy_closed_form(n, p).E
+        assert abs(solve_quantization(p, n, route).E - ref) < 1e-12, n
+
+
+def test_solve_quantization_builds_only_its_own_map(monkeypatch):
+    import heundirac.model as model
+    p = SystemParams(0.5, 2)
+    routes = ("standard", "mixed2", "heun")
+    expected = {route: solve_quantization(p, 3, route).E for route in routes}
+
+    def broken(*args, **kwargs):
+        raise AssertionError("case-1 map built for another route")
+
+    monkeypatch.setattr(model, "heun_params_case1", broken)
+    for route in routes:
+        assert solve_quantization(p, 3, route).E == expected[route]
+    with pytest.raises(AssertionError):
+        solve_quantization(p, 3, "mixed1")
+
+
+def test_quantization_residuals_selected_routes():
+    p = SystemParams(0.5, 1)
+    E = 0.9 * p.m
+    every = quantization_residuals(p, E, 2)
+    assert list(every) == list(ANALYTIC_ROUTES)
+    assert quantization_residuals(p, E, 2, ("mixed2",)) == {"mixed2": every["mixed2"]}
+    for route in ANALYTIC_ROUTES:
+        assert quantization_residuals(p, E, 2, (route,))[route] == every[route]
+    with pytest.raises(InvalidParams):
+        quantization_residuals(p, E, 2, ("mixed2", "bogus"))

@@ -216,6 +216,24 @@ def test_calibration_fails_when_relation_vanishes_everywhere():
         _calibrate(zeros, zeros, 1.0)
 
 
+def test_calibration_walks_outward_to_first_usable_index():
+    from heundirac.routes import _calibrate
+    target = np.full(9, 1e-13)
+    implied = np.ones(9)
+    # from the median index 4 the walk goes 5, 3, 6, 2, ...: index 6 ties
+    # with 2 on distance and is tried first; a left-to-right scan takes 1
+    target[[1, 2, 6]] = 6.0, 7.0, 8.0
+    implied[6] = 2.0
+    assert _calibrate(target, implied, 1.0) == 4.0
+
+
+def test_calibration_fails_when_every_index_is_below_floor():
+    from heundirac.errors import CalibrationFailure
+    from heundirac.routes import _calibrate
+    with pytest.raises(CalibrationFailure):
+        _calibrate(np.full(9, 0.5e-12), np.ones(9), 1.0)
+
+
 def test_residual_zero_solution_is_zero():
     p = params_for(1)
     sol = solve_standard(p, 1)

@@ -34,7 +34,8 @@ from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
                      NoConvergence, Overflow, OutsideDomain, StepFailure,
                      ZeroNorm)
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
-                    solve_quantization)
+                    level_bracket, level_channel, solve_quantization)
+from .routes import ROUTE_SOLVERS as _SOLVERS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,7 +47,7 @@ _PARAM_ERRORS = (InvalidParams, OutsideDomain, DegenerateCase,
 _SOLVER_ERRORS = (NoConvergence, NoBracket, MaxIterations, StepFailure,
                   Overflow, CalibrationFailure)
 
-ROUTE_CHOICES = ("standard", "mixed1", "mixed2", "heun", "oracle", "all")
+ROUTE_CHOICES = (*ANALYTIC_ROUTES, "oracle", "all")
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,8 @@ class RunConfig:
             raise InvalidParams(f"j must be half-integer (1/2, 3/2, ...), got {self.j}")
         return int(round(self.j + 0.5))
 
-    def system_params(self, parity: int | None = None) -> SystemParams:
-        if self.coupling >= self.nu:
-            raise InvalidParams(
-                f"supercritical coupling: e={self.coupling} >= nu={self.nu}"
-            )
-        return SystemParams(self.coupling, self.nu, self.mass,
-                            self.parity if parity is None else parity)
+    def system_params(self) -> SystemParams:
+        return SystemParams(self.coupling, self.nu, self.mass, self.parity)
 
 
 def _fmt(x: float) -> str:
@@ -184,22 +180,16 @@ def _grid_for(cfg: RunConfig, params: SystemParams, E: float):
 def _spectrum_levels(cfg: RunConfig) -> list[dict]:
     """One entry per (n, route); route='all' covers the analytic four."""
     selected = ANALYTIC_ROUTES if cfg.route == "all" else (cfg.route,)
+    params = cfg.system_params()
     rows = []
     for n in range(cfg.n_max + 1):
         per_route = {}
         for route in selected:
             if route == "oracle":
-                # the n=0 level only exists in the negative-parity channel
-                parity = cfg.parity if (n >= 1 or cfg.parity == -1) else -1
-                p = cfg.system_params(parity)
-                E_ref = energy_closed_form(n, p).E
-                below = energy_closed_form(n - 1, p).E if n >= 1 else 0.2 * p.m
-                above = energy_closed_form(n + 1, p).E
-                level = oracle.shoot_energy(p, 0.5 * (below + E_ref),
-                                            0.5 * (E_ref + above))
+                p = level_channel(params, n)
+                level = oracle.shoot_energy(p, *level_bracket(p, n))
             else:
-                p = cfg.system_params()
-                level = solve_quantization(p, n, route)
+                level = solve_quantization(params, n, route)
             per_route[route] = level
         deviation = None
         if len(per_route) > 1:
@@ -238,14 +228,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             doc["generated"] = datetime.now(timezone.utc).isoformat()
         _emit(json.dumps(doc, indent=2) + "\n", cfg)
     return EXIT_OK
-
-
-_SOLVERS = {
-    "standard": routes.solve_standard,
-    "mixed1": routes.solve_mixed_case1,
-    "mixed2": routes.solve_mixed_case2,
-    "heun": routes.solve_heun_full,
-}
 
 
 def cmd_wavefunction(cfg: RunConfig, n: int) -> int:

@@ -24,7 +24,7 @@ and the quantization-condition residuals that every route must share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DegenerateCase, InvalidParams
 from .specfun import HeunCParams
@@ -254,6 +254,23 @@ def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
     N = n + params.frobenius_exponent
     E = params.m / math.sqrt(1.0 + (params.e / N) ** 2)
     return EnergyLevel(int(n), params.nu, params.parity, E, "closed")
+
+
+def level_channel(params: SystemParams, n: int) -> SystemParams:
+    """The channel holding level n: the nodeless n = 0 level exists only at parity -1."""
+    return replace(params, parity=-1) if n == 0 else params
+
+
+def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:
+    """Energies (lo, hi) enclosing level n and neither closed-form neighbour.
+
+    Each end is the midpoint between level n and its neighbour; below
+    n = 0 the lower end is 0.2 m.
+    """
+    E = energy_closed_form(n, params).E
+    below = energy_closed_form(n - 1, params).E if n >= 1 else 0.2 * params.m
+    above = energy_closed_form(n + 1, params).E
+    return 0.5 * (below + E), 0.5 * (E + above)
 
 
 def standard_vars(params: SystemParams, E: float) -> StandardVars:

@@ -35,10 +35,10 @@ import numpy as np
 
 from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
                      InvalidParams, ZeroNorm)
-from .model import (EnergyLevel, SystemParams, energy_closed_form, mixing_case,
-                    heun_params_case1, heun_params_case2, heun_params_full,
-                    standard_vars)
-from .specfun import (HeunCParams, KummerParams, heunc_truncation,
+from .model import (ANALYTIC_ROUTES, EnergyLevel, SystemParams, energy_closed_form,
+                    mixing_case, heun_params_case1, heun_params_case2,
+                    heun_params_full, standard_vars)
+from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
 
 # Default radial grid: geometric spacing resolves both the r^s origin
@@ -103,22 +103,8 @@ def default_grid(params: SystemParams, E: float,
 
 
 # ----------------------------------------------------------------------
-# polynomial evaluation helpers (ascending coefficients, array argument)
+# polynomial coefficients and level setup
 # ----------------------------------------------------------------------
-
-def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for ck in coeffs[::-1]:
-        acc = acc * x + ck
-    return acc
-
-
-def _polyval_derivative(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if len(coeffs) <= 1:
-        return np.zeros_like(x)
-    dcoef = coeffs[1:] * np.arange(1, len(coeffs))
-    return _polyval(dcoef, x)
-
 
 def _heun_polynomial(hp: HeunCParams, n: int) -> np.ndarray:
     """Coefficients of the terminating Heun series, verified to degree n."""
@@ -138,12 +124,7 @@ def _kummer_polynomial(n_index: int, denom: float) -> np.ndarray:
 
 
 def _level_energy(params: SystemParams, n: int, energy) -> float:
-    if energy is not None:
-        return float(energy)
-    return energy_closed_form(n, params).E
-
-
-def _check_level_exists(params: SystemParams, n: int):
+    """Energy of level n (the closed form unless overridden); raises unless n exists."""
     if int(n) != n or n < 0:
         raise InvalidParams(f"n must be a non-negative integer, got {n}")
     if params.e == 0.0:
@@ -153,6 +134,9 @@ def _check_level_exists(params: SystemParams, n: int):
             "the nodeless n=0 level exists only in the negative-parity "
             "channel (kappa < 0); use parity=-1"
         )
+    if energy is not None:
+        return float(energy)
+    return energy_closed_form(n, params).E
 
 
 def _finish(params, n, E, route, grid, f, g) -> RadialSolution:
@@ -180,7 +164,6 @@ def solve_standard(params: SystemParams, n: int, grid: RadialGrid | None = None,
     closed-form level energy (off-shell solutions are useful as residual
     test fixtures and are not solutions of the system).
     """
-    _check_level_exists(params, n)
     E = _level_energy(params, n, energy)
     sv = standard_vars(params, E)
     lam, A, eps = sv.lam, sv.a_frob, sv.eps
@@ -195,10 +178,10 @@ def solve_standard(params: SystemParams, n: int, grid: RadialGrid | None = None,
     c2 = -c1 * (params.nu + mu_s) / (A + eps)
     k1 = _kummer_polynomial(n, gamma_k)
     pref = y ** A * np.exp(-0.5 * y)
-    comp1 = c1 * pref * _polyval(k1, y)
+    comp1 = c1 * pref * horner(k1, y)
     if n >= 1:
         k2 = _kummer_polynomial(n - 1, gamma_k)
-        comp2 = c2 * pref * _polyval(k2, y)
+        comp2 = c2 * pref * horner(k2, y)
     else:
         comp2 = np.zeros_like(y)
 
@@ -219,8 +202,8 @@ def _kummer_part(n_index: int, denom: float, lam: float, a: float, r: np.ndarray
     """G = x^a e^{-x/2} 1F1(-n_index; denom; x) with x = 2*lam*r, plus dG/dr."""
     x = 2.0 * lam * r
     kc = _kummer_polynomial(n_index, denom)
-    kv = _polyval(kc, x)
-    dkv = _polyval_derivative(kc, x)
+    kv = horner(kc, x)
+    dkv = horner(kc, x, 1)
     pref = x ** a * np.exp(-0.5 * x)
     val = pref * kv
     dval = 2.0 * lam * pref * ((a / x - 0.5) * kv + dkv)
@@ -232,12 +215,35 @@ def _heun_part(hp: HeunCParams, n: int, singular_point: float, b: float,
     """F = |y|^a e^{b y} H(y) with y = r/singular_point, plus dF/dr."""
     coeffs = _heun_polynomial(hp, n)
     y = r / singular_point
-    hv = _polyval(coeffs, y)
-    dhv = _polyval_derivative(coeffs, y)
+    hv = horner(coeffs, y)
+    dhv = horner(coeffs, y, 1)
     pref = np.abs(y) ** a * np.exp(b * y)
     val = pref * hv
     dval = (pref * ((a / y + b) * hv + dhv)) / singular_point
     return val, dval
+
+
+def _rotation_frame(params: SystemParams, n: int, grid: RadialGrid | None,
+                    energy, case_id: str):
+    """Shared setup of the rotation routes: (E, case, lam, a, r)."""
+    E = _level_energy(params, n, energy)
+    case = mixing_case(case_id, params, E)
+    lam = math.sqrt(params.m ** 2 - E ** 2)
+    if grid is None:
+        grid = default_grid(params, E)
+    return E, case, lam, params.frobenius_exponent, grid.r
+
+
+def _solve_rotated(parts, route: str, params: SystemParams, n: int,
+                   grid: RadialGrid | None, energy) -> RadialSolution:
+    """Rotate a case's calibrated (F, G) back to (f, g) by the half angle A/2."""
+    E = _level_energy(params, n, energy)
+    if grid is None:
+        grid = default_grid(params, E)
+    _, f_part, _, g_part, _, case = parts(params, n, grid, energy)
+    f = case.cos_half * f_part + case.sin_half * g_part
+    g = -case.sin_half * f_part + case.cos_half * g_part
+    return _finish(params, n, E, route, grid, f, g)
 
 
 def _calibrate(target: np.ndarray, implied: np.ndarray, scale_hint: float):
@@ -293,14 +299,7 @@ def case1_f_from_g(params: SystemParams, E: float, r: np.ndarray,
 def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
                  energy: float | None = None):
     """Calibrated case-1 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
-    _check_level_exists(params, n)
-    E = _level_energy(params, n, energy)
-    case = mixing_case("1", params, E)
-    lam = math.sqrt(params.m ** 2 - E ** 2)
-    a = params.frobenius_exponent
-    if grid is None:
-        grid = default_grid(params, E)
-    r = grid.r
+    E, case, lam, a, r = _rotation_frame(params, n, grid, energy, "1")
 
     g_part, dg_part = _kummer_part(n, 2.0 * a, lam, a, r)
 
@@ -324,14 +323,7 @@ def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
 def solve_mixed_case1(params: SystemParams, n: int, grid: RadialGrid | None = None,
                       energy: float | None = None) -> RadialSolution:
     """Rotation case 1: G from Kummer, F from a Heun polynomial in r/R."""
-    _check_level_exists(params, n)
-    E = _level_energy(params, n, energy)
-    if grid is None:
-        grid = default_grid(params, E)
-    _, f_part, _, g_part, _, case = mixed1_parts(params, n, grid, energy)
-    f = case.cos_half * f_part + case.sin_half * g_part
-    g = -case.sin_half * f_part + case.cos_half * g_part
-    return _finish(params, n, E, "mixed1", grid, f, g)
+    return _solve_rotated(mixed1_parts, "mixed1", params, n, grid, energy)
 
 
 def case2_f_from_g(params: SystemParams, E: float, r: np.ndarray,
@@ -355,14 +347,7 @@ def case2_f_from_g(params: SystemParams, E: float, r: np.ndarray,
 def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
                  energy: float | None = None):
     """Calibrated case-2 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
-    _check_level_exists(params, n)
-    E = _level_energy(params, n, energy)
-    case = mixing_case("2", params, E)
-    lam = math.sqrt(params.m ** 2 - E ** 2)
-    a = params.frobenius_exponent
-    if grid is None:
-        grid = default_grid(params, E)
-    r = grid.r
+    E, case, lam, a, r = _rotation_frame(params, n, grid, energy, "2")
 
     hp = heun_params_case2(params, E)
     D = case.singular_point
@@ -388,14 +373,7 @@ def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
 def solve_mixed_case2(params: SystemParams, n: int, grid: RadialGrid | None = None,
                       energy: float | None = None) -> RadialSolution:
     """Rotation case 2: G from Kummer (shifted denominator), F from Heun."""
-    _check_level_exists(params, n)
-    E = _level_energy(params, n, energy)
-    if grid is None:
-        grid = default_grid(params, E)
-    _, f_part, _, g_part, _, case = mixed2_parts(params, n, grid, energy)
-    f = case.cos_half * f_part + case.sin_half * g_part
-    g = -case.sin_half * f_part + case.cos_half * g_part
-    return _finish(params, n, E, "mixed2", grid, f, g)
+    return _solve_rotated(mixed2_parts, "mixed2", params, n, grid, energy)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +391,6 @@ def solve_heun_full(params: SystemParams, n: int, grid: RadialGrid | None = None
     negative-parity channel runs the same construction with nu -> -nu and
     the roles of the two components swapped.
     """
-    _check_level_exists(params, n)
     E = _level_energy(params, n, energy)
     if grid is None:
         grid = default_grid(params, E)
@@ -427,8 +404,8 @@ def solve_heun_full(params: SystemParams, n: int, grid: RadialGrid | None = None
     C = 0.5 * hp.alpha
     coeffs = _heun_polynomial(hp, n)
     x = -(E + m) * r / params.e
-    hv = _polyval(coeffs, x)
-    dhv = _polyval_derivative(coeffs, x)
+    hv = horner(coeffs, x)
+    dhv = horner(coeffs, x, 1)
     pref = np.abs(x) ** A * np.exp(C * x)
     ft = pref * hv
     dft = (-(E + m) / params.e) * pref * ((A / x + C) * hv + dhv)
@@ -439,6 +416,11 @@ def solve_heun_full(params: SystemParams, n: int, grid: RadialGrid | None = None
     else:
         f, g = gt, -ft
     return _finish(params, n, E, "heun", grid, f, g)
+
+
+#: wavefunction solver of each analytic route, keyed in ANALYTIC_ROUTES order
+ROUTE_SOLVERS = dict(zip(ANALYTIC_ROUTES, (solve_standard, solve_mixed_case1,
+                                           solve_mixed_case2, solve_heun_full)))
 
 
 # ----------------------------------------------------------------------

@@ -143,25 +143,7 @@ DEFAULT_OPTIONS = EvalOptions()
 
 def kummer(params: KummerParams, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Evaluate 1F1(a; c; x) by direct summation of the defining series."""
-    a, c = params.a, params.c
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(opts.max_terms):
-        term *= (a + k) * x / ((c + k) * (k + 1))
-        if term == 0.0:
-            # exact termination (a a non-positive integer, or x == 0)
-            return total
-        total += term
-        if abs(term) < opts.rel_tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NoConvergence(
-        f"1F1({a}; {c}; {x}) did not converge within {opts.max_terms} terms"
-    )
+    return _kummer_with_term_scale(params, x, opts)[0]
 
 
 def kummer_derivative(params: KummerParams, x: float,
@@ -173,9 +155,9 @@ def kummer_derivative(params: KummerParams, x: float,
 
 def _kummer_with_term_scale(params: KummerParams, x: float,
                             opts: EvalOptions) -> tuple[float, float]:
-    """Series value together with the largest term magnitude seen.
+    """Series value of 1F1(a; c; x) together with the largest term magnitude seen.
 
-    The term scale is the natural conditioning measure: for alternating
+    `kummer` returns the value alone.  The term scale is the natural conditioning measure: for alternating
     arguments the sum cancels far below the terms, and no float summation
     can resolve the value better than eps times this scale.
     """
@@ -187,6 +169,7 @@ def _kummer_with_term_scale(params: KummerParams, x: float,
     for k in range(opts.max_terms):
         term *= (a + k) * x / ((c + k) * (k + 1))
         if term == 0.0:
+            # exact termination (a a non-positive integer, or x == 0)
             return total, peak
         total += term
         peak = max(peak, abs(term))
@@ -241,6 +224,21 @@ def kummer_series_coefficients(params: KummerParams, count: int) -> np.ndarray:
             t[k + 2:] = 0.0
             break
     return t
+
+
+def horner(coeffs: np.ndarray, x, order: int = 0):
+    """order-th derivative of sum_k coeffs[k] x^k by Horner's rule.
+
+    x may be a float or an array; both take the same floating-point
+    operations in the same order.
+    """
+    c = coeffs
+    for _ in range(order):
+        c = c[1:] * np.arange(1, len(c))
+    acc = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+    for ck in c[::-1]:
+        acc = acc * x + ck
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -391,26 +389,13 @@ def _heunc_eval(p: HeunCParams, z: float, opts: EvalOptions, order: int) -> floa
     trunc = heunc_truncation(p, opts)
     if trunc is not None:
         degree, coeffs = trunc
-        return _poly_derivative_value(coeffs, z, order)
+        return float(horner(coeffs, z, order))
 
     if abs(z) >= 1.0:
         raise OutsideDomain(
             f"non-terminating confluent Heun series evaluated at |z|={abs(z)} >= 1"
         )
     return _open_series_value(p, z, opts, order)
-
-
-def _poly_derivative_value(coeffs: np.ndarray, z: float, order: int) -> float:
-    c = coeffs
-    for _ in range(order):
-        if len(c) <= 1:
-            return 0.0
-        c = c[1:] * np.arange(1, len(c))
-    # Horner, highest power first
-    acc = 0.0
-    for ck in c[::-1]:
-        acc = acc * z + ck
-    return float(acc)
 
 
 def _open_series_value(p: HeunCParams, z: float, opts: EvalOptions, order: int) -> float:

@@ -18,16 +18,10 @@ from . import oracle, routes, specfun
 from .errors import HeunDiracError
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
                     heun_params_case1, heun_params_case2, heun_params_full,
-                    mixing_case, quantization_residuals,
-                    singular_point_D_consistency, solve_quantization,
-                    standard_vars)
-
-ROUTE_SOLVERS = {
-    "standard": routes.solve_standard,
-    "mixed1": routes.solve_mixed_case1,
-    "mixed2": routes.solve_mixed_case2,
-    "heun": routes.solve_heun_full,
-}
+                    level_bracket, level_channel, mixing_case,
+                    quantization_residuals, singular_point_D_consistency,
+                    solve_quantization, standard_vars)
+from .routes import ROUTE_SOLVERS
 
 
 @dataclass(frozen=True)
@@ -41,17 +35,6 @@ class CheckResult:
 
 def _result(name, dev, tol, detail=""):
     return CheckResult(name, dev < tol, float(dev), float(tol), detail)
-
-
-def _solvable_levels(params: SystemParams, n_max: int):
-    """(params, n) pairs whose wavefunctions exist; n=0 runs at parity -1."""
-    out = []
-    for n in range(n_max + 1):
-        if n == 0:
-            out.append((SystemParams(params.e, params.nu, params.m, -1), 0))
-        else:
-            out.append((params, n))
-    return out
 
 
 def check_scaled_variable_identities(params, n_max, tol=1e-12):
@@ -128,7 +111,8 @@ def check_quantization_residuals(params, n_max, tol=1e-10):
 def check_wavefunction_residuals(params, n_max, tol=1e-6):
     """Every route's (f, g) satisfies the radial system on the default grid."""
     dev = 0.0
-    for p, n in _solvable_levels(params, n_max):
+    for n in range(n_max + 1):
+        p = level_channel(params, n)
         for route, solver in ROUTE_SOLVERS.items():
             dev = max(dev, routes.residual(solver(p, n)))
     return _result("wavefunction_residuals", dev, tol)
@@ -137,7 +121,8 @@ def check_wavefunction_residuals(params, n_max, tol=1e-6):
 def check_cross_route_agreement(params, n_max, tol=1e-6):
     """Normalized (f, g) agree pointwise across all four routes."""
     dev = 0.0
-    for p, n in _solvable_levels(params, n_max):
+    for n in range(n_max + 1):
+        p = level_channel(params, n)
         normed = {}
         for route, solver in ROUTE_SOLVERS.items():
             sol = routes.normalize(solver(p, n))
@@ -238,12 +223,10 @@ def check_heunc_ode_residual(params, n_max, tol=1e-8):
 def check_oracle_spectrum(params, n_max, tol=1e-8):
     """Shooting energies agree with the closed form for every level."""
     dev = 0.0
-    for p, n in _solvable_levels(params, n_max):
+    for n in range(n_max + 1):
+        p = level_channel(params, n)
         E_ref = energy_closed_form(n, p).E
-        below = energy_closed_form(n - 1, p).E if n >= 1 else 0.2 * p.m
-        above = energy_closed_form(n + 1, p).E
-        lo, hi = 0.5 * (below + E_ref), 0.5 * (E_ref + above)
-        level = oracle.shoot_energy(p, lo, hi)
+        level = oracle.shoot_energy(p, *level_bracket(p, n))
         dev = max(dev, abs(level.E - E_ref) / E_ref)
     return _result("oracle_spectrum", dev, tol)
 
@@ -285,7 +268,8 @@ def check_truncation_audit(params, n_max, tol=math.inf):
     """Informational: never fails; detail records the collapse pattern."""
     notes = []
     worst = 0.0
-    for p, n in _solvable_levels(params, n_max):
+    for n in range(n_max + 1):
+        p = level_channel(params, n)
         for name, entry in truncation_audit(p, n).items():
             rel = entry["max_beyond_degree"] / max(entry["max_coefficient"], 1e-300)
             worst = max(worst, rel)

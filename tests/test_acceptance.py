@@ -13,23 +13,14 @@ import pytest
 
 from heundirac import (SystemParams, energy_closed_form, heun_params_case1,
                        heun_params_case2, heun_params_full, normalize,
-                       residual, shoot_energy, solve_heun_full,
-                       solve_mixed_case1, solve_mixed_case2, solve_quantization,
-                       solve_standard, standard_vars)
-from heundirac.model import ANALYTIC_ROUTES
-from heundirac.routes import (case1_f_from_g, case1_g_from_f, coefficient_ratio,
-                              mixed1_parts)
+                       residual, shoot_energy, solve_quantization,
+                       standard_vars)
+from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
+from heundirac.routes import (ROUTE_SOLVERS, case1_f_from_g, case1_g_from_f,
+                              coefficient_ratio, mixed1_parts)
 from heundirac.specfun import (COLLAPSE_TOL, KummerParams,
                                heunc_ode_residual, heunc_series_coefficients,
                                kummer, kummer_derivative, kummer_ode_residual)
-
-ROUTE_SOLVERS = {
-    "standard": solve_standard,
-    "mixed1": solve_mixed_case1,
-    "mixed2": solve_mixed_case2,
-    "heun": solve_heun_full,
-}
-
 
 def report(name, dev, tol, extra=""):
     status = "PASS" if dev < tol else "FAIL"
@@ -46,11 +37,6 @@ def params_grid(couplings=(0.1, 0.3, 0.5), nus=(1, 2, 3), relative=()):
             yield SystemParams(e, nu)
         for frac in relative:
             yield SystemParams(frac * nu, nu)
-
-
-def channel_for(n, nu, e):
-    """The n=0 level exists only in the negative-parity (kappa<0) channel."""
-    return SystemParams(e, nu, parity=1 if n >= 1 else -1)
 
 
 def test_a1_spectrum_unification():
@@ -74,11 +60,9 @@ def test_a2_oracle_confirmation():
     for nu in (1, 2, 3):
         for e in (0.1, 0.3, 0.5):
             for n in range(6):
-                p = channel_for(n, nu, e)
+                p = level_channel(SystemParams(e, nu), n)
                 ref = energy_closed_form(n, p).E
-                below = energy_closed_form(n - 1, p).E if n >= 1 else 0.2 * p.m
-                above = energy_closed_form(n + 1, p).E
-                level = shoot_energy(p, 0.5 * (below + ref), 0.5 * (ref + above))
+                level = shoot_energy(p, *level_bracket(p, n))
                 dev = max(dev, abs(level.E - ref) / ref)
                 assert level.n == n
                 count += 1
@@ -112,7 +96,7 @@ def test_a4_wavefunction_residuals_and_cross_route_agreement():
     for nu in (1, 2, 3):
         for e in (0.2, 0.5):
             for n in range(5):
-                p = channel_for(n, nu, e)
+                p = level_channel(SystemParams(e, nu), n)
                 normed = {}
                 for route, solver in ROUTE_SOLVERS.items():
                     sol = solver(p, n)
@@ -173,7 +157,7 @@ def test_a6_truncation_audit():
     audited = 0
     for nu, e in ((1, 0.5), (2, 0.3), (3, 0.9)):
         for n in range(5):
-            p = channel_for(n, nu, e)
+            p = level_channel(SystemParams(e, nu), n)
             E = energy_closed_form(n, p).E
             maps = {"mixed2": heun_params_case2(p, E),
                     "heun": heun_params_full(p, E)}
@@ -228,7 +212,7 @@ def test_a7_special_function_property_suite():
     worst_heun = 0.0
     for nu, e in ((1, 0.5), (2, 0.3), (3, 2.7)):
         for n in range(4):
-            p = channel_for(n, nu, e)
+            p = level_channel(SystemParams(e, nu), n)
             E = energy_closed_form(n, p).E
             for hp in (heun_params_full(p, E), heun_params_case2(p, E)):
                 for z in (-12.0, -0.8, -0.35, 0.4, 0.85):

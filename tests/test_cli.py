@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from heundirac import NoBracket
+from heundirac import NoBracket, SystemParams, energy_closed_form
 from heundirac.cli import (EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VERIFY_FAILED, main)
 
@@ -124,6 +124,18 @@ def test_wavefunction_n_above_n_max_exits_2(capsys):
     code, _, _ = run_cli(capsys, "wavefunction", "--n", "3", "--n-max", "1",
                          "--coupling", "0.5", "--j", "0.5")
     assert code == EXIT_INVALID_PARAMS
+
+
+def test_oracle_wavefunction_inside_window_exits_0(capsys):
+    E = energy_closed_form(1, SystemParams(0.5, 1)).E
+    lam = math.sqrt(1.0 - E * E)
+    code, out, err = run_cli(capsys, "wavefunction", "--route", "oracle",
+                             "--coupling", "0.5", "--n", "1", "--n-max", "1",
+                             "--r-max", repr(15.0 / lam), "--no-timestamp")
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["E"] == E
+    assert abs(doc["f"][-1]) < 1e-4 * max(abs(v) for v in doc["f"])
 
 
 def test_verify_default_passes(capsys):

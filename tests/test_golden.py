@@ -27,6 +27,8 @@ GOLDENS = {
     "spectrum_mixed2_parity_minus.csv": ("spectrum", "--route", "mixed2", "--n-max", "5",
                                          "--coupling", "0.5", "--parity", "-1",
                                          "--format", "csv"),
+    "spectrum_oracle_e0p5.csv": ("spectrum", "--route", "oracle", "--n-max", "3",
+                                 "--coupling", "0.5", "--format", "csv"),
     "verify_all_e0p5.txt": ("verify", "--route", "all", "--n-max", "2",
                             "--coupling", "0.5"),
     **{f"wavefunction_{route}_n2.csv": ("wavefunction", "--route", route, "--n", "2",

@@ -11,7 +11,7 @@ from heundirac import (DegenerateCase, InvalidParams, SystemParams,
                        mixing_case, quantization_residuals,
                        singular_point_D_consistency, solve_quantization,
                        standard_vars)
-from heundirac.model import ANALYTIC_ROUTES
+from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
 
 
 def test_system_params_validation():
@@ -228,6 +228,23 @@ def test_parity_symmetry_of_spectrum():
     minus = SystemParams(0.5, 2, parity=-1)
     for n in range(5):
         assert abs(energy_closed_form(n, plus).E) == abs(energy_closed_form(n, minus).E)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("n", range(6))
+def test_level_channel_and_bracket(n, parity):
+    p = SystemParams(0.5, 2, m=0.75, parity=parity)
+    channel = level_channel(p, n)
+    assert channel.parity == (-1 if n == 0 else parity)
+    assert (channel.e, channel.nu, channel.m) == (p.e, p.nu, p.m)
+    lo, hi = level_bracket(channel, n)
+    E = energy_closed_form(n, channel).E
+    assert lo < E < hi
+    assert energy_closed_form(n + 1, channel).E > hi
+    if n >= 1:
+        assert energy_closed_form(n - 1, channel).E < lo
+    else:
+        assert lo == 0.5 * (0.2 * p.m + E)
 
 
 # ----------------------------------------------------------------------

@@ -10,17 +10,10 @@ from heundirac import (InvalidParams, NoBracket, Overflow, ShootConfig,
                        integrate_radial, normalize, residual, scan_brackets,
                        shoot_energy, solve_heun_full)
 from heundirac import oracle
+from heundirac.model import level_bracket
 from heundirac.routes import RadialGrid
 
 ALPHA = 0.0072973525693
-
-
-def level_bracket(p, n):
-    """An interval holding exactly the level n."""
-    E = energy_closed_form(n, p).E
-    below = energy_closed_form(n - 1, p).E if n >= 1 else 0.2 * p.m
-    above = energy_closed_form(n + 1, p).E
-    return 0.5 * (below + E), 0.5 * (E + above)
 
 
 # ----------------------------------------------------------------------

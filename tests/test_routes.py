@@ -10,15 +10,25 @@ from heundirac import (DegenerateGroundState, InvalidParams, RadialGrid,
                        default_grid, energy_closed_form, normalize, residual,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
                        solve_standard, standard_vars)
-from heundirac.routes import (RadialSolution, case1_f_from_g, case1_g_from_f,
-                              case2_f_from_g, mixed1_parts, mixed2_parts)
+from heundirac import cli, routes, verify
+from heundirac.model import ANALYTIC_ROUTES, level_channel
+from heundirac.routes import (ROUTE_SOLVERS, RadialSolution, case1_f_from_g,
+                              case1_g_from_f, case2_f_from_g, mixed1_parts,
+                              mixed2_parts)
 
-ALL_SOLVERS = (solve_standard, solve_mixed_case1, solve_mixed_case2, solve_heun_full)
+ALL_SOLVERS = tuple(ROUTE_SOLVERS.values())
 
 
 def params_for(n, nu=1, e=0.5):
-    """The n=0 level lives in the negative-parity channel."""
-    return SystemParams(e, nu, parity=1 if n >= 1 else -1)
+    """The channel that holds level n (n=0 lives at parity -1)."""
+    return level_channel(SystemParams(e, nu), n)
+
+
+def test_one_route_registry():
+    assert verify.ROUTE_SOLVERS is cli._SOLVERS is routes.ROUTE_SOLVERS
+    assert tuple(routes.ROUTE_SOLVERS) == ANALYTIC_ROUTES
+    for route, solver in ROUTE_SOLVERS.items():
+        assert solver(params_for(1), 1).route == route
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,27 @@ from heundirac import (EvalOptions, HeunCParams, InvalidParams, KummerParams,
                        heunc_second_derivative, heunc_series_coefficients,
                        heunc_truncation, kummer, kummer_derivative,
                        slope_at_origin)
-from heundirac.specfun import heunc_ode_residual, kummer_ode_residual
+from heundirac.model import level_channel
+from heundirac.specfun import heunc_ode_residual, horner, kummer_ode_residual
 
 
 # ----------------------------------------------------------------------
 # Kummer
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_horner_float_and_array_are_bit_identical(order):
+    long = heunc_series_coefficients(HeunCParams(0.7, 1.3, -2.0, 0.4, 0.9), 9)
+    for coeffs in (long, np.array([2.5]), np.array([-1.0, 3.0])):
+        ref = np.polynomial.polynomial.polyder(coeffs, order)
+        for x in (-3.7, -0.31, 0.0, 0.59, 12.5):
+            scalar = horner(coeffs, x, order)
+            array = horner(coeffs, np.array([x]), order)
+            assert array.shape == (1,)
+            assert np.array([scalar]).tobytes() == array.tobytes()
+            expected = np.polynomial.polynomial.polyval(x, ref)
+            assert scalar == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 def test_kummer_at_zero_is_one():
     assert kummer(KummerParams(3.7, 1.2), 0.0) == 1.0
@@ -257,6 +272,6 @@ def test_heunc_ode_residual_property(alpha, beta, delta, eta, z):
 def test_heunc_physical_polynomials_satisfy_equation(n, nu, efrac, z):
     # terminating parameter sets from the closed-form levels, probed
     # outside the unit disk where only the polynomial path can operate
-    p = SystemParams(efrac * nu, nu, parity=1 if n >= 1 else -1)
+    p = level_channel(SystemParams(efrac * nu, nu), n)
     hp = heun_params_full(p, energy_closed_form(n, p).E)
     assert heunc_ode_residual(hp, z) < 1e-8

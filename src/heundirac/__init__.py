@@ -14,16 +14,15 @@ from .model import (ANALYTIC_ROUTES, EnergyLevel, MixingCase, StandardVars,
                     heun_params_case2, heun_params_full, mixing_case,
                     quantization_residuals, singular_point_D_consistency,
                     solve_quantization, standard_vars)
-from .oracle import (ShootConfig, frobenius_start, integrate_radial,
-                     scan_brackets, shoot_energy)
+from .oracle import (frobenius_start, integrate_radial, scan_brackets,
+                     shoot_energy)
 from .routes import (CoefficientRatio, RadialGrid, RadialSolution,
                      coefficient_ratio, count_nodes, default_grid, normalize,
                      residual, solve_heun_full, solve_mixed_case1,
                      solve_mixed_case2, solve_standard)
-from .specfun import (DEFAULT_OPTIONS, EvalOptions, HeunCParams, KummerParams,
-                      heunc, heunc_derivative, heunc_poly_degree,
-                      heunc_second_derivative, heunc_series_coefficients,
-                      heunc_truncation, kummer, kummer_derivative,
-                      kummer_series_coefficients, slope_at_origin)
+from .specfun import (HeunCParams, KummerParams, heunc, heunc_derivative,
+                      heunc_poly_degree, heunc_second_derivative,
+                      heunc_series_coefficients, heunc_truncation, kummer,
+                      kummer_derivative, kummer_series_coefficients)
 
 __version__ = "0.1.0"

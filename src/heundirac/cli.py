@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import oracle, routes, verify
 from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
@@ -34,7 +31,8 @@ from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
                      NoConvergence, Overflow, OutsideDomain, StepFailure,
                      ZeroNorm)
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
-                    level_bracket, level_channel, solve_quantization)
+                    level_bracket, level_channel, require_level,
+                    solve_quantization)
 from .routes import ROUTE_SOLVERS as _SOLVERS
 
 EXIT_OK = 0
@@ -164,19 +162,6 @@ def _emit(text: str, cfg: RunConfig):
         sys.stdout.write(text)
 
 
-def _grid_for(cfg: RunConfig, params: SystemParams, E: float):
-    if cfg.grid_points < 2:
-        raise InvalidParams(f"grid needs at least 2 points, got {cfg.grid_points}")
-    if cfg.r_min is not None or cfg.r_max is not None:
-        lam = math.sqrt(params.m ** 2 - E ** 2)
-        r_min = cfg.r_min if cfg.r_min is not None else routes.GRID_RMIN_SCALE / lam
-        r_max = cfg.r_max if cfg.r_max is not None else routes.GRID_RMAX_SCALE / lam
-        if not (0 < r_min < r_max):
-            raise InvalidParams(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-        return routes.RadialGrid(np.geomspace(r_min, r_max, cfg.grid_points))
-    return routes.default_grid(params, E, points=cfg.grid_points)
-
-
 def _spectrum_levels(cfg: RunConfig) -> list[dict]:
     """One entry per (n, route); route='all' covers the analytic four."""
     selected = ANALYTIC_ROUTES if cfg.route == "all" else (cfg.route,)
@@ -235,8 +220,9 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
         raise InvalidParams(f"n={n} exceeds n_max={cfg.n_max}")
     route = "standard" if cfg.route == "all" else cfg.route
     params = cfg.system_params()
+    require_level(params, n)
     E = energy_closed_form(n, params).E
-    grid = _grid_for(cfg, params, E)
+    grid = routes.default_grid(params, E, cfg.grid_points, cfg.r_min, cfg.r_max)
     if route == "oracle":
         sol = oracle.integrate_radial(params, E, grid=grid)
     else:

@@ -38,16 +38,7 @@ class StepFailure(HeunDiracError):
 
 
 class Overflow(HeunDiracError):
-    """Integrated solution exceeded the magnitude cap (off-eigenvalue growth).
-
-    Carries the sign of the diverging component so a shooting driver can
-    still use the result as bracket information.
-    """
-
-    def __init__(self, message, sign=0.0, r_reached=None):
-        super().__init__(message)
-        self.sign = sign
-        self.r_reached = r_reached
+    """Integrated solution exceeded the magnitude cap (off-eigenvalue growth)."""
 
 
 class NoBracket(HeunDiracError):

@@ -73,6 +73,10 @@ class SystemParams:
         """Origin exponent s = sqrt(nu^2 - e^2) of the regular solution."""
         return math.sqrt(self.nu * self.nu - self.e * self.e)
 
+    def decay_constant(self, E: float) -> float:
+        """lam = sqrt(m^2 - E^2): bound states fall off like exp(-lam r)."""
+        return math.sqrt(self.m ** 2 - E ** 2)
+
 
 @dataclass(frozen=True)
 class MixingCase:
@@ -205,7 +209,7 @@ def heun_params_case1(params: SystemParams, E: float) -> HeunCParams:
         raise InvalidParams(
             "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
         )
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
     a = params.frobenius_exponent
     b = -lam * R
     delta = 2.0 * params.e * E * R
@@ -222,7 +226,7 @@ def heun_params_case2(params: SystemParams, E: float) -> HeunCParams:
     _require_bound_energy(params, E)
     case = mixing_case("2", params, E)
     D = case.singular_point
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
     a = params.frobenius_exponent
     b = -lam * D
     delta = 2.0 * params.e * E * D
@@ -239,7 +243,7 @@ def heun_params_full(params: SystemParams, E: float) -> HeunCParams:
     by nu -> -nu together with swapping the roles of f and g).
     """
     _require_bound_energy(params, E)
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
     alpha = 2.0 * lam * params.e / (E + params.m)
     beta = 2.0 * params.frobenius_exponent
     nu_s = params.parity * params.nu
@@ -254,6 +258,23 @@ def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
     N = n + params.frobenius_exponent
     E = params.m / math.sqrt(1.0 + (params.e / N) ** 2)
     return EnergyLevel(int(n), params.nu, params.parity, E, "closed")
+
+
+def require_level(params: SystemParams, n: int):
+    """Raise InvalidParams unless level n exists in this channel.
+
+    n must be a non-negative integer, the coupling nonzero, and the
+    nodeless n = 0 level exists only at parity -1.
+    """
+    if int(n) != n or n < 0:
+        raise InvalidParams(f"n must be a non-negative integer, got {n}")
+    if params.e == 0.0:
+        raise InvalidParams("zero coupling supports no bound states")
+    if n == 0 and params.parity == 1:
+        raise InvalidParams(
+            "the nodeless n=0 level exists only in the negative-parity "
+            "channel (kappa < 0); use parity=-1"
+        )
 
 
 def level_channel(params: SystemParams, n: int) -> SystemParams:
@@ -276,7 +297,7 @@ def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:
 def standard_vars(params: SystemParams, E: float) -> StandardVars:
     """Scaled variables (lam, mu, eps, a_frob) at energy E."""
     _require_bound_energy(params, E)
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
     mu = params.e * params.m / lam
     eps = params.e * E / lam
     a_frob = math.sqrt(eps * eps - mu * mu + params.nu ** 2)

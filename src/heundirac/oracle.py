@@ -18,7 +18,6 @@ spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import ode, solve_ivp
@@ -41,51 +40,19 @@ SCAN_E_MAX = 1.0 - 1e-9
 SCAN_POINTS = 200
 
 
-@dataclass(frozen=True)
-class ShootConfig:
-    """Radii and local error tolerance of one shooting run.
+# Shooting radii in units of 1/lam, lam = sqrt(m^2 - E^2).  The start
+# radius is small enough that the truncated Frobenius seed perturbs the
+# integrated shape by well under the 1e-5 agreement budget against the
+# analytic routes.  Matching at 1/lam keeps the mismatch smooth in E: much
+# farther out, theta_out follows the growing mode and jumps by pi within
+# ~1e-8 of a root.  The inward angle leg starts at R_FAR_SCALE, which also
+# bounds the grids integrate_radial accepts.
+R_START_SCALE = 1e-6
+R_MATCH_SCALE = 1.0
+R_FAR_SCALE = 40.0
 
-    The outward angle is integrated over [r_start, r_match] and the inward
-    one over [r_match, r_far]; integrate_radial tabulates the amplitudes
-    over [r_start, r_far].
-    """
-
-    r_start: float
-    r_match: float
-    r_far: float
-    local_error_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0 < self.r_start < self.r_match < self.r_far):
-            raise InvalidParams("need 0 < r_start < r_match < r_far")
-        if not self.local_error_tol > 0:
-            raise InvalidParams("local error tolerance must be positive")
-
-    @classmethod
-    def for_lambda(cls, lam: float, **overrides) -> "ShootConfig":
-        """Defaults scaled by the decay constant lam = sqrt(m^2 - E^2).
-
-        The start radius is small enough (1e-6/lam) that the truncated
-        Frobenius seed perturbs the integrated shape by well under the
-        1e-5 agreement budget against the analytic routes.  Matching at
-        1/lam keeps the mismatch smooth in E: much farther out, theta_out
-        follows the growing mode and jumps by pi within ~1e-8 of a root.
-        """
-        base = dict(r_start=1e-6 / lam, r_match=1.0 / lam, r_far=40.0 / lam)
-        base.update(overrides)
-        return cls(**base)
-
-
-def _rhs(params: SystemParams, E: float):
-    nu, e, m_eff = params.nu, params.e, params.m_eff
-
-    def rhs(r, y):
-        f, g = y
-        w = E + e / r
-        return (-(nu / r) * f - (w + m_eff) * g,
-                (nu / r) * g + (w - m_eff) * f)
-
-    return rhs
+# Local error tolerance (rtol) of the dop853 legs and of integrate_radial.
+LOCAL_ERROR_TOL = 1e-12
 
 
 def frobenius_start(params: SystemParams, E: float, r_start: float):
@@ -108,43 +75,49 @@ def frobenius_start(params: SystemParams, E: float, r_start: float):
     return f0, g0, df0, dg0
 
 
-def _mismatch(params: SystemParams, E: float, cfg: ShootConfig) -> float:
+def _mismatch(params: SystemParams, E: float, lam_ref: float,
+              rtol: float = LOCAL_ERROR_TOL) -> float:
     """Unwrapped angle mismatch theta_out - theta_in at r_match.
 
-    theta_out starts from the regular Frobenius data at r_start, theta_in
-    from the decaying asymptotic angle atan2(lam, E + m_eff) at r_far.
-    Each leg runs in the direction in which its angle is attracted to the
-    wanted solution, so neither needs an overflow guard.
+    The radii scale with lam_ref.  theta_out starts from the regular
+    Frobenius data at r_start, theta_in from the decaying asymptotic angle
+    atan2(lam, E + m_eff) at r_far.  Each leg runs in the direction in
+    which its angle is attracted to the wanted solution, so neither needs
+    an overflow guard.
     """
-    f0, g0, _, _ = frobenius_start(params, E, cfg.r_start)
+    r_start = R_START_SCALE / lam_ref
+    r_match = R_MATCH_SCALE / lam_ref
+    r_far = R_FAR_SCALE / lam_ref
+    f0, g0, _, _ = frobenius_start(params, E, r_start)
     nu, e, m_eff = params.nu, params.e, params.m_eff
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
 
     def rhs(r, theta):
         t2 = 2.0 * theta[0]
         return [(nu / r) * math.sin(t2) + E + e / r - m_eff * math.cos(t2)]
 
-    solver = ode(rhs).set_integrator("dop853", rtol=cfg.local_error_tol,
-                                     atol=1e-14, nsteps=200_000)
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14,
+                                     nsteps=200_000)
 
     def leg(theta0, r0):
         solver.set_initial_value([theta0], r0)
-        theta = solver.integrate(cfg.r_match)
+        theta = solver.integrate(r_match)
         if not solver.successful():
             raise StepFailure(f"dop853 failed from r={r0:g} at E={E}")
         return float(theta[0])
 
-    return (leg(math.atan2(g0, f0), cfg.r_start)
-            - leg(math.atan2(lam, E + m_eff), cfg.r_far))
+    return (leg(math.atan2(g0, f0), r_start)
+            - leg(math.atan2(lam, E + m_eff), r_far))
 
 
 def integrate_radial(params: SystemParams, E: float,
-                     config: ShootConfig | None = None,
                      grid: RadialGrid | None = None) -> RadialSolution:
     """Integrate the radial system outward and record (f, g) on a grid.
 
-    Raises Overflow when the solution exceeds the magnitude cap (the sign
-    of the diverging component is attached for bracket drivers).
+    The integration runs from R_START_SCALE/lam to the last grid radius,
+    which may not lie past R_FAR_SCALE/lam; the default grid is
+    default_grid(params, E).  Raises Overflow when the solution exceeds
+    OVERFLOW_CAP.
 
     Note on tails: even at an eigenvalue, roundoff seeds the growing mode
     at relative size ~eps, which overtakes the decaying profile beyond
@@ -154,44 +127,40 @@ def integrate_radial(params: SystemParams, E: float,
     """
     if not (0.0 < E < params.m):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
-    lam = math.sqrt(params.m ** 2 - E ** 2)
-    if config is None:
-        config = ShootConfig.for_lambda(lam)
+    lam = params.decay_constant(E)
+    r_start = R_START_SCALE / lam
     if grid is None:
-        grid = default_grid(params, E,
-                            r_min_scale=max(1e-2, config.r_start * lam * 1.01),
-                            r_max_scale=config.r_far * lam)
+        grid = default_grid(params, E)
     r = grid.r
-    if r[0] < config.r_start or r[-1] > config.r_far:
+    if r[0] < r_start or r[-1] > R_FAR_SCALE / lam:
         raise InvalidParams("grid must lie within [r_start, r_far]")
 
-    f0, g0, _, _ = frobenius_start(params, E, config.r_start)
-    rhs = _rhs(params, E)
+    f0, g0, _, _ = frobenius_start(params, E, r_start)
+    nu, e, m_eff = params.nu, params.e, params.m_eff
 
-    def rhs_arr(r_, y):
-        return np.array(rhs(r_, y))
+    def rhs(r_, y):
+        f, g = y
+        w = E + e / r_
+        return np.array((-(nu / r_) * f - (w + m_eff) * g,
+                         (nu / r_) * g + (w - m_eff) * f))
 
     def overflow_event(r_, y):
         return OVERFLOW_CAP - max(abs(y[0]), abs(y[1]))
 
     overflow_event.terminal = True
 
-    sol = solve_ivp(rhs_arr, (config.r_start, config.r_far), np.array([f0, g0]),
-                    method="DOP853", t_eval=r,
-                    rtol=config.local_error_tol, atol=1e-280,
+    sol = solve_ivp(rhs, (r_start, r[-1]), np.array([f0, g0]),
+                    method="DOP853", t_eval=r, rtol=LOCAL_ERROR_TOL, atol=1e-280,
                     events=overflow_event)
     if sol.status == 1:
-        sign = math.copysign(1.0, sol.y_events[0][0][0]) if len(sol.y_events[0]) else 0.0
-        raise Overflow(f"solution exceeded {OVERFLOW_CAP:g} at E={E}",
-                       sign=sign, r_reached=float(sol.t_events[0][0]))
+        raise Overflow(f"solution exceeded {OVERFLOW_CAP:g} at E={E}")
     if not sol.success:
         raise StepFailure(f"dop853 failed at E={E}: {sol.message}")
     level = EnergyLevel(-1, params.nu, params.parity, E, "oracle")
     return RadialSolution(grid, sol.y[0], sol.y[1], level, "oracle", params)
 
 
-def shoot_energy(params: SystemParams, E_lo: float, E_hi: float,
-                 config: ShootConfig | None = None) -> EnergyLevel:
+def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
     """Refine one bound energy inside a bracketing interval.
 
     The bracket must contain exactly one sign change of the matched
@@ -201,17 +170,15 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float,
     """
     if not (0.0 < E_lo < E_hi < params.m):
         raise InvalidParams(f"need 0 < E_lo < E_hi < m, got ({E_lo}, {E_hi})")
-    if config is None:
-        # scale by the smallest decay constant in the bracket (the upper
-        # end), so r_far covers the full extent of every candidate state
-        lam_hi = math.sqrt(params.m ** 2 - E_hi ** 2)
-        config = ShootConfig.for_lambda(lam_hi)
+    # scale by the smallest decay constant in the bracket (the upper end),
+    # so r_far covers the full extent of every candidate state
+    lam_hi = params.decay_constant(E_hi)
 
     # the mismatch closest to a multiple of pi is the one at the root
     best = {"phi": math.inf, "delta": 0.0}
 
     def phi(E):
-        delta = _mismatch(params, E, config)
+        delta = _mismatch(params, E, lam_hi)
         value = math.sin(delta)
         if abs(value) < best["phi"]:
             best["phi"], best["delta"] = abs(value), delta
@@ -248,9 +215,8 @@ def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,
     information.
     """
     energies = np.linspace(e_min_scale * params.m, e_max_scale * params.m, points)
-    lam_ref = math.sqrt(params.m ** 2 - energies[len(energies) // 2] ** 2)
-    cfg = ShootConfig.for_lambda(lam_ref, local_error_tol=scan_tol)
-    values = [math.sin(_mismatch(params, float(E), cfg)) for E in energies]
+    lam_ref = params.decay_constant(energies[len(energies) // 2])
+    values = [math.sin(_mismatch(params, float(E), lam_ref, scan_tol)) for E in energies]
     brackets = []
     for i in range(len(energies) - 1):
         if values[i] == 0.0:

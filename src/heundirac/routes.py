@@ -37,7 +37,7 @@ from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
                      InvalidParams, ZeroNorm)
 from .model import (ANALYTIC_ROUTES, EnergyLevel, SystemParams, energy_closed_form,
                     mixing_case, heun_params_case1, heun_params_case2,
-                    heun_params_full, standard_vars)
+                    heun_params_full, require_level, standard_vars)
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
 
@@ -91,15 +91,18 @@ class CoefficientRatio:
     from_second_equation: float
 
 
-def default_grid(params: SystemParams, E: float,
-                 points: int = GRID_POINTS,
-                 r_min_scale: float = GRID_RMIN_SCALE,
-                 r_max_scale: float = GRID_RMAX_SCALE) -> RadialGrid:
-    """Geometric grid from r_min_scale/lam to r_max_scale/lam."""
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+def default_grid(params: SystemParams, E: float, points: int = GRID_POINTS,
+                 r_min: float | None = None, r_max: float | None = None) -> RadialGrid:
+    """Geometric grid of `points` radii from r_min (default 0.01/lam) to
+    r_max (default 40/lam)."""
     if points < 2:
-        raise InvalidParams("grid needs at least 2 points")
-    return RadialGrid(np.geomspace(r_min_scale / lam, r_max_scale / lam, points))
+        raise InvalidParams(f"grid needs at least 2 points, got {points}")
+    lam = params.decay_constant(E)
+    r_min = GRID_RMIN_SCALE / lam if r_min is None else r_min
+    r_max = GRID_RMAX_SCALE / lam if r_max is None else r_max
+    if not (0 < r_min < r_max):
+        raise InvalidParams(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    return RadialGrid(np.geomspace(r_min, r_max, points))
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +128,7 @@ def _kummer_polynomial(n_index: int, denom: float) -> np.ndarray:
 
 def _level_energy(params: SystemParams, n: int, energy) -> float:
     """Energy of level n (the closed form unless overridden); raises unless n exists."""
-    if int(n) != n or n < 0:
-        raise InvalidParams(f"n must be a non-negative integer, got {n}")
-    if params.e == 0.0:
-        raise InvalidParams("zero coupling supports no bound states")
-    if n == 0 and params.parity == 1:
-        raise InvalidParams(
-            "the nodeless n=0 level exists only in the negative-parity "
-            "channel (kappa < 0); use parity=-1"
-        )
+    require_level(params, n)
     if energy is not None:
         return float(energy)
     return energy_closed_form(n, params).E
@@ -228,7 +223,7 @@ def _rotation_frame(params: SystemParams, n: int, grid: RadialGrid | None,
     """Shared setup of the rotation routes: (E, case, lam, a, r)."""
     E = _level_energy(params, n, energy)
     case = mixing_case(case_id, params, E)
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
     if grid is None:
         grid = default_grid(params, E)
     return E, case, lam, params.frobenius_exponent, grid.r
@@ -240,7 +235,7 @@ def _solve_rotated(parts, route: str, params: SystemParams, n: int,
     E = _level_energy(params, n, energy)
     if grid is None:
         grid = default_grid(params, E)
-    _, f_part, _, g_part, _, case = parts(params, n, grid, energy)
+    _, f_part, _, g_part, _, case = parts(params, n, grid, E)
     f = case.cos_half * f_part + case.sin_half * g_part
     g = -case.sin_half * f_part + case.cos_half * g_part
     return _finish(params, n, E, route, grid, f, g)
@@ -395,7 +390,7 @@ def solve_heun_full(params: SystemParams, n: int, grid: RadialGrid | None = None
     if grid is None:
         grid = default_grid(params, E)
     r = grid.r
-    lam = math.sqrt(params.m ** 2 - E ** 2)
+    lam = params.decay_constant(E)
     A = params.frobenius_exponent
     nu_s = params.parity * params.nu
     m = params.m

@@ -64,6 +64,11 @@ COLLAPSE_WINDOW = 6
 # Integer tolerance used when the evaluator checks the degree condition
 # internally (callers of heunc_poly_degree pass their own).
 DEGREE_DETECT_TOL = 1e-8
+# An open series has converged once two consecutive terms fall below
+# SERIES_REL_TOL times the partial sum (two in a row guards against
+# accidental zero terms); MAX_TERMS is its term budget.
+SERIES_REL_TOL = 1e-15
+MAX_TERMS = 10_000
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -115,46 +120,22 @@ class HeunCParams:
             raise InvalidParams(f"beta={self.beta} is a negative integer")
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Series truncation controls.
-
-    rel_tol: a series is considered converged when two consecutive terms
-    fall below rel_tol times the magnitude of the partial sum (two in a
-    row guards against accidental zero terms).
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise InvalidParams("rel_tol must be positive")
-        if self.max_terms < 8:
-            raise InvalidParams("max_terms must be at least 8")
-
-
-DEFAULT_OPTIONS = EvalOptions()
-
-
 # ----------------------------------------------------------------------
 # Kummer 1F1
 # ----------------------------------------------------------------------
 
-def kummer(params: KummerParams, x: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def kummer(params: KummerParams, x: float) -> float:
     """Evaluate 1F1(a; c; x) by direct summation of the defining series."""
-    return _kummer_with_term_scale(params, x, opts)[0]
+    return _kummer_with_term_scale(params, x)[0]
 
 
-def kummer_derivative(params: KummerParams, x: float,
-                      opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def kummer_derivative(params: KummerParams, x: float) -> float:
     """d/dx 1F1(a; c; x) = (a/c) 1F1(a+1; c+1; x)."""
     shifted = KummerParams(params.a + 1.0, params.c + 1.0)
-    return (params.a / params.c) * kummer(shifted, x, opts)
+    return (params.a / params.c) * kummer(shifted, x)
 
 
-def _kummer_with_term_scale(params: KummerParams, x: float,
-                            opts: EvalOptions) -> tuple[float, float]:
+def _kummer_with_term_scale(params: KummerParams, x: float) -> tuple[float, float]:
     """Series value of 1F1(a; c; x) together with the largest term magnitude seen.
 
     `kummer` returns the value alone.  The term scale is the natural conditioning measure: for alternating
@@ -166,26 +147,25 @@ def _kummer_with_term_scale(params: KummerParams, x: float,
     total = 1.0
     peak = 1.0
     small = 0
-    for k in range(opts.max_terms):
+    for k in range(MAX_TERMS):
         term *= (a + k) * x / ((c + k) * (k + 1))
         if term == 0.0:
             # exact termination (a a non-positive integer, or x == 0)
             return total, peak
         total += term
         peak = max(peak, abs(term))
-        if abs(term) < opts.rel_tol * abs(total):
+        if abs(term) < SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 2:
                 return total, peak
         else:
             small = 0
     raise NoConvergence(
-        f"1F1({a}; {c}; {x}) did not converge within {opts.max_terms} terms"
+        f"1F1({a}; {c}; {x}) did not converge within {MAX_TERMS} terms"
     )
 
 
-def kummer_ode_residual(params: KummerParams, x: float,
-                        opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def kummer_ode_residual(params: KummerParams, x: float) -> float:
     """Scaled residual of x F'' + (c - x) F' - a F = 0 at x.
 
     All three pieces come from the series; the residual is divided by the
@@ -195,12 +175,12 @@ def kummer_ode_residual(params: KummerParams, x: float,
     a, c = params.a, params.c
     if x == 0.0:
         return 0.0
-    F, sF = _kummer_with_term_scale(params, x, opts)
+    F, sF = _kummer_with_term_scale(params, x)
     d1 = KummerParams(a + 1.0, c + 1.0)
-    F1_raw, sF1 = _kummer_with_term_scale(d1, x, opts)
+    F1_raw, sF1 = _kummer_with_term_scale(d1, x)
     F1 = (a / c) * F1_raw
     d2 = KummerParams(a + 2.0, c + 2.0)
-    F2_raw, sF2 = _kummer_with_term_scale(d2, x, opts)
+    F2_raw, sF2 = _kummer_with_term_scale(d2, x)
     F2 = (a * (a + 1.0)) / (c * (c + 1.0)) * F2_raw
     res = x * F2 + (c - x) * F1 - a * F
     scale = max(abs(x) * abs(a * (a + 1.0) / (c * (c + 1.0))) * sF2,
@@ -256,16 +236,6 @@ def _residue_combinations(p: HeunCParams) -> tuple[float, float]:
                - p.gamma - 2.0 * p.eta)
     s = p.alpha + 0.5 * p.alpha * (p.beta + p.gamma) + p.delta
     return u, s
-
-
-def slope_at_origin(p: HeunCParams) -> float:
-    """H'(0) = -(alpha*beta + alpha - beta*gamma - beta - gamma - 2*eta) / (2(beta+1)).
-
-    This is the residue condition of the 1/z pole applied to the regular
-    branch normalized to H(0) = 1.
-    """
-    u, _ = _residue_combinations(p)
-    return -u / (p.beta + 1.0)
 
 
 def heunc_series_coefficients(p: HeunCParams, count: int) -> np.ndarray:
@@ -328,7 +298,7 @@ def heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
     return None
 
 
-def heunc_truncation(p: HeunCParams, opts: EvalOptions = DEFAULT_OPTIONS):
+def heunc_truncation(p: HeunCParams):
     """Detect numerical termination of the series.
 
     Returns (degree, coefficients c_0..c_degree) when the series
@@ -350,7 +320,7 @@ def heunc_truncation(p: HeunCParams, opts: EvalOptions = DEFAULT_OPTIONS):
 
     probe_len = COLLAPSE_WINDOW + 2
     if n_cond is not None:
-        probe_len = min(max(n_cond + 1 + COLLAPSE_WINDOW, probe_len), opts.max_terms)
+        probe_len = min(max(n_cond + 1 + COLLAPSE_WINDOW, probe_len), MAX_TERMS)
     c = heunc_series_coefficients(p, probe_len)
 
     # hard-zero cascade
@@ -381,12 +351,12 @@ def heunc_truncation(p: HeunCParams, opts: EvalOptions = DEFAULT_OPTIONS):
     return None
 
 
-def _heunc_eval(p: HeunCParams, z: float, opts: EvalOptions, order: int) -> float:
+def _heunc_eval(p: HeunCParams, z: float, order: int) -> float:
     """Value of the series' order-th derivative at z (order 0, 1 or 2)."""
     if z == 0.0 and order == 0:
         return 1.0
 
-    trunc = heunc_truncation(p, opts)
+    trunc = heunc_truncation(p)
     if trunc is not None:
         degree, coeffs = trunc
         return float(horner(coeffs, z, order))
@@ -395,10 +365,10 @@ def _heunc_eval(p: HeunCParams, z: float, opts: EvalOptions, order: int) -> floa
         raise OutsideDomain(
             f"non-terminating confluent Heun series evaluated at |z|={abs(z)} >= 1"
         )
-    return _open_series_value(p, z, opts, order)
+    return _open_series_value(p, z, order)
 
 
-def _open_series_value(p: HeunCParams, z: float, opts: EvalOptions, order: int) -> float:
+def _open_series_value(p: HeunCParams, z: float, order: int) -> float:
     u, s = _residue_combinations(p)
     c_prev = 1.0
     c_cur = -u / (p.beta + 1.0)
@@ -413,13 +383,13 @@ def _open_series_value(p: HeunCParams, z: float, opts: EvalOptions, order: int) 
 
     total = deriv_term(0, c_prev) + deriv_term(1, c_cur)
     small = 0
-    for k in range(1, opts.max_terms):
+    for k in range(1, MAX_TERMS):
         bk = k * (k + p.beta + p.gamma + 1.0 - p.alpha) - u
         ck_ = p.alpha * (k - 1.0) + s
         c_next = (bk * c_cur + ck_ * c_prev) / ((k + 1.0) * (k + p.beta + 1.0))
         term = deriv_term(k + 1, c_next)
         total += term
-        if abs(term) < opts.rel_tol * abs(total):
+        if abs(term) < SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 2:
                 return total
@@ -427,34 +397,31 @@ def _open_series_value(p: HeunCParams, z: float, opts: EvalOptions, order: int) 
             small = 0
         c_prev, c_cur = c_cur, c_next
     raise NoConvergence(
-        f"confluent Heun series at z={z} did not converge within {opts.max_terms} terms"
+        f"confluent Heun series at z={z} did not converge within {MAX_TERMS} terms"
     )
 
 
-def heunc(p: HeunCParams, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def heunc(p: HeunCParams, z: float) -> float:
     """Confluent Heun function, regular branch at z = 0 with H(0) = 1.
 
     Terminating (polynomial) parameter sets are accepted at any finite z;
     non-terminating series require |z| < 1 (the z = 1 singularity bounds
     the disk of convergence, and analytic continuation is out of scope).
     """
-    return _heunc_eval(p, z, opts, 0)
+    return _heunc_eval(p, z, 0)
 
 
-def heunc_derivative(p: HeunCParams, z: float,
-                     opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def heunc_derivative(p: HeunCParams, z: float) -> float:
     """Term-by-term derivative H'(z) of the same Frobenius branch."""
-    return _heunc_eval(p, z, opts, 1)
+    return _heunc_eval(p, z, 1)
 
 
-def heunc_second_derivative(p: HeunCParams, z: float,
-                            opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def heunc_second_derivative(p: HeunCParams, z: float) -> float:
     """Term-by-term second derivative H''(z), for residual checks."""
-    return _heunc_eval(p, z, opts, 2)
+    return _heunc_eval(p, z, 2)
 
 
-def heunc_ode_residual(p: HeunCParams, z: float,
-                       opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def heunc_ode_residual(p: HeunCParams, z: float) -> float:
     """Scaled residual of the canonical equation at z.
 
     Plugs (H, H', H'') from the series into the canonical form and
@@ -463,9 +430,9 @@ def heunc_ode_residual(p: HeunCParams, z: float,
     """
     if z == 0.0 or z == 1.0:
         raise InvalidParams("residual is evaluated away from the singular points")
-    h = heunc(p, z, opts)
-    h1 = heunc_derivative(p, z, opts)
-    h2 = heunc_second_derivative(p, z, opts)
+    h = heunc(p, z)
+    h1 = heunc_derivative(p, z)
+    h2 = heunc_second_derivative(p, z)
     u, s = _residue_combinations(p)
     v = s - u
     t_first = (p.alpha + (p.beta + 1.0) / z + (p.gamma + 1.0) / (z - 1.0)) * h1

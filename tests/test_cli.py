@@ -126,6 +126,40 @@ def test_wavefunction_n_above_n_max_exits_2(capsys):
     assert code == EXIT_INVALID_PARAMS
 
 
+def test_wavefunction_inverted_radii_exits_2(capsys):
+    code, _, err = run_cli(capsys, "wavefunction", "--n", "1", "--n-max", "1",
+                           "--coupling", "0.5", "--r-min", "5", "--r-max", "1")
+    assert code == EXIT_INVALID_PARAMS
+    assert "need 0 < r_min < r_max, got (5.0, 1.0)" in err
+
+
+@pytest.mark.parametrize("route", ("standard", "oracle"))
+@pytest.mark.parametrize("r_max", (None, "30"))
+def test_wavefunction_zero_coupling_exits_2(capsys, route, r_max):
+    argv = ["wavefunction", "--route", route, "--coupling", "0", "--n", "1",
+            "--n-max", "1"]
+    if r_max is not None:
+        argv += ["--r-max", r_max]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID_PARAMS
+    assert "zero coupling supports no bound states" in err
+
+
+@pytest.mark.parametrize("parity,expected", (("1", EXIT_INVALID_PARAMS), ("-1", EXIT_OK)))
+def test_oracle_wavefunction_nodeless_level_needs_parity_minus(capsys, parity, expected):
+    p = SystemParams(0.5, 1, parity=int(parity))
+    lam = p.decay_constant(energy_closed_form(0, p).E)
+    code, out, err = run_cli(capsys, "wavefunction", "--route", "oracle",
+                             "--coupling", "0.5", "--parity", parity, "--n", "0",
+                             "--r-max", repr(15.0 / lam), "--no-timestamp")
+    assert code == expected, err
+    if expected == EXIT_OK:
+        f = json.loads(out)["f"]
+        assert abs(f[-1]) < 1e-4 * max(abs(v) for v in f)
+    else:
+        assert "nodeless n=0 level" in err
+
+
 def test_oracle_wavefunction_inside_window_exits_0(capsys):
     E = energy_closed_form(1, SystemParams(0.5, 1)).E
     lam = math.sqrt(1.0 - E * E)

@@ -11,7 +11,8 @@ from heundirac import (DegenerateCase, InvalidParams, SystemParams,
                        mixing_case, quantization_residuals,
                        singular_point_D_consistency, solve_quantization,
                        standard_vars)
-from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
+from heundirac.model import (ANALYTIC_ROUTES, level_bracket, level_channel,
+                             require_level)
 
 
 def test_system_params_validation():
@@ -245,6 +246,28 @@ def test_level_channel_and_bracket(n, parity):
         assert energy_closed_form(n - 1, channel).E < lo
     else:
         assert lo == 0.5 * (0.2 * p.m + E)
+
+
+@pytest.mark.parametrize("params,n,message", [
+    (SystemParams(0.0, 1), 0.5, "non-negative integer"),  # n checked first
+    (SystemParams(0.0, 1), 1, "zero coupling"),
+    (SystemParams(0.5, 1), -1, "non-negative integer"),
+    (SystemParams(0.5, 1, parity=1), 0, "nodeless n=0 level"),
+])
+def test_require_level_rejects_missing_levels(params, n, message):
+    with pytest.raises(InvalidParams, match=message):
+        require_level(params, n)
+
+
+def test_require_level_accepts_existing_levels():
+    require_level(SystemParams(0.5, 1, parity=-1), 0)
+    require_level(SystemParams(0.5, 1, parity=1), 1)
+
+
+def test_decay_constant_matches_standard_vars():
+    p = SystemParams(0.5, 2, m=0.75)
+    E = energy_closed_form(1, p).E
+    assert p.decay_constant(E) == standard_vars(p, E).lam == math.sqrt(0.75 ** 2 - E ** 2)
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from heundirac import (InvalidParams, NoBracket, Overflow, ShootConfig,
-                       SystemParams, energy_closed_form, frobenius_start,
-                       integrate_radial, normalize, residual, scan_brackets,
-                       shoot_energy, solve_heun_full)
+from heundirac import (InvalidParams, NoBracket, Overflow, SystemParams,
+                       energy_closed_form, frobenius_start, integrate_radial,
+                       normalize, residual, scan_brackets, shoot_energy,
+                       solve_heun_full)
 from heundirac import oracle
 from heundirac.model import level_bracket
 from heundirac.routes import RadialGrid
@@ -71,9 +72,8 @@ def test_integrated_eigenstate_decays():
     p = SystemParams(0.5, 1)
     E = shoot_energy(p, *level_bracket(p, 1)).E
     lam = math.sqrt(1 - E * E)
-    cfg = ShootConfig.for_lambda(lam, r_far=21.5 / lam)
     grid = RadialGrid(np.geomspace(0.01 / lam, 21.5 / lam, 800))
-    sol = integrate_radial(p, E, cfg, grid=grid)
+    sol = integrate_radial(p, E, grid=grid)
     assert abs(sol.f[-1]) / np.max(np.abs(sol.f)) < 1e-6
 
 
@@ -87,19 +87,30 @@ def test_integration_off_eigenvalue_grows():
     assert abs(sol.f[-1]) / interior > 1e3
 
 
-def test_integration_tolerance_refinement():
-    # compared inside the window where the loose run's error has not yet
-    # been amplified by the growing mode
+def test_integration_stops_at_grid_end(monkeypatch):
+    # a grid ending at 15/lam is not integrated on to the 40/lam limit
+    spans = []
+
+    def spy(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", spy)
     p = SystemParams(0.5, 1)
     E = energy_closed_form(1, p).E
-    lam = math.sqrt(1 - E * E)
-    grid = RadialGrid(np.geomspace(0.02 / lam, 8.0 / lam, 300))
-    coarse = integrate_radial(p, E, ShootConfig.for_lambda(lam, local_error_tol=1e-8),
-                              grid=grid)
-    fine = integrate_radial(p, E, ShootConfig.for_lambda(lam, local_error_tol=1e-12),
-                            grid=grid)
-    scale = np.max(np.abs(fine.f))
-    assert np.max(np.abs(coarse.f - fine.f)) / scale < 10 * 1e-8
+    lam = p.decay_constant(E)
+    grid = RadialGrid(np.geomspace(0.01 / lam, 15.0 / lam, 300))
+    sol = integrate_radial(p, E, grid=grid)
+    assert len(spans) == 1 and spans[0][1] <= grid.r[-1]
+    assert np.all(np.isfinite(sol.f)) and len(sol.f) == len(grid)
+
+
+def test_integration_rejects_grid_past_r_far():
+    p = SystemParams(0.5, 1)
+    E = energy_closed_form(1, p).E
+    lam = p.decay_constant(E)
+    with pytest.raises(InvalidParams):
+        integrate_radial(p, E, grid=RadialGrid(np.geomspace(0.01 / lam, 41.0 / lam, 50)))
 
 
 def test_integration_matches_analytic_wavefunction():
@@ -123,18 +134,14 @@ def test_integration_determinism():
     assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
 
 
-def test_integration_overflow_reported_with_sign():
+def test_integration_overflow_reported_with_sign(monkeypatch):
+    # off an eigenvalue the growing mode crosses a lowered cap
+    monkeypatch.setattr(oracle, "OVERFLOW_CAP", 1e3)
     p = SystemParams(0.5, 1)
     E1 = energy_closed_form(1, p).E
     E2 = energy_closed_form(2, p).E
-    E_mid = 0.5 * (E1 + E2)
-    lam = math.sqrt(1 - E_mid * E_mid)
-    cfg = ShootConfig.for_lambda(lam, r_far=4000.0 / lam)
-    grid = RadialGrid(np.geomspace(0.02 / lam, 4000.0 / lam, 200))
-    with pytest.raises(Overflow) as excinfo:
-        integrate_radial(p, E_mid, cfg, grid=grid)
-    assert excinfo.value.sign in (-1.0, 1.0)
-    assert excinfo.value.r_reached is not None
+    with pytest.raises(Overflow):
+        integrate_radial(p, 0.5 * (E1 + E2))
 
 
 # ----------------------------------------------------------------------
@@ -242,13 +249,6 @@ def test_scan_brackets_counts_extra_nodeless_level():
         level = shoot_energy(SystemParams(0.5, 1, parity=-1), lo, hi)
         ref = energy_closed_form(level.n, SystemParams(0.5, 1, parity=-1)).E
         assert abs(level.E - ref) / ref < 1e-8
-
-
-def test_shoot_config_validation():
-    with pytest.raises(InvalidParams):
-        ShootConfig(r_start=1.0, r_match=0.5, r_far=2.0)
-    with pytest.raises(InvalidParams):
-        ShootConfig(r_start=0.1, r_match=0.5, r_far=2.0, local_error_tol=-1.0)
 
 
 def test_shoot_rejects_bad_interval():

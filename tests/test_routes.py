@@ -54,6 +54,12 @@ def test_default_grid_spans_origin_to_tail():
     assert len(g) == 2000
     assert g.r[0] == pytest.approx(0.01 / lam)
     assert g.r[-1] == pytest.approx(40.0 / lam)
+    narrow = default_grid(p, E, points=5, r_max=15.0 / lam)
+    assert narrow.r[0] == g.r[0] and narrow.r[-1] == 15.0 / lam and len(narrow) == 5
+    with pytest.raises(InvalidParams, match="at least 2 points, got 1"):
+        default_grid(p, E, points=1)
+    with pytest.raises(InvalidParams, match="0 < r_min < r_max"):
+        default_grid(p, E, r_min=50.0 / lam)
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +141,20 @@ def test_mixed1_matches_standard():
     b = normalize(solve_standard(p, 1, grid=a.grid))
     assert np.max(np.abs(a.f - b.f)) / np.max(np.abs(b.f)) < 1e-6
     assert np.max(np.abs(a.g - b.g)) / np.max(np.abs(b.g)) < 1e-6
+
+
+@pytest.mark.parametrize("solver", ["solve_mixed_case1", "solve_mixed_case2"])
+def test_mixed_routes_resolve_level_energy_once(monkeypatch, solver):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy_closed_form(*args)
+
+    monkeypatch.setattr(routes, "energy_closed_form", counted)
+    sol = getattr(routes, solver)(params_for(2), 2)
+    assert len(calls) == 1
+    assert sol.level.E == energy_closed_form(2, params_for(2)).E
 
 
 def test_mixed2_residual_and_relation():

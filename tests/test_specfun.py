@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from heundirac import (EvalOptions, HeunCParams, InvalidParams, KummerParams,
-                       NoConvergence, OutsideDomain, SystemParams,
-                       energy_closed_form, heun_params_full, heunc,
-                       heunc_derivative, heunc_poly_degree,
-                       heunc_second_derivative, heunc_series_coefficients,
-                       heunc_truncation, kummer, kummer_derivative,
-                       slope_at_origin)
+from heundirac import (HeunCParams, InvalidParams, KummerParams, NoConvergence,
+                       OutsideDomain, SystemParams, energy_closed_form,
+                       heun_params_full, heunc, heunc_derivative,
+                       heunc_poly_degree, heunc_second_derivative,
+                       heunc_series_coefficients, heunc_truncation, kummer,
+                       kummer_derivative)
+from heundirac import specfun
 from heundirac.model import level_channel
 from heundirac.specfun import heunc_ode_residual, horner, kummer_ode_residual
 
@@ -75,16 +75,10 @@ def test_kummer_rejects_bad_denominator():
     KummerParams(-1.0, -2.0)  # terminates first: fine
 
 
-def test_kummer_no_convergence_on_tiny_budget():
+def test_kummer_no_convergence_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_TERMS", 8)
     with pytest.raises(NoConvergence):
-        kummer(KummerParams(1.0, 1.0), 50.0, EvalOptions(max_terms=8))
-
-
-def test_eval_options_validation():
-    with pytest.raises(InvalidParams):
-        EvalOptions(rel_tol=0.0)
-    with pytest.raises(InvalidParams):
-        EvalOptions(max_terms=4)
+        kummer(KummerParams(1.0, 1.0), 50.0)
 
 
 def test_kummer_determinism():
@@ -213,10 +207,11 @@ def test_heunc_outside_domain_for_nonterminating_series():
     assert math.isfinite(heunc(hp, 0.6))
 
 
-def test_heunc_no_convergence_near_disk_edge():
+def test_heunc_no_convergence_near_disk_edge(monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_TERMS", 100)
     hp = HeunCParams(0.3, 1.3, -0.7, 0.4, 0.9)
     with pytest.raises(NoConvergence):
-        heunc(hp, 0.9999, EvalOptions(max_terms=100))
+        heunc(hp, 0.9999)
 
 
 def test_heunc_truncation_collapses_at_quantized_levels():
@@ -250,9 +245,12 @@ def test_second_derivative_consistency():
     assert heunc_second_derivative(hp, z) == pytest.approx(fd, rel=1e-6)
 
 
-def test_slope_at_origin_helper_matches_derivative():
-    hp = HeunCParams(0.4, 2.2, -2.0, -0.8, 0.15)
-    assert slope_at_origin(hp) == heunc_derivative(hp, 0.0)
+def test_heunc_slope_at_origin_is_residue_condition():
+    # the 1/z residue condition on the branch with H(0) = 1 fixes H'(0) = -u/(beta+1)
+    alpha, beta, gamma, delta, eta = 0.4, 2.2, -2.0, -0.8, 0.15
+    u = 0.5 * (alpha + alpha * beta - beta - beta * gamma - gamma - 2.0 * eta)
+    hp = HeunCParams(alpha, beta, gamma, delta, eta)
+    assert heunc_derivative(hp, 0.0) == pytest.approx(-u / (beta + 1.0), rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

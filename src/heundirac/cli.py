@@ -172,6 +172,7 @@ def _spectrum_levels(cfg: RunConfig) -> list[dict]:
         for route in selected:
             if route == "oracle":
                 p = level_channel(params, n)
+                require_level(p, n)
                 level = oracle.shoot_energy(p, *level_bracket(p, n))
             else:
                 level = solve_quantization(params, n, route)
@@ -235,14 +236,14 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
                  f"# E: {_fmt(sol.level.E)}",
                  f"# system_residual: {_fmt(res)}",
                  "r,f,g"]
-        for i in range(len(grid)):
-            lines.append(f"{_fmt(grid.r[i])},{_fmt(sol.f[i])},{_fmt(sol.g[i])}")
+        lines += [f"{r:.16e},{f:.16e},{g:.16e}" for r, f, g
+                  in zip(grid.r.tolist(), sol.f.tolist(), sol.g.tolist())]
         _emit("\n".join(lines) + "\n", cfg)
     else:
         doc = {
             "route": route, "n": n, "j": params.nu - 0.5, "parity": params.parity,
             "E": sol.level.E, "system_residual": res,
-            "r": list(grid.r), "f": list(sol.f), "g": list(sol.g),
+            "r": grid.r.tolist(), "f": sol.f.tolist(), "g": sol.g.tolist(),
         }
         if not cfg.no_timestamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,34 @@ class RadialGrid:
 
     def __len__(self):
         return len(self.r)
+
+    @cached_property
+    def _stencil(self):
+        """(half, weights, wsum) of the central first-derivative stencil,
+        built once per grid: 2*half+1 Lagrange nodes per interior point
+        (half = 3 from 9 points on, else 2), the weight of each off-center
+        node keyed by its offset, and their sum (the center weight is -wsum).
+        """
+        r = self.r
+        n = len(r)
+        half = 3 if n >= 9 else 2
+        width = 2 * half + 1
+        centers = r[half:n - half]
+        nodes = [r[j:n - width + 1 + j] for j in range(width)]
+        weights = {}
+        wsum = np.zeros_like(centers)
+        for j in range(width):
+            if j == half:
+                continue
+            num, den = np.ones_like(centers), np.ones_like(centers)
+            for k in range(width):
+                if k != j and k != half:
+                    num *= centers - nodes[k]
+                if k != j:
+                    den *= nodes[j] - nodes[k]
+            weights[j] = num / den
+            wsum += weights[j]
+        return half, weights, wsum
 
 
 @dataclass(frozen=True)
@@ -443,35 +472,13 @@ def coefficient_ratio(params: SystemParams, n: int) -> CoefficientRatio:
     return CoefficientRatio(first, second)
 
 
-def _central_derivative(r: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
-    """First derivative at interior points by central Lagrange stencils.
-
-    Uses 2*half+1 nodes around each interior point; weights follow from
-    differentiating the Lagrange basis, with the center weight fixed by
-    the zero-sum property.
-    """
-    n = len(r)
-    width = 2 * half + 1
-    centers = r[half:n - half]
-    nodes = [r[j:n - width + 1 + j] for j in range(width)]
-    vals = [y[j:n - width + 1 + j] for j in range(width)]
-    total = np.zeros_like(centers)
-    wsum = np.zeros_like(centers)
-    for j in range(width):
-        if j == half:
-            continue
-        num = np.ones_like(centers)
-        for k in range(width):
-            if k != j and k != half:
-                num *= centers - nodes[k]
-        den = np.ones_like(centers)
-        for k in range(width):
-            if k != j:
-                den *= nodes[j] - nodes[k]
-        w = num / den
-        total += w * vals[j]
-        wsum += w
-    total -= wsum * vals[half]
+def _central_derivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
+    """First derivative of y at the grid's interior points, by its stencil."""
+    half, weights, wsum = grid._stencil
+    total = np.zeros_like(wsum)
+    for j, w in weights.items():
+        total += w * y[j:len(y) - 2 * half + j]
+    total -= wsum * y[half:len(y) - half]
     return total
 
 
@@ -485,14 +492,11 @@ def residual(solution: RadialSolution) -> float:
     r = solution.grid.r
     if len(r) < 5:
         raise InvalidParams("residual needs at least 5 grid points")
-    half = 3 if len(r) >= 9 else 2
+    half = solution.grid._stencil[0]
     f, g = solution.f, solution.g
     params, E = solution.params, solution.level.E
-    df = _central_derivative(r, f, half)
-    dg = _central_derivative(r, g, half)
-    ri = r[half:len(r) - half]
-    fi = f[half:len(r) - half]
-    gi = g[half:len(r) - half]
+    df, dg = (_central_derivative(solution.grid, y) for y in (f, g))
+    ri, fi, gi = (y[half:len(r) - half] for y in (r, f, g))
     m_eff = params.m_eff
     res1 = df + (params.nu / ri) * fi + (E + params.e / ri + m_eff) * gi
     res2 = dg - (params.nu / ri) * gi - (E + params.e / ri - m_eff) * fi

@@ -351,16 +351,11 @@ def heunc_truncation(p: HeunCParams):
     return None
 
 
-def _heunc_eval(p: HeunCParams, z: float, order: int) -> float:
-    """Value of the series' order-th derivative at z (order 0, 1 or 2)."""
-    if z == 0.0 and order == 0:
-        return 1.0
-
-    trunc = heunc_truncation(p)
+def _heunc_eval(p: HeunCParams, trunc, z: float, order: int) -> float:
+    """Value of the series' order-th derivative at z (order 0, 1 or 2),
+    given trunc = heunc_truncation(p)."""
     if trunc is not None:
-        degree, coeffs = trunc
-        return float(horner(coeffs, z, order))
-
+        return float(horner(trunc[1], z, order))
     if abs(z) >= 1.0:
         raise OutsideDomain(
             f"non-terminating confluent Heun series evaluated at |z|={abs(z)} >= 1"
@@ -408,17 +403,19 @@ def heunc(p: HeunCParams, z: float) -> float:
     non-terminating series require |z| < 1 (the z = 1 singularity bounds
     the disk of convergence, and analytic continuation is out of scope).
     """
-    return _heunc_eval(p, z, 0)
+    if z == 0.0:
+        return 1.0
+    return _heunc_eval(p, heunc_truncation(p), z, 0)
 
 
 def heunc_derivative(p: HeunCParams, z: float) -> float:
     """Term-by-term derivative H'(z) of the same Frobenius branch."""
-    return _heunc_eval(p, z, 1)
+    return _heunc_eval(p, heunc_truncation(p), z, 1)
 
 
 def heunc_second_derivative(p: HeunCParams, z: float) -> float:
     """Term-by-term second derivative H''(z), for residual checks."""
-    return _heunc_eval(p, z, 2)
+    return _heunc_eval(p, heunc_truncation(p), z, 2)
 
 
 def heunc_ode_residual(p: HeunCParams, z: float) -> float:
@@ -430,9 +427,8 @@ def heunc_ode_residual(p: HeunCParams, z: float) -> float:
     """
     if z == 0.0 or z == 1.0:
         raise InvalidParams("residual is evaluated away from the singular points")
-    h = heunc(p, z)
-    h1 = heunc_derivative(p, z)
-    h2 = heunc_second_derivative(p, z)
+    trunc = heunc_truncation(p)
+    h, h1, h2 = (_heunc_eval(p, trunc, z, order) for order in range(3))
     u, s = _residue_combinations(p)
     v = s - u
     t_first = (p.alpha + (p.beta + 1.0) / z + (p.gamma + 1.0) / (z - 1.0)) * h1

@@ -10,6 +10,7 @@ the expected polynomial degree, without failing the run.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,14 @@ from .errors import HeunDiracError
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
                     heun_params_case1, heun_params_case2, heun_params_full,
                     level_bracket, level_channel, mixing_case,
-                    quantization_residuals, singular_point_D_consistency,
-                    solve_quantization, standard_vars)
+                    quantization_residuals, require_level,
+                    singular_point_D_consistency, solve_quantization,
+                    standard_vars)
 from .routes import ROUTE_SOLVERS
+
+# Grids and solutions of each level, kept by run_verification while it runs
+# so its checks build and solve them once; None outside a run.
+_store: ContextVar[dict | None] = ContextVar("verify_store", default=None)
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,28 @@ class CheckResult:
 
 def _result(name, dev, tol, detail=""):
     return CheckResult(name, dev < tol, float(dev), float(tol), detail)
+
+
+def _level(params, n):
+    """(channel, default grid, solutions so far) of level n, kept for the
+    rest of the running verification (built afresh outside a run)."""
+    p = level_channel(params, n)
+    store = _store.get()
+    if store is None:
+        store = {}
+    if (p, n) not in store:
+        require_level(p, n)
+        store[p, n] = p, routes.default_grid(p, energy_closed_form(n, p).E), {}
+    return store[p, n]
+
+
+def _level_solutions(params, n):
+    """(route, solution) of level n for every route, each solved once per run."""
+    p, grid, solved = _level(params, n)
+    for route, solver in ROUTE_SOLVERS.items():
+        if route not in solved:
+            solved[route] = solver(p, n, grid=grid)
+        yield route, solved[route]
 
 
 def check_scaled_variable_identities(params, n_max, tol=1e-12):
@@ -112,9 +140,8 @@ def check_wavefunction_residuals(params, n_max, tol=1e-6):
     """Every route's (f, g) satisfies the radial system on the default grid."""
     dev = 0.0
     for n in range(n_max + 1):
-        p = level_channel(params, n)
-        for route, solver in ROUTE_SOLVERS.items():
-            dev = max(dev, routes.residual(solver(p, n)))
+        for route, sol in _level_solutions(params, n):
+            dev = max(dev, routes.residual(sol))
     return _result("wavefunction_residuals", dev, tol)
 
 
@@ -122,11 +149,8 @@ def check_cross_route_agreement(params, n_max, tol=1e-6):
     """Normalized (f, g) agree pointwise across all four routes."""
     dev = 0.0
     for n in range(n_max + 1):
-        p = level_channel(params, n)
-        normed = {}
-        for route, solver in ROUTE_SOLVERS.items():
-            sol = routes.normalize(solver(p, n))
-            normed[route] = sol
+        normed = {route: routes.normalize(sol)
+                  for route, sol in _level_solutions(params, n)}
         ref = normed["standard"]
         fs, gs = np.max(np.abs(ref.f)), np.max(np.abs(ref.g))
         for route, sol in normed.items():
@@ -141,7 +165,8 @@ def check_operator_closure(params, n_max, tol=1e-6):
     dev = 0.0
     for n in range(1, n_max + 1):
         E = energy_closed_form(n, params).E
-        r, f_part, df_part, g_part, dg_part, _ = routes.mixed1_parts(params, n)
+        r, f_part, df_part, g_part, dg_part, _ = routes.mixed1_parts(
+            params, n, _level(params, n)[1])
         g_implied = routes.case1_g_from_f(params, E, r, f_part, df_part)
         gs = np.max(np.abs(g_part))
         dev = max(dev, float(np.max(np.abs(g_implied - g_part)) / gs))
@@ -192,16 +217,21 @@ def check_kummer_relations(params, n_max, tol=1e-10):
     dev = 0.0
     gammas = (0.8, 1.7, 2.0 * params.frobenius_exponent + 1.0, 5.5)
     ys = (0.1, 0.7, 2.3, 5.0, 10.0)
+    # 1F1(-n1; g; y) at the previous n1 is 1F1(-n1+1; g; y) at this one
+    f_prev = {(g, y): specfun.kummer(specfun.KummerParams(0, g), y)
+              for g in gammas for y in ys}
     for n1 in range(1, max(2, n_max) + 1):
         for g in gammas:
             for y in ys:
                 f_n = specfun.kummer(specfun.KummerParams(-n1, g), y)
-                f_n1 = specfun.kummer(specfun.KummerParams(-n1 + 1, g), y)
-                lhs = specfun.kummer_derivative(specfun.KummerParams(-n1, g), y)
+                f_n1, f_prev[g, y] = f_prev[g, y], f_n
+                # lhs is kummer_derivative's (a/c) 1F1(a+1; c+1; y)
+                f_up = specfun.kummer(specfun.KummerParams(-n1 + 1, g + 1.0), y)
+                lhs = (-n1 / g) * f_up
                 rhs = (-n1 / y) * f_n1 + (n1 / y) * f_n
                 scale = max(abs(lhs), abs(rhs), 1e-30)
                 dev = max(dev, abs(lhs - rhs) / scale)
-                lhs2 = y * specfun.kummer(specfun.KummerParams(-n1 + 1, g + 1.0), y)
+                lhs2 = y * f_up
                 rhs2 = g * f_n1 - g * f_n
                 scale2 = max(abs(lhs2), abs(rhs2), 1e-30)
                 dev = max(dev, abs(lhs2 - rhs2) / scale2)
@@ -306,22 +336,24 @@ def run_verification(params: SystemParams, n_max: int,
     route="all" runs everything except the oracle check (request
     route="oracle" for that, it is the slow one).  tol_override replaces
     each check's own tolerance, so an unattainable override reports the
-    measured deviations as failures rather than hiding them.
+    measured deviations as failures rather than hiding them.  Zero
+    coupling raises InvalidParams before any check runs.
     """
+    # level 1 exists in both channels, so this applies the zero-coupling rule
+    require_level(params, 1)
+    selected = [(name, fn) for name, fn, tags in ALL_CHECKS
+                if (name != "oracle_spectrum" if route == "all" else route in tags)]
+    kwargs = {} if tol_override is None else {"tol": tol_override}
     results = []
-    for name, fn, tags in ALL_CHECKS:
-        if route == "all":
-            if name == "oracle_spectrum":
-                continue
-        elif route not in tags:
-            continue
-        try:
-            if tol_override is None:
-                results.append(fn(params, n_max))
-            else:
-                results.append(fn(params, n_max, tol=tol_override))
-        except HeunDiracError as exc:
-            tol = math.nan if tol_override is None else tol_override
-            results.append(CheckResult(name, False, math.inf, tol,
-                                       f"raised {type(exc).__name__}: {exc}"))
+    token = _store.set({})
+    try:
+        for name, fn in selected:
+            try:
+                results.append(fn(params, n_max, **kwargs))
+            except HeunDiracError as exc:
+                tol = math.nan if tol_override is None else tol_override
+                results.append(CheckResult(name, False, math.inf, tol,
+                                           f"raised {type(exc).__name__}: {exc}"))
+    finally:
+        _store.reset(token)
     return results

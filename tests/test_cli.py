@@ -196,6 +196,22 @@ def test_verify_oracle_subset(capsys):
     assert "spectrum_route_equality" not in out
 
 
+@pytest.mark.parametrize("route", ("all", "standard", "mixed1", "oracle"))
+def test_verify_zero_coupling_exits_2(capsys, route):
+    code, out, err = run_cli(capsys, "verify", "--coupling", "0", "--n-max", "1",
+                             "--route", route)
+    assert code == EXIT_INVALID_PARAMS
+    assert out == ""
+    assert err == "error: zero coupling supports no bound states\n"
+
+
+def test_oracle_spectrum_zero_coupling_names_the_coupling(capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--route", "oracle", "--coupling", "0",
+                           "--n-max", "1")
+    assert code == EXIT_INVALID_PARAMS
+    assert err == "error: zero coupling supports no bound states\n"
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample configuration\ncoupling = 0.3\nj = 0.5\nn-max = 1\n"

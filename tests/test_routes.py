@@ -282,6 +282,48 @@ def test_residual_needs_enough_points():
         residual(sol)
 
 
+def _central_derivative_reference(r, y, half):
+    """The derivative as computed before the stencil moved onto the grid:
+    weights rebuilt on every call, applied in the same order."""
+    n = len(r)
+    width = 2 * half + 1
+    centers = r[half:n - half]
+    nodes = [r[j:n - width + 1 + j] for j in range(width)]
+    vals = [y[j:n - width + 1 + j] for j in range(width)]
+    total = np.zeros_like(centers)
+    wsum = np.zeros_like(centers)
+    for j in range(width):
+        if j == half:
+            continue
+        num = np.ones_like(centers)
+        for k in range(width):
+            if k != j and k != half:
+                num *= centers - nodes[k]
+        den = np.ones_like(centers)
+        for k in range(width):
+            if k != j:
+                den *= nodes[j] - nodes[k]
+        w = num / den
+        total += w * vals[j]
+        wsum += w
+    total -= wsum * vals[half]
+    return total
+
+
+@pytest.mark.parametrize("points, half", ((2000, 3), (20000, 3), (7, 2)))
+def test_grid_stencil_derivative_is_bit_identical(points, half):
+    p = params_for(2)
+    E = energy_closed_form(2, p).E
+    grid = default_grid(p, E, points=points)
+    sol = solve_standard(p, 2, grid=grid)
+    assert grid._stencil[0] == half
+    for y in (sol.f, sol.g):
+        assert np.array_equal(routes._central_derivative(grid, y),
+                              _central_derivative_reference(grid.r, y, half))
+    # built once: f, g and every later residual on this grid share it
+    assert grid._stencil is grid._stencil
+
+
 def test_normalize_unit_norm_and_scaling_invariance():
     p = params_for(2)
     sol = solve_standard(p, 2)

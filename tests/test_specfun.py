@@ -273,3 +273,22 @@ def test_heunc_physical_polynomials_satisfy_equation(n, nu, efrac, z):
     p = level_channel(SystemParams(efrac * nu, nu), n)
     hp = heun_params_full(p, energy_closed_form(n, p).E)
     assert heunc_ode_residual(hp, z) < 1e-8
+
+
+@pytest.mark.parametrize("terminating", (True, False))
+def test_heunc_ode_residual_runs_one_truncation(monkeypatch, terminating):
+    if terminating:
+        p = SystemParams(0.5, 1)
+        hp = heun_params_full(p, energy_closed_form(2, p).E)
+    else:
+        hp = HeunCParams(0.3, 1.2, -2.0, 0.4, -0.1)
+    calls = []
+    original = specfun.heunc_truncation
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(specfun, "heunc_truncation", counted)
+    assert heunc_ode_residual(hp, 0.6) < 1e-8
+    assert calls == [hp]

@@ -8,13 +8,17 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 3 solver non-convergence.
 
-Flags override config-file keys, which override defaults.  The config
-file is flat `key = value` text, keys named like the long flags without
-the leading dashes (dashes may be written as underscores), e.g.
+Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
+lists them).  Flags override config-file keys, which override defaults.
+The config file is flat `key = value` text, keys named like the long flags
+without the leading dashes (dashes may be written as underscores), e.g.
 
     coupling = 0.5
     j = 0.5
     n-max = 3
+
+It is read per subcommand, like the flags: a key the subcommand does not
+read, or a value of the wrong type or outside the option's choices, exits 2.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from types import SimpleNamespace
+from typing import Callable
 
 from . import oracle, routes, verify
-from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
-                     HeunDiracError, InvalidParams, MaxIterations, NoBracket,
-                     NoConvergence, Overflow, OutsideDomain, StepFailure,
-                     ZeroNorm)
+from .errors import (CalibrationFailure, HeunDiracError, InvalidParams,
+                     MaxIterations, NoBracket, NoConvergence, Overflow,
+                     StepFailure)
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
                     level_bracket, level_channel, require_level,
                     solve_quantization)
@@ -40,8 +45,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_PARAMS = 2
 EXIT_NO_CONVERGENCE = 3
 
-_PARAM_ERRORS = (InvalidParams, OutsideDomain, DegenerateCase,
-                 DegenerateGroundState, ZeroNorm)
 _SOLVER_ERRORS = (NoConvergence, NoBracket, MaxIterations, StepFailure,
                   Overflow, CalibrationFailure)
 
@@ -49,32 +52,58 @@ ROUTE_CHOICES = (*ANALYTIC_ROUTES, "oracle", "all")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved command-line configuration."""
+class _Option:
+    """One setting, as flag --name-with-dashes and as config key."""
 
-    mass: float = 1.0
-    coupling: float = 0.0
-    j: float = 0.5
-    parity: int = 1
-    n_max: int = 0
-    route: str = "all"
-    format: str = "json"
-    out: str | None = None
-    grid_points: int = routes.GRID_POINTS
-    r_min: float | None = None
-    r_max: float | None = None
-    tol: float | None = None
-    no_timestamp: bool = False
+    type: Callable[[str], object]
+    default: object
+    help: str
+    commands: tuple[str, ...]   # the subcommands that read it
+    choices: tuple | None = None
 
-    @property
-    def nu(self) -> int:
+
+def _truthy(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+_COMMANDS = {"spectrum": "bound energies for n = 0..n_max",
+             "wavefunction": "tabulate (r, f, g) for one level",
+             "verify": "run consistency checks"}
+_ALL = tuple(_COMMANDS)
+_TABLES = ("spectrum", "wavefunction")  # the subcommands that print JSON or CSV
+
+_OPTIONS = {
+    "mass": _Option(float, 1.0, "particle mass (default 1)", _ALL),
+    "coupling": _Option(float, None, "Coulomb coupling strength e (required)", _ALL),
+    "j": _Option(float, 0.5, "total angular momentum j (half-integer, default 1/2)",
+                 _ALL),
+    "parity": _Option(int, 1, "parity channel (+1 or -1, default +1)", _ALL, (1, -1)),
+    "n_max": _Option(int, 0, "highest radial quantum number (default 0)", _ALL),
+    "route": _Option(str, "all", "solution route (default all)", _ALL, ROUTE_CHOICES),
+    "format": _Option(str, "json", "output format (default json)", _TABLES,
+                      ("json", "csv")),
+    "out": _Option(str, None, "output file (default stdout)", _ALL),
+    "grid_points": _Option(int, routes.GRID_POINTS, "radial grid size (default 2000)",
+                           ("wavefunction",)),
+    "r_min": _Option(float, None, "grid start radius (default 0.01/lambda)",
+                     ("wavefunction",)),
+    "r_max": _Option(float, None, "grid end radius (default 40/lambda)",
+                     ("wavefunction",)),
+    "tol": _Option(float, None, "tolerance override for verification checks",
+                   ("verify",)),
+    "no_timestamp": _Option(_truthy, False,
+                            "omit the timestamp field (byte-stable reports)", _TABLES),
+}
+
+
+class RunConfig(SimpleNamespace):
+    """Resolved settings of one subcommand: one attribute per option it reads."""
+
+    def system_params(self) -> SystemParams:
         two_j = 2 * self.j
         if abs(two_j - round(two_j)) > 1e-9 or round(two_j) % 2 == 0:
             raise InvalidParams(f"j must be half-integer (1/2, 3/2, ...), got {self.j}")
-        return int(round(self.j + 0.5))
-
-    def system_params(self) -> SystemParams:
-        return SystemParams(self.coupling, self.nu, self.mass, self.parity)
+        return SystemParams(self.coupling, int(round(self.j + 0.5)), self.mass, self.parity)
 
 
 def _fmt(x: float) -> str:
@@ -82,76 +111,49 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
+    """The file's settings, parsed and checked as `command`'s flags would be."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InvalidParams(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidParams(f"cannot read config file {path}: not UTF-8 text") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParams(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidParams(f"{path}:{lineno}: expected key = value")
+        key, _, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        opt = _OPTIONS.get(key)
+        if opt is None or command not in opt.commands:
+            raise InvalidParams(f"{path}:{lineno}: {command} reads no config key {key!r}")
+        try:
+            value = opt.type(text)
+        except ValueError:
+            value = None
+        if value is None or opt.choices is not None and value not in opt.choices:
+            raise InvalidParams(f"{path}:{lineno}: invalid {key} value {text!r}")
+        values[key] = value
     return values
 
 
-_FIELD_TYPES = {
-    "mass": float, "coupling": float, "j": float, "parity": int,
-    "n_max": int, "route": str, "format": str, "out": str,
-    "grid_points": int, "r_min": float, "r_max": float, "tol": float,
-    "no_timestamp": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
+    merged = {key: opt.default for key, opt in _OPTIONS.items()
+              if args.command in opt.commands}
     if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _FIELD_TYPES:
-                raise InvalidParams(f"unknown config key {key!r}")
-            merged[key] = _FIELD_TYPES[key](raw)
-    for key in _FIELD_TYPES:
-        if key == "no_timestamp":
-            continue  # store_true flag: only an explicit flag overrides
-        flag_val = getattr(args, key, None)
+        merged.update(_read_config_file(args.config, args.command))
+    for key in merged:
+        flag_val = getattr(args, key)
         if flag_val is not None:
             merged[key] = flag_val
-    if args.no_timestamp:
-        merged["no_timestamp"] = True
-    if "route" in merged and merged["route"] not in ROUTE_CHOICES:
-        raise InvalidParams(f"unknown route {merged['route']!r}")
-    if "coupling" not in merged:
+    if merged["coupling"] is None:
         raise InvalidParams("coupling is required (flag --coupling or config file)")
     return RunConfig(**merged)
-
-
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mass", type=float, default=None, help="particle mass (default 1)")
-    p.add_argument("--coupling", type=float, default=None,
-                   help="Coulomb coupling strength e (required)")
-    p.add_argument("--j", type=float, default=None,
-                   help="total angular momentum j (half-integer, default 1/2)")
-    p.add_argument("--parity", type=int, choices=(1, -1), default=None,
-                   help="parity channel (+1 or -1, default +1)")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max",
-                   help="highest radial quantum number (default 0)")
-    p.add_argument("--route", choices=ROUTE_CHOICES, default=None,
-                   help="solution route (default all)")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="output format (default json)")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--grid-points", type=int, default=None, dest="grid_points",
-                   help="radial grid size (default 2000)")
-    p.add_argument("--r-min", type=float, default=None, dest="r_min",
-                   help="grid start radius (default 0.01/lambda)")
-    p.add_argument("--r-max", type=float, default=None, dest="r_max",
-                   help="grid end radius (default 40/lambda)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance override for verification checks")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp field (byte-stable reports)")
 
 
 def _emit(text: str, cfg: RunConfig):
@@ -275,17 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heundirac",
         description="Dirac-Coulomb bound states by Kummer/Heun routes and shooting")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spec = sub.add_parser("spectrum", help="bound energies for n = 0..n_max")
-    _add_common_flags(p_spec)
-
-    p_wf = sub.add_parser("wavefunction", help="tabulate (r, f, g) for one level")
-    p_wf.add_argument("--n", type=int, required=True, help="radial quantum number")
-    _add_common_flags(p_wf)
-
-    p_ver = sub.add_parser("verify", help="run consistency checks")
-    _add_common_flags(p_ver)
-
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "wavefunction":
+            p.add_argument("--n", type=int, required=True, help="radial quantum number")
+        for key, opt in _OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if opt.type is _truthy:
+                p.add_argument(flag, action="store_true", default=None, help=opt.help)
+            else:
+                p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
+        p.add_argument("--config", help="flat key=value config file")
     return parser
 
 
@@ -301,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         raise InvalidParams(f"unknown command {args.command!r}")
-    except _PARAM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
     except _SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

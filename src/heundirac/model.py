@@ -339,13 +339,12 @@ def quantization_residuals(params: SystemParams, E: float, n: int,
     return residuals
 
 
-def solve_quantization(params: SystemParams, n: int, route: str,
-                       tol: float = 1e-14) -> EnergyLevel:
+def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     """Root-find one route's quantization condition in E by bisection.
 
     Brackets on (0.01 m, m(1 - 1e-9)); eps(E) is strictly increasing
-    there, so each condition changes sign exactly once.  tol is the
-    bisection tolerance in E/m.  Each step evaluates only this route's
+    there, so each condition changes sign exactly once.  Bisects down to
+    a bracket of 1e-14 m.  Each step evaluates only this route's
     condition: the other routes' parameter maps are never built.
     """
     if int(n) != n or n < 0:
@@ -368,7 +367,7 @@ def solve_quantization(params: SystemParams, n: int, route: str,
             f"quantization condition for route {route!r} has no root in "
             f"({lo}, {hi}) at n={n}"
         )
-    while hi - lo > tol * m:
+    while hi - lo > 1e-14 * m:
         mid = 0.5 * (lo + hi)
         f_mid = residual(mid)
         if f_mid == 0.0:

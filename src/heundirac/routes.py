@@ -155,8 +155,8 @@ def _kummer_polynomial(n_index: int, denom: float) -> np.ndarray:
     return kummer_series_coefficients(KummerParams(-float(n_index), denom), n_index + 1)
 
 
-def _level_energy(params: SystemParams, n: int, energy) -> float:
-    """Energy of level n (the closed form unless overridden); raises unless n exists."""
+def _level_energy(params: SystemParams, n: int, energy=None) -> float:
+    """Energy of level n (the closed form unless given); raises unless n exists."""
     require_level(params, n)
     if energy is not None:
         return float(energy)
@@ -172,8 +172,8 @@ def _finish(params, n, E, route, grid, f, g) -> RadialSolution:
 # standard route
 # ----------------------------------------------------------------------
 
-def solve_standard(params: SystemParams, n: int, grid: RadialGrid | None = None,
-                   energy: float | None = None) -> RadialSolution:
+def solve_standard(params: SystemParams, n: int,
+                   grid: RadialGrid | None = None) -> RadialSolution:
     """Both components from terminating Kummer series.
 
     In y = 2*lam*r, the two auxiliary amplitudes are
@@ -184,11 +184,9 @@ def solve_standard(params: SystemParams, n: int, grid: RadialGrid | None = None,
     coupled back to (f, g) through square-root mass-energy prefactors.
     The amplitude ratio follows from the first-order system,
     C2/C1 = -(nu_signed + mu_signed)/(A + eps), which degenerates to
-    C2 = 0 exactly at the nodeless level.  `energy` overrides the
-    closed-form level energy (off-shell solutions are useful as residual
-    test fixtures and are not solutions of the system).
+    C2 = 0 exactly at the nodeless level.
     """
-    E = _level_energy(params, n, energy)
+    E = _level_energy(params, n)
     sv = standard_vars(params, E)
     lam, A, eps = sv.lam, sv.a_frob, sv.eps
     mu_s = params.parity * sv.mu
@@ -259,9 +257,9 @@ def _rotation_frame(params: SystemParams, n: int, grid: RadialGrid | None,
 
 
 def _solve_rotated(parts, route: str, params: SystemParams, n: int,
-                   grid: RadialGrid | None, energy) -> RadialSolution:
+                   grid: RadialGrid | None) -> RadialSolution:
     """Rotate a case's calibrated (F, G) back to (f, g) by the half angle A/2."""
-    E = _level_energy(params, n, energy)
+    E = _level_energy(params, n)
     if grid is None:
         grid = default_grid(params, E)
     _, f_part, _, g_part, _, case = parts(params, n, grid, E)
@@ -344,10 +342,10 @@ def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
     return r, f_part, df_part, g_part, dg_part, case
 
 
-def solve_mixed_case1(params: SystemParams, n: int, grid: RadialGrid | None = None,
-                      energy: float | None = None) -> RadialSolution:
+def solve_mixed_case1(params: SystemParams, n: int,
+                      grid: RadialGrid | None = None) -> RadialSolution:
     """Rotation case 1: G from Kummer, F from a Heun polynomial in r/R."""
-    return _solve_rotated(mixed1_parts, "mixed1", params, n, grid, energy)
+    return _solve_rotated(mixed1_parts, "mixed1", params, n, grid)
 
 
 def case2_f_from_g(params: SystemParams, E: float, r: np.ndarray,
@@ -394,18 +392,18 @@ def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
     return r, f_part, df_part, g_part, dg_part, case
 
 
-def solve_mixed_case2(params: SystemParams, n: int, grid: RadialGrid | None = None,
-                      energy: float | None = None) -> RadialSolution:
+def solve_mixed_case2(params: SystemParams, n: int,
+                      grid: RadialGrid | None = None) -> RadialSolution:
     """Rotation case 2: G from Kummer (shifted denominator), F from Heun."""
-    return _solve_rotated(mixed2_parts, "mixed2", params, n, grid, energy)
+    return _solve_rotated(mixed2_parts, "mixed2", params, n, grid)
 
 
 # ----------------------------------------------------------------------
 # single-function Heun route
 # ----------------------------------------------------------------------
 
-def solve_heun_full(params: SystemParams, n: int, grid: RadialGrid | None = None,
-                    energy: float | None = None) -> RadialSolution:
+def solve_heun_full(params: SystemParams, n: int,
+                    grid: RadialGrid | None = None) -> RadialSolution:
     """Single-function route: f from one Heun polynomial, g recovered.
 
     Works in x = -(E+m) r / e (negative for bound states) with
@@ -415,7 +413,7 @@ def solve_heun_full(params: SystemParams, n: int, grid: RadialGrid | None = None
     negative-parity channel runs the same construction with nu -> -nu and
     the roles of the two components swapped.
     """
-    E = _level_energy(params, n, energy)
+    E = _level_energy(params, n)
     if grid is None:
         grid = default_grid(params, E)
     r = grid.r

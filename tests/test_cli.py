@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +263,85 @@ def test_json_timestamp_present_by_default(capsys):
                            "--n-max", "0", "--route", "standard")
     assert code == EXIT_OK
     assert "generated" in json.loads(out)
+
+
+# the options each subcommand reads, besides --help and --config
+SUBCOMMAND_OPTIONS = {
+    "spectrum": {"mass", "coupling", "j", "parity", "n-max", "route", "format", "out",
+                 "no-timestamp"},
+    "wavefunction": {"mass", "coupling", "j", "parity", "n-max", "route", "format",
+                     "out", "no-timestamp", "n", "grid-points", "r-min", "r-max"},
+    "verify": {"mass", "coupling", "j", "parity", "n-max", "route", "out", "tol"},
+}
+BASE_ARGV = {
+    "spectrum": ("spectrum", "--coupling", "0.5"),
+    "wavefunction": ("wavefunction", "--coupling", "0.5", "--n", "1", "--n-max", "1"),
+    "verify": ("verify", "--coupling", "0.5", "--n-max", "0"),
+}
+UNREAD_VALUES = {"grid-points": "50", "r-min": "0.1", "r-max": "30", "tol": "1e-8",
+                 "format": "csv", "no-timestamp": None}
+UNREAD = [*(("spectrum", o) for o in ("grid-points", "r-min", "r-max", "tol")),
+          ("wavefunction", "tol"),
+          *(("verify", o) for o in ("format", "grid-points", "r-min", "r-max",
+                                    "no-timestamp"))]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_lists_exactly_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    listed = set(re.findall(r"^  (?:-h, )?--([\w-]+)", capsys.readouterr().out, re.M))
+    assert listed == SUBCOMMAND_OPTIONS[command] | {"help", "config"}
+
+
+@pytest.mark.parametrize("command,option", UNREAD)
+def test_option_the_subcommand_does_not_read_exits_2(capsys, tmp_path, command, option):
+    value = UNREAD_VALUES[option]
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_ARGV[command], f"--{option}", *([value] if value else [])])
+    assert exc.value.code == EXIT_INVALID_PARAMS
+    assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {value or 'true'}\n")
+    code, out, err = run_cli(capsys, *BASE_ARGV[command], "--config", str(cfg))
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err == (f"error: {cfg}:1: {command} reads no config key "
+                   f"{option.replace('-', '_')!r}\n")
+
+
+@pytest.mark.parametrize("text,key", ((b"coupling = abc\n", "coupling"),
+                                      (b"coupling =\n", "coupling"),
+                                      (b"coupling = 0.5\nn-max = 1.5\n", "n_max"),
+                                      (b"coupling = 0.5  # \xff\n", None),
+                                      (None, None)))
+def test_malformed_config_exits_2(capsys, tmp_path, text, key):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_bytes(text)
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err.startswith("error: ") and str(cfg) in err
+    if key is not None:
+        assert f"invalid {key} value" in err
+
+
+@pytest.mark.parametrize("line", ("route = bogus", "parity = 2", "format = xml"))
+def test_config_value_outside_choices_exits_2(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"coupling = 0.5\n{line}\n")
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert f"invalid {line.split()[0]} value" in err
+
+
+def test_module_entry_point_rejects_unread_option():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "heundirac", "verify", "--coupling",
+                           "0.5", "--n-max", "1", "--format", "csv"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID_PARAMS, "")
+    assert "unrecognized arguments: --format csv" in proc.stderr

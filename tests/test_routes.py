@@ -1,5 +1,6 @@
 """Tests for the wavefunction constructions and their cross-relations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -96,10 +97,9 @@ def test_nodeless_level_rejected_in_positive_parity_channel():
 
 
 def test_off_level_energy_violates_system():
-    p = params_for(1)
-    E = energy_closed_form(1, p).E
-    sol = solve_standard(p, 1, energy=E + 1e-2)
-    assert residual(sol) > 1e-3
+    sol = solve_standard(params_for(1), 1)
+    off = dataclasses.replace(sol, level=dataclasses.replace(sol.level, E=sol.level.E + 1e-2))
+    assert residual(off) > 1e-3
 
 
 # ----------------------------------------------------------------------

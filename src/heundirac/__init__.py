@@ -5,10 +5,7 @@ rotations, and a pure-Heun construction) share one closed-form spectrum,
 cross-checked by a formula-free shooting integrator.
 """
 
-from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
-                     HeunDiracError, InvalidParams, MaxIterations, NoBracket,
-                     NoConvergence, Overflow, OutsideDomain, StepFailure,
-                     ZeroNorm)
+from .errors import HeunDiracError, InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, EnergyLevel, MixingCase, StandardVars,
                     SystemParams, energy_closed_form, heun_params_case1,
                     heun_params_case2, heun_params_full, mixing_case,

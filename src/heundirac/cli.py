@@ -5,8 +5,12 @@ Subcommands:
     wavefunction  tabulated (r, f, g) for one level, CSV or JSON
     verify        run the consistency checks at the configured parameters
 
-Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
-3 solver non-convergence.
+Exit codes: 0 success, 1 verification failure, 2 invalid parameters
+(InvalidParams: the request has no answer), 3 solver non-convergence
+(NoConvergence: a solver stopped without an answer).  A non-finite or
+non-half-integer j, a negative n-max, a tol that is negative or not
+finite, and non-finite grid radii exit 2 with a message, as flags and
+as config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
 lists them).  Flags override config-file keys, which override defaults.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,9 +37,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import oracle, routes, verify
-from .errors import (CalibrationFailure, HeunDiracError, InvalidParams,
-                     MaxIterations, NoBracket, NoConvergence, Overflow,
-                     StepFailure)
+from .errors import HeunDiracError, InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
                     level_bracket, level_channel, require_level,
                     solve_quantization)
@@ -44,9 +47,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_PARAMS = 2
 EXIT_NO_CONVERGENCE = 3
-
-_SOLVER_ERRORS = (NoConvergence, NoBracket, MaxIterations, StepFailure,
-                  Overflow, CalibrationFailure)
 
 ROUTE_CHOICES = (*ANALYTIC_ROUTES, "oracle", "all")
 
@@ -66,6 +66,23 @@ def _truthy(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
+def _checked(convert: Callable[[str], object], ok: Callable[[object], bool], rule: str):
+    """An option type: convert the text, then raise InvalidParams(rule)
+    unless ok(value).  Flags and config keys share it."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise InvalidParams(f"{rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
+    return parse
+
+
+def _half_integer(j: float) -> bool:
+    two_j = 2 * j
+    return math.isfinite(j) and abs(two_j - round(two_j)) <= 1e-9 and round(two_j) % 2 != 0
+
+
 _COMMANDS = {"spectrum": "bound energies for n = 0..n_max",
              "wavefunction": "tabulate (r, f, g) for one level",
              "verify": "run consistency checks"}
@@ -75,10 +92,11 @@ _TABLES = ("spectrum", "wavefunction")  # the subcommands that print JSON or CSV
 _OPTIONS = {
     "mass": _Option(float, 1.0, "particle mass (default 1)", _ALL),
     "coupling": _Option(float, None, "Coulomb coupling strength e (required)", _ALL),
-    "j": _Option(float, 0.5, "total angular momentum j (half-integer, default 1/2)",
-                 _ALL),
+    "j": _Option(_checked(float, _half_integer, "j must be half-integer (1/2, 3/2, ...)"),
+                 0.5, "total angular momentum j (half-integer, default 1/2)", _ALL),
     "parity": _Option(int, 1, "parity channel (+1 or -1, default +1)", _ALL, (1, -1)),
-    "n_max": _Option(int, 0, "highest radial quantum number (default 0)", _ALL),
+    "n_max": _Option(_checked(int, lambda n: n >= 0, "n_max must be a non-negative integer"),
+                     0, "highest radial quantum number (default 0)", _ALL),
     "route": _Option(str, "all", "solution route (default all)", _ALL, ROUTE_CHOICES),
     "format": _Option(str, "json", "output format (default json)", _TABLES,
                       ("json", "csv")),
@@ -89,8 +107,9 @@ _OPTIONS = {
                      ("wavefunction",)),
     "r_max": _Option(float, None, "grid end radius (default 40/lambda)",
                      ("wavefunction",)),
-    "tol": _Option(float, None, "tolerance override for verification checks",
-                   ("verify",)),
+    "tol": _Option(_checked(float, lambda t: 0.0 <= t < math.inf,
+                            "tol must be finite and >= 0"),
+                   None, "tolerance override for verification checks", ("verify",)),
     "no_timestamp": _Option(_truthy, False,
                             "omit the timestamp field (byte-stable reports)", _TABLES),
 }
@@ -100,9 +119,6 @@ class RunConfig(SimpleNamespace):
     """Resolved settings of one subcommand: one attribute per option it reads."""
 
     def system_params(self) -> SystemParams:
-        two_j = 2 * self.j
-        if abs(two_j - round(two_j)) > 1e-9 or round(two_j) % 2 == 0:
-            raise InvalidParams(f"j must be half-integer (1/2, 3/2, ...), got {self.j}")
         return SystemParams(self.coupling, int(round(self.j + 0.5)), self.mass, self.parity)
 
 
@@ -294,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; NoConvergence exits 3, any other HeunDiracError 2."""
     try:
+        args = build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
@@ -305,12 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         raise InvalidParams(f"unknown command {args.command!r}")
-    except _SOLVER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except HeunDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
+        return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_INVALID_PARAMS
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DegenerateCase, InvalidParams
+from .errors import InvalidParams
 from .specfun import HeunCParams
 
 #: analytic solution routes, in report order
@@ -82,11 +82,10 @@ class SystemParams:
 class MixingCase:
     """A resolved decoupling-rotation case.
 
-    The orthogonal rotation by angle A/2 mixes (f, g) into (F, G); four
-    sign choices of the angle condition exist, labelled 1, 1', 2, 2'.
-    Cases 1 and 2 carry an additional regular singular point (R and D) of
-    the second-order equation for F; the primed variants are recorded for
-    completeness but drive no solver route.
+    The orthogonal rotation by angle A/2 mixes (f, g) into (F, G).  Of the
+    sign choices of the angle condition, cases 1 and 2 drive the mixed
+    routes; each carries an additional regular singular point (R and D) of
+    the second-order equation for F.
     """
 
     case_id: str
@@ -94,7 +93,7 @@ class MixingCase:
     cos_a: float
     cos_half: float
     sin_half: float
-    singular_point: float | None
+    singular_point: float
 
 
 @dataclass(frozen=True)
@@ -123,59 +122,43 @@ class EnergyLevel:
     route: str
 
 
-def _require_bound_energy(params: SystemParams, E: float):
+def require_bound_energy(params: SystemParams, E: float, guard: float = LAMBDA_GUARD):
+    """Raise InvalidParams unless 0 < E < m, and E stays `guard` (relative)
+    below m, where the scaled variables mu, eps blow up."""
     if not (0.0 < E < params.m):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
-    if E >= params.m * (1.0 - LAMBDA_GUARD):
+    if E >= params.m * (1.0 - guard):
         raise InvalidParams(
-            f"E={E} is within {LAMBDA_GUARD} of m: sqrt(m^2-E^2) underflows"
+            f"E={E} is within {guard} of m: sqrt(m^2-E^2) underflows"
         )
 
 
 def mixing_case(case_id: str, params: SystemParams, E: float) -> MixingCase:
-    """Resolve one of the four rotation cases at energy E.
+    """Resolve rotation case 1 (sin A = e/nu) or 2 (cos A = E/m_eff) at energy E.
 
-    Case 1 (sin A = e/nu) and 1' (sin A = -e/nu) need subcritical
-    coupling only; case 2 (cos A = E/m_eff) and 2' (cos A = -E/m_eff)
-    need |E| < m.  Cases 1 and 2 also carry their singular point:
+    Case 1 needs subcritical coupling only, case 2 needs 0 < |E| < m.  Each
+    carries its singular point:
 
         R = -2e / (E + m_eff cos A),      D = -(e + nu sin A) / (2E).
     """
-    cid = str(case_id).replace("'", "p")
     e, nu, m_eff = params.e, params.nu, params.m_eff
-    if cid in ("1", "1p"):
+    if case_id == "1":
         root = params.frobenius_exponent
-        sin_a = e / nu if cid == "1" else -e / nu
         cos_a = math.sqrt(1.0 - (e / nu) ** 2)
-        if cid == "1":
-            cos_half = math.sqrt((nu + root) / (2.0 * nu))
-            sin_half = math.sqrt((nu - root) / (2.0 * nu))
-            denom = E + m_eff * cos_a
-            singular = -2.0 * e / denom if denom != 0.0 else math.inf
-        else:
-            cos_half = math.sqrt((nu - root) / (2.0 * nu))
-            sin_half = math.sqrt((nu + root) / (2.0 * nu))
-            singular = None
-        return MixingCase(cid, sin_a, cos_a, cos_half, sin_half, singular)
-
-    if cid in ("2", "2p"):
+        denom = E + m_eff * cos_a
+        return MixingCase("1", e / nu, cos_a, math.sqrt((nu + root) / (2.0 * nu)),
+                          math.sqrt((nu - root) / (2.0 * nu)),
+                          -2.0 * e / denom if denom != 0.0 else math.inf)
+    if case_id == "2":
         if not abs(E) < params.m:
-            raise InvalidParams(f"case {cid} requires |E| < m, got E={E}")
+            raise InvalidParams(f"case 2 requires |E| < m, got E={E}")
+        if E == 0.0:
+            raise InvalidParams("case 2 singular point diverges at E = 0")
         sin_a = math.sqrt(1.0 - (E / params.m) ** 2)
-        cos_a = E / m_eff if cid == "2" else -E / m_eff
-        if cid == "2":
-            cos_half = math.sqrt((m_eff + E) / (2.0 * m_eff))
-            sin_half = math.sqrt((m_eff - E) / (2.0 * m_eff))
-            if E == 0.0:
-                raise DegenerateCase("case 2 singular point diverges at E = 0")
-            singular = -(e + nu * sin_a) / (2.0 * E)
-        else:
-            cos_half = math.sqrt((m_eff - E) / (2.0 * m_eff))
-            sin_half = math.sqrt((m_eff + E) / (2.0 * m_eff))
-            singular = None
-        return MixingCase(cid, sin_a, cos_a, cos_half, sin_half, singular)
-
-    raise InvalidParams(f"unknown mixing case {case_id!r}; use 1, 1', 2 or 2'")
+        return MixingCase("2", sin_a, E / m_eff, math.sqrt((m_eff + E) / (2.0 * m_eff)),
+                          math.sqrt((m_eff - E) / (2.0 * m_eff)),
+                          -(e + nu * sin_a) / (2.0 * E))
+    raise InvalidParams(f"unknown mixing case {case_id!r}; use 1 or 2")
 
 
 def singular_point_D_consistency(params: SystemParams, E: float) -> tuple[float, float]:
@@ -185,7 +168,7 @@ def singular_point_D_consistency(params: SystemParams, E: float) -> tuple[float,
     coincide because the case-2 angle condition sets m_eff cos A = E.
     """
     if E == 0.0:
-        raise DegenerateCase("both forms of D diverge at E = 0")
+        raise InvalidParams("both forms of D diverge at E = 0")
     case = mixing_case("2", params, E)
     num = -(params.e + params.nu * case.sin_a)
     d_a = num / (2.0 * params.m_eff * case.cos_a)
@@ -193,45 +176,37 @@ def singular_point_D_consistency(params: SystemParams, E: float) -> tuple[float,
     return d_a, d_b
 
 
-def heun_params_case1(params: SystemParams, E: float) -> HeunCParams:
-    """Confluent-Heun parameters of the case-1 equation for F in y = r/R.
+def _rotated_heun_params(params: SystemParams, E: float, case_id: str) -> HeunCParams:
+    """Confluent-Heun parameters of the rotated equation for F in y = r/X,
+    X the singular point of the case (R for case 1, D for case 2).
 
-    With a = sqrt(nu^2-e^2) and b = -sqrt(m^2-E^2)*R, the signs of the
+    With a = sqrt(nu^2-e^2) and b = -sqrt(m^2-E^2)*X, the signs of the
     normalizable branch:
 
-        alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eER,
-        eta = 1 + m_eff R sin A - 2eER - nu cos A.
+        alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
+        eta = 1 + m_eff X sin A - 2eEX - nu cos A.
     """
-    _require_bound_energy(params, E)
-    case = mixing_case("1", params, E)
-    R = case.singular_point
-    if not math.isfinite(R):
+    require_bound_energy(params, E)
+    case = mixing_case(case_id, params, E)
+    X = case.singular_point
+    if not math.isfinite(X):
         raise InvalidParams(
             "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
         )
-    lam = params.decay_constant(E)
-    a = params.frobenius_exponent
-    b = -lam * R
-    delta = 2.0 * params.e * E * R
-    eta = 1.0 + params.m_eff * R * case.sin_a - delta - params.nu * case.cos_a
-    return HeunCParams(2.0 * b, 2.0 * a, -2.0, delta, eta)
+    b = -params.decay_constant(E) * X
+    delta = 2.0 * params.e * E * X
+    eta = 1.0 + params.m_eff * X * case.sin_a - delta - params.nu * case.cos_a
+    return HeunCParams(2.0 * b, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
+
+
+def heun_params_case1(params: SystemParams, E: float) -> HeunCParams:
+    """Confluent-Heun parameters of the case-1 equation for F in y = r/R."""
+    return _rotated_heun_params(params, E, "1")
 
 
 def heun_params_case2(params: SystemParams, E: float) -> HeunCParams:
-    """Confluent-Heun parameters of the case-2 equation for F in y = r/D.
-
-    Same structure and branch as case 1 with R replaced by D and the
-    case-2 angle.
-    """
-    _require_bound_energy(params, E)
-    case = mixing_case("2", params, E)
-    D = case.singular_point
-    lam = params.decay_constant(E)
-    a = params.frobenius_exponent
-    b = -lam * D
-    delta = 2.0 * params.e * E * D
-    eta = 1.0 + params.m_eff * D * case.sin_a - delta - params.nu * case.cos_a
-    return HeunCParams(2.0 * b, 2.0 * a, -2.0, delta, eta)
+    """Confluent-Heun parameters of the case-2 equation for F in y = r/D."""
+    return _rotated_heun_params(params, E, "2")
 
 
 def heun_params_full(params: SystemParams, E: float) -> HeunCParams:
@@ -242,7 +217,7 @@ def heun_params_full(params: SystemParams, E: float) -> HeunCParams:
     parity-signed angular number (the negative-parity channel is obtained
     by nu -> -nu together with swapping the roles of f and g).
     """
-    _require_bound_energy(params, E)
+    require_bound_energy(params, E)
     lam = params.decay_constant(E)
     alpha = 2.0 * lam * params.e / (E + params.m)
     beta = 2.0 * params.frobenius_exponent
@@ -251,10 +226,14 @@ def heun_params_full(params: SystemParams, E: float) -> HeunCParams:
     return HeunCParams(alpha, beta, -2.0, -d, 1.0 - nu_s + d)
 
 
-def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
-    """Closed-form bound energy E = m / sqrt(1 + e^2/(n + sqrt(nu^2-e^2))^2)."""
+def _require_index(n: int):
     if int(n) != n or n < 0:
         raise InvalidParams(f"n must be a non-negative integer, got {n}")
+
+
+def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
+    """Closed-form bound energy E = m / sqrt(1 + e^2/(n + sqrt(nu^2-e^2))^2)."""
+    _require_index(n)
     N = n + params.frobenius_exponent
     E = params.m / math.sqrt(1.0 + (params.e / N) ** 2)
     return EnergyLevel(int(n), params.nu, params.parity, E, "closed")
@@ -266,8 +245,7 @@ def require_level(params: SystemParams, n: int):
     n must be a non-negative integer, the coupling nonzero, and the
     nodeless n = 0 level exists only at parity -1.
     """
-    if int(n) != n or n < 0:
-        raise InvalidParams(f"n must be a non-negative integer, got {n}")
+    _require_index(n)
     if params.e == 0.0:
         raise InvalidParams("zero coupling supports no bound states")
     if n == 0 and params.parity == 1:
@@ -296,7 +274,7 @@ def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:
 
 def standard_vars(params: SystemParams, E: float) -> StandardVars:
     """Scaled variables (lam, mu, eps, a_frob) at energy E."""
-    _require_bound_energy(params, E)
+    require_bound_energy(params, E)
     lam = params.decay_constant(E)
     mu = params.e * params.m / lam
     eps = params.e * E / lam
@@ -320,7 +298,7 @@ def quantization_residuals(params: SystemParams, E: float, n: int,
     prefactors relative to the standard one, so their signs differ while
     their roots coincide.
     """
-    _require_bound_energy(params, E)
+    require_bound_energy(params, E)
     residuals = {}
     for route in routes:
         if route == "standard":
@@ -346,16 +324,28 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     there, so each condition changes sign exactly once.  Bisects down to
     a bracket of 1e-14 m.  Each step evaluates only this route's
     condition: the other routes' parameter maps are never built.
+
+    The mixed1 condition carries R = -2e/(E + m_eff cos A), whose pole at
+    parity -1 is the n = 0 energy m cos A: it is bisected times
+    E + m_eff cos A, which cancels the pole and is positive at parity +1.
+    The n = 0 level at parity -1, on the pole itself, raises InvalidParams.
     """
-    if int(n) != n or n < 0:
-        raise InvalidParams(f"n must be a non-negative integer, got {n}")
-    if params.e == 0.0:
-        raise InvalidParams("zero coupling supports no bound states")
+    # level_channel puts n = 0 at parity -1: only the index and coupling rules apply
+    require_level(level_channel(params, n), n)
+    m = params.m
+    shift = None
+    if route == "mixed1":
+        if n == 0 and params.parity == -1:
+            raise InvalidParams(
+                "mixed1 cannot solve n=0 at parity -1: the level sits on the case-1 "
+                "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
+            )
+        shift = params.m_eff * mixing_case("1", params, m).cos_a
 
     def residual(E: float) -> float:
-        return quantization_residuals(params, E, n, (route,))[route]
+        value = quantization_residuals(params, E, n, (route,))[route]
+        return value if shift is None else value * (E + shift)
 
-    m = params.m
     lo, hi = 0.01 * m, m * (1.0 - 1e-9)
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo == 0.0:

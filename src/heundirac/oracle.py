@@ -23,9 +23,8 @@ import numpy as np
 from scipy.integrate import ode, solve_ivp
 from scipy.optimize import brentq
 
-from .errors import (InvalidParams, MaxIterations, NoBracket, Overflow,
-                     StepFailure)
-from .model import EnergyLevel, SystemParams
+from .errors import InvalidParams, NoConvergence
+from .model import EnergyLevel, SystemParams, require_bound_energy
 from .routes import RadialGrid, RadialSolution, default_grid
 
 # Magnitude cap for the amplitude integration of integrate_radial.
@@ -64,8 +63,7 @@ def frobenius_start(params: SystemParams, E: float, r_start: float):
     """
     if params.e <= 0.0:
         raise InvalidParams("the Frobenius start needs e > 0")
-    if not (0.0 < E < params.m):
-        raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
+    require_bound_energy(params, E, guard=0.0)
     s = params.frobenius_exponent
     kappa_ratio = -(s + params.nu) / params.e
     f0 = r_start ** s
@@ -103,7 +101,7 @@ def _mismatch(params: SystemParams, E: float, lam_ref: float,
         solver.set_initial_value([theta0], r0)
         theta = solver.integrate(r_match)
         if not solver.successful():
-            raise StepFailure(f"dop853 failed from r={r0:g} at E={E}")
+            raise NoConvergence(f"dop853 failed from r={r0:g} at E={E}")
         return float(theta[0])
 
     return (leg(math.atan2(g0, f0), r_start)
@@ -116,8 +114,8 @@ def integrate_radial(params: SystemParams, E: float,
 
     The integration runs from R_START_SCALE/lam to the last grid radius,
     which may not lie past R_FAR_SCALE/lam; the default grid is
-    default_grid(params, E).  Raises Overflow when the solution exceeds
-    OVERFLOW_CAP.
+    default_grid(params, E).  Raises NoConvergence when the solution
+    exceeds OVERFLOW_CAP.
 
     Note on tails: even at an eigenvalue, roundoff seeds the growing mode
     at relative size ~eps, which overtakes the decaying profile beyond
@@ -125,8 +123,7 @@ def integrate_radial(params: SystemParams, E: float,
     angles at r_match = 1/lam), but wavefunction comparisons should stay
     inside that window.
     """
-    if not (0.0 < E < params.m):
-        raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
+    require_bound_energy(params, E, guard=0.0)
     lam = params.decay_constant(E)
     r_start = R_START_SCALE / lam
     if grid is None:
@@ -153,9 +150,9 @@ def integrate_radial(params: SystemParams, E: float,
                     method="DOP853", t_eval=r, rtol=LOCAL_ERROR_TOL, atol=1e-280,
                     events=overflow_event)
     if sol.status == 1:
-        raise Overflow(f"solution exceeded {OVERFLOW_CAP:g} at E={E}")
+        raise NoConvergence(f"solution exceeded {OVERFLOW_CAP:g} at E={E}")
     if not sol.success:
-        raise StepFailure(f"dop853 failed at E={E}: {sol.message}")
+        raise NoConvergence(f"dop853 failed at E={E}: {sol.message}")
     level = EnergyLevel(-1, params.nu, params.parity, E, "oracle")
     return RadialSolution(grid, sol.y[0], sol.y[1], level, "oracle", params)
 
@@ -190,7 +187,7 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
     elif phi_hi == 0.0:
         E = E_hi
     elif phi_lo * phi_hi > 0.0:
-        raise NoBracket(
+        raise NoConvergence(
             f"matched functional has the same sign at both ends: "
             f"phi({E_lo})={phi_lo:.3e}, phi({E_hi})={phi_hi:.3e}"
         )
@@ -198,7 +195,7 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
         E, res = brentq(phi, E_lo, E_hi, xtol=1e-15 * params.m, rtol=8.9e-16,
                         maxiter=MAX_ITERATIONS, full_output=True, disp=False)
         if not res.converged:
-            raise MaxIterations(
+            raise NoConvergence(
                 f"Brent refinement did not converge within {MAX_ITERATIONS} steps"
             )
     n = round(best["delta"] / math.pi) + 1

@@ -34,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CalibrationFailure, DegenerateCase, DegenerateGroundState,
-                     InvalidParams, ZeroNorm)
+from .errors import InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, EnergyLevel, SystemParams, energy_closed_form,
                     mixing_case, heun_params_case1, heun_params_case2,
                     heun_params_full, require_level, standard_vars)
@@ -129,7 +128,7 @@ def default_grid(params: SystemParams, E: float, points: int = GRID_POINTS,
     lam = params.decay_constant(E)
     r_min = GRID_RMIN_SCALE / lam if r_min is None else r_min
     r_max = GRID_RMAX_SCALE / lam if r_max is None else r_max
-    if not (0 < r_min < r_max):
+    if not (0 < r_min < r_max < math.inf):
         raise InvalidParams(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
     return RadialGrid(np.geomspace(r_min, r_max, points))
 
@@ -232,10 +231,11 @@ def _kummer_part(n_index: int, denom: float, lam: float, a: float, r: np.ndarray
     return val, dval
 
 
-def _heun_part(hp: HeunCParams, n: int, singular_point: float, b: float,
-               a: float, r: np.ndarray):
-    """F = |y|^a e^{b y} H(y) with y = r/singular_point, plus dF/dr."""
+def _heun_part(hp: HeunCParams, n: int, singular_point: float, r: np.ndarray):
+    """F = |y|^a e^{b y} H(y) with y = r/singular_point, a = beta/2 and
+    b = alpha/2 of the rotated map, plus dF/dr."""
     coeffs = _heun_polynomial(hp, n)
+    a, b = 0.5 * hp.beta, 0.5 * hp.alpha
     y = r / singular_point
     hv = horner(coeffs, y)
     dhv = horner(coeffs, y, 1)
@@ -281,7 +281,7 @@ def _calibrate(target: np.ndarray, implied: np.ndarray, scale_hint: float):
         for idx in (mid + k, mid - k) if k else (mid,):
             if 0 <= idx < n and abs(target[idx]) > floor and abs(implied[idx]) > floor:
                 return target[idx] / implied[idx]
-    raise CalibrationFailure(
+    raise NoConvergence(
         "first-order relation vanished at every candidate calibration radius"
     )
 
@@ -310,7 +310,7 @@ def case1_f_from_g(params: SystemParams, E: float, r: np.ndarray,
     case = mixing_case("1", params, E)
     den = E - params.m_eff * case.cos_a
     if abs(den) < 1e-13 * params.m:
-        raise DegenerateCase(
+        raise InvalidParams(
             "E = m_eff cos A: the G-to-F map degenerates at the nodeless level"
         )
     num = dg_part - (params.nu * case.cos_a / r) * g_part \
@@ -327,9 +327,7 @@ def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
 
     if n >= 1:
         hp = heun_params_case1(params, E)
-        R = case.singular_point
-        b = -lam * R
-        f_part, df_part = _heun_part(hp, n, R, b, a, r)
+        f_part, df_part = _heun_part(hp, n, case.singular_point, r)
         implied = case1_g_from_f(params, E, r, f_part, df_part)
         t = _calibrate(g_part, implied, float(np.max(np.abs(g_part))))
         f_part, df_part = t * f_part, t * df_part
@@ -358,7 +356,7 @@ def case2_f_from_g(params: SystemParams, E: float, r: np.ndarray,
     case = mixing_case("2", params, E)
     den = params.e - params.nu * case.sin_a
     if abs(den) < 1e-13 * max(params.e, 1.0):
-        raise DegenerateCase(
+        raise InvalidParams(
             "e = nu sin A: the case-2 G-to-F map degenerates at the nodeless level"
         )
     num = dg_part - (params.nu * case.cos_a / r) * g_part \
@@ -372,9 +370,7 @@ def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
     E, case, lam, a, r = _rotation_frame(params, n, grid, energy, "2")
 
     hp = heun_params_case2(params, E)
-    D = case.singular_point
-    b = -lam * D
-    f_part, df_part = _heun_part(hp, n, D, b, a, r)
+    f_part, df_part = _heun_part(hp, n, case.singular_point, r)
 
     # The G equation picks up a parity-dependent 1/r term, shifting the
     # terminating Kummer index by one in the negative-parity channel.
@@ -458,7 +454,7 @@ def coefficient_ratio(params: SystemParams, n: int) -> CoefficientRatio:
     there the first form is 0/0.
     """
     if n < 1:
-        raise DegenerateGroundState(
+        raise InvalidParams(
             "C1/C2 is 0/0 at the nodeless level; the construction sets C2 = 0 there"
         )
     E = energy_closed_form(n, params).E
@@ -514,7 +510,7 @@ def normalize(solution: RadialSolution) -> RadialSolution:
     f, g = solution.f, solution.g
     norm_sq = float(np.trapezoid(f * f + g * g, r))
     if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
-        raise ZeroNorm(f"norm integral is {norm_sq}; cannot normalize")
+        raise InvalidParams(f"norm integral is {norm_sq}; cannot normalize")
     scale = 1.0 / math.sqrt(norm_sq)
     fmax = np.max(np.abs(f))
     if fmax > 0:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, OutsideDomain
+from .errors import InvalidParams, NoConvergence
 
 # Collapse threshold for float-parameter polynomial detection, and the
 # hard threshold for exact-zero cascades.
@@ -357,7 +357,7 @@ def _heunc_eval(p: HeunCParams, trunc, z: float, order: int) -> float:
     if trunc is not None:
         return float(horner(trunc[1], z, order))
     if abs(z) >= 1.0:
-        raise OutsideDomain(
+        raise InvalidParams(
             f"non-terminating confluent Heun series evaluated at |z|={abs(z)} >= 1"
         )
     return _open_series_value(p, z, order)

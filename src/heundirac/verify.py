@@ -79,11 +79,11 @@ def check_scaled_variable_identities(params, n_max, tol=1e-12):
 
 
 def check_mixing_cases(params, n_max, tol=1e-14):
-    """Angle identities of all four rotation cases at every level."""
+    """Angle identities of both rotation cases at every level."""
     dev = 0.0
     for n in range(n_max + 1):
         E = energy_closed_form(n, params).E
-        for cid in ("1", "1p", "2", "2p"):
+        for cid in ("1", "2"):
             c = mixing_case(cid, params, E)
             dev = max(dev, abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0))
             dev = max(dev, abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0))
@@ -262,7 +262,8 @@ def check_oracle_spectrum(params, n_max, tol=1e-8):
 
 
 def truncation_audit(params, n: int) -> dict[str, dict]:
-    """Raw-series coefficients of the three Heun maps through order n+5.
+    """Raw-series coefficients of the three Heun maps through order
+    n + COLLAPSE_WINDOW, the window the evaluator checks.
 
     Reports, per map, the largest coefficient magnitude beyond order n
     relative to the largest at or below it.  This is diagnostic only: the
@@ -282,7 +283,7 @@ def truncation_audit(params, n: int) -> dict[str, dict]:
     for name, hp in maps.items():
         if hp is None:
             continue
-        coeffs = specfun.heunc_series_coefficients(hp, n + 6)
+        coeffs = specfun.heunc_series_coefficients(hp, n + 1 + specfun.COLLAPSE_WINDOW)
         head = float(np.max(np.abs(coeffs[:n + 1])))
         beyond = float(np.max(np.abs(coeffs[n + 1:])))
         report[name] = {

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heundirac import NoBracket, SystemParams, energy_closed_form
+from heundirac import NoConvergence, SystemParams, energy_closed_form
 from heundirac.cli import (EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VERIFY_FAILED, main)
 
@@ -249,7 +249,7 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
     import heundirac.cli as cli_mod
 
     def explode(*args, **kwargs):
-        raise NoBracket("synthetic bracket failure")
+        raise NoConvergence("synthetic bracket failure")
 
     monkeypatch.setattr(cli_mod.oracle, "shoot_energy", explode)
     code, _, err = run_cli(capsys, "spectrum", "--coupling", "0.5", "--j", "0.5",
@@ -345,3 +345,46 @@ def test_module_entry_point_rejects_unread_option():
                           env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID_PARAMS, "")
     assert "unrecognized arguments: --format csv" in proc.stderr
+
+
+# inputs outside the contract of one option: (subcommand base argv, option,
+# value, stderr fragment); each exits 2 as a flag and as a config key
+CONTRACT_BREAKS = [
+    (("spectrum", "--coupling", "0.5"), "j", "inf", "j must be half-integer"),
+    (("spectrum", "--coupling", "0.5"), "j", "nan", "j must be half-integer"),
+    (("spectrum", "--coupling", "0.5"), "n-max", "-1",
+     "n_max must be a non-negative integer"),
+    (("verify", "--coupling", "0.5"), "n-max", "-1",
+     "n_max must be a non-negative integer"),
+    (("verify", "--coupling", "0.5", "--n-max", "1"), "tol", "nan",
+     "tol must be finite and >= 0"),
+    (("verify", "--coupling", "0.5", "--n-max", "1"), "tol", "-1",
+     "tol must be finite and >= 0"),
+    (("verify", "--coupling", "0.5", "--n-max", "1"), "tol", "inf",
+     "tol must be finite and >= 0"),
+    (BASE_ARGV["wavefunction"], "r-max", "inf", "need 0 < r_min < r_max"),
+]
+
+
+@pytest.mark.parametrize("as_config", (False, True), ids=("flag", "config"))
+@pytest.mark.parametrize("base,option,value,message", CONTRACT_BREAKS,
+                         ids=[f"{b[0]}-{o}={v}" for b, o, v, _ in CONTRACT_BREAKS])
+def test_input_outside_the_contract_exits_2(capsys, tmp_path, base, option, value,
+                                            message, as_config):
+    if as_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        argv = (*base, "--config", str(cfg))
+    else:
+        argv = (*base, f"--{option}", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_zero_tolerance_stays_the_unattainable_override(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--coupling", "0.5", "--n-max", "0",
+                           "--route", "standard", "--tol", "0")
+    assert code == EXIT_VERIFY_FAILED
+    assert "(tolerance 0.000e+00)" in out and "[FAIL]" in out

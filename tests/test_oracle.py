@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from heundirac import (InvalidParams, NoBracket, Overflow, SystemParams,
+from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, frobenius_start, integrate_radial,
                        normalize, residual, scan_brackets, shoot_energy,
                        solve_heun_full)
@@ -140,7 +140,7 @@ def test_integration_overflow_reported_with_sign(monkeypatch):
     p = SystemParams(0.5, 1)
     E1 = energy_closed_form(1, p).E
     E2 = energy_closed_form(2, p).E
-    with pytest.raises(Overflow):
+    with pytest.raises(NoConvergence, match="solution exceeded 1000"):
         integrate_radial(p, 0.5 * (E1 + E2))
 
 
@@ -214,7 +214,7 @@ def test_shoot_no_bracket_between_levels():
     p = SystemParams(0.5, 1)
     E1 = energy_closed_form(1, p).E
     E2 = energy_closed_form(2, p).E
-    with pytest.raises(NoBracket):
+    with pytest.raises(NoConvergence, match="same sign at both ends"):
         shoot_energy(p, E1 + 0.3 * (E2 - E1), E1 + 0.7 * (E2 - E1))
 
 
@@ -225,7 +225,7 @@ def test_nodeless_level_absent_in_positive_parity_channel():
     p_plus = SystemParams(0.5, 1, parity=1)
     lo, hi = level_bracket(p_minus, 0)
     assert shoot_energy(p_minus, lo, hi).n == 0
-    with pytest.raises(NoBracket):
+    with pytest.raises(NoConvergence, match="same sign at both ends"):
         shoot_energy(p_plus, lo, hi)
 
 

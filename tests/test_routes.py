@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from heundirac import (DegenerateGroundState, InvalidParams, RadialGrid,
-                       SystemParams, ZeroNorm, coefficient_ratio, count_nodes,
+from heundirac import (InvalidParams, NoConvergence, RadialGrid,
+                       SystemParams, coefficient_ratio, count_nodes,
                        default_grid, energy_closed_form, normalize, residual,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
                        solve_standard, standard_vars)
@@ -223,7 +223,7 @@ def test_coefficient_ratio_agreement():
 
 
 def test_coefficient_ratio_degenerate_at_nodeless_level():
-    with pytest.raises(DegenerateGroundState):
+    with pytest.raises(InvalidParams, match="C1/C2 is 0/0 at the nodeless level"):
         coefficient_ratio(SystemParams(0.5, 1), 0)
 
 
@@ -239,10 +239,9 @@ def test_coefficient_ratio_sign_pattern(n, nu, e):
 # ----------------------------------------------------------------------
 
 def test_calibration_fails_when_relation_vanishes_everywhere():
-    from heundirac.errors import CalibrationFailure
     from heundirac.routes import _calibrate
     zeros = np.zeros(64)
-    with pytest.raises(CalibrationFailure):
+    with pytest.raises(NoConvergence, match="vanished at every candidate calibration"):
         _calibrate(zeros, zeros, 1.0)
 
 
@@ -258,9 +257,8 @@ def test_calibration_walks_outward_to_first_usable_index():
 
 
 def test_calibration_fails_when_every_index_is_below_floor():
-    from heundirac.errors import CalibrationFailure
     from heundirac.routes import _calibrate
-    with pytest.raises(CalibrationFailure):
+    with pytest.raises(NoConvergence, match="vanished at every candidate calibration"):
         _calibrate(np.full(9, 0.5e-12), np.ones(9), 1.0)
 
 
@@ -270,7 +268,7 @@ def test_residual_zero_solution_is_zero():
     zero = RadialSolution(sol.grid, np.zeros_like(sol.f), np.zeros_like(sol.g),
                           sol.level, sol.route, p)
     assert residual(zero) == 0.0
-    with pytest.raises(ZeroNorm):
+    with pytest.raises(InvalidParams, match="norm integral is 0.0"):
         normalize(zero)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from heundirac import (HeunCParams, InvalidParams, KummerParams, NoConvergence,
-                       OutsideDomain, SystemParams, energy_closed_form,
+                       SystemParams, energy_closed_form,
                        heun_params_full, heunc, heunc_derivative,
                        heunc_poly_degree, heunc_second_derivative,
                        heunc_series_coefficients, heunc_truncation, kummer,
@@ -201,7 +201,7 @@ def test_heunc_rejects_negative_integer_beta():
 
 def test_heunc_outside_domain_for_nonterminating_series():
     hp = HeunCParams(0.3, 1.3, -0.7, 0.4, 0.9)  # no degree condition
-    with pytest.raises(OutsideDomain):
+    with pytest.raises(InvalidParams, match="non-terminating confluent Heun series"):
         heunc(hp, 1.2)
     # inside the disk it evaluates fine
     assert math.isfinite(heunc(hp, 0.6))

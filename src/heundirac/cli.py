@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters
 (InvalidParams: the request has no answer), 3 solver non-convergence
 (NoConvergence: a solver stopped without an answer).  A non-finite or
 non-half-integer j, a negative n-max, a tol that is negative or not
-finite, and non-finite grid radii exit 2 with a message, as flags and
-as config keys alike.
+finite, non-finite grid radii, an r-max past 745/lambda and a mass at which
+m^2 - E^2 overflows or underflows exit 2 with a message, as flags and as
+config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
 lists them).  Flags override config-file keys, which override defaults.
@@ -28,6 +29,7 @@ read, or a value of the wrong type or outside the option's choices, exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +38,7 @@ from datetime import datetime, timezone
 from types import SimpleNamespace
 from typing import Callable
 
-from . import oracle, routes, verify
+from . import oracle, routes, tables, verify
 from .errors import HeunDiracError, InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
                     level_bracket, level_channel, require_level,
@@ -254,18 +256,17 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
                  f"# E: {_fmt(sol.level.E)}",
                  f"# system_residual: {_fmt(res)}",
                  "r,f,g"]
-        lines += [f"{r:.16e},{f:.16e},{g:.16e}" for r, f, g
-                  in zip(grid.r.tolist(), sol.f.tolist(), sol.g.tolist())]
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n" + tables.csv_rows(grid.r, sol.f, sol.g), cfg)
     else:
-        doc = {
-            "route": route, "n": n, "j": params.nu - 0.5, "parity": params.parity,
-            "E": sol.level.E, "system_residual": res,
-            "r": grid.r.tolist(), "f": sol.f.tolist(), "g": sol.g.tolist(),
-        }
+        # json.dumps(doc) with the r, f, g lists spliced in before "generated"
+        doc = {"route": route, "n": n, "j": params.nu - 0.5, "parity": params.parity,
+               "E": sol.level.E, "system_residual": res}
+        text = json.dumps(doc)[:-1]
+        for key, values in (("r", grid.r), ("f", sol.f), ("g", sol.g)):
+            text += f', "{key}": {tables.json_array(values)}'
         if not cfg.no_timestamp:
-            doc["generated"] = datetime.now(timezone.utc).isoformat()
-        _emit(json.dumps(doc) + "\n", cfg)
+            text += ', "generated": ' + json.dumps(datetime.now(timezone.utc).isoformat())
+        _emit(text + "}\n", cfg)
     return EXIT_OK
 
 
@@ -288,7 +289,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="heundirac",
         description="Dirac-Coulomb bound states by Kummer/Heun routes and shooting")

@@ -74,8 +74,16 @@ class SystemParams:
         return math.sqrt(self.nu * self.nu - self.e * self.e)
 
     def decay_constant(self, E: float) -> float:
-        """lam = sqrt(m^2 - E^2): bound states fall off like exp(-lam r)."""
-        return math.sqrt(self.m ** 2 - E ** 2)
+        """lam = sqrt(m^2 - E^2): bound states fall off like exp(-lam r).
+        Raises InvalidParams where m^2 - E^2 overflows or underflows to 0."""
+        try:
+            lam_sq = self.m ** 2 - E ** 2
+        except OverflowError:
+            lam_sq = math.inf
+        if lam_sq == 0.0 or lam_sq == math.inf:
+            raise InvalidParams(f"m^2 - E^2 is not representable at m={self.m}, E={E}: "
+                                "the mass is too large or too small")
+        return math.sqrt(lam_sq)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
 GRID_POINTS = 2000
 GRID_RMIN_SCALE = 0.01
 GRID_RMAX_SCALE = 40.0
+_LAM_R_MAX = 745.0   # exp(-745) is the smallest double above 0
 
 # Relative floor added to |f|+|g| when scaling residuals, so the empty
 # far tail does not dominate the measure.
@@ -130,6 +131,9 @@ def default_grid(params: SystemParams, E: float, points: int = GRID_POINTS,
     r_max = GRID_RMAX_SCALE / lam if r_max is None else r_max
     if not (0 < r_min < r_max < math.inf):
         raise InvalidParams(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if lam * r_max > _LAM_R_MAX:
+        raise InvalidParams(f"need r_max <= {_LAM_R_MAX:g}/lambda = {_LAM_R_MAX / lam}, "
+                            f"where exp(-lambda r) underflows; got {r_max}")
     return RadialGrid(np.geomspace(r_min, r_max, points))
 
 

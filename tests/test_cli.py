@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from heundirac import NoConvergence, SystemParams, energy_closed_form
+from heundirac import NoConvergence, SystemParams, energy_closed_form, routes
 from heundirac.cli import (EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
-                           EXIT_VERIFY_FAILED, main)
+                           EXIT_VERIFY_FAILED, build_parser, main)
 
 
 def run_cli(capsys, *argv):
@@ -363,6 +363,10 @@ CONTRACT_BREAKS = [
     (("verify", "--coupling", "0.5", "--n-max", "1"), "tol", "inf",
      "tol must be finite and >= 0"),
     (BASE_ARGV["wavefunction"], "r-max", "inf", "need 0 < r_min < r_max"),
+    (BASE_ARGV["wavefunction"], "r-max", "1e300", "need r_max <= 745/lambda"),
+    (BASE_ARGV["wavefunction"], "r-max", "1e20", "need r_max <= 745/lambda"),
+    *((("spectrum", "--coupling", "0.5"), "mass", m, "m^2 - E^2 is not representable")
+      for m in ("1e-300", "1e-160", "1e200")),
 ]
 
 
@@ -388,3 +392,50 @@ def test_zero_tolerance_stays_the_unattainable_override(capsys):
                            "--route", "standard", "--tol", "0")
     assert code == EXIT_VERIFY_FAILED
     assert "(tolerance 0.000e+00)" in out and "[FAIL]" in out
+
+
+def test_parser_is_built_once_and_stays_reusable(capsys):
+    assert build_parser() is build_parser()
+    for argv, stream in ((["wavefunction", "--help"], "out"),
+                         (["spectrum", "--coupling", "0.5", "--parity", "2"], "err")):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            texts.append(getattr(capsys.readouterr(), stream))
+        assert texts[0] == texts[1] and texts[0]
+
+
+def _per_number_table(fmt, route, n, points):
+    """The wavefunction output as the per-number expressions printed it."""
+    params = SystemParams(0.5, 1)
+    E = energy_closed_form(n, params).E
+    grid = routes.default_grid(params, E, points)
+    sol = routes.normalize(routes.ROUTE_SOLVERS[route](params, n, grid=grid))
+    res = routes.residual(sol)
+    r, f, g = grid.r.tolist(), sol.f.tolist(), sol.g.tolist()
+    if fmt == "csv":
+        lines = [f"# route: {route}", f"# n: {n}", "# j: 0.5", "# parity: 1",
+                 f"# E: {sol.level.E:.16e}", f"# system_residual: {res:.16e}", "r,f,g"]
+        lines += [f"{a:.16e},{b:.16e},{c:.16e}" for a, b, c in zip(r, f, g)]
+        return "\n".join(lines) + "\n"
+    return json.dumps({"route": route, "n": n, "j": 0.5, "parity": 1, "E": sol.level.E,
+                       "system_residual": res, "r": r, "f": f, "g": g}) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_20000_point_table_matches_the_per_number_expressions(capsys, fmt):
+    code, out, _ = run_cli(capsys, "wavefunction", "--route", "mixed1", "--coupling", "0.5",
+                           "--n", "3", "--n-max", "3", "--grid-points", "20000",
+                           "--format", fmt, "--no-timestamp")
+    assert code == EXIT_OK
+    assert out == _per_number_table(fmt, "mixed1", 3, 20000)
+
+
+def test_json_timestamp_follows_the_arrays(capsys):
+    code, out, _ = run_cli(capsys, *BASE_ARGV["wavefunction"], "--grid-points", "5")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert list(doc) == ["route", "n", "j", "parity", "E", "system_residual", "r", "f",
+                         "g", "generated"]
+    assert out == json.dumps(doc) + "\n"

@@ -34,10 +34,10 @@ GOLDENS = {
                                  "--coupling", "0.5", "--format", "csv"),
     "verify_all_e0p5.txt": ("verify", "--route", "all", "--n-max", "2",
                             "--coupling", "0.5"),
-    **{f"wavefunction_{route}_n2.csv": ("wavefunction", "--route", route, "--n", "2",
-                                        "--n-max", "2", "--grid-points", "50",
-                                        "--coupling", "0.5", "--format", "csv")
-       for route in ("standard", "mixed1", "mixed2", "heun")},
+    **{f"wavefunction_{route}_n2.{fmt}": ("wavefunction", "--route", route, "--n", "2",
+                                          "--n-max", "2", "--grid-points", "50",
+                                          "--coupling", "0.5", "--format", fmt)
+       for route in ("standard", "mixed1", "mixed2", "heun") for fmt in ("csv", "json")},
 }
 
 

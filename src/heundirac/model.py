@@ -35,6 +35,9 @@ ANALYTIC_ROUTES = ("standard", "mixed1", "mixed2", "heun")
 # Reject energies this close to m: the scaled variables mu, eps blow up.
 LAMBDA_GUARD = 1e-12
 
+#: energies (lo, hi), in units of m, that solve_quantization bisects between
+QUANTIZATION_BRACKET = (0.01, 1.0 - 1e-9)
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -328,10 +331,12 @@ def quantization_residuals(params: SystemParams, E: float, n: int,
 def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     """Root-find one route's quantization condition in E by bisection.
 
-    Brackets on (0.01 m, m(1 - 1e-9)); eps(E) is strictly increasing
-    there, so each condition changes sign exactly once.  Bisects down to
-    a bracket of 1e-14 m.  Each step evaluates only this route's
-    condition: the other routes' parameter maps are never built.
+    Brackets on QUANTIZATION_BRACKET, (0.01 m, m(1 - 1e-9)); eps(E) is
+    strictly increasing there, so each condition changes sign exactly once.
+    A level with m - E < 1e-9 m (couplings below about 4e-5) lies above
+    the bracket and raises InvalidParams.  Bisects down to a bracket of
+    1e-14 m.  Each step evaluates only this route's condition: the other
+    routes' parameter maps are never built.
 
     The mixed1 condition carries R = -2e/(E + m_eff cos A), whose pole at
     parity -1 is the n = 0 energy m cos A: it is bisected times
@@ -354,17 +359,18 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
         value = quantization_residuals(params, E, n, (route,))[route]
         return value if shift is None else value * (E + shift)
 
-    lo, hi = 0.01 * m, m * (1.0 - 1e-9)
+    lo, hi = (m * s for s in QUANTIZATION_BRACKET)
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo == 0.0:
         return EnergyLevel(int(n), params.nu, params.parity, lo, route)
     if f_hi == 0.0:
         return EnergyLevel(int(n), params.nu, params.parity, hi, route)
     if f_lo * f_hi > 0.0:
-        raise InvalidParams(
-            f"quantization condition for route {route!r} has no root in "
-            f"({lo}, {hi}) at n={n}"
-        )
+        message = (f"quantization condition for route {route!r} has no root in "
+                   f"({lo}, {hi}) at n={n}")
+        if energy_closed_form(n, params).E > hi:
+            message += ": a level with m - E < 1e-9 m lies above the bisection bracket"
+        raise InvalidParams(message)
     while hi - lo > 1e-14 * m:
         mid = 0.5 * (lo + hi)
         f_mid = residual(mid)

@@ -18,6 +18,7 @@ spectrum.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import ode, solve_ivp
@@ -114,8 +115,10 @@ def integrate_radial(params: SystemParams, E: float,
 
     The integration runs from R_START_SCALE/lam to the last grid radius,
     which may not lie past R_FAR_SCALE/lam; the default grid is
-    default_grid(params, E).  Raises NoConvergence when the solution
-    exceeds OVERFLOW_CAP.
+    default_grid(params, E).  It runs in units of 1/m (the system at
+    m = 1, energy E/m, radius m r), so it needs no mass-dependent step
+    size or tolerance.  Raises NoConvergence when the solution exceeds
+    OVERFLOW_CAP.
 
     Note on tails: even at an eigenvalue, roundoff seeds the growing mode
     at relative size ~eps, which overtakes the decaying profile beyond
@@ -132,22 +135,25 @@ def integrate_radial(params: SystemParams, E: float,
     if r[0] < r_start or r[-1] > R_FAR_SCALE / lam:
         raise InvalidParams("grid must lie within [r_start, r_far]")
 
-    f0, g0, _, _ = frobenius_start(params, E, r_start)
-    nu, e, m_eff = params.nu, params.e, params.m_eff
+    # in units of 1/m: energy E/m, radii x = m r
+    m = params.m
+    unit, E_m, x, x_start = replace(params, m=1.0), E / m, r * m, r_start * m
+    f0, g0, _, _ = frobenius_start(unit, E_m, x_start)
+    nu, e, m_eff = unit.nu, unit.e, unit.m_eff
 
-    def rhs(r_, y):
+    def rhs(x_, y):
         f, g = y
-        w = E + e / r_
-        return np.array((-(nu / r_) * f - (w + m_eff) * g,
-                         (nu / r_) * g + (w - m_eff) * f))
+        w = E_m + e / x_
+        return np.array((-(nu / x_) * f - (w + m_eff) * g,
+                         (nu / x_) * g + (w - m_eff) * f))
 
-    def overflow_event(r_, y):
+    def overflow_event(x_, y):
         return OVERFLOW_CAP - max(abs(y[0]), abs(y[1]))
 
     overflow_event.terminal = True
 
-    sol = solve_ivp(rhs, (r_start, r[-1]), np.array([f0, g0]),
-                    method="DOP853", t_eval=r, rtol=LOCAL_ERROR_TOL, atol=1e-280,
+    sol = solve_ivp(rhs, (x_start, x[-1]), np.array([f0, g0]),
+                    method="DOP853", t_eval=x, rtol=LOCAL_ERROR_TOL, atol=1e-280,
                     events=overflow_event)
     if sol.status == 1:
         raise NoConvergence(f"solution exceeded {OVERFLOW_CAP:g} at E={E}")
@@ -164,42 +170,47 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
     functional sin(theta_out - theta_in).  Brent's method refines to
     |dE|/m near 1e-15.  The radial quantum number of the result is read
     off the unwrapped mismatch at the root, n = round(delta/pi) + 1.
+    The search runs in units of m (the system at m = 1, energies E/m), so
+    the integrator's step-size heuristics see the same problem at any mass.
     """
     if not (0.0 < E_lo < E_hi < params.m):
         raise InvalidParams(f"need 0 < E_lo < E_hi < m, got ({E_lo}, {E_hi})")
+    m = params.m
     # scale by the smallest decay constant in the bracket (the upper end),
     # so r_far covers the full extent of every candidate state
-    lam_hi = params.decay_constant(E_hi)
+    lam_hi = params.decay_constant(E_hi) / m
+    unit = replace(params, m=1.0)
 
     # the mismatch closest to a multiple of pi is the one at the root
     best = {"phi": math.inf, "delta": 0.0}
 
     def phi(E):
-        delta = _mismatch(params, E, lam_hi)
+        delta = _mismatch(unit, E, lam_hi)
         value = math.sin(delta)
         if abs(value) < best["phi"]:
             best["phi"], best["delta"] = abs(value), delta
         return value
 
-    phi_lo, phi_hi = phi(E_lo), phi(E_hi)
+    lo, hi = E_lo / m, E_hi / m
+    phi_lo, phi_hi = phi(lo), phi(hi)
     if phi_lo == 0.0:
-        E = E_lo
+        E = lo
     elif phi_hi == 0.0:
-        E = E_hi
+        E = hi
     elif phi_lo * phi_hi > 0.0:
         raise NoConvergence(
             f"matched functional has the same sign at both ends: "
             f"phi({E_lo})={phi_lo:.3e}, phi({E_hi})={phi_hi:.3e}"
         )
     else:
-        E, res = brentq(phi, E_lo, E_hi, xtol=1e-15 * params.m, rtol=8.9e-16,
+        E, res = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16,
                         maxiter=MAX_ITERATIONS, full_output=True, disp=False)
         if not res.converged:
             raise NoConvergence(
                 f"Brent refinement did not converge within {MAX_ITERATIONS} steps"
             )
     n = round(best["delta"] / math.pi) + 1
-    return EnergyLevel(n, params.nu, params.parity, float(E), "oracle")
+    return EnergyLevel(n, params.nu, params.parity, float(E) * m, "oracle")
 
 
 def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,

@@ -81,8 +81,16 @@ class RadialGrid:
         n = len(r)
         half = 3 if n >= 9 else 2
         width = 2 * half + 1
-        centers = r[half:n - half]
         nodes = [r[j:n - width + 1 + j] for j in range(width)]
+        # A product of up to 6 differences stays normal while the radii stay
+        # below 2^150 and their spacings above 2^-150.  Past that, each row is
+        # built in units of a power of two near its center, which is exact:
+        # the same weights, kept in range at any radii.
+        exp = None
+        if not (r[-1] < 2.0 ** 150 and np.min(np.diff(r)) > 2.0 ** -150):
+            exp = -np.frexp(nodes[half])[1]
+            nodes = [np.ldexp(x, exp) for x in nodes]
+        centers = nodes[half]
         weights = {}
         wsum = np.zeros_like(centers)
         for j in range(width):
@@ -94,7 +102,7 @@ class RadialGrid:
                     num *= centers - nodes[k]
                 if k != j:
                     den *= nodes[j] - nodes[k]
-            weights[j] = num / den
+            weights[j] = num / den if exp is None else np.ldexp(num / den, exp)
             wsum += weights[j]
         return half, weights, wsum
 
@@ -485,7 +493,8 @@ def residual(solution: RadialSolution) -> float:
 
     Derivatives are taken by central finite differences on the solution's
     own grid; each equation residual is scaled by the local magnitude
-    |f| + |g| plus a small relative floor.
+    |f| + |g| plus a small relative floor, and by the mass m, which makes
+    the result dimensionless (each term of the system is f/length).
     """
     r = solution.grid.r
     if len(r) < 5:
@@ -501,7 +510,8 @@ def residual(solution: RadialSolution) -> float:
     scale = np.abs(fi) + np.abs(gi) + RESIDUAL_FLOOR * np.max(np.abs(f) + np.abs(g))
     if not np.any(scale > 0):
         return 0.0
-    return float(max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale)))
+    worst = max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale))
+    return float(worst) / params.m
 
 
 def normalize(solution: RadialSolution) -> RadialSolution:

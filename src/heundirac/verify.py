@@ -17,9 +17,9 @@ import numpy as np
 
 from . import oracle, routes, specfun
 from .errors import HeunDiracError
-from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
-                    heun_params_case1, heun_params_case2, heun_params_full,
-                    level_bracket, level_channel, mixing_case,
+from .model import (ANALYTIC_ROUTES, QUANTIZATION_BRACKET, SystemParams,
+                    energy_closed_form, heun_params_case1, heun_params_case2,
+                    heun_params_full, level_bracket, level_channel, mixing_case,
                     quantization_residuals, require_level,
                     singular_point_D_consistency, solve_quantization,
                     standard_vars)
@@ -28,6 +28,9 @@ from .routes import ROUTE_SOLVERS
 # Grids and solutions of each level, kept by run_verification while it runs
 # so its checks build and solve them once; None outside a run.
 _store: ContextVar[dict | None] = ContextVar("verify_store", default=None)
+
+#: (name, check, route tags) of every check, in report order
+ALL_CHECKS: list = []
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,33 @@ class CheckResult:
 
 def _result(name, dev, tol, detail=""):
     return CheckResult(name, dev < tol, float(dev), float(tol), detail)
+
+
+def _check(name, tags, tol=None, first=0):
+    """Register the decorated check in ALL_CHECKS as (name, check, tags).
+
+    Without tol it is a whole-run check(params, n_max, tol).  With tol it
+    is the body(params, n, E) of a per-level check, which yields the
+    deviations of level n at its closed-form energy E; the check built
+    here, check(params, n_max, tol=tol), runs n = first..n_max and reports
+    the running maximum of the deviations, taken in the order yielded.
+    """
+    def register(fn):
+        check = fn
+        if tol is not None:
+            def check(params, n_max, tol=tol):
+                if n_max < first:
+                    return _result(name, 0.0, tol, f"no n >= {first} level requested")
+                dev = 0.0
+                for n in range(first, n_max + 1):
+                    for value in fn(params, n, energy_closed_form(n, params).E):
+                        dev = max(dev, value)
+                return _result(name, dev, tol)
+            check.__name__, check.__qualname__, check.__doc__ = (
+                fn.__name__, fn.__qualname__, fn.__doc__)
+        ALL_CHECKS.append((name, check, tags))
+        return check
+    return register
 
 
 def _level(params, n):
@@ -65,137 +95,100 @@ def _level_solutions(params, n):
         yield route, solved[route]
 
 
-def check_scaled_variable_identities(params, n_max, tol=1e-12):
+@_check("scaled_variable_identities", ANALYTIC_ROUTES, 1e-12)
+def check_scaled_variable_identities(params, n, E):
     """mu^2 - eps^2 = e^2 and a_frob = sqrt(nu^2 - e^2) at every level."""
-    dev = 0.0
+    sv = standard_vars(params, E)
+    yield abs(sv.mu ** 2 - sv.eps ** 2 - params.e ** 2) / max(params.e ** 2, 1e-30)
     root = params.frobenius_exponent
-    for n in range(n_max + 1):
-        E = energy_closed_form(n, params).E
-        sv = standard_vars(params, E)
-        dev = max(dev, abs(sv.mu ** 2 - sv.eps ** 2 - params.e ** 2)
-                  / max(params.e ** 2, 1e-30))
-        dev = max(dev, abs(sv.a_frob - root) / root)
-    return _result("scaled_variable_identities", dev, tol)
+    yield abs(sv.a_frob - root) / root
 
 
-def check_mixing_cases(params, n_max, tol=1e-14):
+@_check("mixing_case_identities", ("mixed1", "mixed2"), 1e-14)
+def check_mixing_cases(params, n, E):
     """Angle identities of both rotation cases at every level."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        E = energy_closed_form(n, params).E
-        for cid in ("1", "2"):
-            c = mixing_case(cid, params, E)
-            dev = max(dev, abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0))
-            dev = max(dev, abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0))
-            dev = max(dev, abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a)))
-    return _result("mixing_case_identities", dev, tol)
+    for cid in ("1", "2"):
+        c = mixing_case(cid, params, E)
+        yield abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0)
+        yield abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0)
+        yield abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a))
 
 
-def check_singular_point_consistency(params, n_max, tol=1e-14):
+@_check("singular_point_consistency", ("mixed2",), 1e-14)
+def check_singular_point_consistency(params, n, E):
     """Both printed forms of the case-2 singular point agree."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        E = energy_closed_form(n, params).E
-        d_a, d_b = singular_point_D_consistency(params, E)
-        dev = max(dev, abs(d_a - d_b) / abs(d_a))
-    return _result("singular_point_consistency", dev, tol)
+    d_a, d_b = singular_point_D_consistency(params, E)
+    yield abs(d_a - d_b) / abs(d_a)
 
 
-def check_parameter_map_identities(params, n_max, tol=1e-12):
+@_check("parameter_map_identities", ("mixed1", "mixed2", "heun"), 1e-12)
+def check_parameter_map_identities(params, n, E):
     """gamma = -2 in all three maps; delta + eta = 1 - nu_s for the full map."""
-    dev = 0.0
-    nu_s = params.parity * params.nu
-    for n in range(n_max + 1):
-        E = energy_closed_form(n, params).E
-        for hp in (heun_params_case1(params, E), heun_params_case2(params, E)):
-            dev = max(dev, abs(hp.gamma + 2.0))
-        hp = heun_params_full(params, E)
-        dev = max(dev, abs(hp.gamma + 2.0))
-        dev = max(dev, abs(hp.delta + hp.eta - (1.0 - nu_s)))
-    return _result("parameter_map_identities", dev, tol)
+    for hp in (heun_params_case1(params, E), heun_params_case2(params, E)):
+        yield abs(hp.gamma + 2.0)
+    hp = heun_params_full(params, E)
+    yield abs(hp.gamma + 2.0)
+    yield abs(hp.delta + hp.eta - (1.0 - params.parity * params.nu))
 
 
-def check_spectrum_routes(params, n_max, tol=1e-12):
+@_check("spectrum_route_equality", ANALYTIC_ROUTES, 1e-12)
+def check_spectrum_routes(params, n, E):
     """Each route's root-found energy matches the closed form."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        E_ref = energy_closed_form(n, params).E
-        for route in ANALYTIC_ROUTES:
-            E = solve_quantization(params, n, route).E
-            dev = max(dev, abs(E - E_ref) / E_ref)
-    return _result("spectrum_route_equality", dev, tol)
+    for route in ANALYTIC_ROUTES:
+        yield abs(solve_quantization(params, n, route).E - E) / E
 
 
-def check_quantization_residuals(params, n_max, tol=1e-10):
+@_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
+def check_quantization_residuals(params, n, E):
     """All four quantization residuals vanish at the closed-form energy."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        E = energy_closed_form(n, params).E
-        for route, value in quantization_residuals(params, E, n).items():
-            dev = max(dev, abs(value))
-    return _result("quantization_residuals_at_levels", dev, tol)
+    for value in quantization_residuals(params, E, n).values():
+        yield abs(value)
 
 
-def check_wavefunction_residuals(params, n_max, tol=1e-6):
+@_check("wavefunction_residuals", ANALYTIC_ROUTES, 1e-6)
+def check_wavefunction_residuals(params, n, E):
     """Every route's (f, g) satisfies the radial system on the default grid."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        for route, sol in _level_solutions(params, n):
-            dev = max(dev, routes.residual(sol))
-    return _result("wavefunction_residuals", dev, tol)
+    for route, sol in _level_solutions(params, n):
+        yield routes.residual(sol)
 
 
-def check_cross_route_agreement(params, n_max, tol=1e-6):
+@_check("cross_route_agreement", ANALYTIC_ROUTES, 1e-6)
+def check_cross_route_agreement(params, n, E):
     """Normalized (f, g) agree pointwise across all four routes."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        normed = {route: routes.normalize(sol)
-                  for route, sol in _level_solutions(params, n)}
-        ref = normed["standard"]
-        fs, gs = np.max(np.abs(ref.f)), np.max(np.abs(ref.g))
-        for route, sol in normed.items():
-            dev = max(dev, float(np.max(np.abs(sol.f - ref.f)) / fs))
-            dev = max(dev, float(np.max(np.abs(sol.g - ref.g)) / gs))
-    return _result("cross_route_agreement", dev, tol)
+    normed = {route: routes.normalize(sol) for route, sol in _level_solutions(params, n)}
+    ref = normed["standard"]
+    fs, gs = np.max(np.abs(ref.f)), np.max(np.abs(ref.g))
+    for sol in normed.values():
+        yield float(np.max(np.abs(sol.f - ref.f)) / fs)
+        yield float(np.max(np.abs(sol.g - ref.g)) / gs)
 
 
-def check_operator_closure(params, n_max, tol=1e-6):
+@_check("operator_closure", ("mixed1",), 1e-6, first=1)
+def check_operator_closure(params, n, E):
     """Case-1 first-order maps close: F -> G pointwise, and F -> G -> F
     proportional to the identity."""
-    dev = 0.0
-    for n in range(1, n_max + 1):
-        E = energy_closed_form(n, params).E
-        r, f_part, df_part, g_part, dg_part, _ = routes.mixed1_parts(
-            params, n, _level(params, n)[1])
-        g_implied = routes.case1_g_from_f(params, E, r, f_part, df_part)
-        gs = np.max(np.abs(g_part))
-        dev = max(dev, float(np.max(np.abs(g_implied - g_part)) / gs))
-        f_back = routes.case1_f_from_g(params, E, r, g_part, dg_part)
-        mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
-        ratios = f_back[mask] / f_part[mask]
-        dev = max(dev, float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0))))
-    if n_max < 1:
-        return _result("operator_closure", 0.0, tol, "no n >= 1 level requested")
-    return _result("operator_closure", dev, tol)
+    r, f_part, df_part, g_part, dg_part, _ = routes.mixed1_parts(
+        params, n, _level(params, n)[1])
+    g_implied = routes.case1_g_from_f(params, E, r, f_part, df_part)
+    yield float(np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)))
+    f_back = routes.case1_f_from_g(params, E, r, g_part, dg_part)
+    mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
+    ratios = f_back[mask] / f_part[mask]
+    yield float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0)))
 
 
-def check_coefficient_ratio(params, n_max, tol=1e-12):
+@_check("coefficient_ratio", ("standard",), 1e-12, first=1)
+def check_coefficient_ratio(params, n, E):
     """Both derivations of C1/C2 agree; nu^2 - mu^2 = a^2 - eps^2."""
-    dev = 0.0
-    for n in range(1, n_max + 1):
-        ratio = routes.coefficient_ratio(params, n)
-        dev = max(dev, abs(ratio.from_first_equation - ratio.from_second_equation)
-                  / abs(ratio.from_second_equation))
-        E = energy_closed_form(n, params).E
-        sv = standard_vars(params, E)
-        lhs = params.nu ** 2 - sv.mu ** 2
-        rhs = sv.a_frob ** 2 - sv.eps ** 2
-        dev = max(dev, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    if n_max < 1:
-        return _result("coefficient_ratio", 0.0, tol, "no n >= 1 level requested")
-    return _result("coefficient_ratio", dev, tol)
+    ratio = routes.coefficient_ratio(params, n)
+    yield (abs(ratio.from_first_equation - ratio.from_second_equation)
+           / abs(ratio.from_second_equation))
+    sv = standard_vars(params, E)
+    rhs = sv.a_frob ** 2 - sv.eps ** 2
+    yield abs(params.nu ** 2 - sv.mu ** 2 - rhs) / max(abs(rhs), 1e-30)
 
 
+@_check("kummer_ode_residual", ANALYTIC_ROUTES)
 def check_kummer_properties(params, n_max, tol=1e-8):
     """Kummer series satisfies its differential equation on a sample box."""
     dev = 0.0
@@ -207,6 +200,7 @@ def check_kummer_properties(params, n_max, tol=1e-8):
     return _result("kummer_ode_residual", dev, tol)
 
 
+@_check("kummer_relations", ("standard",))
 def check_kummer_relations(params, n_max, tol=1e-10):
     """Differentiation rule and contiguous relation for terminating series.
 
@@ -238,27 +232,12 @@ def check_kummer_relations(params, n_max, tol=1e-10):
     return _result("kummer_relations", dev, tol)
 
 
-def check_heunc_ode_residual(params, n_max, tol=1e-8):
+@_check("heunc_ode_residual", ("mixed1", "mixed2", "heun"), 1e-8)
+def check_heunc_ode_residual(params, n, E):
     """Heun series satisfies the canonical equation at physical parameters."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        E = energy_closed_form(n, params).E
-        for hp in (heun_params_full(params, E),
-                   heun_params_case2(params, E)):
-            for z in (-0.7, -0.3, 0.3, 0.6):
-                dev = max(dev, specfun.heunc_ode_residual(hp, z))
-    return _result("heunc_ode_residual", dev, tol)
-
-
-def check_oracle_spectrum(params, n_max, tol=1e-8):
-    """Shooting energies agree with the closed form for every level."""
-    dev = 0.0
-    for n in range(n_max + 1):
-        p = level_channel(params, n)
-        E_ref = energy_closed_form(n, p).E
-        level = oracle.shoot_energy(p, *level_bracket(p, n))
-        dev = max(dev, abs(level.E - E_ref) / E_ref)
-    return _result("oracle_spectrum", dev, tol)
+    for hp in (heun_params_full(params, E), heun_params_case2(params, E)):
+        for z in (-0.7, -0.3, 0.3, 0.6):
+            yield specfun.heunc_ode_residual(hp, z)
 
 
 def truncation_audit(params, n: int) -> dict[str, dict]:
@@ -295,6 +274,7 @@ def truncation_audit(params, n: int) -> dict[str, dict]:
     return report
 
 
+@_check("truncation_audit", ("mixed1", "mixed2", "heun"))
 def check_truncation_audit(params, n_max, tol=math.inf):
     """Informational: never fails; detail records the collapse pattern."""
     notes = []
@@ -309,24 +289,11 @@ def check_truncation_audit(params, n_max, tol=math.inf):
     return CheckResult("truncation_audit", True, worst, tol, "; ".join(notes))
 
 
-ALL_CHECKS = [
-    ("scaled_variable_identities", check_scaled_variable_identities, ANALYTIC_ROUTES),
-    ("mixing_case_identities", check_mixing_cases, ("mixed1", "mixed2")),
-    ("singular_point_consistency", check_singular_point_consistency, ("mixed2",)),
-    ("parameter_map_identities", check_parameter_map_identities,
-     ("mixed1", "mixed2", "heun")),
-    ("spectrum_route_equality", check_spectrum_routes, ANALYTIC_ROUTES),
-    ("quantization_residuals_at_levels", check_quantization_residuals, ANALYTIC_ROUTES),
-    ("wavefunction_residuals", check_wavefunction_residuals, ANALYTIC_ROUTES),
-    ("cross_route_agreement", check_cross_route_agreement, ANALYTIC_ROUTES),
-    ("operator_closure", check_operator_closure, ("mixed1",)),
-    ("coefficient_ratio", check_coefficient_ratio, ("standard",)),
-    ("kummer_ode_residual", check_kummer_properties, ANALYTIC_ROUTES),
-    ("kummer_relations", check_kummer_relations, ("standard",)),
-    ("heunc_ode_residual", check_heunc_ode_residual, ("mixed1", "mixed2", "heun")),
-    ("truncation_audit", check_truncation_audit, ("mixed1", "mixed2", "heun")),
-    ("oracle_spectrum", check_oracle_spectrum, ("oracle",)),
-]
+@_check("oracle_spectrum", ("oracle",), 1e-8)
+def check_oracle_spectrum(params, n, E):
+    """Shooting energies agree with the closed form for every level."""
+    p = level_channel(params, n)
+    yield abs(oracle.shoot_energy(p, *level_bracket(p, n)).E - E) / E
 
 
 def run_verification(params: SystemParams, n_max: int,
@@ -338,10 +305,13 @@ def run_verification(params: SystemParams, n_max: int,
     route="oracle" for that, it is the slow one).  tol_override replaces
     each check's own tolerance, so an unattainable override reports the
     measured deviations as failures rather than hiding them.  Zero
-    coupling raises InvalidParams before any check runs.
+    coupling, and a mass at which m^2 - E^2 is not representable at the
+    top of the analytic routes' bisection bracket, raise InvalidParams
+    before any check runs.
     """
     # level 1 exists in both channels, so this applies the zero-coupling rule
     require_level(params, 1)
+    params.decay_constant(QUANTIZATION_BRACKET[1] * params.m)
     selected = [(name, fn) for name, fn, tags in ALL_CHECKS
                 if (name != "oracle_spectrum" if route == "all" else route in tags)]
     kwargs = {} if tol_override is None else {"tol": tol_override}

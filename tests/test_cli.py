@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -365,8 +366,13 @@ CONTRACT_BREAKS = [
     (BASE_ARGV["wavefunction"], "r-max", "inf", "need 0 < r_min < r_max"),
     (BASE_ARGV["wavefunction"], "r-max", "1e300", "need r_max <= 745/lambda"),
     (BASE_ARGV["wavefunction"], "r-max", "1e20", "need r_max <= 745/lambda"),
-    *((("spectrum", "--coupling", "0.5"), "mass", m, "m^2 - E^2 is not representable")
+    *((base, "mass", m, "m^2 - E^2 is not representable")
+      for base in (("spectrum", "--coupling", "0.5"),
+                   ("verify", "--coupling", "0.5", "--n-max", "1"))
       for m in ("1e-300", "1e-160", "1e200")),
+    # the level lies less than 1e-9 m below m, above the quantization bracket
+    (("spectrum", "--n-max", "1", "--route", "standard"), "coupling", "1e-7",
+     "a level with m - E < 1e-9 m lies above the bisection bracket"),
 ]
 
 
@@ -385,6 +391,43 @@ def test_input_outside_the_contract_exits_2(capsys, tmp_path, base, option, valu
     assert (code, out) == (EXIT_INVALID_PARAMS, "")
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_heavy_mass_verify_passes(capsys):
+    # the system residual is dimensionless: the same level at m = 938.272
+    # reports the residual of m = 1
+    reports = {}
+    for mass in ("1", "938.272"):
+        code, out, _ = run_cli(capsys, "verify", "--coupling", "1.0", "--j", "1.5",
+                               "--n-max", "3", "--mass", mass)
+        assert code == EXIT_OK
+        reports[mass] = [line for line in out.splitlines()
+                         if line.startswith("[PASS] wavefunction_residuals")]
+    assert reports["938.272"] == reports["1"] == [
+        "[PASS] wavefunction_residuals: max deviation 1.754e-09 (tolerance 1.000e-06)"]
+
+
+@pytest.mark.parametrize("extra", (("--mass", "1e-150", "--grid-points", "5"),
+                                   ("--mass", "1e150"), ("--r-min", "1e-300")),
+                         ids=("mass=1e-150", "mass=1e150", "r-min=1e-300"))
+def test_wavefunction_at_extreme_radii_has_a_finite_residual(capsys, extra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "wavefunction", "--coupling", "0.5", "--n", "1",
+                               "--n-max", "1", *extra, "--no-timestamp")
+    assert code == EXIT_OK
+    assert math.isfinite(json.loads(out)["system_residual"])
+
+
+@pytest.mark.parametrize("mass", ("1e-150", "1e-20", "1e150"))
+def test_oracle_spectrum_at_extreme_masses(capsys, mass):
+    code, out, _ = run_cli(capsys, "spectrum", "--route", "oracle", "--coupling", "0.5",
+                           "--n-max", "1", "--mass", mass, "--format", "csv")
+    assert code == EXIT_OK
+    for row in out.splitlines()[1:]:
+        n, E_over_m = int(row.split(",")[0]), float(row.split(",")[5])
+        ref = energy_closed_form(n, SystemParams(0.5, 1)).E
+        assert abs(E_over_m - ref) / ref < 1e-14
 
 
 def test_zero_tolerance_stays_the_unattainable_override(capsys):

@@ -191,6 +191,29 @@ def test_shoot_evaluation_budget(monkeypatch):
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("m", (1e-150, 1e-20, 1e-16, 0.51099895, 938.272, 1e150))
+def test_shooting_is_scale_free_in_the_mass(m):
+    # the search runs in units of m, so the integrator's absolute step-size
+    # heuristics see the same problem at every mass
+    p = SystemParams(0.5, 1, m)
+    level = shoot_energy(p, *level_bracket(p, 2))
+    ref = energy_closed_form(2, p).E
+    assert level.n == 2
+    assert abs(level.E - ref) / ref < 1e-14
+
+
+@pytest.mark.parametrize("m", (1e-150, 1e-20, 1e150))
+def test_integration_is_scale_free_in_the_mass(m):
+    p = SystemParams(0.5, 1, m)
+    E = energy_closed_form(1, p).E
+    lam = p.decay_constant(E)
+    grid = RadialGrid(np.geomspace(0.01 / lam, 20.0 / lam, 400))
+    oracle_sol = normalize(integrate_radial(p, E, grid=grid))
+    analytic = normalize(solve_heun_full(p, 1, grid=grid))
+    assert np.max(np.abs(oracle_sol.f - analytic.f)) / np.max(np.abs(analytic.f)) < 1e-5
+    assert np.max(np.abs(oracle_sol.g - analytic.g)) / np.max(np.abs(analytic.g)) < 1e-5
+
+
 def test_shoot_small_coupling_excited_level():
     p = SystemParams(ALPHA, 2)
     level = shoot_energy(p, *level_bracket(p, 5))

@@ -322,6 +322,31 @@ def test_grid_stencil_derivative_is_bit_identical(points, half):
     assert grid._stencil is grid._stencil
 
 
+@pytest.mark.parametrize("k", (-900, -500, 500, 900))
+def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
+    # radii scaled by 2**k scale every weight by exactly 2**-k, also where
+    # the products of node differences would overflow or underflow
+    p = params_for(2)
+    grid = default_grid(p, energy_closed_form(2, p).E, points=50)
+    half, weights, wsum = grid._stencil
+    s_half, s_weights, s_wsum = RadialGrid(np.ldexp(grid.r, k))._stencil
+    assert s_half == half and s_weights.keys() == weights.keys()
+    for j, w in weights.items():
+        assert np.array_equal(s_weights[j], np.ldexp(w, -k))
+    assert np.array_equal(s_wsum, np.ldexp(wsum, -k))
+
+
+@pytest.mark.parametrize("m", (0.51099895, 2.0, 938.272, 1e-150, 1e150))
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=ANALYTIC_ROUTES)
+def test_residual_is_dimensionless(solver, m):
+    # each term of the system is f/length, so the residual is read in units
+    # of m: the same level at another mass has the same residual
+    p = SystemParams(1.0, 2)
+    at_unit_mass = residual(solver(p, 3))
+    assert residual(solver(dataclasses.replace(p, m=m), 3)) == pytest.approx(
+        at_unit_mass, rel=1e-4)
+
+
 def test_normalize_unit_norm_and_scaling_invariance():
     p = params_for(2)
     sol = solve_standard(p, 2)

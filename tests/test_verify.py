@@ -83,3 +83,46 @@ def test_zero_coupling_is_rejected_before_any_check(route, monkeypatch):
     monkeypatch.setattr(verify, "ALL_CHECKS", [])
     with pytest.raises(InvalidParams, match="zero coupling supports no bound states"):
         verify.run_verification(SystemParams(0.0, 1), 1, route)
+
+
+ANALYTIC = ("standard", "mixed1", "mixed2", "heun")
+HEUN = ("mixed1", "mixed2", "heun")
+
+
+def test_check_registry_is_pinned():
+    assert [(name, fn.__name__, tags) for name, fn, tags in verify.ALL_CHECKS] == [
+        ("scaled_variable_identities", "check_scaled_variable_identities", ANALYTIC),
+        ("mixing_case_identities", "check_mixing_cases", ("mixed1", "mixed2")),
+        ("singular_point_consistency", "check_singular_point_consistency", ("mixed2",)),
+        ("parameter_map_identities", "check_parameter_map_identities", HEUN),
+        ("spectrum_route_equality", "check_spectrum_routes", ANALYTIC),
+        ("quantization_residuals_at_levels", "check_quantization_residuals", ANALYTIC),
+        ("wavefunction_residuals", "check_wavefunction_residuals", ANALYTIC),
+        ("cross_route_agreement", "check_cross_route_agreement", ANALYTIC),
+        ("operator_closure", "check_operator_closure", ("mixed1",)),
+        ("coefficient_ratio", "check_coefficient_ratio", ("standard",)),
+        ("kummer_ode_residual", "check_kummer_properties", ANALYTIC),
+        ("kummer_relations", "check_kummer_relations", ("standard",)),
+        ("heunc_ode_residual", "check_heunc_ode_residual", HEUN),
+        ("truncation_audit", "check_truncation_audit", HEUN),
+        ("oracle_spectrum", "check_oracle_spectrum", ("oracle",)),
+    ]
+    # the public check_* names are the very objects the registry runs
+    for _, fn, _ in verify.ALL_CHECKS:
+        assert getattr(verify, fn.__name__) is fn
+
+
+@pytest.mark.parametrize("check, tol", ((verify.check_operator_closure, 1e-6),
+                                        (verify.check_coefficient_ratio, 1e-12)))
+def test_level_one_checks_report_an_empty_range(check, tol):
+    res = check(SystemParams(0.5, 1), 0)
+    assert res == verify.CheckResult(res.name, True, 0.0, tol, "no n >= 1 level requested")
+    assert check(SystemParams(0.5, 1), 0, tol=0.0).tolerance == 0.0
+
+
+@pytest.mark.parametrize("mass", (1e-300, 1e-160, 1e200))
+@pytest.mark.parametrize("route", ("all", "standard", "oracle"))
+def test_unrepresentable_mass_is_rejected_before_any_check(route, mass, monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    with pytest.raises(InvalidParams, match="m\\^2 - E\\^2 is not representable"):
+        verify.run_verification(SystemParams(0.5, 1, mass), 1, route)

@@ -82,31 +82,35 @@ def _mismatch(params: SystemParams, E: float, lam_ref: float,
     Frobenius data at r_start, theta_in from the decaying asymptotic angle
     atan2(lam, E + m_eff) at r_far.  Each leg runs in the direction in
     which its angle is attracted to the wanted solution, so neither needs
-    an overflow guard.
+    an overflow guard.  Both run in units of 1/m (the system at m = 1,
+    energy E/m, radius m r), so the integrator's step-size heuristics see
+    the same problem at any mass.
     """
-    r_start = R_START_SCALE / lam_ref
-    r_match = R_MATCH_SCALE / lam_ref
-    r_far = R_FAR_SCALE / lam_ref
-    f0, g0, _, _ = frobenius_start(params, E, r_start)
-    nu, e, m_eff = params.nu, params.e, params.m_eff
-    lam = params.decay_constant(E)
+    m = params.m
+    unit, E_m, lam_m = replace(params, m=1.0), E / m, lam_ref / m
+    x_start = R_START_SCALE / lam_m
+    x_match = R_MATCH_SCALE / lam_m
+    x_far = R_FAR_SCALE / lam_m
+    f0, g0, _, _ = frobenius_start(unit, E_m, x_start)
+    nu, e, m_eff = unit.nu, unit.e, unit.m_eff
+    lam = unit.decay_constant(E_m)
 
-    def rhs(r, theta):
+    def rhs(x, theta):
         t2 = 2.0 * theta[0]
-        return [(nu / r) * math.sin(t2) + E + e / r - m_eff * math.cos(t2)]
+        return [(nu / x) * math.sin(t2) + E_m + e / x - m_eff * math.cos(t2)]
 
     solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14,
                                      nsteps=200_000)
 
-    def leg(theta0, r0):
-        solver.set_initial_value([theta0], r0)
-        theta = solver.integrate(r_match)
+    def leg(theta0, x0):
+        solver.set_initial_value([theta0], x0)
+        theta = solver.integrate(x_match)
         if not solver.successful():
-            raise NoConvergence(f"dop853 failed from r={r0:g} at E={E}")
+            raise NoConvergence(f"dop853 failed from r={x0 / m:g} at E={E}")
         return float(theta[0])
 
-    return (leg(math.atan2(g0, f0), r_start)
-            - leg(math.atan2(lam, E + m_eff), r_far))
+    return (leg(math.atan2(g0, f0), x_start)
+            - leg(math.atan2(lam, E_m + m_eff), x_far))
 
 
 def integrate_radial(params: SystemParams, E: float,
@@ -170,47 +174,42 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
     functional sin(theta_out - theta_in).  Brent's method refines to
     |dE|/m near 1e-15.  The radial quantum number of the result is read
     off the unwrapped mismatch at the root, n = round(delta/pi) + 1.
-    The search runs in units of m (the system at m = 1, energies E/m), so
-    the integrator's step-size heuristics see the same problem at any mass.
     """
     if not (0.0 < E_lo < E_hi < params.m):
         raise InvalidParams(f"need 0 < E_lo < E_hi < m, got ({E_lo}, {E_hi})")
-    m = params.m
     # scale by the smallest decay constant in the bracket (the upper end),
     # so r_far covers the full extent of every candidate state
-    lam_hi = params.decay_constant(E_hi) / m
-    unit = replace(params, m=1.0)
+    lam_hi = params.decay_constant(E_hi)
 
     # the mismatch closest to a multiple of pi is the one at the root
     best = {"phi": math.inf, "delta": 0.0}
 
     def phi(E):
-        delta = _mismatch(unit, E, lam_hi)
+        delta = _mismatch(params, E, lam_hi)
         value = math.sin(delta)
         if abs(value) < best["phi"]:
             best["phi"], best["delta"] = abs(value), delta
         return value
 
-    lo, hi = E_lo / m, E_hi / m
-    phi_lo, phi_hi = phi(lo), phi(hi)
+    phi_lo, phi_hi = phi(E_lo), phi(E_hi)
     if phi_lo == 0.0:
-        E = lo
+        E = E_lo
     elif phi_hi == 0.0:
-        E = hi
+        E = E_hi
     elif phi_lo * phi_hi > 0.0:
         raise NoConvergence(
             f"matched functional has the same sign at both ends: "
             f"phi({E_lo})={phi_lo:.3e}, phi({E_hi})={phi_hi:.3e}"
         )
     else:
-        E, res = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16,
+        E, res = brentq(phi, E_lo, E_hi, xtol=1e-15 * params.m, rtol=8.9e-16,
                         maxiter=MAX_ITERATIONS, full_output=True, disp=False)
         if not res.converged:
             raise NoConvergence(
                 f"Brent refinement did not converge within {MAX_ITERATIONS} steps"
             )
     n = round(best["delta"] / math.pi) + 1
-    return EnergyLevel(n, params.nu, params.parity, float(E) * m, "oracle")
+    return EnergyLevel(n, params.nu, params.parity, float(E), "oracle")
 
 
 def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,

@@ -81,15 +81,10 @@ class RadialGrid:
         n = len(r)
         half = 3 if n >= 9 else 2
         width = 2 * half + 1
-        nodes = [r[j:n - width + 1 + j] for j in range(width)]
-        # A product of up to 6 differences stays normal while the radii stay
-        # below 2^150 and their spacings above 2^-150.  Past that, each row is
-        # built in units of a power of two near its center, which is exact:
-        # the same weights, kept in range at any radii.
-        exp = None
-        if not (r[-1] < 2.0 ** 150 and np.min(np.diff(r)) > 2.0 ** -150):
-            exp = -np.frexp(nodes[half])[1]
-            nodes = [np.ldexp(x, exp) for x in nodes]
+        # each row in units of a power of two near its center: exact, and
+        # the products of up to 6 differences stay in range at any radii
+        exp = -np.frexp(r[half:n - half])[1]
+        nodes = [np.ldexp(r[j:n - width + 1 + j], exp) for j in range(width)]
         centers = nodes[half]
         weights = {}
         wsum = np.zeros_like(centers)
@@ -102,7 +97,7 @@ class RadialGrid:
                     num *= centers - nodes[k]
                 if k != j:
                     den *= nodes[j] - nodes[k]
-            weights[j] = num / den if exp is None else np.ldexp(num / den, exp)
+            weights[j] = np.ldexp(num / den, exp)
             wsum += weights[j]
         return half, weights, wsum
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, routes, specfun
-from .errors import HeunDiracError
+from .errors import HeunDiracError, InvalidParams
 from .model import (ANALYTIC_ROUTES, QUANTIZATION_BRACKET, SystemParams,
                     energy_closed_form, heun_params_case1, heun_params_case2,
                     heun_params_full, level_bracket, level_channel, mixing_case,
@@ -50,10 +50,10 @@ def _check(name, tags, tol=None, first=0):
     """Register the decorated check in ALL_CHECKS as (name, check, tags).
 
     Without tol it is a whole-run check(params, n_max, tol).  With tol it
-    is the body(params, n, E) of a per-level check, which yields the
-    deviations of level n at its closed-form energy E; the check built
-    here, check(params, n_max, tol=tol), runs n = first..n_max and reports
-    the running maximum of the deviations, taken in the order yielded.
+    is the body(params, n, E) of a per-level check, yielding the deviations
+    of level n at its closed-form energy E; the check built here,
+    check(params, n_max, tol=tol), runs n = first..n_max and reports the
+    running maximum, taken in the order yielded.
     """
     def register(fn):
         check = fn
@@ -77,9 +77,7 @@ def _level(params, n):
     """(channel, default grid, solutions so far) of level n, kept for the
     rest of the running verification (built afresh outside a run)."""
     p = level_channel(params, n)
-    store = _store.get()
-    if store is None:
-        store = {}
+    store = {} if _store.get() is None else _store.get()
     if (p, n) not in store:
         require_level(p, n)
         store[p, n] = p, routes.default_grid(p, energy_closed_form(n, p).E), {}
@@ -252,16 +250,13 @@ def truncation_audit(params, n: int) -> dict[str, dict]:
     E = energy_closed_form(n, params).E
     # the case-1 singular point flees to infinity at the nodeless level
     # of the negative-parity channel; skip that map there
-    case1_ok = not (n == 0 and params.parity == -1)
-    maps = {
-        "mixed1": heun_params_case1(params, E) if case1_ok else None,
-        "mixed2": heun_params_case2(params, E),
-        "heun": heun_params_full(params, E),
-    }
+    maps = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
+            "heun": heun_params_full}
+    if n == 0 and params.parity == -1:
+        del maps["mixed1"]
     report = {}
-    for name, hp in maps.items():
-        if hp is None:
-            continue
+    for name, build in maps.items():
+        hp = build(params, E)
         coeffs = specfun.heunc_series_coefficients(hp, n + 1 + specfun.COLLAPSE_WINDOW)
         head = float(np.max(np.abs(coeffs[:n + 1])))
         beyond = float(np.max(np.abs(coeffs[n + 1:])))
@@ -301,17 +296,22 @@ def run_verification(params: SystemParams, n_max: int,
                      tol_override: float | None = None) -> list[CheckResult]:
     """Run the checks relevant to `route` at the configured parameters.
 
-    route="all" runs everything except the oracle check (request
-    route="oracle" for that, it is the slow one).  tol_override replaces
-    each check's own tolerance, so an unattainable override reports the
-    measured deviations as failures rather than hiding them.  Zero
-    coupling, and a mass at which m^2 - E^2 is not representable at the
-    top of the analytic routes' bisection bracket, raise InvalidParams
-    before any check runs.
+    route="all" runs everything except the slow oracle check (request
+    route="oracle" for it).  tol_override replaces each check's tolerance,
+    so an unattainable override reports the measured deviations as failures.
+    Before any check, InvalidParams rejects zero coupling, a mass at which
+    m^2 - E^2 is not representable at the top of the selected routes'
+    bracket (level n_max's shooting bracket, or the bisection bracket of
+    the analytic routes), and, for the analytic routes, a level n_max above
+    the bisection bracket: each analytic selection runs spectrum_route_equality.
     """
-    # level 1 exists in both channels, so this applies the zero-coupling rule
-    require_level(params, 1)
-    params.decay_constant(QUANTIZATION_BRACKET[1] * params.m)
+    require_level(params, 1)  # level 1 is in both channels: the zero-coupling rule
+    top = level_bracket(params, n_max)[1] if route == "oracle" else (
+        QUANTIZATION_BRACKET[1] * params.m)
+    params.decay_constant(top)
+    if route != "oracle" and energy_closed_form(n_max, params).E > top:
+        raise InvalidParams(f"n={n_max}: a level with m - E < 1e-9 m lies above "
+                            "the bisection bracket")
     selected = [(name, fn) for name, fn, tags in ALL_CHECKS
                 if (name != "oracle_spectrum" if route == "all" else route in tags)]
     kwargs = {} if tol_override is None else {"tol": tol_override}

@@ -371,8 +371,10 @@ CONTRACT_BREAKS = [
                    ("verify", "--coupling", "0.5", "--n-max", "1"))
       for m in ("1e-300", "1e-160", "1e200")),
     # the level lies less than 1e-9 m below m, above the quantization bracket
-    (("spectrum", "--n-max", "1", "--route", "standard"), "coupling", "1e-7",
-     "a level with m - E < 1e-9 m lies above the bisection bracket"),
+    *((base, "coupling", "1e-7",
+       "a level with m - E < 1e-9 m lies above the bisection bracket")
+      for base in (("spectrum", "--n-max", "1", "--route", "standard"),
+                   ("verify", "--n-max", "1"))),
 ]
 
 
@@ -419,6 +421,21 @@ def test_wavefunction_at_extreme_radii_has_a_finite_residual(capsys, extra):
     assert math.isfinite(json.loads(out)["system_residual"])
 
 
+@pytest.mark.parametrize("as_config", (False, True), ids=("flag", "config"))
+def test_oracle_verify_answers_where_spectrum_does(capsys, tmp_path, as_config):
+    # m^2 - E^2 is representable up to the oracle's level brackets at this
+    # mass, though not at the top of the analytic bisection bracket
+    argv = ("--coupling", "0.5", "--n-max", "1", "--route", "oracle")
+    if as_config:
+        (tmp_path / "run.cfg").write_text("mass = 1e-160\n")
+        extra = ("--config", str(tmp_path / "run.cfg"))
+    else:
+        extra = ("--mass", "1e-160")
+    assert run_cli(capsys, "spectrum", *argv, *extra)[0] == EXIT_OK
+    code, out, _ = run_cli(capsys, "verify", *argv, *extra)
+    assert code == EXIT_OK and out.startswith("[PASS] oracle_spectrum")
+
+
 @pytest.mark.parametrize("mass", ("1e-150", "1e-20", "1e150"))
 def test_oracle_spectrum_at_extreme_masses(capsys, mass):
     code, out, _ = run_cli(capsys, "spectrum", "--route", "oracle", "--coupling", "0.5",
@@ -427,7 +444,7 @@ def test_oracle_spectrum_at_extreme_masses(capsys, mass):
     for row in out.splitlines()[1:]:
         n, E_over_m = int(row.split(",")[0]), float(row.split(",")[5])
         ref = energy_closed_form(n, SystemParams(0.5, 1)).E
-        assert abs(E_over_m - ref) / ref < 1e-14
+        assert abs(E_over_m - ref) / ref < 1e-12
 
 
 def test_zero_tolerance_stays_the_unattainable_override(capsys):

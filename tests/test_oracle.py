@@ -1,6 +1,7 @@
 """Tests for the shooting-method cross-check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,13 +194,14 @@ def test_shoot_evaluation_budget(monkeypatch):
 
 @pytest.mark.parametrize("m", (1e-150, 1e-20, 1e-16, 0.51099895, 938.272, 1e150))
 def test_shooting_is_scale_free_in_the_mass(m):
-    # the search runs in units of m, so the integrator's absolute step-size
-    # heuristics see the same problem at every mass
+    # the shooting legs run in units of 1/m, so the integrator's absolute
+    # step-size heuristics see the same problem at every mass; the energy is
+    # then as accurate as the integration (rtol 1e-12) allows at any mass
     p = SystemParams(0.5, 1, m)
     level = shoot_energy(p, *level_bracket(p, 2))
     ref = energy_closed_form(2, p).E
     assert level.n == 2
-    assert abs(level.E - ref) / ref < 1e-14
+    assert abs(level.E - ref) / ref < 1e-12
 
 
 @pytest.mark.parametrize("m", (1e-150, 1e-20, 1e150))
@@ -212,6 +214,18 @@ def test_integration_is_scale_free_in_the_mass(m):
     analytic = normalize(solve_heun_full(p, 1, grid=grid))
     assert np.max(np.abs(oracle_sol.f - analytic.f)) / np.max(np.abs(analytic.f)) < 1e-5
     assert np.max(np.abs(oracle_sol.g - analytic.g)) / np.max(np.abs(analytic.g)) < 1e-5
+
+
+@pytest.mark.parametrize("m", (1e-150, 1e150))
+def test_bracket_scan_is_scale_free_in_the_mass(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        brackets = scan_brackets(SystemParams(0.5, 1, m), points=20)
+    at_unit_mass = scan_brackets(SystemParams(0.5, 1), points=20)
+    assert len(brackets) == len(at_unit_mass) >= 1
+    for (lo, hi), (lo1, hi1) in zip(brackets, at_unit_mass):
+        assert lo / m == pytest.approx(lo1, rel=1e-14)
+        assert hi / m == pytest.approx(hi1, rel=1e-14)
 
 
 def test_shoot_small_coupling_excited_level():

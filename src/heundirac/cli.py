@@ -9,9 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters
 (InvalidParams: the request has no answer), 3 solver non-convergence
 (NoConvergence: a solver stopped without an answer).  A non-finite or
 non-half-integer j, a negative n-max, a tol that is negative or not
-finite, non-finite grid radii, an r-max past 745/lambda and a mass at which
-m^2 - E^2 overflows or underflows exit 2 with a message, as flags and as
-config keys alike.
+finite, non-finite grid radii, an r-max past 745/lambda and a level whose
+decay constant m e / sqrt(N^2 + e^2) underflows to 0 exit 2 with a message,
+as flags and as config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
 lists them).  Flags override config-file keys, which override defaults.
@@ -242,10 +242,10 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     route = "standard" if cfg.route == "all" else cfg.route
     params = cfg.system_params()
     require_level(params, n)
-    E = energy_closed_form(n, params).E
-    grid = routes.default_grid(params, E, cfg.grid_points, cfg.r_min, cfg.r_max)
+    level = energy_closed_form(n, params)
+    grid = routes.default_grid(level.lam, cfg.grid_points, cfg.r_min, cfg.r_max)
     if route == "oracle":
-        sol = oracle.integrate_radial(params, E, grid=grid)
+        sol = oracle.integrate_radial(params, level.E, grid=grid)
     else:
         sol = _SOLVERS[route](params, n, grid=grid)
     sol = routes.normalize(sol)

@@ -32,12 +32,6 @@ from .specfun import HeunCParams
 #: analytic solution routes, in report order
 ANALYTIC_ROUTES = ("standard", "mixed1", "mixed2", "heun")
 
-# Reject energies this close to m: the scaled variables mu, eps blow up.
-LAMBDA_GUARD = 1e-12
-
-#: energies (lo, hi), in units of m, that solve_quantization bisects between
-QUANTIZATION_BRACKET = (0.01, 1.0 - 1e-9)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -77,16 +71,11 @@ class SystemParams:
         return math.sqrt(self.nu * self.nu - self.e * self.e)
 
     def decay_constant(self, E: float) -> float:
-        """lam = sqrt(m^2 - E^2): bound states fall off like exp(-lam r).
-        Raises InvalidParams where m^2 - E^2 overflows or underflows to 0."""
-        try:
-            lam_sq = self.m ** 2 - E ** 2
-        except OverflowError:
-            lam_sq = math.inf
-        if lam_sq == 0.0 or lam_sq == math.inf:
-            raise InvalidParams(f"m^2 - E^2 is not representable at m={self.m}, E={E}: "
-                                "the mass is too large or too small")
-        return math.sqrt(lam_sq)
+        """lam = sqrt(m^2 - E^2) from E alone, for the formula-free oracle:
+        bound states fall off like exp(-lam r).  Scale-free, so it neither
+        overflows nor underflows at any mass; the analytic layer carries
+        each level's exact lam instead (EnergyLevel.lam)."""
+        return self.m * math.sqrt(1.0 - (E / self.m) ** 2)
 
 
 @dataclass(frozen=True)
@@ -124,55 +113,68 @@ class StandardVars:
 
 @dataclass(frozen=True)
 class EnergyLevel:
-    """One bound level: quantum numbers, energy and provenance route."""
+    """One bound level: quantum numbers, energy, provenance route and the
+    decay constant lam = sqrt(m^2 - E^2), carried rather than recomputed
+    from E, where m - E cancels at weak coupling."""
 
     n: int
     nu: int
     parity: int
     E: float
     route: str
+    lam: float
 
 
-def require_bound_energy(params: SystemParams, E: float, guard: float = LAMBDA_GUARD):
-    """Raise InvalidParams unless 0 < E < m, and E stays `guard` (relative)
-    below m, where the scaled variables mu, eps blow up."""
+def require_bound_energy(params: SystemParams, E: float):
+    """Raise InvalidParams unless 0 < E < m: the energy of a bound state."""
     if not (0.0 < E < params.m):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
-    if E >= params.m * (1.0 - guard):
-        raise InvalidParams(
-            f"E={E} is within {guard} of m: sqrt(m^2-E^2) underflows"
-        )
 
 
-def mixing_case(case_id: str, params: SystemParams, E: float) -> MixingCase:
-    """Resolve rotation case 1 (sin A = e/nu) or 2 (cos A = E/m_eff) at energy E.
+def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
+    """Resolve rotation case 1 (sin A = e/nu) or 2 (cos A = E/m_eff,
+    sin A = lam/m) at energy E with decay constant lam.
 
-    Case 1 needs subcritical coupling only, case 2 needs 0 < |E| < m.  Each
-    carries its singular point:
+    Case 1 needs subcritical coupling only, case 2 needs 0 < E <= m (E may
+    round to m where lam > 0 still resolves the level).  Each carries its
+    singular point:
 
         R = -2e / (E + m_eff cos A),      D = -(e + nu sin A) / (2E).
+
+    Neither takes a difference that cancels at weak coupling: the case-2
+    half angles take m - E as lam^2/(m + E), and at parity -1 the case-1
+    E - m cos A is factored through E^2 - m^2 cos^2 A = m^2 sin^2 A - lam^2.
+    Each is formed in units of m, so no mass overflows it.
     """
-    e, nu, m_eff = params.e, params.nu, params.m_eff
+    e, nu, m, m_eff = params.e, params.nu, params.m, params.m_eff
     if case_id == "1":
         root = params.frobenius_exponent
-        cos_a = math.sqrt(1.0 - (e / nu) ** 2)
-        denom = E + m_eff * cos_a
-        return MixingCase("1", e / nu, cos_a, math.sqrt((nu + root) / (2.0 * nu)),
-                          math.sqrt((nu - root) / (2.0 * nu)),
+        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
+        if params.parity == 1:
+            denom = E + m * cos_a
+        else:   # E - m cos A = m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A)
+            t = lam / m
+            denom = m * (sin_a - t) * (sin_a + t) / (E / m + cos_a)
+        # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
+        return MixingCase("1", sin_a, cos_a, math.sqrt((nu + root) / (2.0 * nu)),
+                          e / math.sqrt(2.0 * nu * (nu + root)),
                           -2.0 * e / denom if denom != 0.0 else math.inf)
     if case_id == "2":
-        if not abs(E) < params.m:
-            raise InvalidParams(f"case 2 requires |E| < m, got E={E}")
-        if E == 0.0:
-            raise InvalidParams("case 2 singular point diverges at E = 0")
-        sin_a = math.sqrt(1.0 - (E / params.m) ** 2)
-        return MixingCase("2", sin_a, E / m_eff, math.sqrt((m_eff + E) / (2.0 * m_eff)),
-                          math.sqrt((m_eff - E) / (2.0 * m_eff)),
+        if not 0.0 < E <= m:
+            raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
+                                f"diverges at E = 0), got E={E}")
+        sin_a = lam / m
+        # sqrt((m + E)/(2m)) and sqrt((m - E)/(2m)) = (lam/m)/(2 sqrt((m + E)/(2m)))
+        wide = math.sqrt(0.5 + 0.5 * E / m)
+        narrow = 0.5 * sin_a / wide
+        cos_half, sin_half = (wide, narrow) if params.parity == 1 else (narrow, wide)
+        return MixingCase("2", sin_a, E / m_eff, cos_half, sin_half,
                           -(e + nu * sin_a) / (2.0 * E))
     raise InvalidParams(f"unknown mixing case {case_id!r}; use 1 or 2")
 
 
-def singular_point_D_consistency(params: SystemParams, E: float) -> tuple[float, float]:
+def singular_point_D_consistency(params: SystemParams, E: float,
+                                 lam: float) -> tuple[float, float]:
     """The case-2 singular point from both printed forms.
 
     D_a = -(e + nu sin A)/(2 m_eff cos A) and D_b = -(e + nu sin A)/(2E)
@@ -180,56 +182,54 @@ def singular_point_D_consistency(params: SystemParams, E: float) -> tuple[float,
     """
     if E == 0.0:
         raise InvalidParams("both forms of D diverge at E = 0")
-    case = mixing_case("2", params, E)
+    case = mixing_case("2", params, E, lam)
     num = -(params.e + params.nu * case.sin_a)
     d_a = num / (2.0 * params.m_eff * case.cos_a)
     d_b = num / (2.0 * E)
     return d_a, d_b
 
 
-def _rotated_heun_params(params: SystemParams, E: float, case_id: str) -> HeunCParams:
+def _rotated_heun_params(params: SystemParams, E: float, lam: float,
+                         case_id: str) -> HeunCParams:
     """Confluent-Heun parameters of the rotated equation for F in y = r/X,
     X the singular point of the case (R for case 1, D for case 2).
 
-    With a = sqrt(nu^2-e^2) and b = -sqrt(m^2-E^2)*X, the signs of the
-    normalizable branch:
+    With a = sqrt(nu^2-e^2) and b = -lam*X, the signs of the normalizable
+    branch:
 
         alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
         eta = 1 + m_eff X sin A - 2eEX - nu cos A.
     """
-    require_bound_energy(params, E)
-    case = mixing_case(case_id, params, E)
+    case = mixing_case(case_id, params, E, lam)
     X = case.singular_point
     if not math.isfinite(X):
         raise InvalidParams(
             "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
         )
-    b = -params.decay_constant(E) * X
+    b = -lam * X
     delta = 2.0 * params.e * E * X
     eta = 1.0 + params.m_eff * X * case.sin_a - delta - params.nu * case.cos_a
     return HeunCParams(2.0 * b, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
 
 
-def heun_params_case1(params: SystemParams, E: float) -> HeunCParams:
+def heun_params_case1(params: SystemParams, E: float, lam: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-1 equation for F in y = r/R."""
-    return _rotated_heun_params(params, E, "1")
+    return _rotated_heun_params(params, E, lam, "1")
 
 
-def heun_params_case2(params: SystemParams, E: float) -> HeunCParams:
+def heun_params_case2(params: SystemParams, E: float, lam: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-2 equation for F in y = r/D."""
-    return _rotated_heun_params(params, E, "2")
+    return _rotated_heun_params(params, E, lam, "2")
 
 
-def heun_params_full(params: SystemParams, E: float) -> HeunCParams:
+def heun_params_full(params: SystemParams, E: float, lam: float) -> HeunCParams:
     """Parameters of the single-function route in x = -(E+m) r / e.
 
-    alpha = 2e sqrt((m-E)/(m+E)), beta = 2 sqrt(nu^2-e^2), gamma = -2,
-    delta = -2Ee^2/(E+m), eta = 1 - nu_s + 2Ee^2/(E+m), where nu_s is the
-    parity-signed angular number (the negative-parity channel is obtained
-    by nu -> -nu together with swapping the roles of f and g).
+    alpha = 2e lam/(E+m) = 2e sqrt((m-E)/(m+E)), beta = 2 sqrt(nu^2-e^2),
+    gamma = -2, delta = -2Ee^2/(E+m), eta = 1 - nu_s + 2Ee^2/(E+m), where
+    nu_s is the parity-signed angular number (the negative-parity channel
+    is obtained by nu -> -nu together with swapping the roles of f and g).
     """
-    require_bound_energy(params, E)
-    lam = params.decay_constant(E)
     alpha = 2.0 * lam * params.e / (E + params.m)
     beta = 2.0 * params.frobenius_exponent
     nu_s = params.parity * params.nu
@@ -243,11 +243,21 @@ def _require_index(n: int):
 
 
 def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
-    """Closed-form bound energy E = m / sqrt(1 + e^2/(n + sqrt(nu^2-e^2))^2)."""
+    """Closed-form bound level: with N = n + sqrt(nu^2 - e^2),
+
+        E = m / sqrt(1 + e^2/N^2),    lam = m e / sqrt(N^2 + e^2),
+
+    both exact (lam never passes through m^2 - E^2).  Raises InvalidParams
+    where lam underflows to 0, which only m e below ~1e-323 reaches.
+    """
     _require_index(n)
     N = n + params.frobenius_exponent
     E = params.m / math.sqrt(1.0 + (params.e / N) ** 2)
-    return EnergyLevel(int(n), params.nu, params.parity, E, "closed")
+    lam = params.m * (params.e / math.hypot(N, params.e))
+    if params.e > 0.0 and lam == 0.0:
+        raise InvalidParams(f"the decay constant m e / sqrt(N^2 + e^2) underflows to 0 "
+                            f"at m={params.m}, e={params.e}")
+    return EnergyLevel(int(n), params.nu, params.parity, E, "closed", lam)
 
 
 def require_level(params: SystemParams, n: int):
@@ -283,19 +293,20 @@ def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:
     return 0.5 * (below + E), 0.5 * (E + above)
 
 
-def standard_vars(params: SystemParams, E: float) -> StandardVars:
-    """Scaled variables (lam, mu, eps, a_frob) at energy E."""
-    require_bound_energy(params, E)
-    lam = params.decay_constant(E)
+def standard_vars(params: SystemParams, E: float, lam: float) -> StandardVars:
+    """Scaled variables (lam, mu, eps, a_frob) at energy E with decay constant lam."""
+    if not lam > 0.0:
+        raise InvalidParams(f"mu = e m/lam and eps = e E/lam need lam > 0, got lam={lam}")
     mu = params.e * params.m / lam
     eps = params.e * E / lam
     a_frob = math.sqrt(eps * eps - mu * mu + params.nu ** 2)
     return StandardVars(lam, mu, eps, a_frob)
 
 
-def quantization_residuals(params: SystemParams, E: float, n: int,
+def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
                            routes: tuple[str, ...] = ANALYTIC_ROUTES) -> dict[str, float]:
-    """Signed residual of each requested route's quantization condition at (E, n).
+    """Signed residual of each requested route's quantization condition at
+    (E, lam) for level n.
 
     Only the parameter maps of the routes named in `routes` are built, so
     one route's residual neither pays for nor fails on another route's
@@ -309,19 +320,18 @@ def quantization_residuals(params: SystemParams, E: float, n: int,
     prefactors relative to the standard one, so their signs differ while
     their roots coincide.
     """
-    require_bound_energy(params, E)
     residuals = {}
     for route in routes:
         if route == "standard":
-            sv = standard_vars(params, E)
+            sv = standard_vars(params, E, lam)
             residuals[route] = sv.eps - sv.a_frob - n
             continue
         if route == "mixed1":
-            hp = heun_params_case1(params, E)
+            hp = heun_params_case1(params, E, lam)
         elif route == "mixed2":
-            hp = heun_params_case2(params, E)
+            hp = heun_params_case2(params, E, lam)
         elif route == "heun":
-            hp = heun_params_full(params, E)
+            hp = heun_params_full(params, E, lam)
         else:
             raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
         residuals[route] = hp.delta + (n + 0.5 * (hp.beta + hp.gamma + 2.0)) * hp.alpha
@@ -329,57 +339,46 @@ def quantization_residuals(params: SystemParams, E: float, n: int,
 
 
 def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
-    """Root-find one route's quantization condition in E by bisection.
+    """Root-find one route's quantization condition by bisection in t = lam/m.
 
-    Brackets on QUANTIZATION_BRACKET, (0.01 m, m(1 - 1e-9)); eps(E) is
-    strictly increasing there, so each condition changes sign exactly once.
-    A level with m - E < 1e-9 m (couplings below about 4e-5) lies above
-    the bracket and raises InvalidParams.  Bisects down to a bracket of
-    1e-14 m.  Each step evaluates only this route's condition: the other
-    routes' parameter maps are never built.
+    Each trial point is E = m sqrt((1 - t)(1 + t)), lam = m t, so lam is
+    never formed from E and the bracket has no top: it is 0 < t < 1.
+    Every condition is a fixed-sign multiple of e E - (n + a) lam, with
+    a = sqrt(nu^2 - e^2): 1/lam for standard, negative for the three Heun
+    maps.  So each changes sign exactly once, and its sign as t -> 0 (+ for
+    standard, - for the others) orients the bracket without evaluating
+    either end.  Bisects down to a bracket of 1e-14 in t, which resolves E
+    to better than 1e-14 m.  Each step evaluates only this route's
+    condition: the other routes' parameter maps are never built.
 
-    The mixed1 condition carries R = -2e/(E + m_eff cos A), whose pole at
-    parity -1 is the n = 0 energy m cos A: it is bisected times
-    E + m_eff cos A, which cancels the pole and is positive at parity +1.
-    The n = 0 level at parity -1, on the pole itself, raises InvalidParams.
+    The mixed1 multiple carries R = -2e/(E + m_eff cos A), whose pole at
+    parity -1 is the n = 0 energy m cos A, at t = sin A = e/nu: there the
+    bracket ends at the pole, below which every n >= 1 level lies.  The
+    n = 0 level at parity -1, on the pole itself, raises InvalidParams.
     """
     # level_channel puts n = 0 at parity -1: only the index and coupling rules apply
     require_level(level_channel(params, n), n)
     m = params.m
-    shift = None
-    if route == "mixed1":
-        if n == 0 and params.parity == -1:
+    lo, hi = 0.0, 1.0
+    if route == "mixed1" and params.parity == -1:
+        if n == 0:
             raise InvalidParams(
                 "mixed1 cannot solve n=0 at parity -1: the level sits on the case-1 "
                 "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
             )
-        shift = params.m_eff * mixing_case("1", params, m).cos_a
+        hi = params.e / params.nu
 
-    def residual(E: float) -> float:
-        value = quantization_residuals(params, E, n, (route,))[route]
-        return value if shift is None else value * (E + shift)
+    def point(t: float) -> tuple[float, float]:
+        return m * math.sqrt((1.0 - t) * (1.0 + t)), m * t
 
-    lo, hi = (m * s for s in QUANTIZATION_BRACKET)
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        return EnergyLevel(int(n), params.nu, params.parity, lo, route)
-    if f_hi == 0.0:
-        return EnergyLevel(int(n), params.nu, params.parity, hi, route)
-    if f_lo * f_hi > 0.0:
-        message = (f"quantization condition for route {route!r} has no root in "
-                   f"({lo}, {hi}) at n={n}")
-        if energy_closed_form(n, params).E > hi:
-            message += ": a level with m - E < 1e-9 m lies above the bisection bracket"
-        raise InvalidParams(message)
-    while hi - lo > 1e-14 * m:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if f_mid == 0.0:
+        value = quantization_residuals(params, *point(mid), n, (route,))[route]
+        if value == 0.0:
             lo = hi = mid
-            break
-        if f_lo * f_mid < 0.0:
-            hi = mid
+        elif (value > 0.0) == (route == "standard"):
+            lo = mid   # the t -> 0 sign: the root lies above mid
         else:
-            lo, f_lo = mid, f_mid
-    E = 0.5 * (lo + hi)
-    return EnergyLevel(int(n), params.nu, params.parity, E, route)
+            hi = mid
+    E, lam = point(0.5 * (lo + hi))
+    return EnergyLevel(int(n), params.nu, params.parity, E, route, lam)

@@ -64,7 +64,7 @@ def frobenius_start(params: SystemParams, E: float, r_start: float):
     """
     if params.e <= 0.0:
         raise InvalidParams("the Frobenius start needs e > 0")
-    require_bound_energy(params, E, guard=0.0)
+    require_bound_energy(params, E)
     s = params.frobenius_exponent
     kappa_ratio = -(s + params.nu) / params.e
     f0 = r_start ** s
@@ -119,7 +119,7 @@ def integrate_radial(params: SystemParams, E: float,
 
     The integration runs from R_START_SCALE/lam to the last grid radius,
     which may not lie past R_FAR_SCALE/lam; the default grid is
-    default_grid(params, E).  It runs in units of 1/m (the system at
+    default_grid(lam).  It runs in units of 1/m (the system at
     m = 1, energy E/m, radius m r), so it needs no mass-dependent step
     size or tolerance.  Raises NoConvergence when the solution exceeds
     OVERFLOW_CAP.
@@ -130,11 +130,11 @@ def integrate_radial(params: SystemParams, E: float,
     angles at r_match = 1/lam), but wavefunction comparisons should stay
     inside that window.
     """
-    require_bound_energy(params, E, guard=0.0)
+    require_bound_energy(params, E)
     lam = params.decay_constant(E)
     r_start = R_START_SCALE / lam
     if grid is None:
-        grid = default_grid(params, E)
+        grid = default_grid(lam)
     r = grid.r
     if r[0] < r_start or r[-1] > R_FAR_SCALE / lam:
         raise InvalidParams("grid must lie within [r_start, r_far]")
@@ -163,7 +163,7 @@ def integrate_radial(params: SystemParams, E: float,
         raise NoConvergence(f"solution exceeded {OVERFLOW_CAP:g} at E={E}")
     if not sol.success:
         raise NoConvergence(f"dop853 failed at E={E}: {sol.message}")
-    level = EnergyLevel(-1, params.nu, params.parity, E, "oracle")
+    level = EnergyLevel(-1, params.nu, params.parity, E, "oracle", lam)
     return RadialSolution(grid, sol.y[0], sol.y[1], level, "oracle", params)
 
 
@@ -209,7 +209,8 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
                 f"Brent refinement did not converge within {MAX_ITERATIONS} steps"
             )
     n = round(best["delta"] / math.pi) + 1
-    return EnergyLevel(n, params.nu, params.parity, float(E), "oracle")
+    return EnergyLevel(n, params.nu, params.parity, float(E), "oracle",
+                       params.decay_constant(E))
 
 
 def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,

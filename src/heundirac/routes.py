@@ -123,13 +123,12 @@ class CoefficientRatio:
     from_second_equation: float
 
 
-def default_grid(params: SystemParams, E: float, points: int = GRID_POINTS,
+def default_grid(lam: float, points: int = GRID_POINTS,
                  r_min: float | None = None, r_max: float | None = None) -> RadialGrid:
     """Geometric grid of `points` radii from r_min (default 0.01/lam) to
-    r_max (default 40/lam)."""
+    r_max (default 40/lam), lam the decay constant of the level."""
     if points < 2:
         raise InvalidParams(f"grid needs at least 2 points, got {points}")
-    lam = params.decay_constant(E)
     r_min = GRID_RMIN_SCALE / lam if r_min is None else r_min
     r_max = GRID_RMAX_SCALE / lam if r_max is None else r_max
     if not (0 < r_min < r_max < math.inf):
@@ -161,17 +160,16 @@ def _kummer_polynomial(n_index: int, denom: float) -> np.ndarray:
     return kummer_series_coefficients(KummerParams(-float(n_index), denom), n_index + 1)
 
 
-def _level_energy(params: SystemParams, n: int, energy=None) -> float:
-    """Energy of level n (the closed form unless given); raises unless n exists."""
+def _level_grid(params: SystemParams, n: int, grid: RadialGrid | None):
+    """(closed-form level n with its exact lam, the grid or the level's
+    default grid); raises unless level n exists."""
     require_level(params, n)
-    if energy is not None:
-        return float(energy)
-    return energy_closed_form(n, params).E
+    level = energy_closed_form(n, params)
+    return level, default_grid(level.lam) if grid is None else grid
 
 
-def _finish(params, n, E, route, grid, f, g) -> RadialSolution:
-    level = EnergyLevel(int(n), params.nu, params.parity, E, route)
-    return RadialSolution(grid, f, g, level, route, params)
+def _finish(params, level, route, grid, f, g) -> RadialSolution:
+    return RadialSolution(grid, f, g, replace(level, route=route), route, params)
 
 
 # ----------------------------------------------------------------------
@@ -192,12 +190,11 @@ def solve_standard(params: SystemParams, n: int,
     C2/C1 = -(nu_signed + mu_signed)/(A + eps), which degenerates to
     C2 = 0 exactly at the nodeless level.
     """
-    E = _level_energy(params, n)
-    sv = standard_vars(params, E)
+    level, grid = _level_grid(params, n, grid)
+    E = level.E
+    sv = standard_vars(params, E, level.lam)
     lam, A, eps = sv.lam, sv.a_frob, sv.eps
     mu_s = params.parity * sv.mu
-    if grid is None:
-        grid = default_grid(params, E)
     r = grid.r
     y = 2.0 * lam * r
 
@@ -213,13 +210,12 @@ def solve_standard(params: SystemParams, n: int,
     else:
         comp2 = np.zeros_like(y)
 
-    if params.parity == 1:
-        p, q = math.sqrt(params.m + E), math.sqrt(params.m - E)
-    else:
-        p, q = math.sqrt(params.m - E), -math.sqrt(params.m + E)
+    # sqrt(m + E) and sqrt(m - E) = lam/sqrt(m + E)
+    wide = math.sqrt(params.m + E)
+    p, q = (wide, lam / wide) if params.parity == 1 else (lam / wide, -wide)
     f = p * (comp1 + comp2)
     g = q * (comp1 - comp2)
-    return _finish(params, n, E, "standard", grid, f, g)
+    return _finish(params, level, "standard", grid, f, g)
 
 
 # ----------------------------------------------------------------------
@@ -252,27 +248,14 @@ def _heun_part(hp: HeunCParams, n: int, singular_point: float, r: np.ndarray):
     return val, dval
 
 
-def _rotation_frame(params: SystemParams, n: int, grid: RadialGrid | None,
-                    energy, case_id: str):
-    """Shared setup of the rotation routes: (E, case, lam, a, r)."""
-    E = _level_energy(params, n, energy)
-    case = mixing_case(case_id, params, E)
-    lam = params.decay_constant(E)
-    if grid is None:
-        grid = default_grid(params, E)
-    return E, case, lam, params.frobenius_exponent, grid.r
-
-
 def _solve_rotated(parts, route: str, params: SystemParams, n: int,
                    grid: RadialGrid | None) -> RadialSolution:
     """Rotate a case's calibrated (F, G) back to (f, g) by the half angle A/2."""
-    E = _level_energy(params, n)
-    if grid is None:
-        grid = default_grid(params, E)
-    _, f_part, _, g_part, _, case = parts(params, n, grid, E)
+    level, grid = _level_grid(params, n, grid)
+    _, f_part, _, g_part, _, case = parts(params, level, grid.r)
     f = case.cos_half * f_part + case.sin_half * g_part
     g = -case.sin_half * f_part + case.cos_half * g_part
-    return _finish(params, n, E, route, grid, f, g)
+    return _finish(params, level, route, grid, f, g)
 
 
 def _calibrate(target: np.ndarray, implied: np.ndarray, scale_hint: float):
@@ -293,20 +276,20 @@ def _calibrate(target: np.ndarray, implied: np.ndarray, scale_hint: float):
     )
 
 
-def case1_g_from_f(params: SystemParams, E: float, r: np.ndarray,
+def case1_g_from_f(params: SystemParams, E: float, lam: float, r: np.ndarray,
                    f_part: np.ndarray, df_part: np.ndarray) -> np.ndarray:
     """Map the case-1 F amplitude to G through the first-order relation.
 
     G = (dF/dr + (nu cos A / r) F - m_eff sin A F) / (-2e/r - E - m_eff cos A).
     """
-    case = mixing_case("1", params, E)
+    case = mixing_case("1", params, E, lam)
     num = df_part + (params.nu * case.cos_a / r) * f_part \
         - params.m_eff * case.sin_a * f_part
     den = -2.0 * params.e / r - E - params.m_eff * case.cos_a
     return num / den
 
 
-def case1_f_from_g(params: SystemParams, E: float, r: np.ndarray,
+def case1_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
                    g_part: np.ndarray, dg_part: np.ndarray) -> np.ndarray:
     """Map the case-1 G amplitude back to F (constant prefactor).
 
@@ -314,7 +297,7 @@ def case1_f_from_g(params: SystemParams, E: float, r: np.ndarray,
     The denominator vanishes identically at the nodeless level of the
     channel, where this direction of the map is unusable.
     """
-    case = mixing_case("1", params, E)
+    case = mixing_case("1", params, E, lam)
     den = E - params.m_eff * case.cos_a
     if abs(den) < 1e-13 * params.m:
         raise InvalidParams(
@@ -325,17 +308,17 @@ def case1_f_from_g(params: SystemParams, E: float, r: np.ndarray,
     return num / den
 
 
-def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
-                 energy: float | None = None):
-    """Calibrated case-1 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
-    E, case, lam, a, r = _rotation_frame(params, n, grid, energy, "1")
+def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
+    """Calibrated case-1 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
+    n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
+    case = mixing_case("1", params, E, lam)
 
     g_part, dg_part = _kummer_part(n, 2.0 * a, lam, a, r)
 
     if n >= 1:
-        hp = heun_params_case1(params, E)
+        hp = heun_params_case1(params, E, lam)
         f_part, df_part = _heun_part(hp, n, case.singular_point, r)
-        implied = case1_g_from_f(params, E, r, f_part, df_part)
+        implied = case1_g_from_f(params, E, lam, r, f_part, df_part)
         t = _calibrate(g_part, implied, float(np.max(np.abs(g_part))))
         f_part, df_part = t * f_part, t * df_part
     else:
@@ -347,20 +330,26 @@ def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
     return r, f_part, df_part, g_part, dg_part, case
 
 
+def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
+    """Calibrated case-1 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
+    level, grid = _level_grid(params, n, grid)
+    return _case1_parts(params, level, grid.r)
+
+
 def solve_mixed_case1(params: SystemParams, n: int,
                       grid: RadialGrid | None = None) -> RadialSolution:
     """Rotation case 1: G from Kummer, F from a Heun polynomial in r/R."""
-    return _solve_rotated(mixed1_parts, "mixed1", params, n, grid)
+    return _solve_rotated(_case1_parts, "mixed1", params, n, grid)
 
 
-def case2_f_from_g(params: SystemParams, E: float, r: np.ndarray,
+def case2_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
                    g_part: np.ndarray, dg_part: np.ndarray) -> np.ndarray:
     """Map the case-2 G amplitude to F through the first-order relation.
 
     F = r (dG/dr - (nu cos A / r) G + m_eff sin A G) / (e - nu sin A).
     The denominator vanishes exactly at the nodeless level.
     """
-    case = mixing_case("2", params, E)
+    case = mixing_case("2", params, E, lam)
     den = params.e - params.nu * case.sin_a
     if abs(den) < 1e-13 * max(params.e, 1.0):
         raise InvalidParams(
@@ -371,12 +360,12 @@ def case2_f_from_g(params: SystemParams, E: float, r: np.ndarray,
     return r * num / den
 
 
-def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
-                 energy: float | None = None):
-    """Calibrated case-2 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
-    E, case, lam, a, r = _rotation_frame(params, n, grid, energy, "2")
+def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
+    """Calibrated case-2 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
+    n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
+    case = mixing_case("2", params, E, lam)
 
-    hp = heun_params_case2(params, E)
+    hp = heun_params_case2(params, E, lam)
     f_part, df_part = _heun_part(hp, n, case.singular_point, r)
 
     # The G equation picks up a parity-dependent 1/r term, shifting the
@@ -384,7 +373,7 @@ def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
     n_index = n if params.parity == 1 else n - 1
     if n_index >= 0:
         g_part, dg_part = _kummer_part(n_index, 2.0 * a + 1.0, lam, a, r)
-        implied = case2_f_from_g(params, E, r, g_part, dg_part)
+        implied = case2_f_from_g(params, E, lam, r, g_part, dg_part)
         t = _calibrate(implied, f_part, float(np.max(np.abs(implied))))
         f_part, df_part = t * f_part, t * df_part
     else:
@@ -395,10 +384,16 @@ def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None,
     return r, f_part, df_part, g_part, dg_part, case
 
 
+def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
+    """Calibrated case-2 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
+    level, grid = _level_grid(params, n, grid)
+    return _case2_parts(params, level, grid.r)
+
+
 def solve_mixed_case2(params: SystemParams, n: int,
                       grid: RadialGrid | None = None) -> RadialSolution:
     """Rotation case 2: G from Kummer (shifted denominator), F from Heun."""
-    return _solve_rotated(mixed2_parts, "mixed2", params, n, grid)
+    return _solve_rotated(_case2_parts, "mixed2", params, n, grid)
 
 
 # ----------------------------------------------------------------------
@@ -416,16 +411,13 @@ def solve_heun_full(params: SystemParams, n: int,
     negative-parity channel runs the same construction with nu -> -nu and
     the roles of the two components swapped.
     """
-    E = _level_energy(params, n)
-    if grid is None:
-        grid = default_grid(params, E)
-    r = grid.r
-    lam = params.decay_constant(E)
+    level, grid = _level_grid(params, n, grid)
+    E, r = level.E, grid.r
     A = params.frobenius_exponent
     nu_s = params.parity * params.nu
     m = params.m
 
-    hp = heun_params_full(params, E)
+    hp = heun_params_full(params, E, level.lam)
     C = 0.5 * hp.alpha
     coeffs = _heun_polynomial(hp, n)
     x = -(E + m) * r / params.e
@@ -440,7 +432,7 @@ def solve_heun_full(params: SystemParams, n: int,
         f, g = ft, gt
     else:
         f, g = gt, -ft
-    return _finish(params, n, E, "heun", grid, f, g)
+    return _finish(params, level, "heun", grid, f, g)
 
 
 #: wavefunction solver of each analytic route, keyed in ANALYTIC_ROUTES order
@@ -464,8 +456,8 @@ def coefficient_ratio(params: SystemParams, n: int) -> CoefficientRatio:
         raise InvalidParams(
             "C1/C2 is 0/0 at the nodeless level; the construction sets C2 = 0 there"
         )
-    E = energy_closed_form(n, params).E
-    sv = standard_vars(params, E)
+    level = energy_closed_form(n, params)
+    sv = standard_vars(params, level.E, level.lam)
     mu_s = params.parity * sv.mu
     nu_s = float(params.nu)
     first = (nu_s - mu_s) / n
@@ -488,25 +480,27 @@ def residual(solution: RadialSolution) -> float:
 
     Derivatives are taken by central finite differences on the solution's
     own grid; each equation residual is scaled by the local magnitude
-    |f| + |g| plus a small relative floor, and by the mass m, which makes
-    the result dimensionless (each term of the system is f/length).
+    |f| + |g| plus a small relative floor.  The terms are taken in units of
+    the peak of |f| + |g| and of 1/m (each term of the system is f/length),
+    which makes the result dimensionless and keeps every term in range at
+    any mass.
     """
     r = solution.grid.r
     if len(r) < 5:
         raise InvalidParams("residual needs at least 5 grid points")
     half = solution.grid._stencil[0]
-    f, g = solution.f, solution.g
-    params, E = solution.params, solution.level.E
-    df, dg = (_central_derivative(solution.grid, y) for y in (f, g))
-    ri, fi, gi = (y[half:len(r) - half] for y in (r, f, g))
-    m_eff = params.m_eff
-    res1 = df + (params.nu / ri) * fi + (E + params.e / ri + m_eff) * gi
-    res2 = dg - (params.nu / ri) * gi - (E + params.e / ri - m_eff) * fi
-    scale = np.abs(fi) + np.abs(gi) + RESIDUAL_FLOOR * np.max(np.abs(f) + np.abs(g))
-    if not np.any(scale > 0):
+    peak = np.max(np.abs(solution.f) + np.abs(solution.g))
+    if not peak > 0:
         return 0.0
-    worst = max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale))
-    return float(worst) / params.m
+    f, g = solution.f / peak, solution.g / peak
+    params, E, m = solution.params, solution.level.E, solution.params.m
+    df, dg = (_central_derivative(solution.grid, y) / m for y in (f, g))
+    mr, fi, gi = (y[half:len(r) - half] for y in (m * r, f, g))
+    w = E / m + params.e / mr
+    res1 = df + (params.nu / mr) * fi + (w + params.parity) * gi
+    res2 = dg - (params.nu / mr) * gi - (w - params.parity) * fi
+    scale = np.abs(fi) + np.abs(gi) + RESIDUAL_FLOOR
+    return float(max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale)))
 
 
 def normalize(solution: RadialSolution) -> RadialSolution:

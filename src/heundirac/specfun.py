@@ -238,6 +238,12 @@ def _residue_combinations(p: HeunCParams) -> tuple[float, float]:
     return u, s
 
 
+def _u_magnitude(p: HeunCParams) -> float:
+    """Summed magnitudes of the terms of u: the scale of its rounding noise."""
+    return 0.5 * (abs(p.alpha) + abs(p.alpha * p.beta) + abs(p.beta)
+                  + abs(p.beta * p.gamma) + abs(p.gamma) + 2.0 * abs(p.eta))
+
+
 def heunc_series_coefficients(p: HeunCParams, count: int) -> np.ndarray:
     """First `count` Frobenius coefficients c_k by the forward recurrence.
 
@@ -311,7 +317,9 @@ def heunc_truncation(p: HeunCParams):
       1e-12 of the maximum retained one.
 
     Collapsed sets are recomputed with the backward recurrence before
-    being returned.
+    being returned.  Raises NoConvergence when the backward head does not
+    reproduce the forward c_1 (the backward pass overflowed, or c_n is no
+    genuine leading coefficient).
     """
     try:
         n_cond = heunc_poly_degree(p, DEGREE_DETECT_TOL)
@@ -340,14 +348,16 @@ def heunc_truncation(p: HeunCParams):
         if head_max > 0 and np.all(tail < COLLAPSE_TOL * head_max):
             if n_cond == 0:
                 return 0, np.array([1.0])
-            back = _backward_coefficients(p, n_cond)
+            with np.errstate(all="ignore"):
+                back = _backward_coefficients(p, n_cond)
             # The backward pass assumes c_{n} is a genuine leading
-            # coefficient; cross-check it against the forward head (whose
-            # low-order entries are accurate) and fall back when the two
-            # disagree beyond cancellation noise.
-            if abs(back[1] - c[1]) <= 1e-6 * max(abs(c[1]), 1e-30):
+            # coefficient; cross-check it against the forward c_1 = -u/(beta+1),
+            # accurate to the rounding noise of u's terms, which exceed u
+            # itself by ~1/e^2 at weak coupling.
+            if abs(back[1] - c[1]) <= 1e-6 * _u_magnitude(p) / abs(p.beta + 1.0):
                 return n_cond, back
-            return n_cond, c[:n_cond + 1].copy()
+            raise NoConvergence(f"backward recurrence to degree {n_cond} gives c_1 = "
+                                f"{back[1]:.6e}, the forward recurrence {c[1]:.6e}")
     return None
 
 
@@ -437,8 +447,7 @@ def heunc_ode_residual(p: HeunCParams, z: float) -> float:
     # Backward-error scale: magnitudes of the assembled coefficient
     # pieces, so that solutions annihilating individual terms (e.g. the
     # constant polynomial) are still measured against O(1) ingredients.
-    u_mag = 0.5 * (abs(p.alpha) + abs(p.alpha * p.beta) + abs(p.beta)
-                   + abs(p.beta * p.gamma) + abs(p.gamma) + 2.0 * abs(p.eta))
+    u_mag = _u_magnitude(p)
     v_mag = u_mag + abs(p.delta)
     first_mag = (abs(p.alpha) + abs(p.beta + 1.0) / abs(z)
                  + abs(p.gamma + 1.0) / abs(z - 1.0)) * abs(h1)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, routes, specfun
-from .errors import HeunDiracError, InvalidParams
-from .model import (ANALYTIC_ROUTES, QUANTIZATION_BRACKET, SystemParams,
-                    energy_closed_form, heun_params_case1, heun_params_case2,
-                    heun_params_full, level_bracket, level_channel, mixing_case,
+from .errors import HeunDiracError
+from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
+                    heun_params_case1, heun_params_case2, heun_params_full,
+                    level_bracket, level_channel, mixing_case,
                     quantization_residuals, require_level,
                     singular_point_D_consistency, solve_quantization,
                     standard_vars)
@@ -50,8 +50,9 @@ def _check(name, tags, tol=None, first=0):
     """Register the decorated check in ALL_CHECKS as (name, check, tags).
 
     Without tol it is a whole-run check(params, n_max, tol).  With tol it
-    is the body(params, n, E) of a per-level check, yielding the deviations
-    of level n at its closed-form energy E; the check built here,
+    is the body(params, n, E, lam) of a per-level check, yielding the
+    deviations of level n at its closed-form energy E and decay constant
+    lam; the check built here,
     check(params, n_max, tol=tol), runs n = first..n_max and reports the
     running maximum, taken in the order yielded.
     """
@@ -63,7 +64,8 @@ def _check(name, tags, tol=None, first=0):
                     return _result(name, 0.0, tol, f"no n >= {first} level requested")
                 dev = 0.0
                 for n in range(first, n_max + 1):
-                    for value in fn(params, n, energy_closed_form(n, params).E):
+                    level = energy_closed_form(n, params)
+                    for value in fn(params, n, level.E, level.lam):
                         dev = max(dev, value)
                 return _result(name, dev, tol)
             check.__name__, check.__qualname__, check.__doc__ = (
@@ -80,7 +82,7 @@ def _level(params, n):
     store = {} if _store.get() is None else _store.get()
     if (p, n) not in store:
         require_level(p, n)
-        store[p, n] = p, routes.default_grid(p, energy_closed_form(n, p).E), {}
+        store[p, n] = p, routes.default_grid(energy_closed_form(n, p).lam), {}
     return store[p, n]
 
 
@@ -94,64 +96,64 @@ def _level_solutions(params, n):
 
 
 @_check("scaled_variable_identities", ANALYTIC_ROUTES, 1e-12)
-def check_scaled_variable_identities(params, n, E):
+def check_scaled_variable_identities(params, n, E, lam):
     """mu^2 - eps^2 = e^2 and a_frob = sqrt(nu^2 - e^2) at every level."""
-    sv = standard_vars(params, E)
+    sv = standard_vars(params, E, lam)
     yield abs(sv.mu ** 2 - sv.eps ** 2 - params.e ** 2) / max(params.e ** 2, 1e-30)
     root = params.frobenius_exponent
     yield abs(sv.a_frob - root) / root
 
 
 @_check("mixing_case_identities", ("mixed1", "mixed2"), 1e-14)
-def check_mixing_cases(params, n, E):
+def check_mixing_cases(params, n, E, lam):
     """Angle identities of both rotation cases at every level."""
     for cid in ("1", "2"):
-        c = mixing_case(cid, params, E)
+        c = mixing_case(cid, params, E, lam)
         yield abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0)
         yield abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0)
         yield abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a))
 
 
 @_check("singular_point_consistency", ("mixed2",), 1e-14)
-def check_singular_point_consistency(params, n, E):
+def check_singular_point_consistency(params, n, E, lam):
     """Both printed forms of the case-2 singular point agree."""
-    d_a, d_b = singular_point_D_consistency(params, E)
+    d_a, d_b = singular_point_D_consistency(params, E, lam)
     yield abs(d_a - d_b) / abs(d_a)
 
 
 @_check("parameter_map_identities", ("mixed1", "mixed2", "heun"), 1e-12)
-def check_parameter_map_identities(params, n, E):
+def check_parameter_map_identities(params, n, E, lam):
     """gamma = -2 in all three maps; delta + eta = 1 - nu_s for the full map."""
-    for hp in (heun_params_case1(params, E), heun_params_case2(params, E)):
+    for hp in (heun_params_case1(params, E, lam), heun_params_case2(params, E, lam)):
         yield abs(hp.gamma + 2.0)
-    hp = heun_params_full(params, E)
+    hp = heun_params_full(params, E, lam)
     yield abs(hp.gamma + 2.0)
     yield abs(hp.delta + hp.eta - (1.0 - params.parity * params.nu))
 
 
 @_check("spectrum_route_equality", ANALYTIC_ROUTES, 1e-12)
-def check_spectrum_routes(params, n, E):
+def check_spectrum_routes(params, n, E, lam):
     """Each route's root-found energy matches the closed form."""
     for route in ANALYTIC_ROUTES:
         yield abs(solve_quantization(params, n, route).E - E) / E
 
 
 @_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
-def check_quantization_residuals(params, n, E):
+def check_quantization_residuals(params, n, E, lam):
     """All four quantization residuals vanish at the closed-form energy."""
-    for value in quantization_residuals(params, E, n).values():
+    for value in quantization_residuals(params, E, lam, n).values():
         yield abs(value)
 
 
 @_check("wavefunction_residuals", ANALYTIC_ROUTES, 1e-6)
-def check_wavefunction_residuals(params, n, E):
+def check_wavefunction_residuals(params, n, E, lam):
     """Every route's (f, g) satisfies the radial system on the default grid."""
     for route, sol in _level_solutions(params, n):
         yield routes.residual(sol)
 
 
 @_check("cross_route_agreement", ANALYTIC_ROUTES, 1e-6)
-def check_cross_route_agreement(params, n, E):
+def check_cross_route_agreement(params, n, E, lam):
     """Normalized (f, g) agree pointwise across all four routes."""
     normed = {route: routes.normalize(sol) for route, sol in _level_solutions(params, n)}
     ref = normed["standard"]
@@ -162,26 +164,26 @@ def check_cross_route_agreement(params, n, E):
 
 
 @_check("operator_closure", ("mixed1",), 1e-6, first=1)
-def check_operator_closure(params, n, E):
+def check_operator_closure(params, n, E, lam):
     """Case-1 first-order maps close: F -> G pointwise, and F -> G -> F
     proportional to the identity."""
     r, f_part, df_part, g_part, dg_part, _ = routes.mixed1_parts(
         params, n, _level(params, n)[1])
-    g_implied = routes.case1_g_from_f(params, E, r, f_part, df_part)
+    g_implied = routes.case1_g_from_f(params, E, lam, r, f_part, df_part)
     yield float(np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)))
-    f_back = routes.case1_f_from_g(params, E, r, g_part, dg_part)
+    f_back = routes.case1_f_from_g(params, E, lam, r, g_part, dg_part)
     mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
     ratios = f_back[mask] / f_part[mask]
     yield float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0)))
 
 
 @_check("coefficient_ratio", ("standard",), 1e-12, first=1)
-def check_coefficient_ratio(params, n, E):
+def check_coefficient_ratio(params, n, E, lam):
     """Both derivations of C1/C2 agree; nu^2 - mu^2 = a^2 - eps^2."""
     ratio = routes.coefficient_ratio(params, n)
     yield (abs(ratio.from_first_equation - ratio.from_second_equation)
            / abs(ratio.from_second_equation))
-    sv = standard_vars(params, E)
+    sv = standard_vars(params, E, lam)
     rhs = sv.a_frob ** 2 - sv.eps ** 2
     yield abs(params.nu ** 2 - sv.mu ** 2 - rhs) / max(abs(rhs), 1e-30)
 
@@ -231,9 +233,9 @@ def check_kummer_relations(params, n_max, tol=1e-10):
 
 
 @_check("heunc_ode_residual", ("mixed1", "mixed2", "heun"), 1e-8)
-def check_heunc_ode_residual(params, n, E):
+def check_heunc_ode_residual(params, n, E, lam):
     """Heun series satisfies the canonical equation at physical parameters."""
-    for hp in (heun_params_full(params, E), heun_params_case2(params, E)):
+    for hp in (heun_params_full(params, E, lam), heun_params_case2(params, E, lam)):
         for z in (-0.7, -0.3, 0.3, 0.6):
             yield specfun.heunc_ode_residual(hp, z)
 
@@ -247,7 +249,7 @@ def truncation_audit(params, n: int) -> dict[str, dict]:
     degree condition is one of two requirements for a polynomial, and the
     audit records whether the second one holds numerically.
     """
-    E = energy_closed_form(n, params).E
+    level = energy_closed_form(n, params)
     # the case-1 singular point flees to infinity at the nodeless level
     # of the negative-parity channel; skip that map there
     maps = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
@@ -256,7 +258,7 @@ def truncation_audit(params, n: int) -> dict[str, dict]:
         del maps["mixed1"]
     report = {}
     for name, build in maps.items():
-        hp = build(params, E)
+        hp = build(params, level.E, level.lam)
         coeffs = specfun.heunc_series_coefficients(hp, n + 1 + specfun.COLLAPSE_WINDOW)
         head = float(np.max(np.abs(coeffs[:n + 1])))
         beyond = float(np.max(np.abs(coeffs[n + 1:])))
@@ -285,7 +287,7 @@ def check_truncation_audit(params, n_max, tol=math.inf):
 
 
 @_check("oracle_spectrum", ("oracle",), 1e-8)
-def check_oracle_spectrum(params, n, E):
+def check_oracle_spectrum(params, n, E, lam):
     """Shooting energies agree with the closed form for every level."""
     p = level_channel(params, n)
     yield abs(oracle.shoot_energy(p, *level_bracket(p, n)).E - E) / E
@@ -299,19 +301,10 @@ def run_verification(params: SystemParams, n_max: int,
     route="all" runs everything except the slow oracle check (request
     route="oracle" for it).  tol_override replaces each check's tolerance,
     so an unattainable override reports the measured deviations as failures.
-    Before any check, InvalidParams rejects zero coupling, a mass at which
-    m^2 - E^2 is not representable at the top of the selected routes'
-    bracket (level n_max's shooting bracket, or the bisection bracket of
-    the analytic routes), and, for the analytic routes, a level n_max above
-    the bisection bracket: each analytic selection runs spectrum_route_equality.
+    Before any check, InvalidParams rejects zero coupling, which supports no
+    bound states.
     """
     require_level(params, 1)  # level 1 is in both channels: the zero-coupling rule
-    top = level_bracket(params, n_max)[1] if route == "oracle" else (
-        QUANTIZATION_BRACKET[1] * params.m)
-    params.decay_constant(top)
-    if route != "oracle" and energy_closed_form(n_max, params).E > top:
-        raise InvalidParams(f"n={n_max}: a level with m - E < 1e-9 m lies above "
-                            "the bisection bracket")
     selected = [(name, fn) for name, fn, tags in ALL_CHECKS
                 if (name != "oracle_spectrum" if route == "all" else route in tags)]
     kwargs = {} if tol_override is None else {"tol": tol_override}

@@ -124,12 +124,13 @@ def test_a5_operator_closure_and_coefficient_ratio():
     for nu, e in ((1, 0.5), (2, 0.3), (3, 0.9)):
         p = SystemParams(e, nu)
         for n in range(1, 5):
-            E = energy_closed_form(n, p).E
+            level = energy_closed_form(n, p)
+            E, lam = level.E, level.lam
             r, f_part, df_part, g_part, dg_part, _ = mixed1_parts(p, n)
-            g_implied = case1_g_from_f(p, E, r, f_part, df_part)
+            g_implied = case1_g_from_f(p, E, lam, r, f_part, df_part)
             worst_closure = max(worst_closure, float(
                 np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part))))
-            f_back = case1_f_from_g(p, E, r, g_part, dg_part)
+            f_back = case1_f_from_g(p, E, lam, r, g_part, dg_part)
             mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
             ratio = f_back[mask] / f_part[mask]
             worst_closure = max(worst_closure, float(
@@ -139,7 +140,7 @@ def test_a5_operator_closure_and_coefficient_ratio():
             worst_ratio = max(worst_ratio, abs(
                 cr.from_first_equation - cr.from_second_equation)
                 / abs(cr.from_second_equation))
-            sv = standard_vars(p, E)
+            sv = standard_vars(p, E, lam)
             lhs = nu * nu - sv.mu ** 2
             rhs = sv.a_frob ** 2 - sv.eps ** 2
             worst_identity = max(worst_identity, abs(lhs - rhs) / abs(rhs))
@@ -158,11 +159,12 @@ def test_a6_truncation_audit():
     for nu, e in ((1, 0.5), (2, 0.3), (3, 0.9)):
         for n in range(5):
             p = level_channel(SystemParams(e, nu), n)
-            E = energy_closed_form(n, p).E
-            maps = {"mixed2": heun_params_case2(p, E),
-                    "heun": heun_params_full(p, E)}
+            level = energy_closed_form(n, p)
+            at = (p, level.E, level.lam)
+            maps = {"mixed2": heun_params_case2(*at),
+                    "heun": heun_params_full(*at)}
             if not (n == 0 and p.parity == -1):
-                maps["mixed1"] = heun_params_case1(p, E)
+                maps["mixed1"] = heun_params_case1(*at)
             for name, hp in maps.items():
                 coeffs = heunc_series_coefficients(hp, n + 6)
                 head = np.max(np.abs(coeffs[:n + 1]))
@@ -213,8 +215,9 @@ def test_a7_special_function_property_suite():
     for nu, e in ((1, 0.5), (2, 0.3), (3, 2.7)):
         for n in range(4):
             p = level_channel(SystemParams(e, nu), n)
-            E = energy_closed_form(n, p).E
-            for hp in (heun_params_full(p, E), heun_params_case2(p, E)):
+            level = energy_closed_form(n, p)
+            for hp in (heun_params_full(p, level.E, level.lam),
+                       heun_params_case2(p, level.E, level.lam)):
                 for z in (-12.0, -0.8, -0.35, 0.4, 0.85):
                     worst_heun = max(worst_heun, heunc_ode_residual(hp, z))
     ok_heun = report("A7 confluent Heun equation residual", worst_heun, ode_tol)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from heundirac import NoConvergence, SystemParams, energy_closed_form, routes
+from heundirac import (ANALYTIC_ROUTES, NoConvergence, SystemParams,
+                       energy_closed_form, routes)
 from heundirac.cli import (EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VERIFY_FAILED, build_parser, main)
 
@@ -366,16 +367,18 @@ CONTRACT_BREAKS = [
     (BASE_ARGV["wavefunction"], "r-max", "inf", "need 0 < r_min < r_max"),
     (BASE_ARGV["wavefunction"], "r-max", "1e300", "need r_max <= 745/lambda"),
     (BASE_ARGV["wavefunction"], "r-max", "1e20", "need r_max <= 745/lambda"),
-    *((base, "mass", m, "m^2 - E^2 is not representable")
-      for base in (("spectrum", "--coupling", "0.5"),
-                   ("verify", "--coupling", "0.5", "--n-max", "1"))
-      for m in ("1e-300", "1e-160", "1e200")),
-    # the level lies less than 1e-9 m below m, above the quantization bracket
-    *((base, "coupling", "1e-7",
-       "a level with m - E < 1e-9 m lies above the bisection bracket")
-      for base in (("spectrum", "--n-max", "1", "--route", "standard"),
-                   ("verify", "--n-max", "1"))),
+    # lam = m e / sqrt(N^2 + e^2) underflows to 0: the level has no grid
+    (("wavefunction", "--coupling", "1e-30", "--n", "1", "--n-max", "1"), "mass", "1e-300",
+     "the decay constant m e / sqrt(N^2 + e^2) underflows to 0"),
 ]
+
+
+def _with_option(tmp_path, base, option, value, as_config):
+    if as_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        return (*base, "--config", str(cfg))
+    return (*base, f"--{option}", value)
 
 
 @pytest.mark.parametrize("as_config", (False, True), ids=("flag", "config"))
@@ -383,16 +386,104 @@ CONTRACT_BREAKS = [
                          ids=[f"{b[0]}-{o}={v}" for b, o, v, _ in CONTRACT_BREAKS])
 def test_input_outside_the_contract_exits_2(capsys, tmp_path, base, option, value,
                                             message, as_config):
-    if as_config:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{option} = {value}\n")
-        argv = (*base, "--config", str(cfg))
-    else:
-        argv = (*base, f"--{option}", value)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *_with_option(tmp_path, base, option, value, as_config))
     assert (code, out) == (EXIT_INVALID_PARAMS, "")
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+# Masses at which m^2 - E^2 is no normal double, and a coupling at which
+# m - E is 5e-15 m: each level carries its exact lam, so each answers.
+EDGE_OF_RANGE = [
+    *((base, "mass", m) for base in (("spectrum", "--coupling", "0.5"),
+                                     ("verify", "--coupling", "0.5", "--n-max", "1"))
+      for m in ("1e-300", "1e-160", "1e200")),
+    *((base, "coupling", "1e-7") for base in (("spectrum", "--n-max", "1", "--route", "standard"),
+                                            ("verify", "--n-max", "1"))),
+]
+
+
+@pytest.mark.parametrize("as_config", (False, True), ids=("flag", "config"))
+@pytest.mark.parametrize("base,option,value", EDGE_OF_RANGE,
+                         ids=[f"{b[0]}-{o}={v}" for b, o, v in EDGE_OF_RANGE])
+def test_input_at_the_edge_of_the_range_answers(capsys, tmp_path, base, option, value,
+                                                as_config):
+    code, out, err = run_cli(capsys, *_with_option(tmp_path, base, option, value, as_config))
+    if option == "mass":
+        # the same answer as at m = 1: E/m to the 1e-14 bisection bracket, and
+        # the same verdict from every check
+        ref_code, ref, _ = run_cli(capsys, *base)
+        assert code == ref_code == EXIT_OK, err
+        if base[0] == "spectrum":
+            rows, ref_rows = json.loads(out)["levels"], json.loads(ref)["levels"]
+            assert [r["route"] for r in rows] == [r["route"] for r in ref_rows]
+            for row, ref_row in zip(rows, ref_rows):
+                assert row["E_over_m"] == pytest.approx(ref_row["E_over_m"], rel=1e-14)
+        else:
+            assert ([line.split(":")[0] for line in out.splitlines()]
+                    == [line.split(":")[0] for line in ref.splitlines()])
+    elif base[0] == "spectrum":
+        assert code == EXIT_OK, err
+        p = SystemParams(1e-7, 1)
+        for row in json.loads(out)["levels"]:
+            exact = energy_closed_form(row["n"], p).E
+            assert abs(row["E"] - exact) < 1e-12
+    else:
+        # every check runs; the quantization checks pass, while the scaled-
+        # variable identity fails on its own formula (mu^2 - eps^2 cancels)
+        assert code == EXIT_VERIFY_FAILED, err
+        status = {line[7:].split(":")[0]: line[1:5] for line in out.splitlines()[:-1]}
+        assert status["spectrum_route_equality"] == "PASS"
+        assert status["quantization_residuals_at_levels"] == "PASS"
+        assert status["scaled_variable_identities"] == "FAIL"
+
+
+ALPHA = "0.0072973525693"
+
+
+# weak-coupling Heun series, which terminate only from the level's exact lam
+# (sqrt(m^2 - E^2) from E misses the degree condition)
+@pytest.mark.parametrize("argv", (
+    ("--route", "heun", "--coupling", ALPHA, "--n", "16", "--n-max", "16"),
+    ("--route", "mixed1", "--coupling", ALPHA, "--parity", "-1", "--n", "2", "--n-max", "2"),
+    ("--route", "mixed1", "--coupling", "0.75", "--j", "2.5", "--parity", "-1", "--n", "1",
+     "--n-max", "1")), ids=("heun_alpha_n16", "mixed1_alpha_parity_minus",
+                            "mixed1_parity_minus_isolated"))
+def test_weak_coupling_heun_wavefunctions_terminate(capsys, argv):
+    code, out, err = run_cli(capsys, "wavefunction", *argv, "--no-timestamp")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["system_residual"] < 1e-6
+
+
+def test_spectrum_at_tiny_coupling_matches_the_closed_form(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--coupling", "1e-7", "--n-max", "1",
+                             "--route", "all", "--no-timestamp")
+    assert code == EXIT_OK, err
+    rows = json.loads(out)["levels"]
+    assert [r["route"] for r in rows] == [*ANALYTIC_ROUTES] * 2
+    for row in rows:
+        assert abs(row["E"] - energy_closed_form(row["n"], SystemParams(1e-7, 1)).E) < 1e-12
+
+
+def test_route_deviation_at_a_tiny_mass_is_no_larger_than_at_unit_mass(capsys):
+    deviations = {}
+    for mass in ("1", "1e-155"):
+        code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", "--n-max", "1",
+                               "--mass", mass, "--no-timestamp")
+        assert code == EXIT_OK
+        deviations[mass] = max(r["max_route_deviation"] for r in json.loads(out)["levels"])
+    assert deviations["1e-155"] <= deviations["1"]
+
+
+def test_overflowing_backward_recurrence_exits_3_without_a_warning(capsys):
+    # the backward pass overflows at this weak coupling and high degree: no
+    # forward-head fallback stands in for it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "wavefunction", "--route", "heun", "--coupling",
+                                 "1e-4", "--n", "30", "--n-max", "30")
+    assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+    assert "backward recurrence to degree 30" in err
 
 
 def test_heavy_mass_verify_passes(capsys):
@@ -423,8 +514,8 @@ def test_wavefunction_at_extreme_radii_has_a_finite_residual(capsys, extra):
 
 @pytest.mark.parametrize("as_config", (False, True), ids=("flag", "config"))
 def test_oracle_verify_answers_where_spectrum_does(capsys, tmp_path, as_config):
-    # m^2 - E^2 is representable up to the oracle's level brackets at this
-    # mass, though not at the top of the analytic bisection bracket
+    # the oracle's formula-free lam = m sqrt(1 - (E/m)^2) stays representable
+    # at this mass
     argv = ("--coupling", "0.5", "--n-max", "1", "--route", "oracle")
     if as_config:
         (tmp_path / "run.cfg").write_text("mass = 1e-160\n")
@@ -469,8 +560,7 @@ def test_parser_is_built_once_and_stays_reusable(capsys):
 def _per_number_table(fmt, route, n, points):
     """The wavefunction output as the per-number expressions printed it."""
     params = SystemParams(0.5, 1)
-    E = energy_closed_form(n, params).E
-    grid = routes.default_grid(params, E, points)
+    grid = routes.default_grid(energy_closed_form(n, params).lam, points)
     sol = routes.normalize(routes.ROUTE_SOLVERS[route](params, n, grid=grid))
     res = routes.residual(sol)
     r, f, g = grid.r.tolist(), sol.f.tolist(), sol.g.tolist()

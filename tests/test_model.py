@@ -5,14 +5,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heundirac import (InvalidParams, SystemParams,
+from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, heun_params_case1,
                        heun_params_case2, heun_params_full, heunc_poly_degree,
+                       heunc_truncation,
                        mixing_case, quantization_residuals,
                        singular_point_D_consistency, solve_quantization,
                        standard_vars)
 from heundirac.model import (ANALYTIC_ROUTES, level_bracket, level_channel,
                              require_level)
+
+
+def at(p, E):
+    """(E, lam) of an arbitrary bound energy E, lam from E by the oracle's formula."""
+    return E, p.decay_constant(E)
 
 
 def test_system_params_validation():
@@ -37,7 +43,7 @@ def test_system_params_validation():
 
 def test_mixing_case1_zero_coupling():
     p = SystemParams(0.0, 1)
-    c = mixing_case("1", p, E=0.5)
+    c = mixing_case("1", p, *at(p, 0.5))
     assert c.sin_a == 0.0 and c.cos_a == 1.0
     assert c.cos_half == 1.0 and c.sin_half == 0.0
     assert c.singular_point == 0.0
@@ -45,7 +51,7 @@ def test_mixing_case1_zero_coupling():
 
 def test_mixing_case1_values():
     p = SystemParams(0.6, 1)
-    c = mixing_case("1", p, E=0.7)
+    c = mixing_case("1", p, *at(p, 0.7))
     assert c.sin_a == pytest.approx(0.6)
     assert c.cos_a == pytest.approx(0.8)
     assert c.cos_half == pytest.approx(math.sqrt(0.9))
@@ -54,7 +60,7 @@ def test_mixing_case1_values():
 
 def test_mixing_case2_values():
     p = SystemParams(0.3, 1)
-    c = mixing_case("2", p, E=0.8)
+    c = mixing_case("2", p, *at(p, 0.8))
     assert c.cos_a == pytest.approx(0.8)
     assert c.sin_a == pytest.approx(0.6)
     assert c.cos_half == pytest.approx(math.sqrt(0.9))
@@ -64,13 +70,13 @@ def test_mixing_case2_values():
 def test_mixing_case_unknown_id():
     p = SystemParams(0.3, 1)
     with pytest.raises(InvalidParams):
-        mixing_case("3", p, E=0.5)
+        mixing_case("3", p, *at(p, 0.5))
 
 
 def test_mixing_case2_requires_subluminal_energy():
     p = SystemParams(0.3, 1)
     with pytest.raises(InvalidParams):
-        mixing_case("2", p, E=1.5)
+        mixing_case("2", p, 1.5, 0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,7 +85,7 @@ def test_mixing_case2_requires_subluminal_energy():
        cid=st.sampled_from(["1", "2"]))
 def test_mixing_case_identities(nu, efrac, Efrac, parity, cid):
     p = SystemParams(efrac * nu, nu, parity=parity)
-    c = mixing_case(cid, p, E=Efrac * p.m)
+    c = mixing_case(cid, p, *at(p, Efrac * p.m))
     assert abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0) < 1e-14
     assert abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0) < 1e-14
     assert abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a)) < 1e-14
@@ -87,7 +93,7 @@ def test_mixing_case_identities(nu, efrac, Efrac, parity, cid):
 
 def test_singular_point_consistency_values():
     p = SystemParams(0.3, 1)
-    d_a, d_b = singular_point_D_consistency(p, E=0.9)
+    d_a, d_b = singular_point_D_consistency(p, *at(p, 0.9))
     expected = -(0.3 + math.sqrt(0.19)) / 1.8
     assert d_a == pytest.approx(expected, rel=1e-14)
     assert d_b == pytest.approx(expected, rel=1e-14)
@@ -95,7 +101,7 @@ def test_singular_point_consistency_values():
 
 def test_singular_point_consistency_zero_coupling():
     p = SystemParams(0.0, 1)
-    d_a, d_b = singular_point_D_consistency(p, E=0.5)
+    d_a, d_b = singular_point_D_consistency(p, *at(p, 0.5))
     sin_a = math.sqrt(1 - 0.25)
     assert d_a == pytest.approx(-sin_a / 1.0)
     assert d_b == pytest.approx(d_a)
@@ -104,7 +110,7 @@ def test_singular_point_consistency_zero_coupling():
 def test_singular_point_consistency_degenerate_at_zero_energy():
     p = SystemParams(0.3, 1)
     with pytest.raises(InvalidParams, match="both forms of D diverge at E = 0"):
-        singular_point_D_consistency(p, E=0.0)
+        singular_point_D_consistency(p, 0.0, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,7 +118,7 @@ def test_singular_point_consistency_degenerate_at_zero_energy():
        Efrac=st.floats(0.1, 0.95))
 def test_singular_point_forms_agree(nu, efrac, Efrac):
     p = SystemParams(efrac * nu, nu)
-    d_a, d_b = singular_point_D_consistency(p, E=Efrac * p.m)
+    d_a, d_b = singular_point_D_consistency(p, *at(p, Efrac * p.m))
     assert abs(d_a - d_b) < 1e-14 * abs(d_a)
 
 
@@ -122,53 +128,78 @@ def test_singular_point_forms_agree(nu, efrac, Efrac):
 
 def test_case1_map_gamma_and_zero_coupling_limit():
     p = SystemParams(0.5, 1)
-    hp = heun_params_case1(p, E=0.9)
+    hp = heun_params_case1(p, *at(p, 0.9))
     assert hp.gamma == -2.0
     p0 = SystemParams(0.0, 1)
-    hp0 = heun_params_case1(p0, E=0.9)
+    hp0 = heun_params_case1(p0, *at(p0, 0.9))
     assert hp0.delta == 0.0  # singular point collapses to the origin
 
 
 def test_case1_map_satisfies_degree_condition_at_level():
     p = SystemParams(0.5, 1)
-    E = energy_closed_form(1, p).E
-    hp = heun_params_case1(p, E)
+    level = energy_closed_form(1, p)
+    hp = heun_params_case1(p, level.E, level.lam)
     assert heunc_poly_degree(hp, 1e-9) == 1
 
 
 def test_case2_map_gamma_and_degree():
     p = SystemParams(0.5, 1)
-    E = energy_closed_form(2, p).E
-    hp = heun_params_case2(p, E)
+    level = energy_closed_form(2, p)
+    hp = heun_params_case2(p, level.E, level.lam)
     assert hp.gamma == -2.0
     assert heunc_poly_degree(hp, 1e-9) == 2
-    hp0 = heun_params_case2(SystemParams(0.0, 1), E=0.9)
+    p0 = SystemParams(0.0, 1)
+    hp0 = heun_params_case2(p0, *at(p0, 0.9))
     assert hp0.delta == 0.0
 
 
 def test_full_map_values_at_ground_level():
     p = SystemParams(0.5, 1, parity=-1)
-    E = energy_closed_form(0, p).E
+    level = energy_closed_form(0, p)
+    E, lam = level.E, level.lam
     assert E == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
-    hp = heun_params_full(p, E)
+    assert lam == pytest.approx(0.5, rel=1e-15)
+    hp = heun_params_full(p, E, lam)
     # degree condition at n=0: E e / sqrt(m^2-E^2) = sqrt(nu^2-e^2)
-    lam = math.sqrt(1 - E * E)
     assert E * 0.5 / lam == pytest.approx(math.sqrt(0.75), rel=1e-12)
     assert heunc_poly_degree(hp, 1e-9) == 0
 
 
 def test_full_map_identities():
     p = SystemParams(0.37, 2)
-    E = energy_closed_form(1, p).E
-    hp = heun_params_full(p, E)
+    level = energy_closed_form(1, p)
+    hp = heun_params_full(p, level.E, level.lam)
     assert hp.gamma == -2.0
     nu_s = p.parity * p.nu
     assert hp.delta + hp.eta == pytest.approx(1.0 - nu_s, abs=1e-15)
 
 
+@pytest.mark.parametrize("parity", (1, -1))
+@pytest.mark.parametrize("nu", (1, 2, 3))
+@pytest.mark.parametrize("e", (1e-5, 1e-3, 0.0072973525693, 0.5))
+def test_heun_maps_truncate_at_the_level_degree(e, nu, parity):
+    # from each level's exact lam the degree condition holds to rounding
+    # (lam = sqrt(m^2 - E^2) from E misses it by up to 5e-7 at e = 1e-3)
+    p = SystemParams(e, nu, parity=parity)
+    for n in range(1 if parity == 1 else 0, 21):
+        level = energy_closed_form(n, p)
+        maps = (heun_params_case2, heun_params_full) + ((heun_params_case1,) if n else ())
+        for build in maps:
+            hp = build(p, level.E, level.lam)
+            assert heunc_poly_degree(hp, 1e-13) == n, (build.__name__, n)
+            try:
+                degree = heunc_truncation(hp)[0]
+            except NoConvergence:
+                # at e = 1e-5 the backward recurrence can lose ~1e-6 to the
+                # O(e^2) parts that beta and eta carry in their last digits
+                assert e == 1e-5, (build.__name__, n)
+                continue
+            assert degree == n, (build.__name__, n)
+
+
 def test_full_map_zero_coupling_limit():
     p = SystemParams(0.0, 2)
-    hp = heun_params_full(p, E=0.8)
+    hp = heun_params_full(p, *at(p, 0.8))
     assert hp.alpha == 0.0
     assert hp.delta == 0.0
     assert hp.eta == 1.0 - p.nu
@@ -265,18 +296,29 @@ def test_require_level_accepts_existing_levels():
 
 
 def test_decay_constant_matches_standard_vars():
+    # the oracle's lam from E agrees with the level's exact lam, which
+    # standard_vars carries through
     p = SystemParams(0.5, 2, m=0.75)
-    E = energy_closed_form(1, p).E
-    assert p.decay_constant(E) == standard_vars(p, E).lam == math.sqrt(0.75 ** 2 - E ** 2)
+    level = energy_closed_form(1, p)
+    assert standard_vars(p, level.E, level.lam).lam == level.lam
+    assert p.decay_constant(level.E) == pytest.approx(level.lam, rel=1e-14)
+    assert SystemParams(0.5, 2).decay_constant(0.6) == math.sqrt(1.0 - 0.6 ** 2)
 
 
 # ----------------------------------------------------------------------
 # scaled variables
 # ----------------------------------------------------------------------
 
+def test_closed_form_lam_underflow_is_rejected():
+    # lam = m e / sqrt(N^2 + e^2) rounds to 0 below m e ~ 1e-323
+    with pytest.raises(InvalidParams, match="underflows to 0"):
+        energy_closed_form(1, SystemParams(1e-30, 1, 1e-300))
+    assert energy_closed_form(1, SystemParams(1e-7, 1, 1e-300)).lam > 0.0
+
+
 def test_standard_vars_worked_example():
     p = SystemParams(0.5, 1)
-    sv = standard_vars(p, E=0.8)
+    sv = standard_vars(p, 0.8, 0.6)
     assert sv.lam == pytest.approx(0.6, rel=1e-15)
     assert sv.mu == pytest.approx(5.0 / 6.0, rel=1e-14)
     assert sv.eps == pytest.approx(2.0 / 3.0, rel=1e-14)
@@ -284,18 +326,18 @@ def test_standard_vars_worked_example():
 
 
 def test_standard_vars_guards_against_lambda_underflow():
+    # mu = e m/lam and eps = e E/lam have no value at lam = 0
     p = SystemParams(0.5, 1)
-    with pytest.raises(InvalidParams):
-        standard_vars(p, E=p.m * (1.0 - 1e-14))
-    with pytest.raises(InvalidParams):
-        standard_vars(p, E=1.2)
+    for lam in (0.0, math.nan):
+        with pytest.raises(InvalidParams, match="need lam > 0"):
+            standard_vars(p, p.m, lam)
 
 
 @settings(max_examples=50, deadline=None)
 @given(nu=st.integers(1, 4), efrac=st.floats(0.05, 0.95), Efrac=st.floats(0.1, 0.95))
 def test_standard_vars_identities(nu, efrac, Efrac):
     p = SystemParams(efrac * nu, nu)
-    sv = standard_vars(p, Efrac * p.m)
+    sv = standard_vars(p, *at(p, Efrac * p.m))
     assert sv.mu ** 2 - sv.eps ** 2 == pytest.approx(p.e ** 2, rel=1e-12)
     assert sv.a_frob == pytest.approx(p.frobenius_exponent, rel=1e-12)
 
@@ -307,8 +349,8 @@ def test_standard_vars_identities(nu, efrac, Efrac):
 def test_quantization_residuals_vanish_at_levels():
     p = SystemParams(0.5, 1)
     for n in range(4):
-        E = energy_closed_form(n, p).E
-        for route, res in quantization_residuals(p, E, n).items():
+        level = energy_closed_form(n, p)
+        for route, res in quantization_residuals(p, level.E, level.lam, n).items():
             assert abs(res) < 1e-10, (route, n, res)
 
 
@@ -318,8 +360,8 @@ def test_quantization_residuals_sign_consistency():
     p = SystemParams(0.5, 1)
     n = 1
     E = energy_closed_form(n, p).E
-    up = quantization_residuals(p, E + 1e-3, n)
-    down = quantization_residuals(p, E - 1e-3, n)
+    up = quantization_residuals(p, *at(p, E + 1e-3), n)
+    down = quantization_residuals(p, *at(p, E - 1e-3), n)
     for route in ANALYTIC_ROUTES:
         assert up[route] != 0.0 and down[route] != 0.0
         assert up[route] * down[route] < 0.0, route
@@ -389,11 +431,11 @@ def test_solve_quantization_builds_only_its_own_map(monkeypatch):
 
 def test_quantization_residuals_selected_routes():
     p = SystemParams(0.5, 1)
-    E = 0.9 * p.m
-    every = quantization_residuals(p, E, 2)
+    E, lam = at(p, 0.9 * p.m)
+    every = quantization_residuals(p, E, lam, 2)
     assert list(every) == list(ANALYTIC_ROUTES)
-    assert quantization_residuals(p, E, 2, ("mixed2",)) == {"mixed2": every["mixed2"]}
+    assert quantization_residuals(p, E, lam, 2, ("mixed2",)) == {"mixed2": every["mixed2"]}
     for route in ANALYTIC_ROUTES:
-        assert quantization_residuals(p, E, 2, (route,))[route] == every[route]
+        assert quantization_residuals(p, E, lam, 2, (route,))[route] == every[route]
     with pytest.raises(InvalidParams):
-        quantization_residuals(p, E, 2, ("mixed2", "bogus"))
+        quantization_residuals(p, E, lam, 2, ("mixed2", "bogus"))

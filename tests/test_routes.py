@@ -49,18 +49,18 @@ def test_grid_validation():
 
 def test_default_grid_spans_origin_to_tail():
     p = SystemParams(0.5, 1)
-    E = energy_closed_form(1, p).E
-    lam = math.sqrt(1 - E * E)
-    g = default_grid(p, E)
+    lam = energy_closed_form(1, p).lam
+    assert lam == pytest.approx(0.5 / math.hypot(1.0 + math.sqrt(0.75), 0.5), rel=1e-15)
+    g = default_grid(lam)
     assert len(g) == 2000
     assert g.r[0] == pytest.approx(0.01 / lam)
     assert g.r[-1] == pytest.approx(40.0 / lam)
-    narrow = default_grid(p, E, points=5, r_max=15.0 / lam)
+    narrow = default_grid(lam, points=5, r_max=15.0 / lam)
     assert narrow.r[0] == g.r[0] and narrow.r[-1] == 15.0 / lam and len(narrow) == 5
     with pytest.raises(InvalidParams, match="at least 2 points, got 1"):
-        default_grid(p, E, points=1)
+        default_grid(lam, points=1)
     with pytest.raises(InvalidParams, match="0 < r_min < r_max"):
-        default_grid(p, E, r_min=50.0 / lam)
+        default_grid(lam, r_min=50.0 / lam)
 
 
 # ----------------------------------------------------------------------
@@ -112,9 +112,9 @@ def test_mixed1_residual():
 
 def test_mixed1_forward_operator_reproduces_kummer_component():
     p = params_for(1)
-    E = energy_closed_form(1, p).E
+    level = energy_closed_form(1, p)
     r, f_part, df_part, g_part, _, _ = mixed1_parts(p, 1)
-    implied = case1_g_from_f(p, E, r, f_part, df_part)
+    implied = case1_g_from_f(p, level.E, level.lam, r, f_part, df_part)
     scale = np.max(np.abs(g_part))
     assert np.max(np.abs(implied - g_part)) / scale < 1e-7
 
@@ -124,11 +124,11 @@ def test_mixed1_round_trip_is_proportional_to_identity():
     # test); applying the inverse map to that component must come back
     # proportional to F.  Derivatives are the analytic series ones.
     p = params_for(2)
-    E = energy_closed_form(2, p).E
+    level = energy_closed_form(2, p)
     r, f_part, df_part, g_part, dg_part, _ = mixed1_parts(p, 2)
-    g_implied = case1_g_from_f(p, E, r, f_part, df_part)
+    g_implied = case1_g_from_f(p, level.E, level.lam, r, f_part, df_part)
     assert np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)) < 1e-7
-    f_back = case1_f_from_g(p, E, r, g_part, dg_part)
+    f_back = case1_f_from_g(p, level.E, level.lam, r, g_part, dg_part)
     mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
     ratio = f_back[mask] / f_part[mask]
     mid = ratio[len(ratio) // 2]
@@ -159,10 +159,10 @@ def test_mixed_routes_resolve_level_energy_once(monkeypatch, solver):
 
 def test_mixed2_residual_and_relation():
     p = params_for(1)
-    E = energy_closed_form(1, p).E
+    level = energy_closed_form(1, p)
     assert residual(solve_mixed_case2(p, 1)) < 1e-7
     r, f_part, _, g_part, dg_part, _ = mixed2_parts(p, 1)
-    implied = case2_f_from_g(p, E, r, g_part, dg_part)
+    implied = case2_f_from_g(p, level.E, level.lam, r, g_part, dg_part)
     scale = np.max(np.abs(f_part))
     assert np.max(np.abs(implied - f_part)) / scale < 1e-7
 
@@ -311,8 +311,7 @@ def _central_derivative_reference(r, y, half):
 @pytest.mark.parametrize("points, half", ((2000, 3), (20000, 3), (7, 2)))
 def test_grid_stencil_derivative_is_bit_identical(points, half):
     p = params_for(2)
-    E = energy_closed_form(2, p).E
-    grid = default_grid(p, E, points=points)
+    grid = default_grid(energy_closed_form(2, p).lam, points=points)
     sol = solve_standard(p, 2, grid=grid)
     assert grid._stencil[0] == half
     for y in (sol.f, sol.g):
@@ -327,7 +326,7 @@ def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
     # radii scaled by 2**k scale every weight by exactly 2**-k, also where
     # the products of node differences would overflow or underflow
     p = params_for(2)
-    grid = default_grid(p, energy_closed_form(2, p).E, points=50)
+    grid = default_grid(energy_closed_form(2, p).lam, points=50)
     half, weights, wsum = grid._stencil
     s_half, s_weights, s_wsum = RadialGrid(np.ldexp(grid.r, k))._stencil
     assert s_half == half and s_weights.keys() == weights.keys()
@@ -336,7 +335,7 @@ def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
     assert np.array_equal(s_wsum, np.ldexp(wsum, -k))
 
 
-@pytest.mark.parametrize("m", (0.51099895, 2.0, 938.272, 1e-150, 1e150))
+@pytest.mark.parametrize("m", (0.51099895, 2.0, 938.272, 1e-150, 1e150, 1e-300, 1e300))
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=ANALYTIC_ROUTES)
 def test_residual_is_dimensionless(solver, m):
     # each term of the system is f/length, so the residual is read in units

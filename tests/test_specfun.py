@@ -1,6 +1,7 @@
 """Unit and property tests for the Kummer / confluent Heun evaluators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,8 +123,8 @@ def test_kummer_contiguous_relation(n1, g, y):
 
 def _physical_params(n, nu, e):
     p = SystemParams(e, nu)
-    E = energy_closed_form(n, p).E
-    return heun_params_full(p, E)
+    level = energy_closed_form(n, p)
+    return heun_params_full(p, level.E, level.lam)
 
 
 def test_heunc_normalization_at_origin():
@@ -225,6 +226,24 @@ def test_heunc_truncation_collapses_at_quantized_levels():
     assert np.max(np.abs(raw[3:])) < 1e-12 * np.max(np.abs(raw[:3]))
 
 
+def test_heunc_truncation_raises_where_the_backward_head_disagrees(monkeypatch):
+    # no forward-head fallback: a backward pass that does not reproduce the
+    # forward c_1 is no polynomial to return
+    hp = _physical_params(2, 1, 0.5)
+    monkeypatch.setattr(specfun, "_backward_coefficients",
+                        lambda p, degree: np.array([1.0, 0.5, 0.25]))
+    with pytest.raises(NoConvergence, match="backward recurrence to degree 2"):
+        heunc_truncation(hp)
+
+
+def test_heunc_truncation_overflow_raises_without_a_warning():
+    hp = _physical_params(30, 1, 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="gives c_1 = nan"):
+            heunc_truncation(hp)
+
+
 def test_heunc_polynomial_evaluates_anywhere():
     hp = _physical_params(2, 1, 0.5)
     for z in (-80.0, -3.0, 5.0):
@@ -271,7 +290,8 @@ def test_heunc_physical_polynomials_satisfy_equation(n, nu, efrac, z):
     # terminating parameter sets from the closed-form levels, probed
     # outside the unit disk where only the polynomial path can operate
     p = level_channel(SystemParams(efrac * nu, nu), n)
-    hp = heun_params_full(p, energy_closed_form(n, p).E)
+    level = energy_closed_form(n, p)
+    hp = heun_params_full(p, level.E, level.lam)
     assert heunc_ode_residual(hp, z) < 1e-8
 
 
@@ -279,7 +299,8 @@ def test_heunc_physical_polynomials_satisfy_equation(n, nu, efrac, z):
 def test_heunc_ode_residual_runs_one_truncation(monkeypatch, terminating):
     if terminating:
         p = SystemParams(0.5, 1)
-        hp = heun_params_full(p, energy_closed_form(2, p).E)
+        level = energy_closed_form(2, p)
+        hp = heun_params_full(p, level.E, level.lam)
     else:
         hp = HeunCParams(0.3, 1.2, -2.0, 0.4, -0.1)
     calls = []

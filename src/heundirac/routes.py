@@ -14,14 +14,20 @@ to normalization:
                 in x = -(E+m) r/e, g recovered from the first-order
                 system.
 
-The mixed routes fix the relative scale of their two pieces by enforcing
-the first-order relation between F and G at one calibration radius; the
-closure of those relations over the whole grid is what the operator tests
-check.
+Every component is the shared envelope (2*lam*r)^a e^{-lam*r},
+a = sqrt(nu^2-e^2), times a polynomial in k*r, with k = 2*lam, 1/R, 1/D
+or -(E+m)/e.  So the relative scale of the mixed routes' two pieces is
+the ratio of their leading terms r^(a+n) e^{-lam*r} as r -> inf, read off
+the first-order relation between F and G in closed form; the closure of
+those relations over the whole grid is what the operator tests check.
+No value at a radius depends on the rest of the grid.  (The ratio at the
+origin is as exact in theory, but it reads the constant coefficient,
+which the backward Heun recurrence leaves least accurate: by ~1e-16/e^2
+at parity +1.)
 
 Conventions.  The Heun-route variables y and x are negative for bound
-states (the extra singular point sits at negative radius), so radial
-prefactors use |y|^a: the real Frobenius branch on the negative axis.
+states (the extra singular point sits at negative radius); the envelope
+is taken in 2*lam*r > 0, so no branch of y^a is chosen.
 The nodeless n = 0 level exists only in the negative-parity channel
 (kappa < 0); requesting it at parity = +1 raises InvalidParams.
 """
@@ -34,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence
+from .errors import InvalidParams
 from .model import (ANALYTIC_ROUTES, EnergyLevel, SystemParams, energy_closed_form,
                     mixing_case, heun_params_case1, heun_params_case2,
                     heun_params_full, require_level, standard_vars)
@@ -172,6 +178,21 @@ def _finish(params, level, route, grid, f, g) -> RadialSolution:
     return RadialSolution(grid, f, g, replace(level, route=route), route, params)
 
 
+def _envelope(lam: float, a: float, r: np.ndarray) -> np.ndarray:
+    """(2 lam r)^a e^{-lam r}, the envelope every route shares."""
+    y = 2.0 * lam * r
+    return y ** a * np.exp(-0.5 * y)
+
+
+def _enveloped(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
+               r: np.ndarray):
+    """P = pref p(k r), with pref a multiple of _envelope(lam, a, r) and p
+    the polynomial with coefficients `coeffs`, plus dP/dr."""
+    z = k * r
+    pv = horner(coeffs, z)
+    return pref * pv, pref * ((a / r - lam) * pv + k * horner(coeffs, z, 1))
+
+
 # ----------------------------------------------------------------------
 # standard route
 # ----------------------------------------------------------------------
@@ -196,17 +217,14 @@ def solve_standard(params: SystemParams, n: int,
     lam, A, eps = sv.lam, sv.a_frob, sv.eps
     mu_s = params.parity * sv.mu
     r = grid.r
-    y = 2.0 * lam * r
 
     gamma_k = 2.0 * A + 1.0
-    c1 = 1.0
-    c2 = -c1 * (params.nu + mu_s) / (A + eps)
-    k1 = _kummer_polynomial(n, gamma_k)
-    pref = y ** A * np.exp(-0.5 * y)
-    comp1 = c1 * pref * horner(k1, y)
+    c2 = -(params.nu + mu_s) / (A + eps)
+    pref = _envelope(lam, A, r)
+    y = 2.0 * lam * r
+    comp1 = pref * horner(_kummer_polynomial(n, gamma_k), y)
     if n >= 1:
-        k2 = _kummer_polynomial(n - 1, gamma_k)
-        comp2 = c2 * pref * horner(k2, y)
+        comp2 = (c2 * pref) * horner(_kummer_polynomial(n - 1, gamma_k), y)
     else:
         comp2 = np.zeros_like(y)
 
@@ -222,58 +240,14 @@ def solve_standard(params: SystemParams, n: int,
 # mixed rotation routes
 # ----------------------------------------------------------------------
 
-def _kummer_part(n_index: int, denom: float, lam: float, a: float, r: np.ndarray):
-    """G = x^a e^{-x/2} 1F1(-n_index; denom; x) with x = 2*lam*r, plus dG/dr."""
-    x = 2.0 * lam * r
-    kc = _kummer_polynomial(n_index, denom)
-    kv = horner(kc, x)
-    dkv = horner(kc, x, 1)
-    pref = x ** a * np.exp(-0.5 * x)
-    val = pref * kv
-    dval = 2.0 * lam * pref * ((a / x - 0.5) * kv + dkv)
-    return val, dval
-
-
-def _heun_part(hp: HeunCParams, n: int, singular_point: float, r: np.ndarray):
-    """F = |y|^a e^{b y} H(y) with y = r/singular_point, a = beta/2 and
-    b = alpha/2 of the rotated map, plus dF/dr."""
-    coeffs = _heun_polynomial(hp, n)
-    a, b = 0.5 * hp.beta, 0.5 * hp.alpha
-    y = r / singular_point
-    hv = horner(coeffs, y)
-    dhv = horner(coeffs, y, 1)
-    pref = np.abs(y) ** a * np.exp(b * y)
-    val = pref * hv
-    dval = (pref * ((a / y + b) * hv + dhv)) / singular_point
-    return val, dval
-
-
 def _solve_rotated(parts, route: str, params: SystemParams, n: int,
                    grid: RadialGrid | None) -> RadialSolution:
-    """Rotate a case's calibrated (F, G) back to (f, g) by the half angle A/2."""
+    """Rotate a case's (F, G) back to (f, g) by the half angle A/2."""
     level, grid = _level_grid(params, n, grid)
     _, f_part, _, g_part, _, case = parts(params, level, grid.r)
     f = case.cos_half * f_part + case.sin_half * g_part
     g = -case.sin_half * f_part + case.cos_half * g_part
     return _finish(params, level, route, grid, f, g)
-
-
-def _calibrate(target: np.ndarray, implied: np.ndarray, scale_hint: float):
-    """Scale factor making `implied` match `target`, from one grid point.
-
-    Starts at the median index and walks outward when both sides are too
-    small to fix the ratio.
-    """
-    n = len(target)
-    floor = 1e-12 * scale_hint
-    mid = n // 2
-    for k in range(n):
-        for idx in (mid + k, mid - k) if k else (mid,):
-            if 0 <= idx < n and abs(target[idx]) > floor and abs(implied[idx]) > floor:
-                return target[idx] / implied[idx]
-    raise NoConvergence(
-        "first-order relation vanished at every candidate calibration radius"
-    )
 
 
 def case1_g_from_f(params: SystemParams, E: float, lam: float, r: np.ndarray,
@@ -309,18 +283,22 @@ def case1_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
 
 
 def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
-    """Calibrated case-1 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
+    """Case-1 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
     n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
     case = mixing_case("1", params, E, lam)
 
-    g_part, dg_part = _kummer_part(n, 2.0 * a, lam, a, r)
+    pref = _envelope(lam, a, r)
+    kummer = _kummer_polynomial(n, 2.0 * a)
+    g_part, dg_part = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
 
     if n >= 1:
-        hp = heun_params_case1(params, E, lam)
-        f_part, df_part = _heun_part(hp, n, case.singular_point, r)
-        implied = case1_g_from_f(params, E, lam, r, f_part, df_part)
-        t = _calibrate(g_part, implied, float(np.max(np.abs(g_part))))
-        f_part, df_part = t * f_part, t * df_part
+        R = case.singular_point
+        heun = _heun_polynomial(heun_params_case1(params, E, lam), n)
+        # as r -> inf, G = case1_g_from_f(F) tends to F (lam + m_eff sin A)/(E + m_eff cos A)
+        # with E + m_eff cos A = -2e/R: match the leading terms r^(a+n) e^(-lam r)
+        t = (-2.0 * params.e * kummer[-1] * (2.0 * lam * R) ** n
+             / (R * heun[-1] * (lam + params.m_eff * case.sin_a)))
+        f_part, df_part = _enveloped(t * pref, heun, 1.0 / R, lam, a, r)
     else:
         # nodeless level: R diverges and the series route for F is empty,
         # but the inverse relation collapses to a pure rescaling of G.
@@ -331,7 +309,7 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
 
 
 def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
-    """Calibrated case-1 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
+    """Case-1 amplitudes of level n: (r, F, dF/dr, G, dG/dr, case)."""
     level, grid = _level_grid(params, n, grid)
     return _case1_parts(params, level, grid.r)
 
@@ -361,31 +339,38 @@ def case2_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
 
 
 def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
-    """Calibrated case-2 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
+    """Case-2 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
     n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
     case = mixing_case("2", params, E, lam)
-
-    hp = heun_params_case2(params, E, lam)
-    f_part, df_part = _heun_part(hp, n, case.singular_point, r)
+    D = case.singular_point
+    heun = _heun_polynomial(heun_params_case2(params, E, lam), n)
+    pref = _envelope(lam, a, r)
 
     # The G equation picks up a parity-dependent 1/r term, shifting the
     # terminating Kummer index by one in the negative-parity channel.
     n_index = n if params.parity == 1 else n - 1
     if n_index >= 0:
-        g_part, dg_part = _kummer_part(n_index, 2.0 * a + 1.0, lam, a, r)
-        implied = case2_f_from_g(params, E, lam, r, g_part, dg_part)
-        t = _calibrate(implied, f_part, float(np.max(np.abs(implied))))
-        f_part, df_part = t * f_part, t * df_part
+        kummer = _kummer_polynomial(n_index, 2.0 * a + 1.0)
+        g_part, dg_part = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
+        # as r -> inf, F = case2_f_from_g(G) / G tends to (a + n_index - nu cos A)/(e -
+        # nu sin A) at parity +1 and to -2 lam r/(e - nu sin A) at parity -1 (m_eff sin A
+        # = parity lam): match the leading terms r^(a+n) e^(-lam r)
+        lead = (a + n_index - params.nu * case.cos_a if params.parity == 1
+                else -2.0 * lam * D)
+        t = (kummer[-1] * (2.0 * lam * D) ** n_index * lead
+             / (heun[-1] * (params.e - params.nu * case.sin_a)))
     else:
         # nodeless level: the would-be G component is non-normalizable,
         # so its amplitude is exactly zero and F alone carries the state.
         g_part = np.zeros_like(r)
         dg_part = np.zeros_like(r)
+        t = 1.0
+    f_part, df_part = _enveloped(t * pref, heun, 1.0 / D, lam, a, r)
     return r, f_part, df_part, g_part, dg_part, case
 
 
 def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
-    """Calibrated case-2 amplitudes: (r, F, dF/dr, G, dG/dr, case)."""
+    """Case-2 amplitudes of level n: (r, F, dF/dr, G, dG/dr, case)."""
     level, grid = _level_grid(params, n, grid)
     return _case2_parts(params, level, grid.r)
 
@@ -405,27 +390,20 @@ def solve_heun_full(params: SystemParams, n: int,
     """Single-function route: f from one Heun polynomial, g recovered.
 
     Works in x = -(E+m) r / e (negative for bound states) with
-    f = |x|^A e^{Cx} H(x), C = e sqrt((m-E)/(m+E)), so Cx = -lam r.  The
-    companion component follows from the first equation of the system,
-    whose denominator E + e/r + m is strictly positive.  The
+    f = (2 lam r)^A e^{-lam r} H(x), the Heun map's e^{alpha x/2} being
+    e^{-lam r}.  The companion component follows from the first equation
+    of the system, whose denominator E + e/r + m is strictly positive.  The
     negative-parity channel runs the same construction with nu -> -nu and
     the roles of the two components swapped.
     """
     level, grid = _level_grid(params, n, grid)
-    E, r = level.E, grid.r
-    A = params.frobenius_exponent
+    E, r, m = level.E, grid.r, params.m
     nu_s = params.parity * params.nu
-    m = params.m
 
-    hp = heun_params_full(params, E, level.lam)
-    C = 0.5 * hp.alpha
-    coeffs = _heun_polynomial(hp, n)
-    x = -(E + m) * r / params.e
-    hv = horner(coeffs, x)
-    dhv = horner(coeffs, x, 1)
-    pref = np.abs(x) ** A * np.exp(C * x)
-    ft = pref * hv
-    dft = (-(E + m) / params.e) * pref * ((A / x + C) * hv + dhv)
+    lam, A = level.lam, params.frobenius_exponent
+    hp = heun_params_full(params, E, lam)
+    ft, dft = _enveloped(_envelope(lam, A, r), _heun_polynomial(hp, n),
+                         -(E + m) / params.e, lam, A, r)
     gt = -(dft + (nu_s / r) * ft) / (E + params.e / r + m)
 
     if params.parity == 1:

@@ -97,9 +97,16 @@ def _level_solutions(params, n):
 
 @_check("scaled_variable_identities", ANALYTIC_ROUTES, 1e-12)
 def check_scaled_variable_identities(params, n, E, lam):
-    """mu^2 - eps^2 = e^2 and a_frob = sqrt(nu^2 - e^2) at every level."""
+    """mu^2 - eps^2 = e^2 and a_frob = sqrt(nu^2 - e^2) at every level.
+
+    mu^2 - eps^2 = e^2 (m^2 - E^2)/lam^2, so the first identity is
+    E = m sqrt((1 - t)(1 + t)) with t = lam/m, measured in units of m:
+    mu^2 - eps^2 itself cancels to e^2 from terms of size N^2 + e^2 at weak
+    coupling.  Where t^2 is below the rounding of E this ties E to lam, not
+    lam to E; the quantization checks tie lam through eps = e E/lam."""
     sv = standard_vars(params, E, lam)
-    yield abs(sv.mu ** 2 - sv.eps ** 2 - params.e ** 2) / max(params.e ** 2, 1e-30)
+    t = lam / params.m
+    yield abs(E / params.m - math.sqrt((1.0 - t) * (1.0 + t)))
     root = params.frobenius_exponent
     yield abs(sv.a_frob - root) / root
 

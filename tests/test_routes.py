@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heundirac import (InvalidParams, NoConvergence, RadialGrid,
+from heundirac import (InvalidParams, RadialGrid,
                        SystemParams, coefficient_ratio, count_nodes,
                        default_grid, energy_closed_form, normalize, residual,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
@@ -136,11 +136,28 @@ def test_mixed1_round_trip_is_proportional_to_identity():
 
 
 def test_mixed1_matches_standard():
-    p = params_for(1)
-    a = normalize(solve_mixed_case1(p, 1))
-    b = normalize(solve_standard(p, 1, grid=a.grid))
-    assert np.max(np.abs(a.f - b.f)) / np.max(np.abs(b.f)) < 1e-6
-    assert np.max(np.abs(a.g - b.g)) / np.max(np.abs(b.g)) < 1e-6
+    # at e = 1e-7, parity -1, the first-order relation between the two
+    # pieces cancels on the grid, so their scale must come from its
+    # closed-form limit to reach 1e-12
+    cases = [(params_for(1), 1),
+             *((SystemParams(1e-7, 1, parity=-1), n) for n in (1, 2, 5))]
+    for p, n in cases:
+        a = normalize(solve_mixed_case1(p, n))
+        b = normalize(solve_standard(p, n, grid=a.grid))
+        assert np.max(np.abs(a.f - b.f)) / np.max(np.abs(b.f)) < 1e-12, (p.e, n)
+        assert np.max(np.abs(a.g - b.g)) / np.max(np.abs(b.g)) < 1e-12, (p.e, n)
+
+
+@pytest.mark.parametrize("route", ["mixed1", "mixed2", "heun"])
+@pytest.mark.parametrize("e, parity, n", [(0.5, 1, 2), (1e-5, 1, 2), (1e-5, -1, 2),
+                                          (1e-7, -1, 1)])
+def test_amplitudes_are_pointwise(route, e, parity, n):
+    # the value at a radius does not depend on the rest of the grid
+    p = SystemParams(e, 1, parity=parity)
+    full = ROUTE_SOLVERS[route](p, n)
+    prefix = ROUTE_SOLVERS[route](p, n, grid=RadialGrid(full.grid.r[:700]))
+    assert np.array_equal(prefix.f, full.f[:700])
+    assert np.array_equal(prefix.g, full.g[:700])
 
 
 @pytest.mark.parametrize("solver", ["solve_mixed_case1", "solve_mixed_case2"])
@@ -237,30 +254,6 @@ def test_coefficient_ratio_sign_pattern(n, nu, e):
 # ----------------------------------------------------------------------
 # residual and normalization utilities
 # ----------------------------------------------------------------------
-
-def test_calibration_fails_when_relation_vanishes_everywhere():
-    from heundirac.routes import _calibrate
-    zeros = np.zeros(64)
-    with pytest.raises(NoConvergence, match="vanished at every candidate calibration"):
-        _calibrate(zeros, zeros, 1.0)
-
-
-def test_calibration_walks_outward_to_first_usable_index():
-    from heundirac.routes import _calibrate
-    target = np.full(9, 1e-13)
-    implied = np.ones(9)
-    # from the median index 4 the walk goes 5, 3, 6, 2, ...: index 6 ties
-    # with 2 on distance and is tried first; a left-to-right scan takes 1
-    target[[1, 2, 6]] = 6.0, 7.0, 8.0
-    implied[6] = 2.0
-    assert _calibrate(target, implied, 1.0) == 4.0
-
-
-def test_calibration_fails_when_every_index_is_below_floor():
-    from heundirac.routes import _calibrate
-    with pytest.raises(NoConvergence, match="vanished at every candidate calibration"):
-        _calibrate(np.full(9, 0.5e-12), np.ones(9), 1.0)
-
 
 def test_residual_zero_solution_is_zero():
     p = params_for(1)
@@ -402,11 +395,15 @@ def test_exponential_tail_log_slope():
 # cross-route agreement (light grid; the acceptance suite runs the full one)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,nu,e", [(0, 1, 0.5), (1, 1, 0.2), (2, 2, 0.5), (3, 3, 0.2)])
+@pytest.mark.parametrize("n,nu,e", [(0, 1, 0.5), (1, 1, 0.2), (2, 2, 0.5), (3, 3, 0.2),
+                                    (2, 1, 1e-5), (2, 1, 0.0072973525693)])
 def test_cross_route_pointwise_agreement(n, nu, e):
+    # at weak coupling and parity +1 the constant Heun coefficient is
+    # ~1e-16/e^2 off relative to the leading one, so a mixed-route amplitude
+    # matched at the origin would miss 1e-12 by that
     p = params_for(n, nu, e)
     ref = normalize(solve_standard(p, n))
     for solver in (solve_mixed_case1, solve_mixed_case2, solve_heun_full):
         sol = normalize(solver(p, n, grid=ref.grid))
-        assert np.max(np.abs(sol.f - ref.f)) / np.max(np.abs(ref.f)) < 1e-6
-        assert np.max(np.abs(sol.g - ref.g)) / np.max(np.abs(ref.g)) < 1e-6
+        assert np.max(np.abs(sol.f - ref.f)) / np.max(np.abs(ref.f)) < 1e-12
+        assert np.max(np.abs(sol.g - ref.g)) / np.max(np.abs(ref.g)) < 1e-12

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -118,6 +119,17 @@ def test_level_one_checks_report_an_empty_range(check, tol):
     res = check(SystemParams(0.5, 1), 0)
     assert res == verify.CheckResult(res.name, True, 0.0, tol, "no n >= 1 level requested")
     assert check(SystemParams(0.5, 1), 0, tol=0.0).tolerance == 0.0
+
+
+def test_scaled_variable_identities_tie_E_to_lam(monkeypatch):
+    # met to rounding at every coupling, though mu^2 - eps^2 cancels to e^2
+    for coupling in (1e-7, 0.0072973525693, 0.5):
+        assert verify.check_scaled_variable_identities(SystemParams(coupling, 1), 4).passed
+    # and a decay constant off by 1e-9 relative is seen
+    exact = verify.energy_closed_form
+    monkeypatch.setattr(verify, "energy_closed_form",
+                        lambda n, p: replace(exact(n, p), lam=exact(n, p).lam * (1 + 1e-9)))
+    assert not verify.check_scaled_variable_identities(SystemParams(0.5, 1), 4).passed
 
 
 # no mass is rejected up front: the analytic levels carry their exact lam,

@@ -131,6 +131,16 @@ def require_bound_energy(params: SystemParams, E: float):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
 
 
+def case1_denominator(params: SystemParams, E: float, lam: float, sign: int) -> float:
+    """E + sign m_eff cos A of case 1 in units of m; E - m cos A, which cancels
+    at weak coupling, as m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A)."""
+    m, sin_a = params.m, params.e / params.nu
+    cos_a = math.sqrt(1.0 - sin_a ** 2)
+    if sign * params.parity == 1:
+        return E + m * cos_a
+    return m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a)
+
+
 def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
     """Resolve rotation case 1 (sin A = e/nu) or 2 (cos A = E/m_eff,
     sin A = lam/m) at energy E with decay constant lam.
@@ -142,19 +152,14 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
         R = -2e / (E + m_eff cos A),      D = -(e + nu sin A) / (2E).
 
     Neither takes a difference that cancels at weak coupling: the case-2
-    half angles take m - E as lam^2/(m + E), and at parity -1 the case-1
-    E - m cos A is factored through E^2 - m^2 cos^2 A = m^2 sin^2 A - lam^2.
+    half angles take m - E as lam^2/(m + E), and R takes case1_denominator.
     Each is formed in units of m, so no mass overflows it.
     """
     e, nu, m, m_eff = params.e, params.nu, params.m, params.m_eff
     if case_id == "1":
         root = params.frobenius_exponent
         sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
-        if params.parity == 1:
-            denom = E + m * cos_a
-        else:   # E - m cos A = m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A)
-            t = lam / m
-            denom = m * (sin_a - t) * (sin_a + t) / (E / m + cos_a)
+        denom = case1_denominator(params, E, lam, 1)
         # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
         return MixingCase("1", sin_a, cos_a, math.sqrt((nu + root) / (2.0 * nu)),
                           e / math.sqrt(2.0 * nu * (nu + root)),

@@ -1,18 +1,19 @@
 """Shooting-method cross-check, free of the analytic solution formulas.
 
-Locates bound energies by matching two integrations of the Prufer angle
-theta = atan2(g, f) of the radial system,
+In t = ln r the radial system is dy/dt = B y, y = (f, g), with the traceless
+B = [[-nu, -(E + m_eff) r - e], [(E - m_eff) r + e, nu]].  Each interval gets
+the 4th-order Magnus step of two Gauss points, Omega = h/2 (B1 + B2) +
+(sqrt 3/12) h^2 [B2, B1], and exp Omega = cosh q I + (sinh q/q) Omega
+(q^2 = -det Omega), scaled by exp(-|Re q|).  All propagators are built at
+once and multiplied in log depth; each result is the Richardson value
+(16 x_2N - x_N)/15 (Iserles & Norsett 1999, Blanes et al. 2009).
 
-    theta' = (nu/r) sin 2theta + E + e/r - m_eff cos 2theta,
-
-at a fitting radius r_match: theta_out runs outward from the regular
-Frobenius start near the origin, theta_in inward from the decaying
-asymptotic angle at r_far.  The functional sin(theta_out - theta_in) is
-smooth in E, so Brent's method converges superlinearly on it, and the
-angle stays bounded where the amplitudes would grow or decay
-exponentially.  The unwrapped mismatch at a root is a multiple of pi that
-counts the nodes, which labels the level without the closed-form
-spectrum.
+Shooting matches a leg outward from the Frobenius direction (1, -(s + nu)/e),
+the r -> 0 eigenvector of B, with one inward from the decaying direction
+(E + m_eff, lam): the cross product of the unit end vectors at s/lam,
+sin(theta_out - theta_in) for theta = atan2(g, f), is smooth in E, so Brent's
+method converges superlinearly on it.  At the root the unwrapped mismatch
+counts the nodes, which labels the level without the closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -21,38 +22,27 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import InvalidParams, NoConvergence
 from .model import EnergyLevel, SystemParams, require_bound_energy
-from .routes import RadialGrid, RadialSolution, default_grid
-
-# Magnitude cap for the amplitude integration of integrate_radial.
-OVERFLOW_CAP = 1e250
+from .routes import GRID_RMAX_SCALE, RadialGrid, RadialSolution, default_grid
 
 # Brent iteration budget of shoot_energy.
 MAX_ITERATIONS = 200
 
-# Default scan window for bracketing, in units of m.
-SCAN_E_MIN = 0.2
-SCAN_E_MAX = 1.0 - 1e-9
-SCAN_POINTS = 200
+# Radii in units of 1/lam, lam = sqrt(m^2 - E^2), of the seed (also of
+# integrate_radial) and of the inward start past 2N/lam, N = e E/lam.  The
+# turning points (N -/+ sqrt(N^2 - s^2))/lam bound the region where neither
+# leg follows a growing mode; their geometric mean s/lam is the match.
+R_SEED_SCALE = 1e-12
+R_FAR_SCALE = 80.0
 
-
-# Shooting radii in units of 1/lam, lam = sqrt(m^2 - E^2).  The start
-# radius is small enough that the truncated Frobenius seed perturbs the
-# integrated shape by well under the 1e-5 agreement budget against the
-# analytic routes.  Matching at 1/lam keeps the mismatch smooth in E: much
-# farther out, theta_out follows the growing mode and jumps by pi within
-# ~1e-8 of a root.  The inward angle leg starts at R_FAR_SCALE, which also
-# bounds the grids integrate_radial accepts.
-R_START_SCALE = 1e-6
-R_MATCH_SCALE = 1.0
-R_FAR_SCALE = 40.0
-
-# Local error tolerance (rtol) of the dop853 legs and of integrate_radial.
-LOCAL_ERROR_TOL = 1e-12
+# Log-uniform Magnus intervals N per shooting leg, the steps per block of
+# _march, and the longest step of integrate_radial.
+STEPS = 800
+BLOCK = 64
+_MAX_STEP = math.log(R_FAR_SCALE) / STEPS
 
 
 def frobenius_start(params: SystemParams, E: float, r_start: float):
@@ -68,103 +58,139 @@ def frobenius_start(params: SystemParams, E: float, r_start: float):
     s = params.frobenius_exponent
     kappa_ratio = -(s + params.nu) / params.e
     f0 = r_start ** s
-    g0 = kappa_ratio * f0
     df0 = s * f0 / r_start
-    dg0 = kappa_ratio * df0
-    return f0, g0, df0, dg0
+    return f0, kappa_ratio * f0, df0, kappa_ratio * df0
 
 
-def _mismatch(params: SystemParams, E: float, lam_ref: float,
-              rtol: float = LOCAL_ERROR_TOL) -> float:
-    """Unwrapped angle mismatch theta_out - theta_in at r_match.
+# products of 2x2 matrices and of vectors, stacked as (2, 2, ...) and (2, ...)
+_MUL, _APPLY = "ij...,jk...->ik...", "ij...,j...->i..."
 
-    The radii scale with lam_ref.  theta_out starts from the regular
-    Frobenius data at r_start, theta_in from the decaying asymptotic angle
-    atan2(lam, E + m_eff) at r_far.  Each leg runs in the direction in
-    which its angle is attracted to the wanted solution, so neither needs
-    an overflow guard.  Both run in units of 1/m (the system at m = 1,
-    energy E/m, radius m r), so the integrator's step-size heuristics see
-    the same problem at any mass.
-    """
-    m = params.m
-    unit, E_m, lam_m = replace(params, m=1.0), E / m, lam_ref / m
-    x_start = R_START_SCALE / lam_m
-    x_match = R_MATCH_SCALE / lam_m
-    x_far = R_FAR_SCALE / lam_m
-    f0, g0, _, _ = frobenius_start(unit, E_m, x_start)
+
+def _propagators(unit: SystemParams, E: float, t: np.ndarray):
+    """(M, ell): the propagator exp(-ell) exp(Omega) of each interval of the
+    nodes t = ln r (last axis), stacked as (2, 2, ...), and ell = |Re q|.
+    A decreasing t runs inward: Omega changes sign with h."""
     nu, e, m_eff = unit.nu, unit.e, unit.m_eff
-    lam = unit.decay_constant(E_m)
+    h = np.diff(t)
+    mid, half = t[..., :-1] + 0.5 * h, (math.sqrt(3.0) / 6.0) * h
+    r1, r2 = np.exp(mid - half), np.exp(mid + half)
+    # B = B0 + r K, so [B2, B1] = (r2 - r1) [K, B0] = (r2 - r1) *
+    # [[-2 e m_eff, -2 nu (E + m_eff)], [-2 nu (E - m_eff), 2 e m_eff]]
+    rs, rd = r1 + r2, (math.sqrt(3.0) / 12.0) * h * h * (r2 - r1)
+    a = -nu * h - 2.0 * e * m_eff * rd
+    b = -0.5 * h * ((E + m_eff) * rs + 2.0 * e) - 2.0 * nu * (E + m_eff) * rd
+    c = 0.5 * h * ((E - m_eff) * rs + 2.0 * e) - 2.0 * nu * (E - m_eff) * rd
+    q2 = a * a + b * c
+    q = np.sqrt(np.abs(q2))
+    hyperbolic = q2 > 0.0
+    ell = np.where(hyperbolic, q, 0.0)
+    decay = np.expm1(-2.0 * ell)   # exp(-2q) - 1 on hyperbolic steps, else 0
+    cosh = np.where(hyperbolic, 1.0 + 0.5 * decay, np.cos(q))
+    sinh = np.where(hyperbolic, -0.5 * decay / np.where(hyperbolic, q, 1.0),
+                    np.sinc(q / math.pi))
+    return np.array([[cosh + sinh * a, sinh * b], [sinh * c, cosh - sinh * a]]), ell
 
-    def rhs(x, theta):
-        t2 = 2.0 * theta[0]
-        return [(nu / x) * math.sin(t2) + E_m + e / x - m_eff * math.cos(t2)]
 
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14,
-                                     nsteps=200_000)
+def _product(M):
+    """M_(K-1) ... M_0 over the last axis by pairwise products, each rescaled:
+    the end column of _march at 1/1.6 of its cost per shooting evaluation."""
+    while M.shape[-1] > 1:
+        if M.shape[-1] % 2:
+            M = np.concatenate((M[..., :-2], np.einsum(_MUL, M[..., -1:], M[..., -2:-1])), -1)
+        M = np.einsum(_MUL, M[..., 1::2], M[..., 0::2])
+        M = M / np.abs(M).max(axis=(0, 1))
+    return M[..., 0]
 
-    def leg(theta0, x0):
-        solver.set_initial_value([theta0], x0)
-        theta = solver.integrate(x_match)
-        if not solver.successful():
-            raise NoConvergence(f"dop853 failed from r={x0 / m:g} at E={E}")
-        return float(theta[0])
 
-    return (leg(math.atan2(g0, f0), x_start)
-            - leg(math.atan2(lam, E_m + m_eff), x_far))
+def _march(M, y0):
+    """The vectors M_k ... M_0 y0 after every step k of the last axis, by
+    prefix products (Hillis-Steele) within blocks run one after another.  One
+    scan over all steps would round each node apart, at eps times the growth
+    from the seed: node-to-node noise, where block by block it is smooth."""
+    steps, batch = M.shape[-1], M.shape[2:-1]
+    pad = [(0, 0)] * (M.ndim - 1) + [(0, -steps % BLOCK)]   # after the end: unread
+    Q = np.pad(M, pad).reshape(2, 2, *batch, -1, BLOCK)
+    d = 1
+    while d < BLOCK:
+        Q = np.concatenate((Q[..., :d], np.einsum(_MUL, Q[..., d:], Q[..., :-d])), -1)
+        d *= 2
+    v = [np.asarray(y0, dtype=float)]
+    for b in range(Q.shape[-2] - 1):
+        v.append(np.einsum(_APPLY, Q[..., b, -1], v[-1]))
+    y = np.einsum(_APPLY, Q, np.stack(v, axis=-1)[..., None])
+    return y.reshape(2, *batch, -1)[..., :steps]
+
+
+def _shooting_legs(params: SystemParams, E: float, lam_ref: float, steps):
+    """(system at m = 1, E/m, seeds, nodes) of the two legs, in units of 1/m
+    so that they see the same problem at any mass: the outward and inward
+    seeds as columns, and for each count in steps the log radii of that many
+    intervals per leg, one leg per row.  The radii are those of lam_ref."""
+    unit, E_m, lam_m = replace(params, m=1.0), E / params.m, lam_ref / params.m
+    f0, g0, _, _ = frobenius_start(unit, E_m, 1.0)   # the direction (1, -(s + nu)/e)
+    seeds = np.array([[f0, E_m + unit.m_eff], [g0, unit.decay_constant(E_m)]])
+    N = unit.e * math.sqrt(1.0 - lam_m * lam_m) / lam_m
+    start = np.log(np.array([[R_SEED_SCALE], [R_FAR_SCALE + 2.0 * N]]) / lam_m)
+    match = math.log(unit.frobenius_exponent / lam_m)
+    return unit, E_m, seeds, [start + (match - start) * np.linspace(0.0, 1.0, n + 1)
+                              for n in steps]
+
+
+def _mismatch(E: float, params: SystemParams, lam_ref: float) -> float:
+    """Matched functional sin(theta_out - theta_in) at r_match."""
+    unit, E_m, seeds, nodes = _shooting_legs(params, E, lam_ref, (STEPS, 2 * STEPS))
+    phi = []
+    for t in nodes:
+        f, g = np.einsum(_APPLY, _product(_propagators(unit, E_m, t)[0]), seeds)
+        phi.append((g[0] * f[1] - f[0] * g[1]) / (math.hypot(f[0], g[0]) * math.hypot(f[1], g[1])))
+    return (16.0 * phi[1] - phi[0]) / 15.0
+
+
+def _node_label(params: SystemParams, E: float, lam_ref: float) -> int:
+    """n = round(delta/pi) + 1, delta = theta_out - theta_in unwrapped."""
+    unit, E_m, seeds, (t,) = _shooting_legs(params, E, lam_ref, (STEPS,))
+    y = np.concatenate((seeds[..., None], _march(_propagators(unit, E_m, t)[0], seeds)), -1)
+    theta = np.unwrap(np.arctan2(y[1], y[0]))
+    return round((theta[0, -1] - theta[1, -1]) / math.pi) + 1
 
 
 def integrate_radial(params: SystemParams, E: float,
                      grid: RadialGrid | None = None) -> RadialSolution:
     """Integrate the radial system outward and record (f, g) on a grid.
 
-    The integration runs from R_START_SCALE/lam to the last grid radius,
-    which may not lie past R_FAR_SCALE/lam; the default grid is
-    default_grid(lam).  It runs in units of 1/m (the system at
-    m = 1, energy E/m, radius m r), so it needs no mass-dependent step
-    size or tolerance.  Raises NoConvergence when the solution exceeds
-    OVERFLOW_CAP.
-
-    Note on tails: even at an eigenvalue, roundoff seeds the growing mode
-    at relative size ~eps, which overtakes the decaying profile beyond
-    lam*r ~ 18-23 in double precision.  Shooting is unaffected (it matches
-    angles at r_match = 1/lam), but wavefunction comparisons should stay
-    inside that window.
-    """
+    From the Frobenius seed at R_SEED_SCALE/lam, N steps reach the first
+    grid radius and k steps span each grid interval (Richardson pair (N, k),
+    (2N, 2k)), in units of 1/m; each node keeps its log scale, and one
+    factor puts the largest at 1, so no j overflows (f, g).  The grid,
+    default_grid(lam) by default, may not reach past GRID_RMAX_SCALE/lam (up
+    to eps (m/lam)^2, the rounding of lam from a double E).  Even at an
+    eigenvalue, roundoff seeds the growing mode at relative size ~eps, which
+    overtakes the decaying profile beyond lam*r ~ 18-23."""
     require_bound_energy(params, E)
     lam = params.decay_constant(E)
-    r_start = R_START_SCALE / lam
-    if grid is None:
-        grid = default_grid(lam)
-    r = grid.r
-    if r[0] < r_start or r[-1] > R_FAR_SCALE / lam:
-        raise InvalidParams("grid must lie within [r_start, r_far]")
+    grid = default_grid(lam) if grid is None else grid
+    r, m = grid.r, params.m
+    if r[0] < R_SEED_SCALE / lam or r[-1] * lam > GRID_RMAX_SCALE * (1.0 + 1e-15 * (m / lam) ** 2):
+        raise InvalidParams("grid must lie within [r_seed, r_max] of the oracle")
 
-    # in units of 1/m: energy E/m, radii x = m r
-    m = params.m
-    unit, E_m, x, x_start = replace(params, m=1.0), E / m, r * m, r_start * m
-    f0, g0, _, _ = frobenius_start(unit, E_m, x_start)
-    nu, e, m_eff = unit.nu, unit.e, unit.m_eff
-
-    def rhs(x_, y):
-        f, g = y
-        w = E_m + e / x_
-        return np.array((-(nu / x_) * f - (w + m_eff) * g,
-                         (nu / x_) * g + (w - m_eff) * f))
-
-    def overflow_event(x_, y):
-        return OVERFLOW_CAP - max(abs(y[0]), abs(y[1]))
-
-    overflow_event.terminal = True
-
-    sol = solve_ivp(rhs, (x_start, x[-1]), np.array([f0, g0]),
-                    method="DOP853", t_eval=x, rtol=LOCAL_ERROR_TOL, atol=1e-280,
-                    events=overflow_event)
-    if sol.status == 1:
-        raise NoConvergence(f"solution exceeded {OVERFLOW_CAP:g} at E={E}")
-    if not sol.success:
-        raise NoConvergence(f"dop853 failed at E={E}: {sol.message}")
+    unit, E_m, x_seed = replace(params, m=1.0), E / m, R_SEED_SCALE * m / lam
+    f0, g0, _, _ = frobenius_start(unit, E_m, 1.0)   # the direction (1, -(s + nu)/e)
+    t = np.log(r * m)
+    h = np.diff(t)
+    k = math.ceil(h.max() / _MAX_STEP)
+    values, top = [], None
+    for j in (1, 2):
+        sub = t[:-1, None] + h[:, None] * (np.arange(j * k) / (j * k))
+        nodes = np.concatenate((np.linspace(math.log(x_seed), t[0], j * STEPS + 1)[:-1],
+                                sub.ravel(), t[-1:]))
+        M, ell = _propagators(unit, E_m, nodes)
+        at = j * STEPS - 1 + j * k * np.arange(len(t))  # the step ending at each radius
+        scale = np.cumsum(ell)[at]
+        top = scale.max() if top is None else top   # one factor for both members
+        values.append(_march(M, (f0, g0))[:, at] * np.exp(scale - top))
+    f, g = (16.0 * values[1] - values[0]) / 15.0
     level = EnergyLevel(-1, params.nu, params.parity, E, "oracle", lam)
-    return RadialSolution(grid, sol.y[0], sol.y[1], level, "oracle", params)
+    return RadialSolution(grid, f, g, level, "oracle", params)
 
 
 def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
@@ -173,62 +199,33 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
     The bracket must contain exactly one sign change of the matched
     functional sin(theta_out - theta_in).  Brent's method refines to
     |dE|/m near 1e-15.  The radial quantum number of the result is read
-    off the unwrapped mismatch at the root, n = round(delta/pi) + 1.
+    off the unwrapped mismatch at the root.
     """
     if not (0.0 < E_lo < E_hi < params.m):
         raise InvalidParams(f"need 0 < E_lo < E_hi < m, got ({E_lo}, {E_hi})")
     # scale by the smallest decay constant in the bracket (the upper end),
     # so r_far covers the full extent of every candidate state
     lam_hi = params.decay_constant(E_hi)
-
-    # the mismatch closest to a multiple of pi is the one at the root
-    best = {"phi": math.inf, "delta": 0.0}
-
-    def phi(E):
-        delta = _mismatch(params, E, lam_hi)
-        value = math.sin(delta)
-        if abs(value) < best["phi"]:
-            best["phi"], best["delta"] = abs(value), delta
-        return value
-
-    phi_lo, phi_hi = phi(E_lo), phi(E_hi)
-    if phi_lo == 0.0:
-        E = E_lo
-    elif phi_hi == 0.0:
-        E = E_hi
-    elif phi_lo * phi_hi > 0.0:
-        raise NoConvergence(
-            f"matched functional has the same sign at both ends: "
-            f"phi({E_lo})={phi_lo:.3e}, phi({E_hi})={phi_hi:.3e}"
-        )
-    else:
-        E, res = brentq(phi, E_lo, E_hi, xtol=1e-15 * params.m, rtol=8.9e-16,
-                        maxiter=MAX_ITERATIONS, full_output=True, disp=False)
-        if not res.converged:
-            raise NoConvergence(
-                f"Brent refinement did not converge within {MAX_ITERATIONS} steps"
-            )
-    n = round(best["delta"] / math.pi) + 1
-    return EnergyLevel(n, params.nu, params.parity, float(E), "oracle",
-                       params.decay_constant(E))
+    try:   # a root at either end is returned as it is
+        E, res = brentq(_mismatch, E_lo, E_hi, args=(params, lam_hi), xtol=1e-15 * params.m,
+                        rtol=8.9e-16, maxiter=MAX_ITERATIONS, full_output=True, disp=False)
+    except ValueError:
+        raise NoConvergence(f"matched functional has the same sign at both ends "
+                            f"of ({E_lo}, {E_hi})") from None
+    if not res.converged:
+        raise NoConvergence(f"Brent refinement did not converge within {MAX_ITERATIONS} steps")
+    return EnergyLevel(_node_label(params, E, lam_hi), params.nu, params.parity,
+                       float(E), "oracle", params.decay_constant(E))
 
 
-def scan_brackets(params: SystemParams, e_min_scale: float = SCAN_E_MIN,
-                  e_max_scale: float = SCAN_E_MAX, points: int = SCAN_POINTS,
-                  scan_tol: float = 1e-9) -> list[tuple[float, float]]:
-    """Uniform energy scan for sign changes of the matched functional.
-
-    Each returned interval brackets one eigenvalue and can seed
-    shoot_energy.  A looser integration tolerance is enough for sign
-    information.
-    """
+def scan_brackets(params: SystemParams, e_min_scale: float = 0.2,
+                  e_max_scale: float = 1.0 - 1e-9,
+                  points: int = 200) -> list[tuple[float, float]]:
+    """Uniform scan of E/m in [e_min_scale, e_max_scale] for sign changes of
+    the matched functional: each interval brackets one eigenvalue and can
+    seed shoot_energy."""
     energies = np.linspace(e_min_scale * params.m, e_max_scale * params.m, points)
     lam_ref = params.decay_constant(energies[len(energies) // 2])
-    values = [math.sin(_mismatch(params, float(E), lam_ref, scan_tol)) for E in energies]
-    brackets = []
-    for i in range(len(energies) - 1):
-        if values[i] == 0.0:
-            continue
-        if values[i] * values[i + 1] < 0.0:
-            brackets.append((float(energies[i]), float(energies[i + 1])))
-    return brackets
+    values = [_mismatch(float(E), params, lam_ref) for E in energies]
+    return [(float(lo), float(hi)) for lo, hi, v_lo, v_hi
+            in zip(energies, energies[1:], values, values[1:]) if v_lo * v_hi < 0.0]

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .model import (ANALYTIC_ROUTES, EnergyLevel, SystemParams, energy_closed_form,
-                    mixing_case, heun_params_case1, heun_params_case2,
+                    case1_denominator, mixing_case, heun_params_case1, heun_params_case2,
                     heun_params_full, require_level, standard_vars)
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
@@ -259,8 +259,7 @@ def case1_g_from_f(params: SystemParams, E: float, lam: float, r: np.ndarray,
     case = mixing_case("1", params, E, lam)
     num = df_part + (params.nu * case.cos_a / r) * f_part \
         - params.m_eff * case.sin_a * f_part
-    den = -2.0 * params.e / r - E - params.m_eff * case.cos_a
-    return num / den
+    return num / (-2.0 * params.e / r - case1_denominator(params, E, lam, 1))
 
 
 def case1_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
@@ -272,7 +271,7 @@ def case1_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
     channel, where this direction of the map is unusable.
     """
     case = mixing_case("1", params, E, lam)
-    den = E - params.m_eff * case.cos_a
+    den = case1_denominator(params, E, lam, -1)
     if abs(den) < 1e-13 * params.m:
         raise InvalidParams(
             "E = m_eff cos A: the G-to-F map degenerates at the nodeless level"
@@ -302,8 +301,7 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
     else:
         # nodeless level: R diverges and the series route for F is empty,
         # but the inverse relation collapses to a pure rescaling of G.
-        den = E - params.m_eff * case.cos_a
-        ratio = (params.m_eff * case.sin_a - lam) / den
+        ratio = (params.m_eff * case.sin_a - lam) / case1_denominator(params, E, lam, -1)
         f_part, df_part = ratio * g_part, ratio * dg_part
     return r, f_part, df_part, g_part, dg_part, case
 

@@ -539,6 +539,48 @@ def test_oracle_spectrum_at_extreme_masses(capsys, mass):
         assert abs(E_over_m - ref) / ref < 1e-12
 
 
+def test_oracle_answers_at_weak_coupling(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--route", "oracle", "--coupling", "1e-3",
+                             "--n-max", "1", "--format", "csv")
+    assert code == EXIT_OK, err
+    for row in out.splitlines()[1:]:
+        n, E = int(row.split(",")[0]), float(row.split(",")[4])
+        ref = energy_closed_form(n, SystemParams(1e-3, 1)).E
+        assert abs(E - ref) / ref < 1e-12
+    code, out, _ = run_cli(capsys, "verify", "--route", "oracle", "--coupling", "1e-3",
+                           "--n-max", "1")
+    assert code == EXIT_OK and out.startswith("[PASS] oracle_spectrum")
+
+
+@pytest.mark.parametrize("j", (24.5, 34.5))
+def test_oracle_answers_at_large_j(capsys, j):
+    # at these j the seed's size x^s (x = 1e-12 lam/m) underflows and the
+    # growth from it overflows: both stay log scales, never formed
+    nu = j + 0.5
+    code, out, err = run_cli(capsys, "spectrum", "--route", "oracle", "--coupling", "0.5",
+                             "--j", str(j), "--n-max", "3", "--format", "csv")
+    assert code == EXIT_OK, err
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
+    for row in rows:
+        ref = energy_closed_form(int(row[0]), SystemParams(0.5, nu, parity=int(row[2]))).E
+        assert abs(float(row[4]) - ref) / ref < 1e-12
+    code, out, err = run_cli(capsys, "wavefunction", "--route", "oracle", "--coupling", "0.5",
+                             "--j", str(j), "--n", "2", "--n-max", "2", "--format", "json")
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert all(math.isfinite(v) for v in doc["f"] + doc["g"])
+    assert doc["system_residual"] < 1e-6
+
+
+def test_operator_closure_passes_at_weak_coupling_parity_minus(capsys):
+    # both case-1 maps divide by E -/+ m_eff cos A, which cancels to O(e^2)
+    # unless formed from R; the n = 0 checks of this channel fail on their own
+    _, out, _ = run_cli(capsys, "verify", "--coupling", "1e-5", "--parity", "-1",
+                        "--n-max", "3")
+    assert re.search(r"^\[PASS\] operator_closure:", out, re.M)
+
+
 def test_zero_tolerance_stays_the_unattainable_override(capsys):
     code, out, _ = run_cli(capsys, "verify", "--coupling", "0.5", "--n-max", "0",
                            "--route", "standard", "--tol", "0")

@@ -11,6 +11,7 @@ A change that alters one of these bytes on purpose (a correctness fix)
 regenerates the file the same way and says so in CHANGES.md.
 """
 
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,16 @@ def test_output_matches_golden(name, tmp_path):
         argv.append("--no-timestamp")
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_oracle_golden_is_within_1e13_of_the_closed_form():
+    # E/m = 1/sqrt(1 + e^2/(n + sqrt(nu^2 - e^2))^2) at 50 digits, e = 1/2, nu = 1
+    lines = (DATA / "spectrum_oracle_e0p5.csv").read_text().splitlines()[1:]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = Decimal("0.5")
+        for line in lines:
+            cells = line.split(",")
+            N = int(cells[0]) + (1 - e * e).sqrt()
+            ref = 1 / (1 + e * e / (N * N)).sqrt()
+            assert abs(Decimal(cells[4]) - ref) / ref < Decimal("1e-13")

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, frobenius_start, integrate_radial,
@@ -90,19 +89,20 @@ def test_integration_off_eigenvalue_grows():
 
 def test_integration_stops_at_grid_end(monkeypatch):
     # a grid ending at 15/lam is not integrated on to the 40/lam limit
-    spans = []
+    ends = []
+    propagators = oracle._propagators
 
-    def spy(fun, t_span, *args, **kwargs):
-        spans.append(t_span)
-        return solve_ivp(fun, t_span, *args, **kwargs)
+    def spy(unit, E, t):
+        ends.append(math.exp(t.max()))
+        return propagators(unit, E, t)
 
-    monkeypatch.setattr(oracle, "solve_ivp", spy)
+    monkeypatch.setattr(oracle, "_propagators", spy)
     p = SystemParams(0.5, 1)
     E = energy_closed_form(1, p).E
     lam = p.decay_constant(E)
     grid = RadialGrid(np.geomspace(0.01 / lam, 15.0 / lam, 300))
     sol = integrate_radial(p, E, grid=grid)
-    assert len(spans) == 1 and spans[0][1] <= grid.r[-1]
+    assert ends and all(end == pytest.approx(grid.r[-1], rel=1e-14) for end in ends)
     assert np.all(np.isfinite(sol.f)) and len(sol.f) == len(grid)
 
 
@@ -135,14 +135,18 @@ def test_integration_determinism():
     assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
 
 
-def test_integration_overflow_reported_with_sign(monkeypatch):
-    # off an eigenvalue the growing mode crosses a lowered cap
-    monkeypatch.setattr(oracle, "OVERFLOW_CAP", 1e3)
+def test_integration_off_eigenvalue_stays_finite_to_r_max():
+    # off an eigenvalue the growing mode fills the tail out to 40/lam; each
+    # node keeps its log scale, so nothing overflows (a RuntimeWarning fails)
     p = SystemParams(0.5, 1)
     E1 = energy_closed_form(1, p).E
     E2 = energy_closed_form(2, p).E
-    with pytest.raises(NoConvergence, match="solution exceeded 1000"):
-        integrate_radial(p, 0.5 * (E1 + E2))
+    E_mid = 0.5 * (E1 + E2)
+    lam = p.decay_constant(E_mid)
+    sol = integrate_radial(p, E_mid, grid=RadialGrid(np.geomspace(0.01 / lam, 40.0 / lam, 400)))
+    assert np.all(np.isfinite(sol.f)) and np.all(np.isfinite(sol.g))
+    tail = np.abs(sol.f[-50:])
+    assert np.all(np.diff(tail) > 0) and tail[-1] / tail[0] > 1e3
 
 
 # ----------------------------------------------------------------------
@@ -194,9 +198,8 @@ def test_shoot_evaluation_budget(monkeypatch):
 
 @pytest.mark.parametrize("m", (1e-150, 1e-20, 1e-16, 0.51099895, 938.272, 1e150))
 def test_shooting_is_scale_free_in_the_mass(m):
-    # the shooting legs run in units of 1/m, so the integrator's absolute
-    # step-size heuristics see the same problem at every mass; the energy is
-    # then as accurate as the integration (rtol 1e-12) allows at any mass
+    # the shooting legs run in units of 1/m, so every mass sees the same
+    # problem and the energy is as accurate as at m = 1
     p = SystemParams(0.5, 1, m)
     level = shoot_energy(p, *level_bracket(p, 2))
     ref = energy_closed_form(2, p).E
@@ -245,6 +248,34 @@ def test_shoot_deep_bracket_small_coupling_ground_level():
     ref = energy_closed_form(0, p).E
     assert abs(level.E - ref) / ref < 1e-12
     assert level.n == 0
+
+
+@pytest.mark.parametrize("nu, e", [(nu, e) for nu in (1, 2, 3)
+                                   for e in (1e-4, 1e-3, ALPHA, 0.25 * nu, 0.5, 0.95 * nu)])
+@pytest.mark.parametrize("parity", (1, -1))
+def test_shoot_sweep_from_weak_to_strong_coupling(nu, e, parity):
+    # every level n <= 12 of the channel to 1e-12, each labelled by its
+    # node count alone (the bracket comes from the closed form, the label not)
+    p = SystemParams(e, nu, parity=parity)
+    for n in range(0 if parity == -1 else 1, 13):
+        level = shoot_energy(p, *level_bracket(p, n))
+        ref = energy_closed_form(n, p).E
+        assert abs(level.E - ref) / ref < 1e-12
+        assert level.n == n
+
+
+@pytest.mark.parametrize("nu", (22, 50, 80))
+@pytest.mark.parametrize("parity", (1, -1))
+def test_shoot_at_large_nu(nu, parity):
+    # the outer turning point reaches 2N/lam, past 80/lam from nu ~ 40, and
+    # 1/lam lies below the inner one: the inward leg starts past the outer
+    # one and the legs meet between the two
+    p = SystemParams(0.5, nu, parity=parity)
+    for n in range(0 if parity == -1 else 1, 4):
+        level = shoot_energy(p, *level_bracket(p, n))
+        ref = energy_closed_form(n, p).E
+        assert abs(level.E - ref) / ref < 1e-12
+        assert level.n == n
 
 
 def test_shoot_no_bracket_between_levels():

@@ -308,6 +308,15 @@ def standard_vars(params: SystemParams, E: float, lam: float) -> StandardVars:
     return StandardVars(lam, mu, eps, a_frob)
 
 
+def quantized_routes(params: SystemParams, n: int) -> tuple[str, ...]:
+    """The analytic routes with a quantization condition at level n: all of
+    them but mixed1 at the nodeless level of parity -1, which sits on the
+    case-1 pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges."""
+    if n == 0 and params.parity == -1:
+        return tuple(route for route in ANALYTIC_ROUTES if route != "mixed1")
+    return ANALYTIC_ROUTES
+
+
 def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
                            routes: tuple[str, ...] = ANALYTIC_ROUTES) -> dict[str, float]:
     """Signed residual of each requested route's quantization condition at
@@ -359,18 +368,19 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     The mixed1 multiple carries R = -2e/(E + m_eff cos A), whose pole at
     parity -1 is the n = 0 energy m cos A, at t = sin A = e/nu: there the
     bracket ends at the pole, below which every n >= 1 level lies.  The
-    n = 0 level at parity -1, on the pole itself, raises InvalidParams.
+    n = 0 level at parity -1, on the pole itself, has no mixed1 condition
+    (quantized_routes) and raises InvalidParams.
     """
     # level_channel puts n = 0 at parity -1: only the index and coupling rules apply
     require_level(level_channel(params, n), n)
+    if route in ANALYTIC_ROUTES and route not in quantized_routes(params, n):
+        raise InvalidParams(
+            f"{route} cannot solve n=0 at parity -1: the level sits on the case-1 "
+            "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
+        )
     m = params.m
     lo, hi = 0.0, 1.0
     if route == "mixed1" and params.parity == -1:
-        if n == 0:
-            raise InvalidParams(
-                "mixed1 cannot solve n=0 at parity -1: the level sits on the case-1 "
-                "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
-            )
         hi = params.e / params.nu
 
     def point(t: float) -> tuple[float, float]:

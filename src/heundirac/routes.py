@@ -487,11 +487,15 @@ def normalize(solution: RadialSolution) -> RadialSolution:
     """
     r = solution.grid.r
     f, g = solution.f, solution.g
-    norm_sq = float(np.trapezoid(f * f + g * g, r))
+    fmax = np.max(np.abs(f))
+    # f and g in units of a power of two near their peak: exact, and
+    # f^2 + g^2 stays in range at any amplitude
+    exp = int(np.frexp(max(fmax, np.max(np.abs(g))))[1])
+    fs, gs = np.ldexp(f, -exp), np.ldexp(g, -exp)
+    norm_sq = float(np.trapezoid(fs * fs + gs * gs, r))
     if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
         raise InvalidParams(f"norm integral is {norm_sq}; cannot normalize")
-    scale = 1.0 / math.sqrt(norm_sq)
-    fmax = np.max(np.abs(f))
+    scale = float(np.ldexp(1.0 / math.sqrt(norm_sq), -exp))
     if fmax > 0:
         lead = np.argmax(np.abs(f) > 1e-3 * fmax)
         if f[lead] < 0:

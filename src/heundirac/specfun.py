@@ -28,22 +28,18 @@ with c_0 = 1 and c_1 = -u/(beta+1).  The recurrence is validated against
 the differential equation itself in the test suite (residual checks).
 
 Polynomial truncation.  The series terminates at degree n when two
-conditions hold simultaneously: the coefficient alpha*n + u + v of the
-c_{n-1} coupling vanishes, which is exactly
+conditions hold together.  The degree condition makes the coefficient
+alpha*n + u + v of the c_{n-1} coupling vanish, which is exactly
 
-    delta = -(n + (beta+gamma+2)/2) * alpha,
+    delta = -(n + (beta+gamma+2)/2) * alpha;
 
-and additionally c_{n+1} = 0 (a determinant condition on eta).  Since the
-first condition alone does not guarantee truncation, the evaluator never
-assumes it: it runs the recurrence and accepts truncation only when the
-computed coefficients actually collapse.  Because parameters are floats,
-coefficients past the degree collapse to roundoff level rather than to
-zero; they are treated as terminated when they fall below 1e-12 of the
-largest retained coefficient (and, for exact-zero cascades, below 1e-300
-of it).  Truncated coefficient sets are then recomputed by the backward
-form of the recurrence: the decaying coefficients of a terminating series
-are the minimal solution of the forward recurrence, so running forward
-loses digits to cancellation while the backward direction is stable.
+it is equation k = n+1 of the recurrence with c_{n+1} = c_{n+2} = 0.  The
+backward recurrence then imposes c_{n+1} = 0, c_n = 1 and solves equations
+k = n..1 downward, the stable direction for the coefficients of a
+terminating series (they are the minimal solution of the forward
+recurrence).  Only equation k = 0 is left: the accessory condition
+(beta+1) c_1 = -u c_0 on eta, accepted within the rounding noise of u.
+At n = 0 no recurrence runs, and it reads u = 0.
 """
 
 from __future__ import annotations
@@ -55,12 +51,6 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 
-# Collapse threshold for float-parameter polynomial detection, and the
-# hard threshold for exact-zero cascades.
-COLLAPSE_TOL = 1e-12
-HARD_ZERO_TOL = 1e-300
-# How many coefficients past the candidate degree must stay collapsed.
-COLLAPSE_WINDOW = 6
 # Integer tolerance used when the evaluator checks the degree condition
 # internally (callers of heunc_poly_degree pass their own).
 DEGREE_DETECT_TOL = 1e-8
@@ -268,9 +258,10 @@ def heunc_series_coefficients(p: HeunCParams, count: int) -> np.ndarray:
 def _backward_coefficients(p: HeunCParams, degree: int) -> np.ndarray:
     """Coefficients c_0..c_degree of a terminating series, backward recurrence.
 
-    Imposes c_{degree+1} = 0 and runs the recurrence downward, then
-    normalizes c_0 = 1.  Stable because the decaying coefficients are the
-    dominant solution in this direction.
+    Imposes c_{degree+1} = 0 and c_degree = 1, solves the recurrence
+    equations k = degree..1 downward, then normalizes c_0 = 1.  Stable
+    because the decaying coefficients are the dominant solution in this
+    direction; equation k = 0, the accessory condition, is left unchecked.
     """
     u, s = _residue_combinations(p)
     c = np.zeros(degree + 1)
@@ -290,7 +281,7 @@ def heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
 
     Checks only the first of the two polynomial conditions; truncation of
     the actual series additionally needs the accessory condition, which
-    the evaluator verifies numerically instead of assuming.  Returns None
+    heunc_truncation checks on the backward recurrence.  Returns None
     when no non-negative integer satisfies the condition.
     """
     if p.alpha == 0.0:
@@ -305,60 +296,36 @@ def heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
 
 
 def heunc_truncation(p: HeunCParams):
-    """Detect numerical termination of the series.
+    """The polynomial the series ends in, as (degree, c_0..c_degree), or None.
 
-    Returns (degree, coefficients c_0..c_degree) when the series
-    terminates, else None.  Two ways to terminate:
+    The degree condition alpha*n + u + v = 0 picks n (at alpha = 0 it can
+    pick only n = 0, when u + v = 0); None when it picks no n below
+    MAX_TERMS, the term budget.  Then the accessory condition, equation
+    k = 0, (beta+1) c_1 = -u c_0, must hold within 1e-6 of the rounding
+    noise of u, which exceeds u itself by ~1/e^2 at weak coupling:
 
-    * hard zeros: two consecutive coefficients below 1e-300 of the
-      running maximum (exact cascades, e.g. the all-zero parameter set);
-    * degree-condition collapse: the degree condition picks out an
-      integer n and every computed coefficient in (n, n+window] is below
-      1e-12 of the maximum retained one.
-
-    Collapsed sets are recomputed with the backward recurrence before
-    being returned.  Raises NoConvergence when the backward head does not
-    reproduce the forward c_1 (the backward pass overflowed, or c_n is no
-    genuine leading coefficient).
+    * at n = 0 no recurrence runs and c_1 = c_{n+1} = 0, so it reads u = 0
+      on the parameters; off it the series is open, and None is returned;
+    * at n >= 1, c_1 comes from the backward recurrence to degree n, which
+      also has to stay finite.  A failure cannot tell a series that is no
+      polynomial from a pass that lost its digits: NoConvergence.
     """
-    try:
-        n_cond = heunc_poly_degree(p, DEGREE_DETECT_TOL)
-    except InvalidParams:
-        n_cond = None
-
-    probe_len = COLLAPSE_WINDOW + 2
-    if n_cond is not None:
-        probe_len = min(max(n_cond + 1 + COLLAPSE_WINDOW, probe_len), MAX_TERMS)
-    c = heunc_series_coefficients(p, probe_len)
-
-    # hard-zero cascade
-    running_max = np.maximum.accumulate(np.abs(c))
-    for k in range(1, len(c) - 1):
-        if (abs(c[k]) < HARD_ZERO_TOL * running_max[k - 1]
-                and abs(c[k + 1]) < HARD_ZERO_TOL * running_max[k - 1]):
-            degree = k - 1
-            while degree > 0 and c[degree] == 0.0:
-                degree -= 1
-            return degree, c[:degree + 1].copy()
-
-    # collapse at the degree-condition integer
-    if n_cond is not None and n_cond + 1 < len(c):
-        head_max = np.max(np.abs(c[:n_cond + 1]))
-        tail = np.abs(c[n_cond + 1:])
-        if head_max > 0 and np.all(tail < COLLAPSE_TOL * head_max):
-            if n_cond == 0:
-                return 0, np.array([1.0])
-            with np.errstate(all="ignore"):
-                back = _backward_coefficients(p, n_cond)
-            # The backward pass assumes c_{n} is a genuine leading
-            # coefficient; cross-check it against the forward c_1 = -u/(beta+1),
-            # accurate to the rounding noise of u's terms, which exceed u
-            # itself by ~1/e^2 at weak coupling.
-            if abs(back[1] - c[1]) <= 1e-6 * _u_magnitude(p) / abs(p.beta + 1.0):
-                return n_cond, back
-            raise NoConvergence(f"backward recurrence to degree {n_cond} gives c_1 = "
-                                f"{back[1]:.6e}, the forward recurrence {c[1]:.6e}")
-    return None
+    u, s = _residue_combinations(p)
+    if p.alpha == 0.0:
+        n = 0 if s == 0.0 else None
+    else:
+        n = heunc_poly_degree(p, DEGREE_DETECT_TOL)
+    if n is None or n >= MAX_TERMS:
+        return None
+    bound = 1e-6 * _u_magnitude(p)
+    if n == 0:
+        return (0, np.array([1.0])) if abs(u) <= bound else None
+    with np.errstate(all="ignore"):
+        c = _backward_coefficients(p, n)
+    if np.all(np.isfinite(c)) and abs(c[1] + u / (p.beta + 1.0)) <= bound / abs(p.beta + 1.0):
+        return n, c
+    raise NoConvergence(f"backward recurrence to degree {n} gives c_1 = {c[1]:.6e}, "
+                        f"the accessory condition {-u / (p.beta + 1.0):.6e}")
 
 
 def _heunc_eval(p: HeunCParams, trunc, z: float, order: int) -> float:

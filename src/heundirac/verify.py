@@ -20,10 +20,16 @@ from .errors import HeunDiracError
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
                     heun_params_case1, heun_params_case2, heun_params_full,
                     level_bracket, level_channel, mixing_case,
-                    quantization_residuals, require_level,
+                    quantization_residuals, quantized_routes, require_level,
                     singular_point_D_consistency, solve_quantization,
                     standard_vars)
 from .routes import ROUTE_SOLVERS
+
+# Collapse threshold of the truncation audit: a raw-series coefficient past
+# the degree below COLLAPSE_TOL of the largest one at or below it, over the
+# COLLAPSE_WINDOW orders past the degree, counts as collapsed.
+COLLAPSE_TOL = 1e-12
+COLLAPSE_WINDOW = 6
 
 # Grids and solutions of each level, kept by run_verification while it runs
 # so its checks build and solve them once; None outside a run.
@@ -73,6 +79,15 @@ def _check(name, tags, tol=None, first=0):
         ALL_CHECKS.append((name, check, tags))
         return check
     return register
+
+
+def _heun_maps(params, n, E, lam):
+    """{route: Heun parameter map} at (E, lam) of each Heun route that has a
+    quantization condition at level n."""
+    builds = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
+              "heun": heun_params_full}
+    return {route: build(params, E, lam) for route, build in builds.items()
+            if route in quantized_routes(params, n)}
 
 
 def _level(params, n):
@@ -130,25 +145,27 @@ def check_singular_point_consistency(params, n, E, lam):
 
 @_check("parameter_map_identities", ("mixed1", "mixed2", "heun"), 1e-12)
 def check_parameter_map_identities(params, n, E, lam):
-    """gamma = -2 in all three maps; delta + eta = 1 - nu_s for the full map."""
-    for hp in (heun_params_case1(params, E, lam), heun_params_case2(params, E, lam)):
+    """gamma = -2 in every Heun map of the level; delta + eta = 1 - nu_s for
+    the full map."""
+    maps = _heun_maps(params, n, E, lam)
+    for hp in maps.values():
         yield abs(hp.gamma + 2.0)
-    hp = heun_params_full(params, E, lam)
-    yield abs(hp.gamma + 2.0)
+    hp = maps["heun"]
     yield abs(hp.delta + hp.eta - (1.0 - params.parity * params.nu))
 
 
 @_check("spectrum_route_equality", ANALYTIC_ROUTES, 1e-12)
 def check_spectrum_routes(params, n, E, lam):
     """Each route's root-found energy matches the closed form."""
-    for route in ANALYTIC_ROUTES:
+    for route in quantized_routes(params, n):
         yield abs(solve_quantization(params, n, route).E - E) / E
 
 
 @_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
 def check_quantization_residuals(params, n, E, lam):
-    """All four quantization residuals vanish at the closed-form energy."""
-    for value in quantization_residuals(params, E, lam, n).values():
+    """The level's quantization residuals vanish at the closed-form energy."""
+    for value in quantization_residuals(params, E, lam, n,
+                                        quantized_routes(params, n)).values():
         yield abs(value)
 
 
@@ -248,8 +265,8 @@ def check_heunc_ode_residual(params, n, E, lam):
 
 
 def truncation_audit(params, n: int) -> dict[str, dict]:
-    """Raw-series coefficients of the three Heun maps through order
-    n + COLLAPSE_WINDOW, the window the evaluator checks.
+    """Raw-series coefficients of the Heun maps of level n through order
+    n + COLLAPSE_WINDOW.
 
     Reports, per map, the largest coefficient magnitude beyond order n
     relative to the largest at or below it.  This is diagnostic only: the
@@ -257,23 +274,16 @@ def truncation_audit(params, n: int) -> dict[str, dict]:
     audit records whether the second one holds numerically.
     """
     level = energy_closed_form(n, params)
-    # the case-1 singular point flees to infinity at the nodeless level
-    # of the negative-parity channel; skip that map there
-    maps = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
-            "heun": heun_params_full}
-    if n == 0 and params.parity == -1:
-        del maps["mixed1"]
     report = {}
-    for name, build in maps.items():
-        hp = build(params, level.E, level.lam)
-        coeffs = specfun.heunc_series_coefficients(hp, n + 1 + specfun.COLLAPSE_WINDOW)
+    for name, hp in _heun_maps(params, n, level.E, level.lam).items():
+        coeffs = specfun.heunc_series_coefficients(hp, n + 1 + COLLAPSE_WINDOW)
         head = float(np.max(np.abs(coeffs[:n + 1])))
         beyond = float(np.max(np.abs(coeffs[n + 1:])))
         report[name] = {
             "degree": n,
             "max_coefficient": head,
             "max_beyond_degree": beyond,
-            "collapsed": bool(beyond < specfun.COLLAPSE_TOL * head),
+            "collapsed": bool(beyond < COLLAPSE_TOL * head),
         }
     return report
 

@@ -18,9 +18,10 @@ from heundirac import (SystemParams, energy_closed_form, heun_params_case1,
 from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
 from heundirac.routes import (ROUTE_SOLVERS, case1_f_from_g, case1_g_from_f,
                               coefficient_ratio, mixed1_parts)
-from heundirac.specfun import (COLLAPSE_TOL, KummerParams,
-                               heunc_ode_residual, heunc_series_coefficients,
-                               kummer, kummer_derivative, kummer_ode_residual)
+from heundirac.specfun import (KummerParams, heunc_ode_residual,
+                               heunc_series_coefficients, kummer,
+                               kummer_derivative, kummer_ode_residual)
+from heundirac.verify import COLLAPSE_TOL
 
 def report(name, dev, tol, extra=""):
     status = "PASS" if dev < tol else "FAIL"

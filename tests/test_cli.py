@@ -476,15 +476,45 @@ def test_route_deviation_at_a_tiny_mass_is_no_larger_than_at_unit_mass(capsys):
     assert deviations["1e-155"] <= deviations["1"]
 
 
-def test_overflowing_backward_recurrence_exits_3_without_a_warning(capsys):
+@pytest.mark.parametrize("route,coupling,parity,n", [
+    ("heun", "1e-4", "1", 30),
+    # c_0 alone overflows here: its coefficients must be finite, not just c_1
+    ("mixed2", "1e-5", "-1", 25),
+    ("heun", "1e-7", "-1", 19),
+])
+def test_overflowing_backward_recurrence_exits_3_without_a_warning(capsys, route, coupling,
+                                                                  parity, n):
     # the backward pass overflows at this weak coupling and high degree: no
     # forward-head fallback stands in for it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "wavefunction", "--route", "heun", "--coupling",
-                                 "1e-4", "--n", "30", "--n-max", "30")
+        code, out, err = run_cli(capsys, "wavefunction", "--route", route, "--coupling",
+                                 coupling, "--j", "0.5", "--parity", parity, "--n", str(n),
+                                 "--n-max", str(n))
     assert (code, out) == (EXIT_NO_CONVERGENCE, "")
-    assert "backward recurrence to degree 30" in err
+    assert f"backward recurrence to degree {n}" in err
+
+
+@pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+def test_wavefunction_at_high_angular_momentum_normalizes(capsys, route):
+    # f^2 + g^2 overflows at j = 99.5 (|g| ~ 1e173): normalize scales first
+    code, out, err = run_cli(capsys, "wavefunction", "--route", route, "--coupling", "0.5",
+                             "--j", "99.5", "--n", "0", "--n-max", "0", "--parity", "-1",
+                             "--no-timestamp")
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert all(math.isfinite(v) for v in doc["f"] + doc["g"])
+    assert doc["system_residual"] < 1e-7
+
+
+@pytest.mark.parametrize("coupling", ("1e-5", "0.5", "0.9"))
+def test_verify_passes_in_the_parity_minus_channel(capsys, coupling):
+    # mixed1 has no quantization condition at the nodeless level: the checks
+    # that read quantized_routes leave it out instead of failing on the pole
+    code, out, _ = run_cli(capsys, "verify", "--route", "all", "--coupling", coupling,
+                           "--parity", "-1", "--n-max", "2")
+    assert code == EXIT_OK, out
+    assert "[FAIL]" not in out
 
 
 def test_heavy_mass_verify_passes(capsys):
@@ -575,7 +605,7 @@ def test_oracle_answers_at_large_j(capsys, j):
 
 def test_operator_closure_passes_at_weak_coupling_parity_minus(capsys):
     # both case-1 maps divide by E -/+ m_eff cos A, which cancels to O(e^2)
-    # unless formed from R; the n = 0 checks of this channel fail on their own
+    # unless formed from R
     _, out, _ = run_cli(capsys, "verify", "--coupling", "1e-5", "--parity", "-1",
                         "--n-max", "3")
     assert re.search(r"^\[PASS\] operator_closure:", out, re.M)

@@ -359,6 +359,19 @@ def test_normalize_unit_norm_and_scaling_invariance():
     assert np.allclose(again.f, normed.f, rtol=1e-12)
 
 
+@pytest.mark.parametrize("power", (-900, 900))
+def test_normalize_is_exact_under_power_of_two_amplitudes(power):
+    # f and g are squared in units of a power of two near their peak, so a
+    # power-of-two rescaling moves no bit, also where f^2 would under- or
+    # overflow
+    sol = solve_standard(params_for(2), 2)
+    ref = normalize(sol)
+    scaled = normalize(dataclasses.replace(sol, f=np.ldexp(sol.f, power),
+                                           g=np.ldexp(sol.g, power)))
+    assert scaled.f.tobytes() == ref.f.tobytes()
+    assert scaled.g.tobytes() == ref.g.tobytes()
+
+
 def test_normalize_sign_convention():
     p = params_for(1)
     sol = solve_standard(p, 1)
@@ -400,7 +413,8 @@ def test_exponential_tail_log_slope():
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,nu,e", [(0, 1, 0.5), (1, 1, 0.2), (2, 2, 0.5), (3, 3, 0.2),
-                                    (2, 1, 1e-5), (2, 1, 0.0072973525693)])
+                                    (2, 1, 1e-5), (2, 1, 0.0072973525693),
+                                    (0, 2, 1.98), (0, 3, 2.97)])
 def test_cross_route_pointwise_agreement(n, nu, e):
     # at weak coupling and parity +1 the constant Heun coefficient is
     # ~1e-16/e^2 off relative to the leading one, so a mixed-route amplitude

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from heundirac import (HeunCParams, InvalidParams, KummerParams, NoConvergence,
-                       SystemParams, energy_closed_form,
+                       SystemParams, energy_closed_form, heun_params_case2,
                        heun_params_full, heunc, heunc_derivative,
                        heunc_poly_degree, heunc_second_derivative,
                        heunc_series_coefficients, heunc_truncation, kummer,
@@ -242,6 +242,44 @@ def test_heunc_truncation_overflow_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence, match="gives c_1 = nan"):
             heunc_truncation(hp)
+
+
+def test_heunc_truncation_rejects_a_degree_without_its_accessory_condition():
+    # delta = -3 picks n = 1, but eta = 0 misses (beta+1) c_1 = -u c_0
+    hp = HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0)
+    assert heunc_poly_degree(hp, 1e-12) == 1
+    with pytest.raises(NoConvergence, match="backward recurrence to degree 1"):
+        heunc_truncation(hp)
+
+
+@pytest.mark.parametrize("nu,e", [(1, 0.5), (2, 1.98), (3, 2.97)])
+def test_heunc_truncation_reads_both_conditions_at_degree_zero(nu, e):
+    # no recurrence runs at n = 0: the accessory condition is u = 0 itself,
+    # met at the parity -1 nodeless level, missed by the parity +1 map of
+    # the same energy, whose series is open
+    level = energy_closed_form(0, SystemParams(e, nu))
+    minus, plus = (heun_params_case2(SystemParams(e, nu, parity=parity), level.E, level.lam)
+                   for parity in (-1, 1))
+    assert heunc_poly_degree(minus, 1e-8) == heunc_poly_degree(plus, 1e-8) == 0
+    degree, coeffs = heunc_truncation(minus)
+    assert degree == 0 and coeffs.tolist() == [1.0]
+    assert heunc_truncation(plus) is None
+
+
+def test_heunc_truncation_at_zero_alpha():
+    # alpha n + u + v = 0 picks only n = 0, and only when u + v = 0
+    assert heunc_truncation(HeunCParams(0.0, 1.0, -2.0, 0.0, 1.5))[1].tolist() == [1.0]
+    assert heunc_truncation(HeunCParams(0.0, 1.0, -2.0, 0.0, 0.2)) is None
+    assert heunc_truncation(HeunCParams(0.0, 1.0, -2.0, 0.3, 1.5)) is None
+
+
+def test_heunc_truncation_runs_no_forward_recurrence(monkeypatch):
+    # the backward pass alone decides: no forward probe of the coefficients
+    monkeypatch.setattr(specfun, "heunc_series_coefficients", None)
+    hp = _physical_params(4, 2, 0.5)
+    degree, coeffs = heunc_truncation(hp)
+    assert degree == 4 and len(coeffs) == 5
+    assert np.all(np.isfinite(coeffs))
 
 
 def test_heunc_polynomial_evaluates_anywhere():

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidParams
 from .specfun import HeunCParams
@@ -78,14 +79,17 @@ class SystemParams:
         return self.m * math.sqrt(1.0 - (E / self.m) ** 2)
 
 
-@dataclass(frozen=True)
-class MixingCase:
-    """A resolved decoupling-rotation case.
+class MixingCase(NamedTuple):
+    """A resolved decoupling-rotation case.  Turning (f, g) by the half
+    angle A/2 into (F, G) gives the rotated system
 
-    The orthogonal rotation by angle A/2 mixes (f, g) into (F, G).  Of the
-    sign choices of the angle condition, cases 1 and 2 drive the mixed
-    routes; each carries an additional regular singular point (R and D) of
-    the second-order equation for F.
+        (d/dr + nu cos A/r - m_eff sin A) F + (c_plus + s_plus/r) G = 0
+        (d/dr - nu cos A/r + m_eff sin A) G - (c_minus + s_minus/r) F = 0
+
+    with c_plus, c_minus = E +- m_eff cos A and s_plus, s_minus =
+    e +- nu sin A.  Each angle condition zeroes one of the four (s_minus in
+    case 1, c_minus in case 2); the extra regular singular point (R, D) of
+    the equation for F is -s_plus/c_plus.
     """
 
     case_id: str
@@ -94,6 +98,10 @@ class MixingCase:
     cos_half: float
     sin_half: float
     singular_point: float
+    c_plus: float
+    c_minus: float
+    s_plus: float
+    s_minus: float
 
 
 @dataclass(frozen=True)
@@ -131,51 +139,47 @@ def require_bound_energy(params: SystemParams, E: float):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
 
 
-def case1_denominator(params: SystemParams, E: float, lam: float, sign: int) -> float:
-    """E + sign m_eff cos A of case 1 in units of m; E - m cos A, which cancels
-    at weak coupling, as m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A)."""
-    m, sin_a = params.m, params.e / params.nu
-    cos_a = math.sqrt(1.0 - sin_a ** 2)
-    if sign * params.parity == 1:
-        return E + m * cos_a
-    return m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a)
-
-
 def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
     """Resolve rotation case 1 (sin A = e/nu) or 2 (cos A = E/m_eff,
     sin A = lam/m) at energy E with decay constant lam.
 
     Case 1 needs subcritical coupling only, case 2 needs 0 < E <= m (E may
-    round to m where lam > 0 still resolves the level).  Each carries its
-    singular point:
+    round to m where lam > 0 still resolves the level).  The angle
+    conditions fix
 
-        R = -2e / (E + m_eff cos A),      D = -(e + nu sin A) / (2E).
+        case 1:  s_plus = 2e, s_minus = 0,   R = -2e / (E + m_eff cos A),
+        case 2:  c_plus = 2E, c_minus = 0,   D = -(e + nu sin A) / (2E).
 
-    Neither takes a difference that cancels at weak coupling: the case-2
-    half angles take m - E as lam^2/(m + E), and R takes case1_denominator.
-    Each is formed in units of m, so no mass overflows it.
+    No coefficient takes a difference that cancels at weak coupling: the
+    case-1 E - m cos A is m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A),
+    and the case-2 half angles take m - E as lam^2/(m + E).  Each is formed
+    in units of m, so no mass overflows it.
     """
-    e, nu, m, m_eff = params.e, params.nu, params.m, params.m_eff
+    e, nu, m = params.e, params.nu, params.m
     if case_id == "1":
         root = params.frobenius_exponent
         sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
-        denom = case1_denominator(params, E, lam, 1)
         # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
-        return MixingCase("1", sin_a, cos_a, math.sqrt((nu + root) / (2.0 * nu)),
-                          e / math.sqrt(2.0 * nu * (nu + root)),
-                          -2.0 * e / denom if denom != 0.0 else math.inf)
-    if case_id == "2":
+        cos_half = math.sqrt((nu + root) / (2.0 * nu))
+        sin_half = e / math.sqrt(2.0 * nu * (nu + root))
+        c_pm = (E + m * cos_a, m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
+        c_plus, c_minus = c_pm if params.parity == 1 else c_pm[::-1]
+        s_plus, s_minus = 2.0 * e, 0.0
+    elif case_id == "2":
         if not 0.0 < E <= m:
             raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
                                 f"diverges at E = 0), got E={E}")
-        sin_a = lam / m
+        sin_a, cos_a = lam / m, E / params.m_eff
         # sqrt((m + E)/(2m)) and sqrt((m - E)/(2m)) = (lam/m)/(2 sqrt((m + E)/(2m)))
         wide = math.sqrt(0.5 + 0.5 * E / m)
         narrow = 0.5 * sin_a / wide
         cos_half, sin_half = (wide, narrow) if params.parity == 1 else (narrow, wide)
-        return MixingCase("2", sin_a, E / m_eff, cos_half, sin_half,
-                          -(e + nu * sin_a) / (2.0 * E))
-    raise InvalidParams(f"unknown mixing case {case_id!r}; use 1 or 2")
+        c_plus, c_minus, s_plus, s_minus = 2.0 * E, 0.0, e + nu * sin_a, e - nu * sin_a
+    else:
+        raise InvalidParams(f"unknown mixing case {case_id!r}; use 1 or 2")
+    point = -s_plus / c_plus if c_plus != 0.0 else math.inf
+    return MixingCase(case_id, sin_a, cos_a, cos_half, sin_half, point,
+                      c_plus, c_minus, s_plus, s_minus)
 
 
 def singular_point_D_consistency(params: SystemParams, E: float,
@@ -188,10 +192,7 @@ def singular_point_D_consistency(params: SystemParams, E: float,
     if E == 0.0:
         raise InvalidParams("both forms of D diverge at E = 0")
     case = mixing_case("2", params, E, lam)
-    num = -(params.e + params.nu * case.sin_a)
-    d_a = num / (2.0 * params.m_eff * case.cos_a)
-    d_b = num / (2.0 * E)
-    return d_a, d_b
+    return -case.s_plus / (2.0 * params.m_eff * case.cos_a), case.singular_point
 
 
 def _rotated_heun_params(params: SystemParams, E: float, lam: float,
@@ -290,10 +291,10 @@ def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:
     """Energies (lo, hi) enclosing level n and neither closed-form neighbour.
 
     Each end is the midpoint between level n and its neighbour; below
-    n = 0 the lower end is 0.2 m.
+    n = 0 the lower end is E_0/2, which stays below E_0 at any coupling.
     """
     E = energy_closed_form(n, params).E
-    below = energy_closed_form(n - 1, params).E if n >= 1 else 0.2 * params.m
+    below = energy_closed_form(n - 1, params).E if n >= 1 else 0.0
     above = energy_closed_form(n + 1, params).E
     return 0.5 * (below + E), 0.5 * (E + above)
 

@@ -14,12 +14,16 @@ to normalization:
                 in x = -(E+m) r/e, g recovered from the first-order
                 system.
 
+The mixed routes work in the rotated frame (F, G) of model.MixingCase, whose
+two equations give one relation each, valid in either case: g_from_f reads G
+off the F equation and f_from_g reads F off the G equation.
+
 Every component is the shared envelope (2*lam*r)^a e^{-lam*r},
 a = sqrt(nu^2-e^2), times a polynomial in k*r, with k = 2*lam, 1/R, 1/D
 or -(E+m)/e.  So the relative scale of the mixed routes' two pieces is
 the ratio of their leading terms r^(a+n) e^{-lam*r} as r -> inf, read off
-the first-order relation between F and G in closed form; the closure of
-those relations over the whole grid is what the operator tests check.
+one of those relations in closed form; the closure of those relations over
+the whole grid is what the operator tests check.
 No value at a radius depends on the rest of the grid.  (The ratio at the
 origin is as exact in theory, but it reads the constant coefficient,
 which the backward Heun recurrence leaves least accurate: by ~1e-16/e^2
@@ -41,8 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams
-from .model import (ANALYTIC_ROUTES, EnergyLevel, SystemParams, energy_closed_form,
-                    case1_denominator, mixing_case, heun_params_case1, heun_params_case2,
+from .model import (ANALYTIC_ROUTES, EnergyLevel, MixingCase, SystemParams,
+                    energy_closed_form, mixing_case, heun_params_case1, heun_params_case2,
                     heun_params_full, require_level, standard_vars)
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
@@ -250,35 +254,30 @@ def _solve_rotated(parts, route: str, params: SystemParams, n: int,
     return _finish(params, level, route, grid, f, g)
 
 
-def case1_g_from_f(params: SystemParams, E: float, lam: float, r: np.ndarray,
-                   f_part: np.ndarray, df_part: np.ndarray) -> np.ndarray:
-    """Map the case-1 F amplitude to G through the first-order relation.
+def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
+             f_part: np.ndarray, df_part: np.ndarray) -> np.ndarray:
+    """G from F through the rotated F equation of either case.
 
-    G = (dF/dr + (nu cos A / r) F - m_eff sin A F) / (-2e/r - E - m_eff cos A).
+    G = -(dF/dr + (nu cos A / r) F - m_eff sin A F) / (c_plus + s_plus/r).
     """
-    case = mixing_case("1", params, E, lam)
-    num = df_part + (params.nu * case.cos_a / r) * f_part \
-        - params.m_eff * case.sin_a * f_part
-    return num / (-2.0 * params.e / r - case1_denominator(params, E, lam, 1))
+    num = df_part + (params.nu * case.cos_a / r) * f_part - params.m_eff * case.sin_a * f_part
+    return -num / (case.c_plus + case.s_plus / r)
 
 
-def case1_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
-                   g_part: np.ndarray, dg_part: np.ndarray) -> np.ndarray:
-    """Map the case-1 G amplitude back to F (constant prefactor).
+def f_from_g(case: MixingCase, params: SystemParams, r: np.ndarray,
+             g_part: np.ndarray, dg_part: np.ndarray) -> np.ndarray:
+    """F from G through the rotated G equation of either case.
 
-    F = (dG/dr - (nu cos A / r) G + m_eff sin A G) / (E - m_eff cos A).
-    The denominator vanishes identically at the nodeless level of the
-    channel, where this direction of the map is unusable.
+    F = (dG/dr - (nu cos A / r) G + m_eff sin A G) / (c_minus + s_minus/r).
+    The angle condition sets one of c_minus (case 2) and s_minus (case 1)
+    to 0, and the other vanishes at the n = 0 energy (in case 1 at parity
+    +1 only), where this direction of the map is unusable.
     """
-    case = mixing_case("1", params, E, lam)
-    den = case1_denominator(params, E, lam, -1)
-    if abs(den) < 1e-13 * params.m:
-        raise InvalidParams(
-            "E = m_eff cos A: the G-to-F map degenerates at the nodeless level"
-        )
-    num = dg_part - (params.nu * case.cos_a / r) * g_part \
-        + params.m_eff * case.sin_a * g_part
-    return num / den
+    if abs(case.c_minus) < 1e-13 * params.m and abs(case.s_minus) < 1e-13 * max(params.e, 1.0):
+        raise InvalidParams(f"E - m_eff cos A + (e - nu sin A)/r = 0: the case-{case.case_id} "
+                            "G-to-F map degenerates at the nodeless energy")
+    num = dg_part - (params.nu * case.cos_a / r) * g_part + params.m_eff * case.sin_a * g_part
+    return num / (case.c_minus + case.s_minus / r)
 
 
 def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
@@ -293,15 +292,15 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
     if n >= 1:
         R = case.singular_point
         heun = _heun_polynomial(heun_params_case1(params, E, lam), n)
-        # as r -> inf, G = case1_g_from_f(F) tends to F (lam + m_eff sin A)/(E + m_eff cos A)
-        # with E + m_eff cos A = -2e/R: match the leading terms r^(a+n) e^(-lam r)
-        t = (-2.0 * params.e * kummer[-1] * (2.0 * lam * R) ** n
+        # as r -> inf, G = g_from_f(F) tends to F (lam + m_eff sin A)/c_plus with
+        # c_plus = -s_plus/R: match the leading terms r^(a+n) e^(-lam r)
+        t = (-case.s_plus * kummer[-1] * (2.0 * lam * R) ** n
              / (R * heun[-1] * (lam + params.m_eff * case.sin_a)))
         f_part, df_part = _enveloped(t * pref, heun, 1.0 / R, lam, a, r)
     else:
         # nodeless level: R diverges and the series route for F is empty,
         # but the inverse relation collapses to a pure rescaling of G.
-        ratio = (params.m_eff * case.sin_a - lam) / case1_denominator(params, E, lam, -1)
+        ratio = (params.m_eff * case.sin_a - lam) / case.c_minus
         f_part, df_part = ratio * g_part, ratio * dg_part
     return r, f_part, df_part, g_part, dg_part, case
 
@@ -318,24 +317,6 @@ def solve_mixed_case1(params: SystemParams, n: int,
     return _solve_rotated(_case1_parts, "mixed1", params, n, grid)
 
 
-def case2_f_from_g(params: SystemParams, E: float, lam: float, r: np.ndarray,
-                   g_part: np.ndarray, dg_part: np.ndarray) -> np.ndarray:
-    """Map the case-2 G amplitude to F through the first-order relation.
-
-    F = r (dG/dr - (nu cos A / r) G + m_eff sin A G) / (e - nu sin A).
-    The denominator vanishes exactly at the nodeless level.
-    """
-    case = mixing_case("2", params, E, lam)
-    den = params.e - params.nu * case.sin_a
-    if abs(den) < 1e-13 * max(params.e, 1.0):
-        raise InvalidParams(
-            "e = nu sin A: the case-2 G-to-F map degenerates at the nodeless level"
-        )
-    num = dg_part - (params.nu * case.cos_a / r) * g_part \
-        + params.m_eff * case.sin_a * g_part
-    return r * num / den
-
-
 def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
     """Case-2 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
     n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
@@ -350,13 +331,13 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
     if n_index >= 0:
         kummer = _kummer_polynomial(n_index, 2.0 * a + 1.0)
         g_part, dg_part = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
-        # as r -> inf, F = case2_f_from_g(G) / G tends to (a + n_index - nu cos A)/(e -
-        # nu sin A) at parity +1 and to -2 lam r/(e - nu sin A) at parity -1 (m_eff sin A
-        # = parity lam): match the leading terms r^(a+n) e^(-lam r)
+        # as r -> inf, F = f_from_g(G) / G tends to (a + n_index - nu cos A)/s_minus at
+        # parity +1 and to -2 lam r/s_minus at parity -1 (m_eff sin A = parity lam):
+        # match the leading terms r^(a+n) e^(-lam r)
         lead = (a + n_index - params.nu * case.cos_a if params.parity == 1
                 else -2.0 * lam * D)
         t = (kummer[-1] * (2.0 * lam * D) ** n_index * lead
-             / (heun[-1] * (params.e - params.nu * case.sin_a)))
+             / (heun[-1] * case.s_minus))
     else:
         # nodeless level: the would-be G component is non-normalizable,
         # so its amplitude is exactly zero and F alone carries the state.

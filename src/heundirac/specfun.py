@@ -45,6 +45,7 @@ At n = 0 no recurrence runs, and it reads u = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ class HeunCParams:
 # ----------------------------------------------------------------------
 
 def kummer(params: KummerParams, x: float) -> float:
-    """Evaluate 1F1(a; c; x) by direct summation of the defining series."""
+    """Evaluate 1F1(a; c; x) by its defining series (after Kummer's transformation if x < 0)."""
     return _kummer_with_term_scale(params, x)[0]
 
 
@@ -132,27 +133,35 @@ def _kummer_with_term_scale(params: KummerParams, x: float) -> tuple[float, floa
     arguments the sum cancels far below the terms, and no float summation
     can resolve the value better than eps times this scale.
     """
-    a, c = params.a, params.c
+    a, c, y, weight = params.a, params.c, x, 1.0
+    if x < 0.0 and not _is_nonpositive_integer(a):
+        # 1F1(a; c; x) = e^x 1F1(c - a; c; -x) (DLMF 13.2.39): terms in -x keep one
+        # sign past order a - c, those in x alternate far above the value
+        a, y, weight = c - a, -x, math.exp(x)
     term = 1.0
     total = 1.0
     peak = 1.0
     small = 0
     for k in range(MAX_TERMS):
-        term *= (a + k) * x / ((c + k) * (k + 1))
+        term *= (a + k) * y / ((c + k) * (k + 1))
         if term == 0.0:
-            # exact termination (a a non-positive integer, or x == 0)
-            return total, peak
+            break  # exact termination (a a non-positive integer, or x == 0)
         total += term
         peak = max(peak, abs(term))
         if abs(term) < SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 2:
-                return total, peak
+                break
         else:
             small = 0
-    raise NoConvergence(
-        f"1F1({a}; {c}; {x}) did not converge within {MAX_TERMS} terms"
-    )
+    else:
+        raise NoConvergence(
+            f"1F1({params.a}; {c}; {x}) did not converge within {MAX_TERMS} terms"
+        )
+    if y != x and not (weight >= sys.float_info.min and math.isfinite(total)):
+        raise NoConvergence(f"1F1({params.a}; {c}; {x}): e^x is subnormal or the series "
+                            "in -x overflows under Kummer's transformation")
+    return weight * total, weight * peak
 
 
 def kummer_ode_residual(params: KummerParams, x: float) -> float:

@@ -191,11 +191,11 @@ def check_cross_route_agreement(params, n, E, lam):
 def check_operator_closure(params, n, E, lam):
     """Case-1 first-order maps close: F -> G pointwise, and F -> G -> F
     proportional to the identity."""
-    r, f_part, df_part, g_part, dg_part, _ = routes.mixed1_parts(
+    r, f_part, df_part, g_part, dg_part, case = routes.mixed1_parts(
         params, n, _level(params, n)[1])
-    g_implied = routes.case1_g_from_f(params, E, lam, r, f_part, df_part)
+    g_implied = routes.g_from_f(case, params, r, f_part, df_part)
     yield float(np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)))
-    f_back = routes.case1_f_from_g(params, E, lam, r, g_part, dg_part)
+    f_back = routes.f_from_g(case, params, r, g_part, dg_part)
     mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
     ratios = f_back[mask] / f_part[mask]
     yield float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0)))
@@ -258,8 +258,9 @@ def check_kummer_relations(params, n_max, tol=1e-10):
 
 @_check("heunc_ode_residual", ("mixed1", "mixed2", "heun"), 1e-8)
 def check_heunc_ode_residual(params, n, E, lam):
-    """Heun series satisfies the canonical equation at physical parameters."""
-    for hp in (heun_params_full(params, E, lam), heun_params_case2(params, E, lam)):
+    """Heun series satisfies the canonical equation at the maps of level n's channel."""
+    p = level_channel(params, n)
+    for hp in (heun_params_full(p, E, lam), heun_params_case2(p, E, lam)):
         for z in (-0.7, -0.3, 0.3, 0.6):
             yield specfun.heunc_ode_residual(hp, z)
 

@@ -16,8 +16,8 @@ from heundirac import (SystemParams, energy_closed_form, heun_params_case1,
                        residual, shoot_energy, solve_quantization,
                        standard_vars)
 from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
-from heundirac.routes import (ROUTE_SOLVERS, case1_f_from_g, case1_g_from_f,
-                              coefficient_ratio, mixed1_parts)
+from heundirac.routes import (ROUTE_SOLVERS, coefficient_ratio, f_from_g, g_from_f,
+                              mixed1_parts)
 from heundirac.specfun import (KummerParams, heunc_ode_residual,
                                heunc_series_coefficients, kummer,
                                kummer_derivative, kummer_ode_residual)
@@ -127,11 +127,11 @@ def test_a5_operator_closure_and_coefficient_ratio():
         for n in range(1, 5):
             level = energy_closed_form(n, p)
             E, lam = level.E, level.lam
-            r, f_part, df_part, g_part, dg_part, _ = mixed1_parts(p, n)
-            g_implied = case1_g_from_f(p, E, lam, r, f_part, df_part)
+            r, f_part, df_part, g_part, dg_part, case = mixed1_parts(p, n)
+            g_implied = g_from_f(case, p, r, f_part, df_part)
             worst_closure = max(worst_closure, float(
                 np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part))))
-            f_back = case1_f_from_g(p, E, lam, r, g_part, dg_part)
+            f_back = f_from_g(case, p, r, g_part, dg_part)
             mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
             ratio = f_back[mask] / f_part[mask]
             worst_closure = max(worst_closure, float(

@@ -582,6 +582,21 @@ def test_oracle_answers_at_weak_coupling(capsys):
     assert code == EXIT_OK and out.startswith("[PASS] oracle_spectrum")
 
 
+@pytest.mark.parametrize("coupling,j,n_max", (("0.99", "0.5", "3"), ("2.99", "2.5", "1")))
+def test_oracle_brackets_the_nodeless_level_near_critical_coupling(capsys, coupling, j,
+                                                                  n_max):
+    # E_0 < 0.2 m here: the n = 0 bracket starts at E_0/2, below the level
+    code, out, err = run_cli(capsys, "spectrum", "--route", "oracle", "--coupling", coupling,
+                             "--j", j, "--n-max", n_max, "--format", "csv")
+    assert code == EXIT_OK, err
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(int(n_max) + 1))
+    for row in rows:
+        p = SystemParams(float(coupling), int(float(j) + 0.5), parity=int(row[2]))
+        ref = energy_closed_form(int(row[0]), p).E
+        assert abs(float(row[4]) - ref) / ref < 2e-14
+
+
 @pytest.mark.parametrize("j", (24.5, 34.5))
 def test_oracle_answers_at_large_j(capsys, j):
     # at these j the seed's size x^s (x = 1e-12 lam/m) underflows and the
@@ -604,8 +619,8 @@ def test_oracle_answers_at_large_j(capsys, j):
 
 
 def test_operator_closure_passes_at_weak_coupling_parity_minus(capsys):
-    # both case-1 maps divide by E -/+ m_eff cos A, which cancels to O(e^2)
-    # unless formed from R
+    # both case-1 maps divide by E -/+ m_eff cos A, one of which cancels to
+    # O(e^2) unless factored (model.mixing_case)
     _, out, _ = run_cli(capsys, "verify", "--coupling", "1e-5", "--parity", "-1",
                         "--n-max", "3")
     assert re.search(r"^\[PASS\] operator_closure:", out, re.M)

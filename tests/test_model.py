@@ -91,6 +91,22 @@ def test_mixing_case_identities(nu, efrac, Efrac, parity, cid):
     assert abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a)) < 1e-14
 
 
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("cid", ["1", "2"])
+def test_mixing_case_carries_the_rotated_coefficients(cid, parity):
+    # E +- m_eff cos A and e +- nu sin A; the angle condition zeroes one of
+    # them exactly, and the extra singular point is -s_plus/c_plus
+    p = SystemParams(0.6, 1, parity=parity)
+    E, lam = at(p, 0.7)
+    c = mixing_case(cid, p, E, lam)
+    assert c.c_plus == pytest.approx(E + p.m_eff * c.cos_a, rel=1e-14)
+    assert c.c_minus == pytest.approx(E - p.m_eff * c.cos_a, rel=1e-14, abs=1e-15)
+    assert c.s_plus == pytest.approx(p.e + p.nu * c.sin_a, rel=1e-14)
+    assert c.s_minus == pytest.approx(p.e - p.nu * c.sin_a, rel=1e-14, abs=1e-15)
+    assert (c.s_minus if cid == "1" else c.c_minus) == 0.0
+    assert c.singular_point == -c.s_plus / c.c_plus
+
+
 def test_singular_point_consistency_values():
     p = SystemParams(0.3, 1)
     d_a, d_b = singular_point_D_consistency(p, *at(p, 0.9))
@@ -276,7 +292,7 @@ def test_level_channel_and_bracket(n, parity):
     if n >= 1:
         assert energy_closed_form(n - 1, channel).E < lo
     else:
-        assert lo == 0.5 * (0.2 * p.m + E)
+        assert lo == 0.5 * E
 
 
 @pytest.mark.parametrize("params,n,message", [

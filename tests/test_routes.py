@@ -12,10 +12,9 @@ from heundirac import (InvalidParams, RadialGrid,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
                        solve_standard, standard_vars)
 from heundirac import cli, routes, verify
-from heundirac.model import ANALYTIC_ROUTES, level_channel
-from heundirac.routes import (ROUTE_SOLVERS, RadialSolution, case1_f_from_g,
-                              case1_g_from_f, case2_f_from_g, mixed1_parts,
-                              mixed2_parts)
+from heundirac.model import ANALYTIC_ROUTES, level_channel, mixing_case
+from heundirac.routes import (ROUTE_SOLVERS, RadialSolution, f_from_g, g_from_f,
+                              mixed1_parts, mixed2_parts)
 
 ALL_SOLVERS = tuple(ROUTE_SOLVERS.values())
 
@@ -112,9 +111,8 @@ def test_mixed1_residual():
 
 def test_mixed1_forward_operator_reproduces_kummer_component():
     p = params_for(1)
-    level = energy_closed_form(1, p)
-    r, f_part, df_part, g_part, _, _ = mixed1_parts(p, 1)
-    implied = case1_g_from_f(p, level.E, level.lam, r, f_part, df_part)
+    r, f_part, df_part, g_part, _, case = mixed1_parts(p, 1)
+    implied = g_from_f(case, p, r, f_part, df_part)
     scale = np.max(np.abs(g_part))
     assert np.max(np.abs(implied - g_part)) / scale < 1e-7
 
@@ -123,20 +121,45 @@ def test_mixed1_round_trip_is_proportional_to_identity():
     # forward map lands on the Kummer component (pointwise, previous
     # test); applying the inverse map to that component must come back
     # as F itself.  Derivatives are the analytic series ones.  At e = 1e-5
-    # both maps divide by E -/+ m_eff cos A, one of which cancels to O(e^2)
-    # in each channel unless it is factored.
-    for e, parity in ((0.5, 1), (1e-5, 1), (1e-5, -1)):
-        p = SystemParams(e, 1, parity=parity)
-        level = energy_closed_form(2, p)
-        r, f_part, df_part, g_part, dg_part, _ = mixed1_parts(p, 2)
-        g_implied = case1_g_from_f(p, level.E, level.lam, r, f_part, df_part)
-        assert np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)) < 1e-7
-        f_back = case1_f_from_g(p, level.E, level.lam, r, g_part, dg_part)
-        mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
-        ratio = f_back[mask] / f_part[mask]
-        mid = ratio[len(ratio) // 2]
-        assert np.max(np.abs(ratio / mid - 1.0)) < 1e-6
-        assert abs(mid - 1.0) < 1e-12
+    # the case-1 maps divide by E -/+ m_eff cos A, one of which cancels to
+    # O(e^2) in each channel unless it is factored.  Both relations hold in
+    # case 2 too, where they divide by 2E + (e + nu sin A)/r and
+    # (e - nu sin A)/r, and both close pointwise within 1e-12 of the peak.
+    for parts in (mixed1_parts, mixed2_parts):
+        for e, parity in ((0.5, 1), (0.5, -1), (1e-5, 1), (1e-5, -1)):
+            p = SystemParams(e, 1, parity=parity)
+            r, f_part, df_part, g_part, dg_part, case = parts(p, 2)
+            g_implied = g_from_f(case, p, r, f_part, df_part)
+            assert np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)) < 1e-12
+            f_back = f_from_g(case, p, r, g_part, dg_part)
+            assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
+            mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
+            ratio = f_back[mask] / f_part[mask]
+            mid = ratio[len(ratio) // 2]
+            assert np.max(np.abs(ratio / mid - 1.0)) < 1e-6
+            assert abs(mid - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("case_id, parity", [("1", 1), ("2", 1), ("2", -1)])
+def test_g_to_f_relation_degenerates_at_the_nodeless_energy(case_id, parity):
+    # the F coefficient of the G equation vanishes at the n = 0 energy:
+    # E - m_eff cos A in case 1 at parity +1 (E_0 = m cos A), e - nu sin A
+    # in case 2 at either parity (sin A = lam_0/m = e/nu)
+    p = SystemParams(0.5, 1, parity=parity)
+    level = energy_closed_form(0, p)
+    case = mixing_case(case_id, p, level.E, level.lam)
+    r = default_grid(level.lam).r
+    with pytest.raises(InvalidParams, match="degenerates at the nodeless energy"):
+        f_from_g(case, p, r, np.ones_like(r), np.ones_like(r))
+
+
+def test_case1_g_to_f_relation_carries_the_nodeless_level():
+    # at parity -1 the case-1 F coefficient E + m cos A stays finite at E_0,
+    # and the relation gives the nodeless F that mixed1 builds from G
+    p = params_for(0)
+    r, f_part, _, g_part, dg_part, case = mixed1_parts(p, 0)
+    f_back = f_from_g(case, p, r, g_part, dg_part)
+    assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
 
 
 def test_mixed1_matches_standard():
@@ -180,10 +203,9 @@ def test_mixed_routes_resolve_level_energy_once(monkeypatch, solver):
 
 def test_mixed2_residual_and_relation():
     p = params_for(1)
-    level = energy_closed_form(1, p)
     assert residual(solve_mixed_case2(p, 1)) < 1e-7
-    r, f_part, _, g_part, dg_part, _ = mixed2_parts(p, 1)
-    implied = case2_f_from_g(p, level.E, level.lam, r, g_part, dg_part)
+    r, f_part, _, g_part, dg_part, case = mixed2_parts(p, 1)
+    implied = f_from_g(case, p, r, g_part, dg_part)
     scale = np.max(np.abs(f_part))
     assert np.max(np.abs(implied - f_part)) / scale < 1e-7
 

@@ -41,8 +41,8 @@ from typing import Callable
 from . import oracle, routes, tables, verify
 from .errors import HeunDiracError, InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
-                    level_bracket, level_channel, require_level,
-                    solve_quantization)
+                    level_bracket, level_channel, quantized_routes,
+                    require_level, solve_quantization)
 from .routes import ROUTE_SOLVERS as _SOLVERS
 
 EXIT_OK = 0
@@ -183,25 +183,21 @@ def _emit(text: str, cfg: RunConfig):
 
 
 def _spectrum_levels(cfg: RunConfig) -> list[dict]:
-    """One entry per (n, route); route='all' covers the analytic four."""
-    selected = ANALYTIC_ROUTES if cfg.route == "all" else (cfg.route,)
+    """One entry per (n, route); route='all' covers the analytic routes that
+    quantize level n (quantized_routes: no mixed1 row at the parity -1 n = 0)."""
     params = cfg.system_params()
     rows = []
     for n in range(cfg.n_max + 1):
         per_route = {}
-        for route in selected:
+        for route in quantized_routes(params, n) if cfg.route == "all" else (cfg.route,):
             if route == "oracle":
                 p = level_channel(params, n)
                 require_level(p, n)
-                level = oracle.shoot_energy(p, *level_bracket(p, n))
+                per_route[route] = oracle.shoot_energy(p, *level_bracket(p, n))
             else:
-                level = solve_quantization(params, n, route)
-            per_route[route] = level
-        deviation = None
-        if len(per_route) > 1:
-            energies = [lvl.E for lvl in per_route.values()]
-            lo, hi = min(energies), max(energies)
-            deviation = (hi - lo) / lo
+                per_route[route] = solve_quantization(params, n, route)
+        energies = [lvl.E for lvl in per_route.values()]
+        deviation = (max(energies) - min(energies)) / min(energies) if len(energies) > 1 else None
         for route, level in per_route.items():
             row = {
                 "n": level.n, "j": level.nu - 0.5, "parity": level.parity,

@@ -156,16 +156,17 @@ def check_parameter_map_identities(params, n, E, lam):
 
 @_check("spectrum_route_equality", ANALYTIC_ROUTES, 1e-12)
 def check_spectrum_routes(params, n, E, lam):
-    """Each route's root-found energy matches the closed form."""
-    for route in quantized_routes(params, n):
-        yield abs(solve_quantization(params, n, route).E - E) / E
+    """Each route's root-found energy matches the closed form in level n's channel."""
+    p = level_channel(params, n)
+    for route in quantized_routes(p, n):
+        yield abs(solve_quantization(p, n, route).E - E) / E
 
 
 @_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
 def check_quantization_residuals(params, n, E, lam):
     """The level's quantization residuals vanish at the closed-form energy."""
-    for value in quantization_residuals(params, E, lam, n,
-                                        quantized_routes(params, n)).values():
+    p = level_channel(params, n)
+    for value in quantization_residuals(p, E, lam, n, quantized_routes(p, n)).values():
         yield abs(value)
 
 

@@ -57,13 +57,35 @@ def test_spectrum_rejects_non_half_integer_j(capsys):
 
 
 def test_single_route_parity_minus_spectrum_exits_0(capsys):
-    # the standard-route bisection passes through E = m cos A, where only
-    # the (unused) case-1 map is singular
+    # the standard route's bracket 0 < lam/m < 1 spans E = m cos A, where
+    # only the (unused) case-1 map is singular
     code, out, err = run_cli(capsys, "spectrum", "--route", "standard",
                              "--coupling", "0.55", "--parity", "-1", "--n-max", "5",
                              "--mass", "0.51099895", "--no-timestamp")
     assert code == EXIT_OK, err
     assert [lvl["n"] for lvl in json.loads(out)["levels"]] == list(range(6))
+
+
+def test_all_routes_parity_minus_spectrum_leaves_out_the_mixed1_pole_row(capsys):
+    # the nodeless level sits on the case-1 pole: route all reports the three
+    # routes that quantize it, and all four at every n >= 1
+    code, out, err = run_cli(capsys, "spectrum", "--route", "all", "--coupling", "0.5",
+                             "--parity", "-1", "--n-max", "5", "--no-timestamp")
+    assert code == EXIT_OK, err
+    rows = [(lvl["n"], lvl["route"]) for lvl in json.loads(out)["levels"]]
+    assert rows == ([(0, route) for route in ANALYTIC_ROUTES if route != "mixed1"]
+                    + [(n, route) for n in range(1, 6) for route in ANALYTIC_ROUTES])
+    for lvl in json.loads(out)["levels"]:
+        exact = energy_closed_form(lvl["n"], SystemParams(0.5, 1, parity=-1)).E
+        assert lvl["E"] == pytest.approx(exact, rel=1e-14)
+        assert lvl["max_route_deviation"] < 1e-14
+
+
+def test_mixed1_parity_minus_spectrum_still_exits_2_at_the_nodeless_level(capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--route", "mixed1", "--coupling", "0.5",
+                           "--parity", "-1", "--n-max", "5", "--no-timestamp")
+    assert code == EXIT_INVALID_PARAMS
+    assert "sits on the case-1 pole E = m cos A" in err
 
 
 def test_spectrum_csv_determinism(capsys):
@@ -410,8 +432,8 @@ def test_input_at_the_edge_of_the_range_answers(capsys, tmp_path, base, option, 
                                                 as_config):
     code, out, err = run_cli(capsys, *_with_option(tmp_path, base, option, value, as_config))
     if option == "mass":
-        # the same answer as at m = 1: E/m to the 1e-14 bisection bracket, and
-        # the same verdict from every check
+        # the same answer as at m = 1: E/m within 1e-14, since the solve is
+        # scale-free in t = lam/m, and the same verdict from every check
         ref_code, ref, _ = run_cli(capsys, *base)
         assert code == ref_code == EXIT_OK, err
         if base[0] == "spectrum":

@@ -1,6 +1,7 @@
 """Tests for the parameter layer: cases, maps, spectrum, quantization."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        singular_point_D_consistency, solve_quantization,
                        standard_vars)
 from heundirac.model import (ANALYTIC_ROUTES, level_bracket, level_channel,
-                             require_level)
+                             quantized_routes, require_level)
 
 
 def at(p, E):
@@ -404,7 +405,7 @@ def test_solve_quantization_rejects_unknown_route():
         solve_quantization(SystemParams(0.5, 1), 0, "bogus")
 
 
-# a parity -1 channel whose standard-route bisection passes through
+# a parity -1 channel whose standard-route bracket 0 < lam/m < 1 spans
 # E = m cos A, where the case-1 singular point R diverges
 SINGULAR_STEP_PARAMS = SystemParams(0.55, 1, 0.51099895, -1)
 
@@ -419,8 +420,8 @@ def test_solve_quantization_skips_other_routes_singular_map(route):
 
 @pytest.mark.parametrize("e,nu,m", [(0.55, 1, 0.51099895), (0.5, 1, 1.0), (0.95, 2, 1.0)])
 def test_mixed1_solves_parity_minus_levels(e, nu, m):
-    # the case-1 pole E = m cos A (the n = 0 energy) lies below every n >= 1
-    # level's root inside the bisection bracket
+    # the case-1 pole E = m cos A (the n = 0 energy), at lam/m = e/nu, tops
+    # the bracket, and every n >= 1 level's root lies inside it
     p = SystemParams(e, nu, m, -1)
     for n in range(1, 6):
         ref = energy_closed_form(n, p).E
@@ -443,6 +444,62 @@ def test_solve_quantization_builds_only_its_own_map(monkeypatch):
         assert solve_quantization(p, 3, route).E == expected[route]
     with pytest.raises(AssertionError):
         solve_quantization(p, 3, "mixed1")
+
+
+# Brent's method on each route's condition, over couplings from 1e-7 to
+# 0.99 nu, nu = 1..3, both parities and n <= 40
+SWEEP_COUPLINGS = (1e-7, 1e-5, 1e-3, 0.0072973525693, 0.25, 0.5, 0.9)
+
+
+@pytest.fixture(scope="module")
+def quantization_sweep():
+    """(params, n, route, E, t = lam/m of each condition evaluated) of every solve."""
+    import heundirac.model as model
+    evaluate, points = model.quantization_residuals, []
+
+    def counted(params, E, lam, n, routes=ANALYTIC_ROUTES):
+        points.append(lam / params.m)
+        return evaluate(params, E, lam, n, routes)
+
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "quantization_residuals", counted)
+        for nu in (1, 2, 3):
+            for e in (*SWEEP_COUPLINGS, 0.99 * nu):
+                for parity in (1, -1):
+                    p = SystemParams(e, nu, parity=parity)
+                    for n in range(0 if parity == -1 else 1, 41):
+                        for route in quantized_routes(p, n):
+                            points.clear()
+                            E = solve_quantization(p, n, route).E
+                            solves.append((p, n, route, E, list(points)))
+    return solves
+
+
+def test_solve_quantization_takes_few_evaluations(quantization_sweep):
+    counts = [len(points) for *_, points in quantization_sweep]
+    assert max(counts) <= 30
+    assert sum(counts) / len(counts) <= 16
+
+
+def test_solve_quantization_evaluates_inside_the_bracket(quantization_sweep):
+    # never t = 0 (lam = 0), t = 1 (E = 0) or the mixed1 pole t = e/nu at parity -1
+    for p, n, route, _, points in quantization_sweep:
+        top = p.e / p.nu if route == "mixed1" and p.parity == -1 else 1.0
+        assert all(0.0 < t < top for t in points), (p, n, route)
+
+
+def test_solve_quantization_is_within_4e15_of_the_closed_form(quantization_sweep):
+    # E/m = 1/sqrt(1 + e^2/(n + sqrt(nu^2 - e^2))^2) at 50 digits
+    worst = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for p, n, route, E, _ in quantization_sweep:
+            e = Decimal(p.e)
+            N = n + (p.nu * p.nu - e * e).sqrt()
+            ref = 1 / (1 + e * e / (N * N)).sqrt()
+            worst = max(worst, abs(Decimal(E) - ref) / ref)
+    assert worst <= Decimal("4e-15")
 
 
 def test_quantization_residuals_selected_routes():

@@ -158,7 +158,7 @@ def test_weak_coupling_spectrum_verifies(route, coupling, n_max, monkeypatch):
     assert result.passed, result
 
 
-def test_levels_inside_the_bisection_bracket_are_accepted(monkeypatch):
+def test_levels_just_below_the_mass_are_accepted(monkeypatch):
     # at e = 6e-5 the n = 0 level sits 1.8e-9 m below m
     monkeypatch.setattr(verify, "ALL_CHECKS", [])
     assert verify.run_verification(SystemParams(6e-5, 1), 0, "all") == []

@@ -188,16 +188,21 @@ def _spectrum_levels(cfg: RunConfig) -> list[dict]:
     params = cfg.system_params()
     rows = []
     for n in range(cfg.n_max + 1):
+        selected = quantized_routes(params, n) if cfg.route == "all" else (cfg.route,)
         per_route = {}
-        for route in quantized_routes(params, n) if cfg.route == "all" else (cfg.route,):
+        for route in selected:
             if route == "oracle":
                 p = level_channel(params, n)
                 require_level(p, n)
-                per_route[route] = oracle.shoot_energy(p, *level_bracket(p, n))
+                level = oracle.shoot_energy(p, *level_bracket(p, n))
             else:
-                per_route[route] = solve_quantization(params, n, route)
-        energies = [lvl.E for lvl in per_route.values()]
-        deviation = (max(energies) - min(energies)) / min(energies) if len(energies) > 1 else None
+                level = solve_quantization(params, n, route)
+            per_route[route] = level
+        deviation = None
+        if len(per_route) > 1:
+            energies = [lvl.E for lvl in per_route.values()]
+            lo, hi = min(energies), max(energies)
+            deviation = (hi - lo) / lo
         for route, level in per_route.items():
             row = {
                 "n": level.n, "j": level.nu - 0.5, "parity": level.parity,

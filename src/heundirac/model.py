@@ -363,10 +363,11 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     e E - (n + a) lam, a = sqrt(nu^2 - e^2): 1/lam for standard, negative for
     the three Heun maps.  So sign * condition (sign -1 for the Heun maps)
     changes sign once in 0 < t < hi and is positive as t -> 0.  A probe at
-    t = hi/2, then steps that quarter t (or its gap to hi) until the sign
-    changes, bracket the root without evaluating either end; brentq (Brent
-    1973, ch. 4) closes the bracket to full double precision, in about 13
-    evaluations per solve, each building only this route's parameter map.
+    t = min(e/nu, hi/2), then steps that quarter t (or its gap to hi) until
+    the sign changes, bracket the root without evaluating either end; brentq
+    (Brent 1973, ch. 4) closes the bracket to full double precision, in
+    about 9 evaluations per solve, each building only this route's parameter
+    map.  Non-convergence of either stage raises NoConvergence.
 
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +
     m_eff cos A): its pole, the n = 0 energy m cos A at t = e/nu, is hi, and
@@ -380,7 +381,8 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
             f"{route} cannot solve n=0 at parity -1: the level sits on the case-1 "
             "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
         )
-    m, sign = params.m, (1.0 if route == "standard" else -1.0)
+    m = params.m
+    sign = 1.0 if route == "standard" else -1.0
     hi = params.e / params.nu if route == "mixed1" and params.parity == -1 else 1.0
 
     def point(t: float) -> tuple[float, float]:
@@ -389,7 +391,10 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     def condition(t: float) -> float:
         return sign * quantization_residuals(params, *point(t), n, (route,))[route]
 
-    lo, up, t = 0.0, hi, 0.5 * hi   # a NaN moves neither end and walks t out of (0, hi)
+    # every level's t = e/sqrt(N^2 + e^2) is at most e/nu, so the first probe
+    # is within a few quarterings of the root at any coupling; a NaN moves
+    # neither end and walks t out of (0, hi)
+    lo, up, t = 0.0, hi, min(params.e / params.nu, 0.5 * hi)
     while (lo == 0.0 or up == hi) and 0.0 < t < hi:
         value = condition(t)
         if value >= 0.0:
@@ -399,5 +404,15 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
         t = t / 4.0 if lo == 0.0 else hi - (hi - t) / 4.0
     if lo == 0.0 or up == hi:
         raise NoConvergence(f"no sign change of the {route} condition in 0 < lam/m < {hi}")
-    E, lam = point(lo if lo == up else brentq(condition, lo, up, xtol=1e-16, rtol=8.9e-16))
+    t = lo
+    if lo != up:
+        try:
+            t, result = brentq(condition, lo, up, xtol=1e-16, rtol=8.9e-16,
+                               full_output=True, disp=False)
+        except ValueError as exc:   # brentq stops on a NaN value
+            raise NoConvergence(f"the {route} condition in {lo} < lam/m < {up}: {exc}") from None
+        if not result.converged:
+            raise NoConvergence(f"Brent refinement of the {route} condition did not "
+                                f"converge in {result.iterations} steps")
+    E, lam = point(t)
     return EnergyLevel(int(n), params.nu, params.parity, E, route, lam)

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,9 +447,9 @@ def test_solve_quantization_builds_only_its_own_map(monkeypatch):
         solve_quantization(p, 3, "mixed1")
 
 
-# Brent's method on each route's condition, over couplings from 1e-7 to
+# Brent's method on each route's condition, over couplings from 1e-100 to
 # 0.99 nu, nu = 1..3, both parities and n <= 40
-SWEEP_COUPLINGS = (1e-7, 1e-5, 1e-3, 0.0072973525693, 0.25, 0.5, 0.9)
+SWEEP_COUPLINGS = (1e-100, 1e-30, 1e-7, 1e-5, 1e-3, 0.0072973525693, 0.25, 0.5, 0.9)
 
 
 @pytest.fixture(scope="module")
@@ -477,9 +478,11 @@ def quantization_sweep():
 
 
 def test_solve_quantization_takes_few_evaluations(quantization_sweep):
+    # the first probe, t = e/nu, bounds every level's t from above, so weak
+    # couplings cost no more than strong ones
     counts = [len(points) for *_, points in quantization_sweep]
-    assert max(counts) <= 30
-    assert sum(counts) / len(counts) <= 16
+    assert max(counts) <= 24
+    assert sum(counts) / len(counts) <= 10
 
 
 def test_solve_quantization_evaluates_inside_the_bracket(quantization_sweep):
@@ -500,6 +503,41 @@ def test_solve_quantization_is_within_4e15_of_the_closed_form(quantization_sweep
             ref = 1 / (1 + e * e / (N * N)).sqrt()
             worst = max(worst, abs(Decimal(E) - ref) / ref)
     assert worst <= Decimal("4e-15")
+
+
+def test_solve_quantization_raises_no_convergence_on_a_nan_condition(monkeypatch):
+    import heundirac.model as model
+    evaluate, calls = model.quantization_residuals, []
+
+    def nan_after(count):
+        def residuals(params, E, lam, n, routes=ANALYTIC_ROUTES):
+            calls.append(lam)
+            if len(calls) > count:
+                return dict.fromkeys(routes, math.nan)
+            return evaluate(params, E, lam, n, routes)
+        return residuals
+
+    # NaN from the first probe: the bracket search walks t out of (0, 1)
+    monkeypatch.setattr(model, "quantization_residuals", nan_after(0))
+    with pytest.raises(NoConvergence, match="no sign change of the standard condition"):
+        solve_quantization(SystemParams(0.5, 1), 1, "standard")
+    # NaN once the bracket is found: brentq stops, and so does the solve
+    calls.clear()
+    monkeypatch.setattr(model, "quantization_residuals", nan_after(3))
+    with pytest.raises(NoConvergence, match="the mixed2 condition in"):
+        solve_quantization(SystemParams(0.5, 1), 1, "mixed2")
+
+
+def test_solve_quantization_raises_no_convergence_when_brent_does_not_converge(monkeypatch):
+    import heundirac.model as model
+
+    def stalled(f, a, b, **kwargs):
+        assert kwargs["full_output"] and not kwargs["disp"]
+        return 0.5 * (a + b), SimpleNamespace(converged=False, iterations=100)
+
+    monkeypatch.setattr(model, "brentq", stalled)
+    with pytest.raises(NoConvergence, match="did not converge in 100 steps"):
+        solve_quantization(SystemParams(0.5, 1), 1, "heun")
 
 
 def test_quantization_residuals_selected_routes():

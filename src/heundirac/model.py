@@ -13,8 +13,9 @@ kappa = +nu channel (radial quantum number n >= 1) and parity = -1 is
 kappa = -nu (n >= 0, including the nodeless ground level).
 
 This module holds the parameter containers, the decoupling-rotation
-cases, the confluent-Heun parameter maps of the three Heun-based solution
-routes, the closed-form spectrum
+cases (case 0, the unrotated frame of the `heun` route, and the two mixed
+rotations), the one confluent-Heun parameter map that serves the three
+Heun-based solution routes, the closed-form spectrum
 
     E = m / sqrt(1 + e^2 / (n + sqrt(nu^2 - e^2))^2),
 
@@ -90,8 +91,10 @@ class MixingCase(NamedTuple):
 
     with c_plus, c_minus = E +- m_eff cos A and s_plus, s_minus =
     e +- nu sin A.  Each angle condition zeroes one of the four (s_minus in
-    case 1, c_minus in case 2); the extra regular singular point (R, D) of
-    the equation for F is -s_plus/c_plus.
+    case 1, c_minus in case 2); case 0 (sin A = 0, cos A = parity) is the
+    unrotated system, turned a quarter at parity -1, and zeroes none.  The
+    extra regular singular point (R, D, -e/(E + m)) of the equation for F
+    is -s_plus/c_plus.
     """
 
     case_id: str
@@ -142,23 +145,30 @@ def require_bound_energy(params: SystemParams, E: float):
 
 
 def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
-    """Resolve rotation case 1 (sin A = e/nu) or 2 (cos A = E/m_eff,
-    sin A = lam/m) at energy E with decay constant lam.
+    """Resolve rotation case 0 (sin A = 0, cos A = parity), 1 (sin A = e/nu)
+    or 2 (cos A = E/m_eff, sin A = lam/m) at energy E with decay constant lam.
 
-    Case 1 needs subcritical coupling only, case 2 needs 0 < E <= m (E may
-    round to m where lam > 0 still resolves the level).  The angle
+    Cases 0 and 1 need subcritical coupling only, case 2 needs 0 < E <= m
+    (E may round to m where lam > 0 still resolves the level).  The angle
     conditions fix
 
+        case 0:  c_plus = E + m, s_plus = s_minus = e,  X = -e / (E + m),
         case 1:  s_plus = 2e, s_minus = 0,   R = -2e / (E + m_eff cos A),
         case 2:  c_plus = 2E, c_minus = 0,   D = -(e + nu sin A) / (2E).
 
-    No coefficient takes a difference that cancels at weak coupling: the
+    Case 0 turns (f, g) by no angle at parity +1 and by a quarter at parity
+    -1, where (f, g) = (G, -F).  No coefficient takes a difference that
+    cancels at weak coupling: the case-0 E - m is -lam^2/(E + m), the
     case-1 E - m cos A is m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A),
     and the case-2 half angles take m - E as lam^2/(m + E).  Each is formed
     in units of m, so no mass overflows it.
     """
     e, nu, m = params.e, params.nu, params.m
-    if case_id == "1":
+    if case_id == "0":
+        sin_a, cos_a = 0.0, float(params.parity)
+        cos_half, sin_half = (1.0, 0.0) if params.parity == 1 else (0.0, 1.0)
+        c_plus, c_minus, s_plus, s_minus = E + m, -lam * (lam / (E + m)), e, e
+    elif case_id == "1":
         root = params.frobenius_exponent
         sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
         # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
@@ -178,7 +188,7 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
         cos_half, sin_half = (wide, narrow) if params.parity == 1 else (narrow, wide)
         c_plus, c_minus, s_plus, s_minus = 2.0 * E, 0.0, e + nu * sin_a, e - nu * sin_a
     else:
-        raise InvalidParams(f"unknown mixing case {case_id!r}; use 1 or 2")
+        raise InvalidParams(f"unknown mixing case {case_id!r}; use 0, 1 or 2")
     point = -s_plus / c_plus if c_plus != 0.0 else math.inf
     return MixingCase(case_id, sin_a, cos_a, cos_half, sin_half, point,
                       c_plus, c_minus, s_plus, s_minus)
@@ -200,7 +210,8 @@ def singular_point_D_consistency(params: SystemParams, E: float,
 def _rotated_heun_params(params: SystemParams, E: float, lam: float,
                          case_id: str) -> HeunCParams:
     """Confluent-Heun parameters of the rotated equation for F in y = r/X,
-    X the singular point of the case (R for case 1, D for case 2).
+    X the singular point of the case (-e/(E + m) for case 0, R for case 1,
+    D for case 2).
 
     With a = sqrt(nu^2-e^2) and b = -lam*X, the signs of the normalizable
     branch:
@@ -231,23 +242,27 @@ def heun_params_case2(params: SystemParams, E: float, lam: float) -> HeunCParams
 
 
 def heun_params_full(params: SystemParams, E: float, lam: float) -> HeunCParams:
-    """Parameters of the single-function route in x = -(E+m) r / e.
+    """Confluent-Heun parameters of the case-0 equation for F in y = -(E+m) r/e."""
+    return _rotated_heun_params(params, E, lam, "0")
 
-    alpha = 2e lam/(E+m) = 2e sqrt((m-E)/(m+E)), beta = 2 sqrt(nu^2-e^2),
-    gamma = -2, delta = -2Ee^2/(E+m), eta = 1 - nu_s + 2Ee^2/(E+m), where
-    nu_s is the parity-signed angular number (the negative-parity channel
-    is obtained by nu -> -nu together with swapping the roles of f and g).
-    """
-    alpha = 2.0 * lam * params.e / (E + params.m)
-    beta = 2.0 * params.frobenius_exponent
-    nu_s = params.parity * params.nu
-    d = 2.0 * E * params.e ** 2 / (E + params.m)
-    return HeunCParams(alpha, beta, -2.0, -d, 1.0 - nu_s + d)
+
+#: the confluent-Heun parameter map of each Heun-based route
+HEUN_MAPS = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
+             "heun": heun_params_full}
 
 
 def _require_index(n: int):
     if int(n) != n or n < 0:
         raise InvalidParams(f"n must be a non-negative integer, got {n}")
+
+
+def _level_decay_constant(n: int, params: SystemParams) -> float:
+    """lam = m e / sqrt(N^2 + e^2) of level n; InvalidParams where it underflows to 0."""
+    lam = params.m * (params.e / math.hypot(n + params.frobenius_exponent, params.e))
+    if params.e > 0.0 and lam == 0.0:
+        raise InvalidParams(f"the decay constant m e / sqrt(N^2 + e^2) underflows to 0 "
+                            f"at m={params.m}, e={params.e}")
+    return lam
 
 
 def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
@@ -259,13 +274,9 @@ def energy_closed_form(n: int, params: SystemParams) -> EnergyLevel:
     where lam underflows to 0, which only m e below ~1e-323 reaches.
     """
     _require_index(n)
-    N = n + params.frobenius_exponent
-    E = params.m / math.sqrt(1.0 + (params.e / N) ** 2)
-    lam = params.m * (params.e / math.hypot(N, params.e))
-    if params.e > 0.0 and lam == 0.0:
-        raise InvalidParams(f"the decay constant m e / sqrt(N^2 + e^2) underflows to 0 "
-                            f"at m={params.m}, e={params.e}")
-    return EnergyLevel(int(n), params.nu, params.parity, E, "closed", lam)
+    E = params.m / math.sqrt(1.0 + (params.e / (n + params.frobenius_exponent)) ** 2)
+    return EnergyLevel(int(n), params.nu, params.parity, E, "closed",
+                       _level_decay_constant(n, params))
 
 
 def require_level(params: SystemParams, n: int):
@@ -343,14 +354,9 @@ def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
             sv = standard_vars(params, E, lam)
             residuals[route] = sv.eps - sv.a_frob - n
             continue
-        if route == "mixed1":
-            hp = heun_params_case1(params, E, lam)
-        elif route == "mixed2":
-            hp = heun_params_case2(params, E, lam)
-        elif route == "heun":
-            hp = heun_params_full(params, E, lam)
-        else:
+        if route not in HEUN_MAPS:
             raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
+        hp = HEUN_MAPS[route](params, E, lam)
         residuals[route] = hp.delta + (n + 0.5 * (hp.beta + hp.gamma + 2.0)) * hp.alpha
     return residuals
 
@@ -372,7 +378,8 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +
     m_eff cos A): its pole, the n = 0 energy m cos A at t = e/nu, is hi, and
     every n >= 1 level lies below it.  The n = 0 level itself has no mixed1
-    condition (quantized_routes) and raises InvalidParams.
+    condition (quantized_routes) and raises InvalidParams, as does a level
+    whose decay constant underflows to 0.
     """
     # level_channel puts n = 0 at parity -1: only the index and coupling rules apply
     require_level(level_channel(params, n), n)
@@ -381,6 +388,7 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
             f"{route} cannot solve n=0 at parity -1: the level sits on the case-1 "
             "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
         )
+    _level_decay_constant(n, params)
     m = params.m
     sign = 1.0 if route == "standard" else -1.0
     hi = params.e / params.nu if route == "mixed1" and params.parity == -1 else 1.0

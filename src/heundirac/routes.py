@@ -10,17 +10,18 @@ to normalization:
 * mixed2     -- rotation case 2: G from a Kummer polynomial with shifted
                 denominator parameter, F from a confluent-Heun polynomial
                 in y = r/D;
-* heun       -- single-function route: f from a confluent-Heun polynomial
-                in x = -(E+m) r/e, g recovered from the first-order
-                system.
+* heun       -- rotation case 0 (no turn at parity +1, a quarter turn at
+                parity -1): F from a confluent-Heun polynomial in
+                x = -(E+m) r/e, G recovered from the first-order system.
 
-The mixed routes work in the rotated frame (F, G) of model.MixingCase, whose
-two equations give one relation each, valid in either case: g_from_f reads G
-off the F equation and f_from_g reads F off the G equation.
+The three Heun routes work in the rotated frame (F, G) of model.MixingCase,
+whose two equations give one relation each, valid in every case: g_from_f
+reads G off the F equation and f_from_g reads F off the G equation.
 
 Every component is the shared envelope (2*lam*r)^a e^{-lam*r},
-a = sqrt(nu^2-e^2), times a polynomial in k*r, with k = 2*lam, 1/R, 1/D
-or -(E+m)/e.  So the relative scale of the mixed routes' two pieces is
+a = sqrt(nu^2-e^2), times a polynomial in k*r, with k = 2*lam (Kummer) or
+1/X, X the case's singular point R, D or -e/(E+m) (Heun).  So the relative
+scale of the mixed routes' two pieces is
 the ratio of their leading terms r^(a+n) e^{-lam*r} as r -> inf, read off
 one of those relations in closed form; the closure of those relations over
 the whole grid is what the operator tests check.
@@ -241,7 +242,7 @@ def solve_standard(params: SystemParams, n: int,
 
 
 # ----------------------------------------------------------------------
-# mixed rotation routes
+# rotated-frame routes: heun (case 0), mixed1, mixed2
 # ----------------------------------------------------------------------
 
 def _solve_rotated(parts, route: str, params: SystemParams, n: int,
@@ -256,7 +257,7 @@ def _solve_rotated(parts, route: str, params: SystemParams, n: int,
 
 def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
              f_part: np.ndarray, df_part: np.ndarray) -> np.ndarray:
-    """G from F through the rotated F equation of either case.
+    """G from F through the rotated F equation of any case.
 
     G = -(dF/dr + (nu cos A / r) F - m_eff sin A F) / (c_plus + s_plus/r).
     """
@@ -266,7 +267,7 @@ def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
 
 def f_from_g(case: MixingCase, params: SystemParams, r: np.ndarray,
              g_part: np.ndarray, dg_part: np.ndarray) -> np.ndarray:
-    """F from G through the rotated G equation of either case.
+    """F from G through the rotated G equation of any case.
 
     F = (dG/dr - (nu cos A / r) G + m_eff sin A G) / (c_minus + s_minus/r).
     The angle condition sets one of c_minus (case 2) and s_minus (case 1)
@@ -278,6 +279,22 @@ def f_from_g(case: MixingCase, params: SystemParams, r: np.ndarray,
                             "G-to-F map degenerates at the nodeless energy")
     num = dg_part - (params.nu * case.cos_a / r) * g_part + params.m_eff * case.sin_a * g_part
     return num / (case.c_minus + case.s_minus / r)
+
+
+def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
+    """Case-0 amplitudes of level: (r, F, dF/dr, G, None, case); dG/dr is not formed."""
+    E, lam, a = level.E, level.lam, params.frobenius_exponent
+    case = mixing_case("0", params, E, lam)
+    heun = _heun_polynomial(heun_params_full(params, E, lam), level.n)
+    f_part, df_part = _enveloped(_envelope(lam, a, r), heun, 1.0 / case.singular_point,
+                                 lam, a, r)
+    return r, f_part, df_part, g_from_f(case, params, r, f_part, df_part), None, case
+
+
+def solve_heun_full(params: SystemParams, n: int,
+                    grid: RadialGrid | None = None) -> RadialSolution:
+    """Rotation case 0: F from a Heun polynomial in -(E+m) r/e, G by g_from_f."""
+    return _solve_rotated(_case0_parts, "heun", params, n, grid)
 
 
 def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
@@ -358,38 +375,6 @@ def solve_mixed_case2(params: SystemParams, n: int,
                       grid: RadialGrid | None = None) -> RadialSolution:
     """Rotation case 2: G from Kummer (shifted denominator), F from Heun."""
     return _solve_rotated(_case2_parts, "mixed2", params, n, grid)
-
-
-# ----------------------------------------------------------------------
-# single-function Heun route
-# ----------------------------------------------------------------------
-
-def solve_heun_full(params: SystemParams, n: int,
-                    grid: RadialGrid | None = None) -> RadialSolution:
-    """Single-function route: f from one Heun polynomial, g recovered.
-
-    Works in x = -(E+m) r / e (negative for bound states) with
-    f = (2 lam r)^A e^{-lam r} H(x), the Heun map's e^{alpha x/2} being
-    e^{-lam r}.  The companion component follows from the first equation
-    of the system, whose denominator E + e/r + m is strictly positive.  The
-    negative-parity channel runs the same construction with nu -> -nu and
-    the roles of the two components swapped.
-    """
-    level, grid = _level_grid(params, n, grid)
-    E, r, m = level.E, grid.r, params.m
-    nu_s = params.parity * params.nu
-
-    lam, A = level.lam, params.frobenius_exponent
-    hp = heun_params_full(params, E, lam)
-    ft, dft = _enveloped(_envelope(lam, A, r), _heun_polynomial(hp, n),
-                         -(E + m) / params.e, lam, A, r)
-    gt = -(dft + (nu_s / r) * ft) / (E + params.e / r + m)
-
-    if params.parity == 1:
-        f, g = ft, gt
-    else:
-        f, g = gt, -ft
-    return _finish(params, level, "heun", grid, f, g)
 
 
 #: wavefunction solver of each analytic route, keyed in ANALYTIC_ROUTES order

@@ -2,7 +2,9 @@
 
 Both functions are computed from their Frobenius series about the origin,
 with plain iterative term recurrences (no gamma-function calls), so that
-terminating cases stay structurally exact.
+terminating cases stay structurally exact.  The confluent Heun function is
+evaluated only where its series terminates, as a polynomial; an open
+(non-terminating) series raises InvalidParams.
 
 Kummer's confluent hypergeometric function:
 
@@ -55,9 +57,10 @@ from .errors import InvalidParams, NoConvergence
 # Integer tolerance used when the evaluator checks the degree condition
 # internally (callers of heunc_poly_degree pass their own).
 DEGREE_DETECT_TOL = 1e-8
-# An open series has converged once two consecutive terms fall below
+# A Kummer series has converged once two consecutive terms fall below
 # SERIES_REL_TOL times the partial sum (two in a row guards against
-# accidental zero terms); MAX_TERMS is its term budget.
+# accidental zero terms); MAX_TERMS is its term budget, and the highest
+# Heun polynomial degree.
 SERIES_REL_TOL = 1e-15
 MAX_TERMS = 10_000
 
@@ -338,78 +341,38 @@ def heunc_truncation(p: HeunCParams):
 
 
 def _heunc_eval(p: HeunCParams, trunc, z: float, order: int) -> float:
-    """Value of the series' order-th derivative at z (order 0, 1 or 2),
-    given trunc = heunc_truncation(p)."""
-    if trunc is not None:
-        return float(horner(trunc[1], z, order))
-    if abs(z) >= 1.0:
-        raise InvalidParams(
-            f"non-terminating confluent Heun series evaluated at |z|={abs(z)} >= 1"
-        )
-    return _open_series_value(p, z, order)
-
-
-def _open_series_value(p: HeunCParams, z: float, order: int) -> float:
-    u, s = _residue_combinations(p)
-    c_prev = 1.0
-    c_cur = -u / (p.beta + 1.0)
-
-    def deriv_term(k, ck):
-        if k < order:
-            return 0.0
-        fac = 1.0
-        for j in range(order):
-            fac *= (k - j)
-        return ck * fac * z ** (k - order)
-
-    total = deriv_term(0, c_prev) + deriv_term(1, c_cur)
-    small = 0
-    for k in range(1, MAX_TERMS):
-        bk = k * (k + p.beta + p.gamma + 1.0 - p.alpha) - u
-        ck_ = p.alpha * (k - 1.0) + s
-        c_next = (bk * c_cur + ck_ * c_prev) / ((k + 1.0) * (k + p.beta + 1.0))
-        term = deriv_term(k + 1, c_next)
-        total += term
-        if abs(term) < SERIES_REL_TOL * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        c_prev, c_cur = c_cur, c_next
-    raise NoConvergence(
-        f"confluent Heun series at z={z} did not converge within {MAX_TERMS} terms"
-    )
+    """Value of the polynomial's order-th derivative at z (order 0, 1 or 2),
+    given trunc = heunc_truncation(p); an open series raises InvalidParams."""
+    if trunc is None:
+        raise InvalidParams(f"the confluent Heun series of {p} is open (no polynomial); "
+                            "only polynomials are evaluated")
+    return float(horner(trunc[1], z, order))
 
 
 def heunc(p: HeunCParams, z: float) -> float:
-    """Confluent Heun function, regular branch at z = 0 with H(0) = 1.
-
-    Terminating (polynomial) parameter sets are accepted at any finite z;
-    non-terminating series require |z| < 1 (the z = 1 singularity bounds
-    the disk of convergence, and analytic continuation is out of scope).
-    """
-    if z == 0.0:
-        return 1.0
+    """Confluent Heun polynomial, the regular branch at z = 0 with H(0) = 1,
+    at any finite z.  A parameter set whose series does not terminate
+    raises InvalidParams, at z = 0 too."""
     return _heunc_eval(p, heunc_truncation(p), z, 0)
 
 
 def heunc_derivative(p: HeunCParams, z: float) -> float:
-    """Term-by-term derivative H'(z) of the same Frobenius branch."""
+    """Derivative H'(z) of the same polynomial."""
     return _heunc_eval(p, heunc_truncation(p), z, 1)
 
 
 def heunc_second_derivative(p: HeunCParams, z: float) -> float:
-    """Term-by-term second derivative H''(z), for residual checks."""
+    """Second derivative H''(z) of the same polynomial, for residual checks."""
     return _heunc_eval(p, heunc_truncation(p), z, 2)
 
 
 def heunc_ode_residual(p: HeunCParams, z: float) -> float:
     """Scaled residual of the canonical equation at z.
 
-    Plugs (H, H', H'') from the series into the canonical form and
+    Plugs (H, H', H'') from the polynomial into the canonical form and
     divides by the largest term magnitude, so the result measures
-    internal consistency of the recurrence against the equation.
+    internal consistency of the recurrence against the equation.  An open
+    series raises InvalidParams, as do the singular points z = 0 and 1.
     """
     if z == 0.0 or z == 1.0:
         raise InvalidParams("residual is evaluated away from the singular points")

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import oracle, routes, specfun
 from .errors import HeunDiracError
-from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
-                    heun_params_case1, heun_params_case2, heun_params_full,
+from .model import (ANALYTIC_ROUTES, HEUN_MAPS, SystemParams, energy_closed_form,
+                    heun_params_case2, heun_params_full,
                     level_bracket, level_channel, mixing_case,
                     quantization_residuals, quantized_routes, require_level,
                     singular_point_D_consistency, solve_quantization,
@@ -84,9 +84,7 @@ def _check(name, tags, tol=None, first=0):
 def _heun_maps(params, n, E, lam):
     """{route: Heun parameter map} at (E, lam) of each Heun route that has a
     quantization condition at level n."""
-    builds = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
-              "heun": heun_params_full}
-    return {route: build(params, E, lam) for route, build in builds.items()
+    return {route: build(params, E, lam) for route, build in HEUN_MAPS.items()
             if route in quantized_routes(params, n)}
 
 

@@ -56,6 +56,15 @@ def test_spectrum_rejects_non_half_integer_j(capsys):
     assert code == EXIT_INVALID_PARAMS
 
 
+@pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+def test_spectrum_where_the_decay_constant_underflows_exits_2(capsys, route):
+    # lam = m e / sqrt(N^2 + e^2) rounds to 0 from n = 1 on: no level to solve for
+    code, out, err = run_cli(capsys, "spectrum", "--route", route, "--coupling", "5e-324",
+                             "--n-max", "2")
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert "the decay constant m e / sqrt(N^2 + e^2) underflows to 0" in err
+
+
 def test_single_route_parity_minus_spectrum_exits_0(capsys):
     # the standard route's bracket 0 < lam/m < 1 spans E = m cos A, where
     # only the (unused) case-1 map is singular

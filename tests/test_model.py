@@ -84,7 +84,7 @@ def test_mixing_case2_requires_subluminal_energy():
 @settings(max_examples=60, deadline=None)
 @given(nu=st.integers(1, 4), efrac=st.floats(0.01, 0.95),
        Efrac=st.floats(0.05, 0.95), parity=st.sampled_from([1, -1]),
-       cid=st.sampled_from(["1", "2"]))
+       cid=st.sampled_from(["0", "1", "2"]))
 def test_mixing_case_identities(nu, efrac, Efrac, parity, cid):
     p = SystemParams(efrac * nu, nu, parity=parity)
     c = mixing_case(cid, p, *at(p, Efrac * p.m))
@@ -94,10 +94,10 @@ def test_mixing_case_identities(nu, efrac, Efrac, parity, cid):
 
 
 @pytest.mark.parametrize("parity", [1, -1])
-@pytest.mark.parametrize("cid", ["1", "2"])
+@pytest.mark.parametrize("cid", ["0", "1", "2"])
 def test_mixing_case_carries_the_rotated_coefficients(cid, parity):
-    # E +- m_eff cos A and e +- nu sin A; the angle condition zeroes one of
-    # them exactly, and the extra singular point is -s_plus/c_plus
+    # E +- m_eff cos A and e +- nu sin A; the angle condition of cases 1 and 2
+    # zeroes one of them exactly, and the extra singular point is -s_plus/c_plus
     p = SystemParams(0.6, 1, parity=parity)
     E, lam = at(p, 0.7)
     c = mixing_case(cid, p, E, lam)
@@ -105,8 +105,24 @@ def test_mixing_case_carries_the_rotated_coefficients(cid, parity):
     assert c.c_minus == pytest.approx(E - p.m_eff * c.cos_a, rel=1e-14, abs=1e-15)
     assert c.s_plus == pytest.approx(p.e + p.nu * c.sin_a, rel=1e-14)
     assert c.s_minus == pytest.approx(p.e - p.nu * c.sin_a, rel=1e-14, abs=1e-15)
-    assert (c.s_minus if cid == "1" else c.c_minus) == 0.0
+    if cid == "0":   # unrotated: no angle condition, nothing zeroed
+        assert (c.sin_a, c.cos_a, c.s_plus, c.s_minus) == (0.0, parity, p.e, p.e)
+    else:
+        assert (c.s_minus if cid == "1" else c.c_minus) == 0.0
     assert c.singular_point == -c.s_plus / c.c_plus
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_case0_c_minus_does_not_cancel_at_weak_coupling(parity):
+    # E - m is -lam^2/(E + m), not a difference of two nearly equal numbers
+    mpmath = pytest.importorskip("mpmath")
+    p = SystemParams(1e-7, 1, parity=parity)
+    level = energy_closed_form(1, p)
+    c = mixing_case("0", p, level.E, level.lam)
+    with mpmath.workdps(40):
+        e, N = mpmath.mpf(p.e), 1 + mpmath.sqrt(1 - mpmath.mpf(p.e) ** 2)
+        exact = 1 / mpmath.sqrt(1 + (e / N) ** 2) - 1
+        assert abs(c.c_minus / exact - 1) < 1e-14
 
 
 def test_singular_point_consistency_values():
@@ -440,7 +456,7 @@ def test_solve_quantization_builds_only_its_own_map(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("case-1 map built for another route")
 
-    monkeypatch.setattr(model, "heun_params_case1", broken)
+    monkeypatch.setitem(model.HEUN_MAPS, "mixed1", broken)
     for route in routes:
         assert solve_quantization(p, 3, route).E == expected[route]
     with pytest.raises(AssertionError):

@@ -222,7 +222,7 @@ def test_mixed_routes_nodeless_level():
 
 
 # ----------------------------------------------------------------------
-# single-function route
+# heun route (rotation case 0)
 # ----------------------------------------------------------------------
 
 def test_heun_full_nodeless_residual():
@@ -236,6 +236,47 @@ def test_heun_full_matches_standard():
     b = normalize(solve_standard(p, 2, grid=a.grid))
     assert np.max(np.abs(a.f - b.f)) / np.max(np.abs(b.f)) < 1e-6
     assert np.max(np.abs(a.g - b.g)) / np.max(np.abs(b.g)) < 1e-6
+
+
+def _mp_standard_pair(mpmath, p, n, r):
+    """(f, g) of level n at radii r by the standard (Kummer) construction,
+    from the exact level at 40 digits."""
+    with mpmath.workdps(40):
+        e, m, nu = mpmath.mpf(p.e), mpmath.mpf(p.m), p.nu
+        a = mpmath.sqrt(nu ** 2 - e ** 2)
+        E = m / mpmath.sqrt(1 + (e / (n + a)) ** 2)
+        lam = m * e / mpmath.sqrt((n + a) ** 2 + e ** 2)
+        c2 = -(nu + p.parity * e * m / lam) / (a + e * E / lam)
+        wide, narrow = mpmath.sqrt(m + E), mpmath.sqrt(m - E)
+        pf, pg = (wide, narrow) if p.parity == 1 else (narrow, -wide)
+        f, g = [], []
+        for x in r:
+            y = 2 * lam * mpmath.mpf(x)
+            env = y ** a * mpmath.exp(-y / 2)
+            one = env * mpmath.hyp1f1(-n, 2 * a + 1, y)
+            two = c2 * env * mpmath.hyp1f1(1 - n, 2 * a + 1, y) if n >= 1 else 0
+            f.append(float(pf * (one + two)))
+            g.append(float(pg * (one - two)))
+    return np.array(f), np.array(g)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_heun_full_matches_a_40_digit_standard_wavefunction(parity):
+    # 40 points of the default grid; least-squares scale, error in units of the peak
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for nu in (1, 2):
+        for e in (1e-3, 0.0072973525693, 0.5, 0.9 * nu):
+            p = SystemParams(e, nu, parity=parity)
+            for n in range(1 if parity == 1 else 0, 6):
+                grid = RadialGrid(default_grid(energy_closed_form(n, p).lam).r[::50])
+                sol = solve_heun_full(p, n, grid=grid)
+                f, g = _mp_standard_pair(mpmath, p, n, grid.r)
+                scale = (sol.f @ f + sol.g @ g) / (sol.f @ sol.f + sol.g @ sol.g)
+                peak = max(np.max(np.abs(f)), np.max(np.abs(g)))
+                err = max(np.max(np.abs(scale * sol.f - f)), np.max(np.abs(scale * sol.g - g)))
+                worst = max(worst, err / peak)
+    assert worst < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

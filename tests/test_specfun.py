@@ -144,9 +144,19 @@ def _physical_params(n, nu, e):
     return heun_params_full(p, level.E, level.lam)
 
 
+# H = 1 + z: the degree condition delta = -(1 + (beta+gamma+2)/2) alpha and
+# the accessory condition (beta+1) c_1 = -u with u = -2 hold exactly
+ONE_PLUS_Z = HeunCParams(1.5, 1.0, -2.0, -2.25, 5.0)
+# a parameter set whose series does not terminate
+OPEN = HeunCParams(0.3, 1.3, -0.7, 0.4, 0.9)
+
+
 def test_heunc_normalization_at_origin():
-    hp = HeunCParams(0.3, 1.4, -2.0, 0.2, -0.7)
-    assert heunc(hp, 0.0) == 1.0
+    for hp in (ONE_PLUS_Z, _physical_params(2, 1, 0.5)):
+        assert heunc(hp, 0.0) == 1.0
+    assert heunc_truncation(ONE_PLUS_Z)[1].tolist() == [1.0, 1.0]
+    for z in (-2.0, 0.5, 3.0):
+        assert heunc(ONE_PLUS_Z, z) == 1.0 + z
 
 
 def test_heunc_all_zero_parameters_is_constant():
@@ -157,7 +167,7 @@ def test_heunc_all_zero_parameters_is_constant():
 
 
 def test_heunc_slope_formula():
-    hp = HeunCParams(0.4, 1.1, -2.0, -0.3, 0.9)
+    hp = _physical_params(2, 1, 0.5)
     expected = -(hp.alpha * hp.beta + hp.alpha - hp.beta * hp.gamma - hp.beta
                  - hp.gamma - 2 * hp.eta) / (2 * (hp.beta + 1))
     assert heunc_derivative(hp, 0.0) == pytest.approx(expected, rel=1e-14)
@@ -218,18 +228,13 @@ def test_heunc_rejects_negative_integer_beta():
 
 
 def test_heunc_outside_domain_for_nonterminating_series():
-    hp = HeunCParams(0.3, 1.3, -0.7, 0.4, 0.9)  # no degree condition
-    with pytest.raises(InvalidParams, match="non-terminating confluent Heun series"):
-        heunc(hp, 1.2)
-    # inside the disk it evaluates fine
-    assert math.isfinite(heunc(hp, 0.6))
-
-
-def test_heunc_no_convergence_near_disk_edge(monkeypatch):
-    monkeypatch.setattr(specfun, "MAX_TERMS", 100)
-    hp = HeunCParams(0.3, 1.3, -0.7, 0.4, 0.9)
-    with pytest.raises(NoConvergence):
-        heunc(hp, 0.9999)
+    # only polynomials are evaluated: an open series raises everywhere,
+    # at the origin too, from each of the four evaluators
+    assert heunc_truncation(OPEN) is None
+    for fn in (heunc, heunc_derivative, heunc_second_derivative, heunc_ode_residual):
+        for z in (0.0, 0.6, 1.2):
+            with pytest.raises(InvalidParams):
+                fn(OPEN, z)
 
 
 def test_heunc_truncation_collapses_at_quantized_levels():
@@ -320,22 +325,12 @@ def test_second_derivative_consistency():
 
 
 def test_heunc_slope_at_origin_is_residue_condition():
-    # the 1/z residue condition on the branch with H(0) = 1 fixes H'(0) = -u/(beta+1)
-    alpha, beta, gamma, delta, eta = 0.4, 2.2, -2.0, -0.8, 0.15
-    u = 0.5 * (alpha + alpha * beta - beta - beta * gamma - gamma - 2.0 * eta)
-    hp = HeunCParams(alpha, beta, gamma, delta, eta)
-    assert heunc_derivative(hp, 0.0) == pytest.approx(-u / (beta + 1.0), rel=1e-14)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    alpha=st.floats(-2, 2), beta=st.floats(0.2, 4.0),
-    delta=st.floats(-2, 2), eta=st.floats(-2, 2),
-    z=st.floats(-0.85, 0.85).filter(lambda z: abs(z) > 1e-3 and abs(z - 1) > 0.1),
-)
-def test_heunc_ode_residual_property(alpha, beta, delta, eta, z):
-    hp = HeunCParams(alpha, beta, -2.0, delta, eta)
-    assert heunc_ode_residual(hp, z) < 1e-8
+    # the 1/z residue condition on the branch with H(0) = 1 fixes H'(0) = -u/(beta+1):
+    # for a polynomial it is the accessory condition
+    hp = ONE_PLUS_Z
+    u = 0.5 * (hp.alpha + hp.alpha * hp.beta - hp.beta - hp.beta * hp.gamma - hp.gamma
+               - 2.0 * hp.eta)
+    assert heunc_derivative(hp, 0.0) == -u / (hp.beta + 1.0) == 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -343,21 +338,15 @@ def test_heunc_ode_residual_property(alpha, beta, delta, eta, z):
        z=st.floats(-30.0, -1.5))
 def test_heunc_physical_polynomials_satisfy_equation(n, nu, efrac, z):
     # terminating parameter sets from the closed-form levels, probed
-    # outside the unit disk where only the polynomial path can operate
+    # outside the unit disk, far from the expansion point
     p = level_channel(SystemParams(efrac * nu, nu), n)
     level = energy_closed_form(n, p)
     hp = heun_params_full(p, level.E, level.lam)
     assert heunc_ode_residual(hp, z) < 1e-8
 
 
-@pytest.mark.parametrize("terminating", (True, False))
-def test_heunc_ode_residual_runs_one_truncation(monkeypatch, terminating):
-    if terminating:
-        p = SystemParams(0.5, 1)
-        level = energy_closed_form(2, p)
-        hp = heun_params_full(p, level.E, level.lam)
-    else:
-        hp = HeunCParams(0.3, 1.2, -2.0, 0.4, -0.1)
+def test_heunc_ode_residual_runs_one_truncation(monkeypatch):
+    hp = _physical_params(2, 1, 0.5)
     calls = []
     original = specfun.heunc_truncation
 

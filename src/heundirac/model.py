@@ -15,7 +15,8 @@ kappa = -nu (n >= 0, including the nodeless ground level).
 This module holds the parameter containers, the decoupling-rotation
 cases (case 0, the unrotated frame of the `heun` route, and the two mixed
 rotations), the one confluent-Heun parameter map that serves the three
-Heun-based solution routes, the closed-form spectrum
+Heun-based solution routes (it reads only sin A, cos A and the singular
+point of its case), the closed-form spectrum
 
     E = m / sqrt(1 + e^2 / (n + sqrt(nu^2 - e^2))^2),
 
@@ -109,8 +110,7 @@ class MixingCase(NamedTuple):
     s_minus: float
 
 
-@dataclass(frozen=True)
-class StandardVars:
+class StandardVars(NamedTuple):
     """Scaled variables of the hypergeometric treatment.
 
     lam = sqrt(m^2 - E^2), mu = e*m/lam, eps = e*E/lam, and the origin
@@ -144,6 +144,34 @@ def require_bound_energy(params: SystemParams, E: float):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
 
 
+def _rotation(case_id: str, params: SystemParams, E: float,
+              lam: float) -> tuple[float, float, float, float, float]:
+    """(sin A, cos A, c_plus, s_plus, X = -s_plus/c_plus) of a rotation case,
+    all that a Heun parameter map reads of it (see mixing_case)."""
+    e, nu, m = params.e, params.nu, params.m
+    if case_id == "0":
+        sin_a, cos_a, c_plus, s_plus = 0.0, float(params.parity), E + m, e
+    elif case_id == "1":
+        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
+        c_plus, s_plus = _case1_c(params.parity, m, E, lam, sin_a, cos_a), 2.0 * e
+    elif case_id == "2":
+        if not 0.0 < E <= m:
+            raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
+                                f"diverges at E = 0), got E={E}")
+        sin_a, cos_a = lam / m, E / params.m_eff
+        c_plus, s_plus = 2.0 * E, e + nu * sin_a
+    else:
+        raise InvalidParams(f"unknown mixing case {case_id!r}; use 0, 1 or 2")
+    point = -s_plus / c_plus if c_plus != 0.0 else math.inf
+    return sin_a, cos_a, c_plus, s_plus, point
+
+
+def _case1_c(sign: int, m: float, E: float, lam: float, sin_a: float, cos_a: float) -> float:
+    """E + sign m cos A of case 1: c_plus at sign = parity, c_minus at -parity."""
+    return (E + m * cos_a if sign == 1
+            else m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
+
+
 def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
     """Resolve rotation case 0 (sin A = 0, cos A = parity), 1 (sin A = e/nu)
     or 2 (cos A = E/m_eff, sin A = lam/m) at energy E with decay constant lam.
@@ -163,33 +191,23 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
     and the case-2 half angles take m - E as lam^2/(m + E).  Each is formed
     in units of m, so no mass overflows it.
     """
+    sin_a, cos_a, c_plus, s_plus, point = _rotation(case_id, params, E, lam)
     e, nu, m = params.e, params.nu, params.m
     if case_id == "0":
-        sin_a, cos_a = 0.0, float(params.parity)
         cos_half, sin_half = (1.0, 0.0) if params.parity == 1 else (0.0, 1.0)
-        c_plus, c_minus, s_plus, s_minus = E + m, -lam * (lam / (E + m)), e, e
+        c_minus, s_minus = -lam * (lam / (E + m)), e
     elif case_id == "1":
         root = params.frobenius_exponent
-        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
         # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
         cos_half = math.sqrt((nu + root) / (2.0 * nu))
         sin_half = e / math.sqrt(2.0 * nu * (nu + root))
-        c_pm = (E + m * cos_a, m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
-        c_plus, c_minus = c_pm if params.parity == 1 else c_pm[::-1]
-        s_plus, s_minus = 2.0 * e, 0.0
-    elif case_id == "2":
-        if not 0.0 < E <= m:
-            raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
-                                f"diverges at E = 0), got E={E}")
-        sin_a, cos_a = lam / m, E / params.m_eff
+        c_minus, s_minus = _case1_c(-params.parity, m, E, lam, sin_a, cos_a), 0.0
+    else:
         # sqrt((m + E)/(2m)) and sqrt((m - E)/(2m)) = (lam/m)/(2 sqrt((m + E)/(2m)))
         wide = math.sqrt(0.5 + 0.5 * E / m)
         narrow = 0.5 * sin_a / wide
         cos_half, sin_half = (wide, narrow) if params.parity == 1 else (narrow, wide)
-        c_plus, c_minus, s_plus, s_minus = 2.0 * E, 0.0, e + nu * sin_a, e - nu * sin_a
-    else:
-        raise InvalidParams(f"unknown mixing case {case_id!r}; use 0, 1 or 2")
-    point = -s_plus / c_plus if c_plus != 0.0 else math.inf
+        c_minus, s_minus = 0.0, e - nu * sin_a
     return MixingCase(case_id, sin_a, cos_a, cos_half, sin_half, point,
                       c_plus, c_minus, s_plus, s_minus)
 
@@ -219,15 +237,14 @@ def _rotated_heun_params(params: SystemParams, E: float, lam: float,
         alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
         eta = 1 + m_eff X sin A - 2eEX - nu cos A.
     """
-    case = mixing_case(case_id, params, E, lam)
-    X = case.singular_point
+    sin_a, cos_a, _, _, X = _rotation(case_id, params, E, lam)
     if not math.isfinite(X):
         raise InvalidParams(
             "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
         )
     b = -lam * X
     delta = 2.0 * params.e * E * X
-    eta = 1.0 + params.m_eff * X * case.sin_a - delta - params.nu * case.cos_a
+    eta = 1.0 + params.m_eff * X * sin_a - delta - params.nu * cos_a
     return HeunCParams(2.0 * b, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
 
 
@@ -396,8 +413,12 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     def point(t: float) -> tuple[float, float]:
         return m * math.sqrt((1.0 - t) * (1.0 + t)), m * t
 
+    values = {}   # by t: brentq opens on the two bracket ends the probes evaluated
+
     def condition(t: float) -> float:
-        return sign * quantization_residuals(params, *point(t), n, (route,))[route]
+        if t not in values:
+            values[t] = sign * quantization_residuals(params, *point(t), n, (route,))[route]
+        return values[t]
 
     # every level's t = e/sqrt(N^2 + e^2) is at most e/nu, so the first probe
     # is within a few quarterings of the root at any coupling; a NaN moves

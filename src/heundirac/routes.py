@@ -192,7 +192,10 @@ def _envelope(lam: float, a: float, r: np.ndarray) -> np.ndarray:
 def _enveloped(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
                r: np.ndarray):
     """P = pref p(k r), with pref a multiple of _envelope(lam, a, r) and p
-    the polynomial with coefficients `coeffs`, plus dP/dr."""
+    the polynomial with coefficients `coeffs`, plus dP/dr.  Raises
+    InvalidParams where k r overflows on the grid (r positive and increasing)."""
+    if not math.isfinite(abs(k) * float(r[-1])):
+        raise InvalidParams(f"the polynomial variable k r overflows: k={k}, r_max={r[-1]}")
     z = k * r
     pv = horner(coeffs, z)
     return pref * pv, pref * ((a / r - lam) * pv + k * horner(coeffs, z, 1))

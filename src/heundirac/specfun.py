@@ -2,7 +2,8 @@
 
 Both functions are computed from their Frobenius series about the origin,
 with plain iterative term recurrences (no gamma-function calls), so that
-terminating cases stay structurally exact.  The confluent Heun function is
+terminating cases stay structurally exact.  The Kummer evaluators and
+heunc_ode_residual broadcast over arrays.  The confluent Heun function is
 evaluated only where its series terminates, as a polynomial; an open
 (non-terminating) series raises InvalidParams.
 
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,8 @@ DEGREE_DETECT_TOL = 1e-8
 # Heun polynomial degree.
 SERIES_REL_TOL = 1e-15
 MAX_TERMS = 10_000
+# Terms per array pass of the Kummer series.
+_SERIES_CHUNK = 32
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -71,7 +75,7 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 @dataclass(frozen=True)
 class KummerParams:
-    """Parameters (a, c) of 1F1(a; c; x).
+    """Parameters (a, c) of 1F1(a; c; x), floats or arrays (checked elementwise).
 
     c must not be zero or a negative integer, unless a is a non-positive
     integer with |a| < |c| so that the series terminates strictly before
@@ -82,114 +86,129 @@ class KummerParams:
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.c)):
-            raise InvalidParams("Kummer parameters must be finite")
-        if _is_nonpositive_integer(self.c):
-            if not (_is_nonpositive_integer(self.a) and abs(self.a) < abs(self.c)):
-                raise InvalidParams(
-                    f"c={self.c} is a non-positive integer and the series does "
-                    f"not terminate first (a={self.a})"
-                )
+        for a, c in np.broadcast(self.a, self.c):
+            if not (math.isfinite(a) and math.isfinite(c)):
+                raise InvalidParams("Kummer parameters must be finite")
+            if _is_nonpositive_integer(c) and not (_is_nonpositive_integer(a)
+                                                   and abs(a) < abs(c)):
+                raise InvalidParams(f"c={c} is a non-positive integer and the series does "
+                                    f"not terminate first (a={a})")
 
 
-@dataclass(frozen=True)
-class HeunCParams:
+class HeunCParams(namedtuple("HeunCParams", "alpha beta gamma delta eta")):
     """Canonical confluent Heun parameters (alpha, beta, gamma, delta, eta).
 
     beta must not be a negative integer: the recurrence divides by
     (k+1)(k+beta+1), so beta in {-1, -2, ...} breaks the regular branch.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.alpha, self.beta, self.gamma, self.delta, self.eta)
-        if not all(math.isfinite(x) for x in vals):
+    def __new__(cls, alpha, beta, gamma, delta, eta):
+        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)
+                and math.isfinite(delta) and math.isfinite(eta)):
             raise InvalidParams("Heun parameters must be finite")
-        if self.beta <= -1 and self.beta == math.floor(self.beta):
-            raise InvalidParams(f"beta={self.beta} is a negative integer")
+        if beta <= -1 and beta == math.floor(beta):
+            raise InvalidParams(f"beta={beta} is a negative integer")
+        return super().__new__(cls, alpha, beta, gamma, delta, eta)
 
 
 # ----------------------------------------------------------------------
 # Kummer 1F1
 # ----------------------------------------------------------------------
 
-def kummer(params: KummerParams, x: float) -> float:
+def kummer(params: KummerParams, x):
     """Evaluate 1F1(a; c; x) by its defining series (after Kummer's transformation if x < 0)."""
     return _kummer_with_term_scale(params, x)[0]
 
 
-def kummer_derivative(params: KummerParams, x: float) -> float:
+def kummer_derivative(params: KummerParams, x):
     """d/dx 1F1(a; c; x) = (a/c) 1F1(a+1; c+1; x)."""
     shifted = KummerParams(params.a + 1.0, params.c + 1.0)
     return (params.a / params.c) * kummer(shifted, x)
 
 
-def _kummer_with_term_scale(params: KummerParams, x: float) -> tuple[float, float]:
-    """Series value of 1F1(a; c; x) together with the largest term magnitude seen.
+def _kummer_with_term_scale(params: KummerParams, x):
+    """Series value of 1F1(a; c; x) together with the largest term magnitude
+    seen, broadcast over a, c and x: floats for scalar input, else arrays.
 
     `kummer` returns the value alone.  The term scale is the natural conditioning measure: for alternating
     arguments the sum cancels far below the terms, and no float summation
     can resolve the value better than eps times this scale.
+
+    Each pass adds _SERIES_CHUNK terms to every unfinished series, as running
+    products and sums: each element takes a one-term loop's operations in its
+    order, and stops where that loop would.
     """
-    a, c, y, weight = params.a, params.c, x, 1.0
-    if x < 0.0 and not _is_nonpositive_integer(a):
-        # 1F1(a; c; x) = e^x 1F1(c - a; c; -x) (DLMF 13.2.39): terms in -x keep one
-        # sign past order a - c, those in x alternate far above the value
-        a, y, weight = c - a, -x, math.exp(x)
-    term = 1.0
-    total = 1.0
-    peak = 1.0
-    small = 0
-    for k in range(MAX_TERMS):
-        term *= (a + k) * y / ((c + k) * (k + 1))
-        if term == 0.0:
-            break  # exact termination (a a non-positive integer, or x == 0)
-        total += term
-        peak = max(peak, abs(term))
-        if abs(term) < SERIES_REL_TOL * abs(total):
-            small += 1
-            if small >= 2:
+    a_in, c_in, x_in = np.broadcast_arrays(params.a, params.c, x)
+
+    def named(i):
+        return f"1F1({a_in.flat[i]}; {c_in.flat[i]}; {x_in.flat[i]})"
+
+    a, c, x = (np.array(v, dtype=float).ravel() for v in (a_in, c_in, x_in))
+    # 1F1(a; c; x) = e^x 1F1(c - a; c; -x) (DLMF 13.2.39): terms in -x keep one
+    # sign past order a - c, those in x alternate far above the value
+    flip = np.array([xi < 0.0 and not _is_nonpositive_integer(ai) for ai, xi in zip(a, x)],
+                    dtype=bool)
+    a, y = np.where(flip, c - a, a), np.where(flip, -x, x)
+    weight = np.ones_like(x)
+    weight[flip] = [math.exp(v) for v in x[flip]]   # np.exp is 1 ulp off at some x
+    term, total, peak = np.ones_like(x), np.ones_like(x), np.ones_like(x)
+    small = np.zeros(x.shape, dtype=bool)   # the last term added was small
+    live = np.arange(x.size)
+    with np.errstate(all="ignore"):   # terms past a series' stop are discarded
+        for k0 in range(0, MAX_TERMS, _SERIES_CHUNK):
+            if not live.size:
                 break
-        else:
-            small = 0
-    else:
-        raise NoConvergence(
-            f"1F1({params.a}; {c}; {x}) did not converge within {MAX_TERMS} terms"
-        )
-    if y != x and not (weight >= sys.float_info.min and math.isfinite(total)):
-        raise NoConvergence(f"1F1({params.a}; {c}; {x}): e^x is subnormal or the series "
+            k = np.arange(k0, min(k0 + _SERIES_CHUNK, MAX_TERMS), dtype=float)
+            ratio = (a[live, None] + k) * y[live, None] / ((c[live, None] + k) * (k + 1.0))
+            ratio[:, 0] *= term[live]
+            terms = np.multiply.accumulate(ratio, axis=1)
+            sums = np.add.accumulate(np.column_stack((total[live], terms)), axis=1)
+            size = np.abs(terms)
+            is_small = size < SERIES_REL_TOL * np.abs(sums[:, 1:])
+            stop = terms == 0.0   # exact termination (a a non-positive integer, or x == 0)
+            stop[:, 0] |= is_small[:, 0] & small[live]
+            stop[:, 1:] |= is_small[:, 1:] & is_small[:, :-1]
+            done = stop.any(axis=1)
+            # terms taken: through the stop (adding a zero term changes no sum)
+            taken = np.where(done, stop.argmax(axis=1) + 1, len(k))
+            total[live] = np.take_along_axis(sums, taken[:, None], axis=1)[:, 0]
+            kept = np.where(np.arange(len(k)) < taken[:, None], size, 0.0)
+            peak[live] = np.fmax(peak[live], np.fmax.reduce(kept, axis=1))
+            term[live], small[live] = terms[:, -1], is_small[:, -1]
+            live = live[~done]
+    if live.size:
+        raise NoConvergence(f"{named(live[0])} did not converge within {MAX_TERMS} terms")
+    lost = flip & ~((weight >= sys.float_info.min) & np.isfinite(total))
+    if lost.any():
+        raise NoConvergence(f"{named(np.argmax(lost))}: e^x is subnormal or the series "
                             "in -x overflows under Kummer's transformation")
-    return weight * total, weight * peak
+    value, scale = (weight * total).reshape(x_in.shape), (weight * peak).reshape(x_in.shape)
+    return (float(value), float(scale)) if x_in.ndim == 0 else (value, scale)
 
 
-def kummer_ode_residual(params: KummerParams, x: float) -> float:
-    """Scaled residual of x F'' + (c - x) F' - a F = 0 at x.
+def kummer_ode_residual(params: KummerParams, x):
+    """Scaled residual of x F'' + (c - x) F' - a F = 0 at x, broadcast over
+    a, c and x like `kummer` (0 where x = 0).
 
     All three pieces come from the series; the residual is divided by the
     largest series-term magnitude among them, so it measures consistency
     of the recurrence with the equation rather than cancellation noise.
     """
     a, c = params.a, params.c
-    if x == 0.0:
-        return 0.0
-    F, sF = _kummer_with_term_scale(params, x)
-    d1 = KummerParams(a + 1.0, c + 1.0)
-    F1_raw, sF1 = _kummer_with_term_scale(d1, x)
+    # the series of (a, c), (a+1, c+1) and (a+2, c+2) in one evaluation
+    shift = np.arange(3.0).reshape(3, *[1] * np.broadcast(a, c, x).ndim)
+    (F, F1_raw, F2_raw), (sF, sF1, sF2) = _kummer_with_term_scale(
+        KummerParams(a + shift, c + shift), x)
     F1 = (a / c) * F1_raw
-    d2 = KummerParams(a + 2.0, c + 2.0)
-    F2_raw, sF2 = _kummer_with_term_scale(d2, x)
     F2 = (a * (a + 1.0)) / (c * (c + 1.0)) * F2_raw
     res = x * F2 + (c - x) * F1 - a * F
-    scale = max(abs(x) * abs(a * (a + 1.0) / (c * (c + 1.0))) * sF2,
-                abs(c - x) * abs(a / c) * sF1,
-                abs(a) * sF,
-                1e-300)
-    return abs(res) / scale
+    scale = np.maximum(np.maximum(abs(x) * abs(a * (a + 1.0) / (c * (c + 1.0))) * sF2,
+                                  abs(c - x) * abs(a / c) * sF1),
+                       np.maximum(abs(a) * sF, 1e-300))
+    out = np.where(np.equal(x, 0.0), 0.0, abs(res) / scale)
+    return float(out) if out.ndim == 0 else out
 
 
 def kummer_series_coefficients(params: KummerParams, count: int) -> np.ndarray:
@@ -340,13 +359,14 @@ def heunc_truncation(p: HeunCParams):
                         f"the accessory condition {-u / (p.beta + 1.0):.6e}")
 
 
-def _heunc_eval(p: HeunCParams, trunc, z: float, order: int) -> float:
+def _heunc_eval(p: HeunCParams, trunc, z, order: int):
     """Value of the polynomial's order-th derivative at z (order 0, 1 or 2),
     given trunc = heunc_truncation(p); an open series raises InvalidParams."""
     if trunc is None:
         raise InvalidParams(f"the confluent Heun series of {p} is open (no polynomial); "
                             "only polynomials are evaluated")
-    return float(horner(trunc[1], z, order))
+    value = horner(trunc[1], z, order)
+    return value if isinstance(z, np.ndarray) else float(value)
 
 
 def heunc(p: HeunCParams, z: float) -> float:
@@ -366,15 +386,16 @@ def heunc_second_derivative(p: HeunCParams, z: float) -> float:
     return _heunc_eval(p, heunc_truncation(p), z, 2)
 
 
-def heunc_ode_residual(p: HeunCParams, z: float) -> float:
-    """Scaled residual of the canonical equation at z.
+def heunc_ode_residual(p: HeunCParams, z):
+    """Scaled residual of the canonical equation at z, a float or an array
+    (one truncation serves every z).
 
     Plugs (H, H', H'') from the polynomial into the canonical form and
     divides by the largest term magnitude, so the result measures
     internal consistency of the recurrence against the equation.  An open
     series raises InvalidParams, as do the singular points z = 0 and 1.
     """
-    if z == 0.0 or z == 1.0:
+    if np.any(z == 0.0) or np.any(z == 1.0):
         raise InvalidParams("residual is evaluated away from the singular points")
     trunc = heunc_truncation(p)
     h, h1, h2 = (_heunc_eval(p, trunc, z, order) for order in range(3))
@@ -391,5 +412,5 @@ def heunc_ode_residual(p: HeunCParams, z: float) -> float:
     first_mag = (abs(p.alpha) + abs(p.beta + 1.0) / abs(z)
                  + abs(p.gamma + 1.0) / abs(z - 1.0)) * abs(h1)
     zero_mag = (u_mag / abs(z) + v_mag / abs(z - 1.0)) * abs(h)
-    scale = max(abs(h2), first_mag, zero_mag, 1e-300)
-    return abs(res) / scale
+    scale = np.maximum(np.maximum(abs(h2), first_mag), np.maximum(zero_mag, 1e-300))
+    return abs(res) / scale if isinstance(z, np.ndarray) else float(abs(res) / scale)

@@ -2,9 +2,9 @@
 
 Each check measures a deviation that the theory says must vanish (or stay
 under a stated numerical tolerance) at the configured parameter point,
-and reports the worst value seen.  The truncation audit is informational:
-it reports whether the Heun series coefficients actually collapse past
-the expected polynomial degree, without failing the run.
+and reports the worst value seen, a NaN included.  The truncation audit is
+informational: it reports whether the Heun series coefficients actually
+collapse past the expected polynomial degree, without failing the run.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class CheckResult:
 
 
 def _result(name, dev, tol, detail=""):
-    return CheckResult(name, dev < tol, float(dev), float(tol), detail)
+    return CheckResult(name, bool(dev < tol), float(dev), float(tol), detail)
 
 
 def _check(name, tags, tol=None, first=0):
@@ -60,7 +60,8 @@ def _check(name, tags, tol=None, first=0):
     deviations of level n at its closed-form energy E and decay constant
     lam; the check built here,
     check(params, n_max, tol=tol), runs n = first..n_max and reports the
-    running maximum, taken in the order yielded.
+    running maximum, taken in the order yielded.  A NaN deviation is
+    reported as the maximum, so that the check fails.
     """
     def register(fn):
         check = fn
@@ -72,7 +73,8 @@ def _check(name, tags, tol=None, first=0):
                 for n in range(first, n_max + 1):
                     level = energy_closed_form(n, params)
                     for value in fn(params, n, level.E, level.lam):
-                        dev = max(dev, value)
+                        if value > dev or math.isnan(value):
+                            dev = value
                 return _result(name, dev, tol)
             check.__name__, check.__qualname__, check.__doc__ = (
                 fn.__name__, fn.__qualname__, fn.__doc__)
@@ -214,13 +216,11 @@ def check_coefficient_ratio(params, n, E, lam):
 @_check("kummer_ode_residual", ANALYTIC_ROUTES)
 def check_kummer_properties(params, n_max, tol=1e-8):
     """Kummer series satisfies its differential equation on a sample box."""
-    dev = 0.0
-    for a in (-4.5, -2.0, -0.3, 1.0, 3.7):
-        for c in (0.7, 1.2, 2.0 * params.frobenius_exponent + 1.0):
-            kp = specfun.KummerParams(a, c)
-            for x in (-18.0, -5.0, -0.5, 0.5, 5.0, 18.0):
-                dev = max(dev, specfun.kummer_ode_residual(kp, x))
-    return _result("kummer_ode_residual", dev, tol)
+    kp = specfun.KummerParams(
+        np.array([-4.5, -2.0, -0.3, 1.0, 3.7])[:, None, None],
+        np.array([0.7, 1.2, 2.0 * params.frobenius_exponent + 1.0])[:, None])
+    residuals = specfun.kummer_ode_residual(kp, np.array([-18.0, -5.0, -0.5, 0.5, 5.0, 18.0]))
+    return _result("kummer_ode_residual", np.max(residuals), tol)
 
 
 @_check("kummer_relations", ("standard",))
@@ -231,27 +231,20 @@ def check_kummer_relations(params, n_max, tol=1e-10):
         d/dy 1F1(-n1; g; y) = -(n1/y) 1F1(-n1+1; g; y) + (n1/y) 1F1(-n1; g; y)
         y 1F1(-n1+1; g+1; y) = g 1F1(-n1+1; g; y) - g 1F1(-n1; g; y)
     """
-    dev = 0.0
-    gammas = (0.8, 1.7, 2.0 * params.frobenius_exponent + 1.0, 5.5)
-    ys = (0.1, 0.7, 2.3, 5.0, 10.0)
-    # 1F1(-n1; g; y) at the previous n1 is 1F1(-n1+1; g; y) at this one
-    f_prev = {(g, y): specfun.kummer(specfun.KummerParams(0, g), y)
-              for g in gammas for y in ys}
-    for n1 in range(1, max(2, n_max) + 1):
-        for g in gammas:
-            for y in ys:
-                f_n = specfun.kummer(specfun.KummerParams(-n1, g), y)
-                f_n1, f_prev[g, y] = f_prev[g, y], f_n
-                # lhs is kummer_derivative's (a/c) 1F1(a+1; c+1; y)
-                f_up = specfun.kummer(specfun.KummerParams(-n1 + 1, g + 1.0), y)
-                lhs = (-n1 / g) * f_up
-                rhs = (-n1 / y) * f_n1 + (n1 / y) * f_n
-                scale = max(abs(lhs), abs(rhs), 1e-30)
-                dev = max(dev, abs(lhs - rhs) / scale)
-                lhs2 = y * f_up
-                rhs2 = g * f_n1 - g * f_n
-                scale2 = max(abs(lhs2), abs(rhs2), 1e-30)
-                dev = max(dev, abs(lhs2 - rhs2) / scale2)
+    g = np.array([0.8, 1.7, 2.0 * params.frobenius_exponent + 1.0, 5.5])[:, None]
+    y = np.array([0.1, 0.7, 2.3, 5.0, 10.0])
+    n1 = np.arange(max(2, n_max) + 1.0)[:, None, None]
+    # 1F1(-n1; g; y) for n1 = 0..N, each the 1F1(-n1+1; g; y) of the next n1
+    f_all = specfun.kummer(specfun.KummerParams(-n1, g), y)
+    f_n, f_n1, n1 = f_all[1:], f_all[:-1], n1[1:]
+    # lhs is kummer_derivative's (a/c) 1F1(a+1; c+1; y)
+    f_up = specfun.kummer(specfun.KummerParams(-n1 + 1, g + 1.0), y)
+    lhs = (-n1 / g) * f_up
+    rhs = (-n1 / y) * f_n1 + (n1 / y) * f_n
+    lhs2 = y * f_up
+    rhs2 = g * f_n1 - g * f_n
+    dev = np.max([np.abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-30),
+                  np.abs(lhs2 - rhs2) / np.maximum(np.maximum(abs(lhs2), abs(rhs2)), 1e-30)])
     return _result("kummer_relations", dev, tol)
 
 
@@ -260,8 +253,7 @@ def check_heunc_ode_residual(params, n, E, lam):
     """Heun series satisfies the canonical equation at the maps of level n's channel."""
     p = level_channel(params, n)
     for hp in (heun_params_full(p, E, lam), heun_params_case2(p, E, lam)):
-        for z in (-0.7, -0.3, 0.3, 0.6):
-            yield specfun.heunc_ode_residual(hp, z)
+        yield np.max(specfun.heunc_ode_residual(hp, np.array([-0.7, -0.3, 0.3, 0.6])))
 
 
 def truncation_audit(params, n: int) -> dict[str, dict]:

@@ -65,6 +65,15 @@ def test_spectrum_where_the_decay_constant_underflows_exits_2(capsys, route):
     assert "the decay constant m e / sqrt(N^2 + e^2) underflows to 0" in err
 
 
+@pytest.mark.parametrize("route", ("mixed2", "heun"))
+def test_wavefunction_where_the_heun_variable_overflows_exits_2(capsys, route):
+    # k r = r/X, |X| of order e/m, overflows on the n = 0 grid at e = 1e-160
+    code, out, err = run_cli(capsys, "wavefunction", "--route", route, "--coupling", "1e-160",
+                             "--parity", "-1", "--n", "0", "--n-max", "0")
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert "the polynomial variable k r overflows" in err
+
+
 def test_single_route_parity_minus_spectrum_exits_0(capsys):
     # the standard route's bracket 0 < lam/m < 1 spans E = m cos A, where
     # only the (unused) case-1 map is singular

@@ -14,7 +14,7 @@ from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        mixing_case, quantization_residuals,
                        singular_point_D_consistency, solve_quantization,
                        standard_vars)
-from heundirac.model import (ANALYTIC_ROUTES, level_bracket, level_channel,
+from heundirac.model import (ANALYTIC_ROUTES, HEUN_MAPS, level_bracket, level_channel,
                              quantized_routes, require_level)
 
 
@@ -494,11 +494,31 @@ def quantization_sweep():
 
 
 def test_solve_quantization_takes_few_evaluations(quantization_sweep):
-    # the first probe, t = e/nu, bounds every level's t from above, so weak
-    # couplings cost no more than strong ones
+    # the first probe, t = e/nu, bounds every level's t from above, so
+    # weak couplings cost no more than strong ones; brentq's two opening
+    # calls, at the bracket ends, reuse the probe values
     counts = [len(points) for *_, points in quantization_sweep]
-    assert max(counts) <= 24
-    assert sum(counts) / len(counts) <= 10
+    assert max(counts) <= 20
+    assert sum(counts) / len(counts) <= 7.5
+
+
+def test_solve_quantization_evaluates_each_point_once(quantization_sweep):
+    for p, n, route, _, points in quantization_sweep:
+        assert len(set(points)) == len(points), (p, n, route)
+
+
+def test_heun_maps_build_no_mixing_case(monkeypatch):
+    # a map reads sin A, cos A and the singular point alone
+    import heundirac.model as model
+    p = SystemParams(0.5, 2, parity=-1)
+    level = energy_closed_form(1, p)
+    maps = {route: build(p, level.E, level.lam) for route, build in HEUN_MAPS.items()}
+
+    def refuse(*args):
+        raise AssertionError("mixing_case called")
+
+    monkeypatch.setattr(model, "mixing_case", refuse)
+    assert {route: build(p, level.E, level.lam) for route, build in HEUN_MAPS.items()} == maps
 
 
 def test_solve_quantization_evaluates_inside_the_bracket(quantization_sweep):

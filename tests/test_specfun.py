@@ -1,6 +1,7 @@
 """Unit and property tests for the Kummer / confluent Heun evaluators."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -134,6 +135,103 @@ def test_kummer_contiguous_relation(n1, g, y):
     assert abs(lhs - (t1 - t2)) / scale < 1e-10
 
 
+def _one_term_series(a0, c, x):
+    """(value, term scale) of 1F1(a0; c; x) by the one-term-at-a-time loop
+    the array passes of the evaluator reproduce bit for bit."""
+    a, y, weight = a0, x, 1.0
+    if x < 0.0 and not (a0 <= 0 and a0 == math.floor(a0)):
+        a, y, weight = c - a0, -x, math.exp(x)
+    term = total = peak = 1.0
+    small = 0
+    for k in range(specfun.MAX_TERMS):
+        term *= (a + k) * y / ((c + k) * (k + 1))
+        if term == 0.0:
+            break
+        total += term
+        peak = max(peak, abs(term))
+        if abs(term) < specfun.SERIES_REL_TOL * abs(total):
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+    else:
+        raise NoConvergence("term budget")
+    if y != x and not (weight >= sys.float_info.min and math.isfinite(total)):
+        raise NoConvergence("subnormal weight")
+    return weight * total, weight * peak
+
+
+def _assert_matches_one_term_series(a, c, x):
+    value, scale = specfun._kummer_with_term_scale(KummerParams(a, c), x)
+    ref = np.array([_one_term_series(*point) for point in
+                    zip(*(v.ravel().tolist() for v in np.broadcast_arrays(a, c, x)))])
+    assert value.shape == scale.shape == np.broadcast_shapes(np.shape(a), np.shape(c),
+                                                             np.shape(x))
+    assert value.ravel().tobytes() == ref[:, 0].tobytes()
+    assert scale.ravel().tobytes() == ref[:, 1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(st.one_of(st.floats(-12, 12), st.integers(-12, 0).map(float)),
+                                 st.floats(0.1, 12), st.floats(-60, 60)),
+                       min_size=1, max_size=12))
+def test_kummer_array_passes_match_the_one_term_series(points):
+    # |x| up to 60 takes series across several passes of _SERIES_CHUNK terms
+    a, c, x = (np.array(v) for v in zip(*points))
+    _assert_matches_one_term_series(a, c, x)
+
+
+def test_kummer_array_passes_cover_termination_transformation_and_broadcasting():
+    # exact termination (a = -3, and x = 0), Kummer's transformation at x < 0
+    # but none for a non-positive integer a, and a series of several passes
+    a = np.array([-3.0, 3.7, -2.0, 1.0, 0.5])[:, None]
+    x = np.array([-18.0, -0.5, 0.0, 5.0, 60.0])
+    _assert_matches_one_term_series(a, np.array([0.7, 2.5]), x[:, None, None])
+    # 1F1(1; 0.7; 60) needs more than two passes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "MAX_TERMS", 2 * specfun._SERIES_CHUNK)
+        with pytest.raises(NoConvergence):
+            _one_term_series(1.0, 0.7, 60.0)
+
+
+def test_kummer_scalar_input_gives_floats_and_arrays_broadcast():
+    kp = KummerParams(np.array([-2.0, 0.37]), 2.41)
+    x = np.array([[0.5], [-7.0], [0.0]])
+    assert type(kummer(KummerParams(0.37, 2.41), 7.123)) is float
+    assert type(kummer_ode_residual(KummerParams(0.37, 2.41), 7.123)) is float
+    for fn in (kummer, kummer_derivative, kummer_ode_residual):
+        array = fn(kp, x)
+        assert array.shape == (3, 2)
+        scalars = [[fn(KummerParams(a, 2.41), xi) for a in (-2.0, 0.37)] for xi in x[:, 0]]
+        assert array.tobytes() == np.array(scalars).tobytes()
+    assert np.all(kummer_ode_residual(kp, x)[2] == 0.0)
+
+
+def test_kummer_array_raises_as_the_one_term_series(monkeypatch):
+    with pytest.raises(NoConvergence, match="e\\^x is subnormal"):
+        kummer(KummerParams(np.array([1.5, 1.5]), 2.0), np.array([-1.0, -750.0]))
+    with pytest.raises(NoConvergence):
+        _one_term_series(1.5, 2.0, -750.0)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 3)
+    with pytest.raises(NoConvergence, match=r"1F1\(1.0; 1.0; 50.0\) did not converge within 3"):
+        kummer(KummerParams(1.0, 1.0), np.array([0.0, 50.0]))
+    with pytest.raises(NoConvergence):
+        _one_term_series(1.0, 1.0, 50.0)
+    # a series that stops within the budget is still answered
+    assert kummer(KummerParams(-1.0, 2.0), np.array([1.0])).tolist() == [0.5]
+
+
+def test_kummer_params_reject_a_bad_array_element():
+    with pytest.raises(InvalidParams, match=r"c=-2.0 is a non-positive integer .*\(a=0.5\)"):
+        KummerParams(np.array([1.0, 0.5, -1.0]), np.array([2.0, -2.0, -2.0]))
+    with pytest.raises(InvalidParams, match="must be finite"):
+        KummerParams(np.array([1.0, math.nan]), 2.0)
+    with pytest.raises(InvalidParams, match="must be finite"):
+        KummerParams(1.0, np.array([2.0, math.inf]))
+    KummerParams(np.array([-1.0, 0.5]), np.array([-2.0, 3.0]))
+
+
 # ----------------------------------------------------------------------
 # confluent Heun
 # ----------------------------------------------------------------------
@@ -225,6 +323,23 @@ def test_heunc_rejects_negative_integer_beta():
         HeunCParams(0.3, -1.0, -2.0, 0.1, 0.2)
     with pytest.raises(InvalidParams):
         HeunCParams(0.3, -3.0, -2.0, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_heunc_params_reject_a_non_finite_parameter(position, bad):
+    values = [0.3, 1.3, -2.0, 0.1, 0.2]
+    values[position] = bad
+    with pytest.raises(InvalidParams, match="Heun parameters must be finite"):
+        HeunCParams(*values)
+
+
+def test_heunc_params_are_a_named_tuple_with_the_dataclass_repr():
+    hp = HeunCParams(0.3, beta=1.3, gamma=-0.7, delta=0.4, eta=0.9)
+    assert tuple(hp) == (0.3, 1.3, -0.7, 0.4, 0.9) and hp.delta == 0.4
+    assert repr(hp) == "HeunCParams(alpha=0.3, beta=1.3, gamma=-0.7, delta=0.4, eta=0.9)"
+    with pytest.raises(InvalidParams, match="beta=-2.0 is a negative integer"):
+        HeunCParams(0.3, -2.0, -2.0, 0.1, 0.2)
 
 
 def test_heunc_outside_domain_for_nonterminating_series():
@@ -357,3 +472,18 @@ def test_heunc_ode_residual_runs_one_truncation(monkeypatch):
     monkeypatch.setattr(specfun, "heunc_truncation", counted)
     assert heunc_ode_residual(hp, 0.6) < 1e-8
     assert calls == [hp]
+
+
+def test_heunc_ode_residual_on_an_array_matches_each_z(monkeypatch):
+    hp = _physical_params(3, 2, 0.7)
+    z = np.array([-0.7, -0.3, 0.3, 0.6, -12.5])
+    each = [heunc_ode_residual(hp, float(zi)) for zi in z]
+    assert all(type(value) is float for value in each)
+    calls = []
+    original = specfun.heunc_truncation
+    monkeypatch.setattr(specfun, "heunc_truncation",
+                        lambda params: calls.append(params) or original(params))
+    assert heunc_ode_residual(hp, z).tobytes() == np.array(each).tobytes()
+    assert calls == [hp]
+    with pytest.raises(InvalidParams, match="away from the singular points"):
+        heunc_ode_residual(hp, np.array([0.3, 1.0]))

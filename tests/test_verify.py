@@ -1,13 +1,15 @@
 """Tests of the verification driver."""
 
 import gc
+import math
 import weakref
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from heundirac import HeunDiracError, InvalidParams, SystemParams, routes, verify
+from heundirac import HeunDiracError, InvalidParams, SystemParams, routes, specfun, verify
 
 
 def test_raising_check_reports_zero_tolerance_override(monkeypatch):
@@ -162,3 +164,50 @@ def test_levels_just_below_the_mass_are_accepted(monkeypatch):
     # at e = 6e-5 the n = 0 level sits 1.8e-9 m below m
     monkeypatch.setattr(verify, "ALL_CHECKS", [])
     assert verify.run_verification(SystemParams(6e-5, 1), 0, "all") == []
+
+
+def test_overflowing_heun_variable_is_invalid_input():
+    # at e = 1e-160 the Heun variable k r of the n = 0 level overflows on its
+    # default grid: the wavefunction checks report InvalidParams, and no
+    # RuntimeWarning (an error under this suite) escapes
+    results = {res.name: res for res in
+               verify.run_verification(SystemParams(1e-160, 1, parity=-1), 2, "all")}
+    for name in ("wavefunction_residuals", "cross_route_agreement"):
+        assert not results[name].passed
+        assert results[name].detail.startswith("raised InvalidParams: the polynomial variable")
+    assert results["spectrum_route_equality"].passed
+
+
+def _yield_nan_on_level(n_nan):
+    exact = verify.standard_vars
+
+    def standard_vars(params, E, lam):
+        sv = exact(params, E, lam)
+        return sv._replace(a_frob=math.nan) if E == verify.energy_closed_form(
+            n_nan, params).E else sv
+    return standard_vars
+
+
+@pytest.mark.parametrize("n_nan", (1, 2))
+def test_nan_deviation_of_a_level_fails_its_check(n_nan, monkeypatch):
+    # a NaN is kept as the maximum, before a finite deviation and after one
+    monkeypatch.setattr(verify, "standard_vars", _yield_nan_on_level(n_nan))
+    res = verify.check_scaled_variable_identities(SystemParams(0.5, 1), 3)
+    assert not res.passed and math.isnan(res.max_deviation)
+
+
+@pytest.mark.parametrize("evaluator, check", [
+    ("kummer_ode_residual", verify.check_kummer_properties),
+    ("kummer", verify.check_kummer_relations),
+    ("heunc_ode_residual", verify.check_heunc_ode_residual)])
+def test_nan_in_an_array_check_fails_it(evaluator, check, monkeypatch):
+    exact = getattr(specfun, evaluator)
+
+    def one_nan(params, x):
+        out = np.array(exact(params, x), dtype=float)
+        out.flat[out.size // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(specfun, evaluator, one_nan)
+    res = check(SystemParams(0.5, 1), 2)
+    assert not res.passed and math.isnan(res.max_deviation)

@@ -9,13 +9,11 @@ from .errors import HeunDiracError, InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, EnergyLevel, MixingCase, StandardVars,
                     SystemParams, energy_closed_form, heun_params_case1,
                     heun_params_case2, heun_params_full, mixing_case,
-                    quantization_residuals, singular_point_D_consistency,
-                    solve_quantization, standard_vars)
+                    quantization_residuals, solve_quantization, standard_vars)
 from .oracle import (frobenius_start, integrate_radial, scan_brackets,
                      shoot_energy)
-from .routes import (CoefficientRatio, RadialGrid, RadialSolution,
-                     coefficient_ratio, count_nodes, default_grid, normalize,
-                     residual, solve_heun_full, solve_mixed_case1,
+from .routes import (RadialGrid, RadialSolution, count_nodes, default_grid,
+                     normalize, residual, solve_heun_full, solve_mixed_case1,
                      solve_mixed_case2, solve_standard)
 from .specfun import (HeunCParams, KummerParams, heunc, heunc_derivative,
                       heunc_poly_degree, heunc_second_derivative,

@@ -212,19 +212,6 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
                       c_plus, c_minus, s_plus, s_minus)
 
 
-def singular_point_D_consistency(params: SystemParams, E: float,
-                                 lam: float) -> tuple[float, float]:
-    """The case-2 singular point from both printed forms.
-
-    D_a = -(e + nu sin A)/(2 m_eff cos A) and D_b = -(e + nu sin A)/(2E)
-    coincide because the case-2 angle condition sets m_eff cos A = E.
-    """
-    if E == 0.0:
-        raise InvalidParams("both forms of D diverge at E = 0")
-    case = mixing_case("2", params, E, lam)
-    return -case.s_plus / (2.0 * params.m_eff * case.cos_a), case.singular_point
-
-
 def _rotated_heun_params(params: SystemParams, E: float, lam: float,
                          case_id: str) -> HeunCParams:
     """Confluent-Heun parameters of the rotated equation for F in y = r/X,

@@ -125,15 +125,6 @@ class RadialSolution:
     params: SystemParams
 
 
-@dataclass(frozen=True)
-class CoefficientRatio:
-    """The relative amplitude of the two standard-route components,
-    computed from each of the two first-order equations."""
-
-    from_first_equation: float
-    from_second_equation: float
-
-
 def default_grid(lam: float, points: int = GRID_POINTS,
                  r_min: float | None = None, r_max: float | None = None) -> RadialGrid:
     """Geometric grid of `points` radii from r_min (default 0.01/lam) to
@@ -386,29 +377,8 @@ ROUTE_SOLVERS = dict(zip(ANALYTIC_ROUTES, (solve_standard, solve_mixed_case1,
 
 
 # ----------------------------------------------------------------------
-# coefficient ratio, residual, normalization
+# residual, normalization
 # ----------------------------------------------------------------------
-
-def coefficient_ratio(params: SystemParams, n: int) -> CoefficientRatio:
-    """The standard-route amplitude ratio C1/C2 from both first-order equations.
-
-    First equation:  (nu_s - mu_s) / n; second: -(A + eps)/(nu_s + mu_s),
-    evaluated at the closed-form level.  Both forms coincide through the
-    identity nu^2 - mu^2 = A^2 - eps^2.  The nodeless level is rejected:
-    there the first form is 0/0.
-    """
-    if n < 1:
-        raise InvalidParams(
-            "C1/C2 is 0/0 at the nodeless level; the construction sets C2 = 0 there"
-        )
-    level = energy_closed_form(n, params)
-    sv = standard_vars(params, level.E, level.lam)
-    mu_s = params.parity * sv.mu
-    nu_s = float(params.nu)
-    first = (nu_s - mu_s) / n
-    second = -(sv.a_frob + sv.eps) / (nu_s + mu_s)
-    return CoefficientRatio(first, second)
-
 
 def _central_derivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
     """First derivative of y at the grid's interior points, by its stencil."""

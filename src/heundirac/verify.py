@@ -1,10 +1,11 @@
 """Named consistency checks runnable from the command line.
 
 Each check measures a deviation that the theory says must vanish (or stay
-under a stated numerical tolerance) at the configured parameter point,
-and reports the worst value seen, a NaN included.  The truncation audit is
-informational: it reports whether the Heun series coefficients actually
-collapse past the expected polynomial degree, without failing the run.
+under a stated tolerance) at the configured parameter point, a per-level
+check at each level in the channel that holds it, and reports the worst
+value seen, a NaN included.  The truncation audit is informational: it
+reports whether the Heun series coefficients collapse past the polynomial
+degree, without failing the run.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import numpy as np
 from . import oracle, routes, specfun
 from .errors import HeunDiracError
 from .model import (ANALYTIC_ROUTES, HEUN_MAPS, SystemParams, energy_closed_form,
-                    heun_params_case2, heun_params_full,
                     level_bracket, level_channel, mixing_case,
                     quantization_residuals, quantized_routes, require_level,
-                    singular_point_D_consistency, solve_quantization,
-                    standard_vars)
+                    solve_quantization, standard_vars)
 from .routes import ROUTE_SOLVERS
 
 # Collapse threshold of the truncation audit: a raw-series coefficient past
@@ -52,16 +51,25 @@ def _result(name, dev, tol, detail=""):
     return CheckResult(name, bool(dev < tol), float(dev), float(tol), detail)
 
 
+def _levels(params, first, n_max):
+    """(channel, n, E, lam) of each level n = first..n_max: the channel that
+    holds it (level_channel) and its closed-form energy and decay constant."""
+    for n in range(first, n_max + 1):
+        p = level_channel(params, n)
+        level = energy_closed_form(n, p)
+        yield p, n, level.E, level.lam
+
+
 def _check(name, tags, tol=None, first=0):
     """Register the decorated check in ALL_CHECKS as (name, check, tags).
 
     Without tol it is a whole-run check(params, n_max, tol).  With tol it
-    is the body(params, n, E, lam) of a per-level check, yielding the
-    deviations of level n at its closed-form energy E and decay constant
-    lam; the check built here,
-    check(params, n_max, tol=tol), runs n = first..n_max and reports the
-    running maximum, taken in the order yielded.  A NaN deviation is
-    reported as the maximum, so that the check fails.
+    is the body(p, n, E, lam) of a per-level check, yielding the deviations
+    of level n in its channel p at its closed-form energy E and decay
+    constant lam; the check built here, check(params, n_max, tol=tol), runs
+    the levels n = first..n_max of _levels and reports the running maximum,
+    taken in the order yielded.  A NaN deviation is reported as the
+    maximum, so that the check fails.
     """
     def register(fn):
         check = fn
@@ -70,9 +78,8 @@ def _check(name, tags, tol=None, first=0):
                 if n_max < first:
                     return _result(name, 0.0, tol, f"no n >= {first} level requested")
                 dev = 0.0
-                for n in range(first, n_max + 1):
-                    level = energy_closed_form(n, params)
-                    for value in fn(params, n, level.E, level.lam):
+                for level in _levels(params, first, n_max):
+                    for value in fn(*level):
                         if value > dev or math.isnan(value):
                             dev = value
                 return _result(name, dev, tol)
@@ -83,27 +90,27 @@ def _check(name, tags, tol=None, first=0):
     return register
 
 
-def _heun_maps(params, n, E, lam):
+def _heun_maps(p, n, E, lam):
     """{route: Heun parameter map} at (E, lam) of each Heun route that has a
-    quantization condition at level n."""
-    return {route: build(params, E, lam) for route, build in HEUN_MAPS.items()
-            if route in quantized_routes(params, n)}
+    quantization condition at level n of channel p: every check reads a
+    level's maps from here."""
+    return {route: build(p, E, lam) for route, build in HEUN_MAPS.items()
+            if route in quantized_routes(p, n)}
 
 
-def _level(params, n):
-    """(channel, default grid, solutions so far) of level n, kept for the
-    rest of the running verification (built afresh outside a run)."""
-    p = level_channel(params, n)
+def _level(p, n, lam):
+    """(default grid, solutions so far) of level n of channel p, kept for
+    the rest of the running verification (built afresh outside a run)."""
     store = {} if _store.get() is None else _store.get()
     if (p, n) not in store:
         require_level(p, n)
-        store[p, n] = p, routes.default_grid(energy_closed_form(n, p).lam), {}
+        store[p, n] = routes.default_grid(lam), {}
     return store[p, n]
 
 
-def _level_solutions(params, n):
+def _level_solutions(p, n, lam):
     """(route, solution) of level n for every route, each solved once per run."""
-    p, grid, solved = _level(params, n)
+    grid, solved = _level(p, n, lam)
     for route, solver in ROUTE_SOLVERS.items():
         if route not in solved:
             solved[route] = solver(p, n, grid=grid)
@@ -111,7 +118,7 @@ def _level_solutions(params, n):
 
 
 @_check("scaled_variable_identities", ANALYTIC_ROUTES, 1e-12)
-def check_scaled_variable_identities(params, n, E, lam):
+def check_scaled_variable_identities(p, n, E, lam):
     """mu^2 - eps^2 = e^2 and a_frob = sqrt(nu^2 - e^2) at every level.
 
     mu^2 - eps^2 = e^2 (m^2 - E^2)/lam^2, so the first identity is
@@ -119,68 +126,68 @@ def check_scaled_variable_identities(params, n, E, lam):
     mu^2 - eps^2 itself cancels to e^2 from terms of size N^2 + e^2 at weak
     coupling.  Where t^2 is below the rounding of E this ties E to lam, not
     lam to E; the quantization checks tie lam through eps = e E/lam."""
-    sv = standard_vars(params, E, lam)
-    t = lam / params.m
-    yield abs(E / params.m - math.sqrt((1.0 - t) * (1.0 + t)))
-    root = params.frobenius_exponent
+    sv = standard_vars(p, E, lam)
+    t = lam / p.m
+    yield abs(E / p.m - math.sqrt((1.0 - t) * (1.0 + t)))
+    root = p.frobenius_exponent
     yield abs(sv.a_frob - root) / root
 
 
 @_check("mixing_case_identities", ("mixed1", "mixed2"), 1e-14)
-def check_mixing_cases(params, n, E, lam):
+def check_mixing_cases(p, n, E, lam):
     """Angle identities of both rotation cases at every level."""
     for cid in ("1", "2"):
-        c = mixing_case(cid, params, E, lam)
+        c = mixing_case(cid, p, E, lam)
         yield abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0)
         yield abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0)
         yield abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a))
 
 
 @_check("singular_point_consistency", ("mixed2",), 1e-14)
-def check_singular_point_consistency(params, n, E, lam):
-    """Both printed forms of the case-2 singular point agree."""
-    d_a, d_b = singular_point_D_consistency(params, E, lam)
-    yield abs(d_a - d_b) / abs(d_a)
+def check_singular_point_consistency(p, n, E, lam):
+    """Both printed forms of the case-2 singular point, -(e + nu sin A)/(2 m_eff cos A)
+    and -(e + nu sin A)/(2E), agree: the case-2 angle condition sets m_eff cos A = E."""
+    case = mixing_case("2", p, E, lam)
+    d_a = -case.s_plus / (2.0 * p.m_eff * case.cos_a)
+    yield abs(d_a - case.singular_point) / abs(d_a)
 
 
 @_check("parameter_map_identities", ("mixed1", "mixed2", "heun"), 1e-12)
-def check_parameter_map_identities(params, n, E, lam):
+def check_parameter_map_identities(p, n, E, lam):
     """gamma = -2 in every Heun map of the level; delta + eta = 1 - nu_s for
     the full map."""
-    maps = _heun_maps(params, n, E, lam)
+    maps = _heun_maps(p, n, E, lam)
     for hp in maps.values():
         yield abs(hp.gamma + 2.0)
     hp = maps["heun"]
-    yield abs(hp.delta + hp.eta - (1.0 - params.parity * params.nu))
+    yield abs(hp.delta + hp.eta - (1.0 - p.parity * p.nu))
 
 
 @_check("spectrum_route_equality", ANALYTIC_ROUTES, 1e-12)
-def check_spectrum_routes(params, n, E, lam):
-    """Each route's root-found energy matches the closed form in level n's channel."""
-    p = level_channel(params, n)
+def check_spectrum_routes(p, n, E, lam):
+    """Each route's root-found energy matches the closed form of the level."""
     for route in quantized_routes(p, n):
         yield abs(solve_quantization(p, n, route).E - E) / E
 
 
 @_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
-def check_quantization_residuals(params, n, E, lam):
+def check_quantization_residuals(p, n, E, lam):
     """The level's quantization residuals vanish at the closed-form energy."""
-    p = level_channel(params, n)
     for value in quantization_residuals(p, E, lam, n, quantized_routes(p, n)).values():
         yield abs(value)
 
 
 @_check("wavefunction_residuals", ANALYTIC_ROUTES, 1e-6)
-def check_wavefunction_residuals(params, n, E, lam):
+def check_wavefunction_residuals(p, n, E, lam):
     """Every route's (f, g) satisfies the radial system on the default grid."""
-    for route, sol in _level_solutions(params, n):
+    for route, sol in _level_solutions(p, n, lam):
         yield routes.residual(sol)
 
 
 @_check("cross_route_agreement", ANALYTIC_ROUTES, 1e-6)
-def check_cross_route_agreement(params, n, E, lam):
+def check_cross_route_agreement(p, n, E, lam):
     """Normalized (f, g) agree pointwise across all four routes."""
-    normed = {route: routes.normalize(sol) for route, sol in _level_solutions(params, n)}
+    normed = {route: routes.normalize(sol) for route, sol in _level_solutions(p, n, lam)}
     ref = normed["standard"]
     fs, gs = np.max(np.abs(ref.f)), np.max(np.abs(ref.g))
     for sol in normed.values():
@@ -189,28 +196,30 @@ def check_cross_route_agreement(params, n, E, lam):
 
 
 @_check("operator_closure", ("mixed1",), 1e-6, first=1)
-def check_operator_closure(params, n, E, lam):
+def check_operator_closure(p, n, E, lam):
     """Case-1 first-order maps close: F -> G pointwise, and F -> G -> F
     proportional to the identity."""
     r, f_part, df_part, g_part, dg_part, case = routes.mixed1_parts(
-        params, n, _level(params, n)[1])
-    g_implied = routes.g_from_f(case, params, r, f_part, df_part)
+        p, n, _level(p, n, lam)[0])
+    g_implied = routes.g_from_f(case, p, r, f_part, df_part)
     yield float(np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)))
-    f_back = routes.f_from_g(case, params, r, g_part, dg_part)
+    f_back = routes.f_from_g(case, p, r, g_part, dg_part)
     mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
     ratios = f_back[mask] / f_part[mask]
     yield float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0)))
 
 
 @_check("coefficient_ratio", ("standard",), 1e-12, first=1)
-def check_coefficient_ratio(params, n, E, lam):
-    """Both derivations of C1/C2 agree; nu^2 - mu^2 = a^2 - eps^2."""
-    ratio = routes.coefficient_ratio(params, n)
-    yield (abs(ratio.from_first_equation - ratio.from_second_equation)
-           / abs(ratio.from_second_equation))
-    sv = standard_vars(params, E, lam)
+def check_coefficient_ratio(p, n, E, lam):
+    """Both first-order equations give the standard route's C1/C2 alike,
+    (nu_s - mu_s)/n = -(a + eps)/(nu_s + mu_s), by nu^2 - mu^2 = a^2 - eps^2 (checked too)."""
+    sv = standard_vars(p, E, lam)
+    mu_s, nu_s = p.parity * sv.mu, float(p.nu)
+    first = (nu_s - mu_s) / n
+    second = -(sv.a_frob + sv.eps) / (nu_s + mu_s)
+    yield abs(first - second) / abs(second)
     rhs = sv.a_frob ** 2 - sv.eps ** 2
-    yield abs(params.nu ** 2 - sv.mu ** 2 - rhs) / max(abs(rhs), 1e-30)
+    yield abs(p.nu ** 2 - sv.mu ** 2 - rhs) / max(abs(rhs), 1e-30)
 
 
 @_check("kummer_ode_residual", ANALYTIC_ROUTES)
@@ -249,56 +258,36 @@ def check_kummer_relations(params, n_max, tol=1e-10):
 
 
 @_check("heunc_ode_residual", ("mixed1", "mixed2", "heun"), 1e-8)
-def check_heunc_ode_residual(params, n, E, lam):
-    """Heun series satisfies the canonical equation at the maps of level n's channel."""
-    p = level_channel(params, n)
-    for hp in (heun_params_full(p, E, lam), heun_params_case2(p, E, lam)):
+def check_heunc_ode_residual(p, n, E, lam):
+    """Heun series satisfies the canonical equation at every Heun map of the level."""
+    for hp in _heun_maps(p, n, E, lam).values():
         yield np.max(specfun.heunc_ode_residual(hp, np.array([-0.7, -0.3, 0.3, 0.6])))
-
-
-def truncation_audit(params, n: int) -> dict[str, dict]:
-    """Raw-series coefficients of the Heun maps of level n through order
-    n + COLLAPSE_WINDOW.
-
-    Reports, per map, the largest coefficient magnitude beyond order n
-    relative to the largest at or below it.  This is diagnostic only: the
-    degree condition is one of two requirements for a polynomial, and the
-    audit records whether the second one holds numerically.
-    """
-    level = energy_closed_form(n, params)
-    report = {}
-    for name, hp in _heun_maps(params, n, level.E, level.lam).items():
-        coeffs = specfun.heunc_series_coefficients(hp, n + 1 + COLLAPSE_WINDOW)
-        head = float(np.max(np.abs(coeffs[:n + 1])))
-        beyond = float(np.max(np.abs(coeffs[n + 1:])))
-        report[name] = {
-            "degree": n,
-            "max_coefficient": head,
-            "max_beyond_degree": beyond,
-            "collapsed": bool(beyond < COLLAPSE_TOL * head),
-        }
-    return report
 
 
 @_check("truncation_audit", ("mixed1", "mixed2", "heun"))
 def check_truncation_audit(params, n_max, tol=math.inf):
-    """Informational: never fails; detail records the collapse pattern."""
+    """Informational: never fails; detail records, per level and Heun map,
+    the largest raw-series coefficient past order n (through n +
+    COLLAPSE_WINDOW) over the largest at or below it.  The degree condition
+    is one of two requirements for a polynomial; this records whether the
+    second one holds numerically."""
     notes = []
     worst = 0.0
-    for n in range(n_max + 1):
-        p = level_channel(params, n)
-        for name, entry in truncation_audit(p, n).items():
-            rel = entry["max_beyond_degree"] / max(entry["max_coefficient"], 1e-300)
+    for p, n, E, lam in _levels(params, 0, n_max):
+        for name, hp in _heun_maps(p, n, E, lam).items():
+            coeffs = specfun.heunc_series_coefficients(hp, n + 1 + COLLAPSE_WINDOW)
+            head = float(np.max(np.abs(coeffs[:n + 1])))
+            beyond = float(np.max(np.abs(coeffs[n + 1:])))
+            rel = beyond / max(head, 1e-300)
             worst = max(worst, rel)
             notes.append(f"n={n} {name}: beyond/head={rel:.2e} "
-                         f"collapsed={entry['collapsed']}")
+                         f"collapsed={beyond < COLLAPSE_TOL * head}")
     return CheckResult("truncation_audit", True, worst, tol, "; ".join(notes))
 
 
 @_check("oracle_spectrum", ("oracle",), 1e-8)
-def check_oracle_spectrum(params, n, E, lam):
+def check_oracle_spectrum(p, n, E, lam):
     """Shooting energies agree with the closed form for every level."""
-    p = level_channel(params, n)
     yield abs(oracle.shoot_energy(p, *level_bracket(p, n)).E - E) / E
 
 

@@ -16,8 +16,7 @@ from heundirac import (SystemParams, energy_closed_form, heun_params_case1,
                        residual, shoot_energy, solve_quantization,
                        standard_vars)
 from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
-from heundirac.routes import (ROUTE_SOLVERS, coefficient_ratio, f_from_g, g_from_f,
-                              mixed1_parts)
+from heundirac.routes import ROUTE_SOLVERS, f_from_g, g_from_f, mixed1_parts
 from heundirac.specfun import (KummerParams, heunc_ode_residual,
                                heunc_series_coefficients, kummer,
                                kummer_derivative, kummer_ode_residual)
@@ -137,11 +136,11 @@ def test_a5_operator_closure_and_coefficient_ratio():
             worst_closure = max(worst_closure, float(
                 np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0))))
 
-            cr = coefficient_ratio(p, n)
-            worst_ratio = max(worst_ratio, abs(
-                cr.from_first_equation - cr.from_second_equation)
-                / abs(cr.from_second_equation))
+            # C1/C2 of the standard route from each first-order equation
             sv = standard_vars(p, E, lam)
+            first = (nu - sv.mu) / n
+            second = -(sv.a_frob + sv.eps) / (nu + sv.mu)
+            worst_ratio = max(worst_ratio, abs(first - second) / abs(second))
             lhs = nu * nu - sv.mu ** 2
             rhs = sv.a_frob ** 2 - sv.eps ** 2
             worst_identity = max(worst_identity, abs(lhs - rhs) / abs(rhs))

@@ -11,8 +11,7 @@ from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, heun_params_case1,
                        heun_params_case2, heun_params_full, heunc_poly_degree,
                        heunc_truncation,
-                       mixing_case, quantization_residuals,
-                       singular_point_D_consistency, solve_quantization,
+                       mixing_case, quantization_residuals, solve_quantization,
                        standard_vars)
 from heundirac.model import (ANALYTIC_ROUTES, HEUN_MAPS, level_bracket, level_channel,
                              quantized_routes, require_level)
@@ -125,9 +124,16 @@ def test_case0_c_minus_does_not_cancel_at_weak_coupling(parity):
         assert abs(c.c_minus / exact - 1) < 1e-14
 
 
+def case2_D_forms(p, E, lam):
+    """The case-2 singular point D as -(e + nu sin A)/(2 m_eff cos A) and as
+    mixing_case's -(e + nu sin A)/(2E)."""
+    case = mixing_case("2", p, E, lam)
+    return -case.s_plus / (2.0 * p.m_eff * case.cos_a), case.singular_point
+
+
 def test_singular_point_consistency_values():
     p = SystemParams(0.3, 1)
-    d_a, d_b = singular_point_D_consistency(p, *at(p, 0.9))
+    d_a, d_b = case2_D_forms(p, *at(p, 0.9))
     expected = -(0.3 + math.sqrt(0.19)) / 1.8
     assert d_a == pytest.approx(expected, rel=1e-14)
     assert d_b == pytest.approx(expected, rel=1e-14)
@@ -135,16 +141,10 @@ def test_singular_point_consistency_values():
 
 def test_singular_point_consistency_zero_coupling():
     p = SystemParams(0.0, 1)
-    d_a, d_b = singular_point_D_consistency(p, *at(p, 0.5))
+    d_a, d_b = case2_D_forms(p, *at(p, 0.5))
     sin_a = math.sqrt(1 - 0.25)
     assert d_a == pytest.approx(-sin_a / 1.0)
     assert d_b == pytest.approx(d_a)
-
-
-def test_singular_point_consistency_degenerate_at_zero_energy():
-    p = SystemParams(0.3, 1)
-    with pytest.raises(InvalidParams, match="both forms of D diverge at E = 0"):
-        singular_point_D_consistency(p, 0.0, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,7 +152,7 @@ def test_singular_point_consistency_degenerate_at_zero_energy():
        Efrac=st.floats(0.1, 0.95))
 def test_singular_point_forms_agree(nu, efrac, Efrac):
     p = SystemParams(efrac * nu, nu)
-    d_a, d_b = singular_point_D_consistency(p, *at(p, Efrac * p.m))
+    d_a, d_b = case2_D_forms(p, *at(p, Efrac * p.m))
     assert abs(d_a - d_b) < 1e-14 * abs(d_a)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heundirac import (InvalidParams, RadialGrid,
-                       SystemParams, coefficient_ratio, count_nodes,
+                       SystemParams, count_nodes,
                        default_grid, energy_closed_form, normalize, residual,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
                        solve_standard, standard_vars)
@@ -297,25 +297,30 @@ def test_node_counts_positive_parity(n):
 
 
 # ----------------------------------------------------------------------
-# coefficient ratio
+# coefficient ratio C1/C2 of the standard route (verify's coefficient_ratio)
 # ----------------------------------------------------------------------
 
 def test_coefficient_ratio_agreement():
-    ratio = coefficient_ratio(SystemParams(0.5, 1), 1)
-    assert ratio.from_first_equation == pytest.approx(
-        ratio.from_second_equation, rel=1e-12)
-
-
-def test_coefficient_ratio_degenerate_at_nodeless_level():
-    with pytest.raises(InvalidParams, match="C1/C2 is 0/0 at the nodeless level"):
-        coefficient_ratio(SystemParams(0.5, 1), 0)
+    res = verify.check_coefficient_ratio(SystemParams(0.5, 1), 1)
+    assert res.passed and res.max_deviation < 1e-12
 
 
 @pytest.mark.parametrize("n,nu,e", [(1, 1, 0.5), (2, 2, 0.3), (4, 3, 0.9)])
-def test_coefficient_ratio_sign_pattern(n, nu, e):
-    ratio = coefficient_ratio(SystemParams(e, nu), n)
-    assert ratio.from_first_equation < 0
-    assert ratio.from_second_equation < 0
+def test_coefficient_ratio_sign_pattern(n, nu, e, monkeypatch):
+    # (nu_s - mu_s)/n and -(a + eps)/(nu_s + mu_s) are both negative at every
+    # level the check reads
+    read, exact = [], verify.standard_vars
+
+    def standard_vars(p, E, lam):
+        read.append((p, exact(p, E, lam)))
+        return read[-1][1]
+    monkeypatch.setattr(verify, "standard_vars", standard_vars)
+    assert verify.check_coefficient_ratio(SystemParams(e, nu), n).passed
+    assert len(read) == n
+    for level, (p, sv) in enumerate(read, start=1):
+        mu_s = p.parity * sv.mu
+        assert (p.nu - mu_s) / level < 0
+        assert -(sv.a_frob + sv.eps) / (p.nu + mu_s) < 0
 
 
 # ----------------------------------------------------------------------

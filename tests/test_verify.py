@@ -9,7 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heundirac import HeunDiracError, InvalidParams, SystemParams, routes, specfun, verify
+from heundirac import (HeunDiracError, InvalidParams, SystemParams, energy_closed_form,
+                       heun_params_case1, heun_params_case2, heun_params_full, routes,
+                       specfun, verify)
 
 
 def test_raising_check_reports_zero_tolerance_override(monkeypatch):
@@ -211,3 +213,41 @@ def test_nan_in_an_array_check_fails_it(evaluator, check, monkeypatch):
     monkeypatch.setattr(specfun, evaluator, one_nan)
     res = check(SystemParams(0.5, 1), 2)
     assert not res.passed and math.isnan(res.max_deviation)
+
+
+@pytest.mark.parametrize("route", ("all", "oracle"))
+def test_every_body_sees_the_nodeless_level_at_parity_minus_only(route, monkeypatch):
+    # no n = 0 level exists at parity +1: each body gets the level's channel
+    params = SystemParams(0.5, 1)
+    E0 = energy_closed_form(0, params).E
+    parities = []
+    for name in ("energy_closed_form", "quantized_routes", "mixing_case", "standard_vars",
+                 "solve_quantization", "quantization_residuals", "level_bracket"):
+        def record(*args, _exact=getattr(verify, name)):
+            if any(isinstance(a, (int, float)) and a in (0, E0) for a in args):
+                parities.extend(a.parity for a in args if isinstance(a, SystemParams))
+            return _exact(*args)
+        monkeypatch.setattr(verify, name, record)
+    results = verify.run_verification(params, 1 if route == "oracle" else 2, route)
+    assert all(res.passed for res in results)
+    assert parities and set(parities) == {-1}
+
+
+@pytest.mark.parametrize("parity", (1, -1))
+def test_heunc_ode_residual_reads_every_quantized_map(parity, monkeypatch):
+    # three Heun maps per level, two at the nodeless level (no mixed1 condition)
+    seen, exact = [], specfun.heunc_ode_residual
+
+    def record(hp, z):
+        seen.append(hp)
+        return exact(hp, z)
+    monkeypatch.setattr(specfun, "heunc_ode_residual", record)
+    assert verify.check_heunc_ode_residual(SystemParams(0.5, 2, parity=parity), 3).passed
+    expected = []
+    for n in range(4):
+        p = SystemParams(0.5, 2, parity=-1 if n == 0 else parity)
+        level = energy_closed_form(n, p)
+        maps = (heun_params_case2, heun_params_full)
+        expected += [build(p, level.E, level.lam)
+                     for build in ((heun_params_case1,) + maps if n else maps)]
+    assert seen == expected

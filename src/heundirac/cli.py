@@ -64,8 +64,9 @@ class _Option:
     choices: tuple | None = None
 
 
-def _truthy(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+def _truthy(text: str) -> bool | None:
+    return {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}.get(text.lower())
 
 
 def _checked(convert: Callable[[str], object], ok: Callable[[object], bool], rule: str):
@@ -176,15 +177,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, cfg: RunConfig):
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParams(f"cannot write output file {cfg.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _spectrum_levels(cfg: RunConfig) -> list[dict]:
-    """One entry per (n, route); route='all' covers the analytic routes that
-    quantize level n (quantized_routes: no mixed1 row at the parity -1 n = 0)."""
+def cmd_spectrum(cfg: RunConfig) -> int:
+    """One row per (n, route); route='all' covers the analytic routes that
+    quantize level n (quantized_routes), each row with their max_route_deviation."""
     params = cfg.system_params()
     rows = []
     for n in range(cfg.n_max + 1):
@@ -194,40 +198,20 @@ def _spectrum_levels(cfg: RunConfig) -> list[dict]:
             if route == "oracle":
                 p = level_channel(params, n)
                 require_level(p, n)
-                level = oracle.shoot_energy(p, *level_bracket(p, n))
+                per_route[route] = oracle.shoot_energy(p, *level_bracket(p, n))
             else:
-                level = solve_quantization(params, n, route)
-            per_route[route] = level
-        deviation = None
-        if len(per_route) > 1:
-            energies = [lvl.E for lvl in per_route.values()]
-            lo, hi = min(energies), max(energies)
-            deviation = (hi - lo) / lo
+                per_route[route] = solve_quantization(params, n, route)
+        energies = [level.E for level in per_route.values()]
         for route, level in per_route.items():
-            row = {
-                "n": level.n, "j": level.nu - 0.5, "parity": level.parity,
-                "route": route, "E": level.E, "E_over_m": level.E / cfg.mass,
-            }
-            if deviation is not None:
-                row["max_route_deviation"] = deviation
+            row = {"n": level.n, "j": level.nu - 0.5, "parity": level.parity,
+                   "route": route, "E": level.E, "E_over_m": level.E / cfg.mass}
+            if cfg.route == "all":
+                row["max_route_deviation"] = (max(energies) - min(energies)) / min(energies)
             rows.append(row)
-    return rows
-
-
-def cmd_spectrum(cfg: RunConfig) -> int:
-    rows = _spectrum_levels(cfg)
     if cfg.format == "csv":
-        with_dev = any("max_route_deviation" in r for r in rows)
-        header = ["n", "j", "parity", "route", "E", "E_over_m"]
-        if with_dev:
-            header.append("max_route_deviation")
-        lines = [",".join(header)]
-        for r in rows:
-            cells = [str(r["n"]), _fmt(r["j"]), str(r["parity"]), r["route"],
-                     _fmt(r["E"]), _fmt(r["E_over_m"])]
-            if with_dev:
-                cells.append(_fmt(r.get("max_route_deviation", 0.0)))
-            lines.append(",".join(cells))
+        lines = [",".join(rows[0])] + [
+            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values())
+            for row in rows]
         _emit("\n".join(lines) + "\n", cfg)
     else:
         doc = {"levels": rows}
@@ -254,14 +238,14 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     if cfg.format == "csv":
         lines = [f"# route: {route}",
                  f"# n: {n}", f"# j: {params.nu - 0.5}", f"# parity: {params.parity}",
-                 f"# E: {_fmt(sol.level.E)}",
+                 f"# E: {_fmt(sol.E)}",
                  f"# system_residual: {_fmt(res)}",
                  "r,f,g"]
         _emit("\n".join(lines) + "\n" + tables.csv_rows(grid.r, sol.f, sol.g), cfg)
     else:
         # json.dumps(doc) with the r, f, g lists spliced in before "generated"
         doc = {"route": route, "n": n, "j": params.nu - 0.5, "parity": params.parity,
-               "E": sol.level.E, "system_residual": res}
+               "E": sol.E, "system_residual": res}
         text = json.dumps(doc)[:-1]
         for key, values in (("r", grid.r), ("f", sol.f), ("g", sol.g)):
             text += f', "{key}": {tables.json_array(values)}'
@@ -322,9 +306,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_spectrum(cfg)
         if args.command == "wavefunction":
             return cmd_wavefunction(cfg, args.n)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise InvalidParams(f"unknown command {args.command!r}")
+        return cmd_verify(cfg)
     except HeunDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_INVALID_PARAMS

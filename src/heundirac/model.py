@@ -376,7 +376,7 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     t = min(e/nu, hi/2), then steps that quarter t (or its gap to hi) until
     the sign changes, bracket the root without evaluating either end; brentq
     (Brent 1973, ch. 4) closes the bracket to full double precision, in
-    about 9 evaluations per solve, each building only this route's parameter
+    about 7 evaluations per solve, each building only this route's parameter
     map.  Non-convergence of either stage raises NoConvergence.
 
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +

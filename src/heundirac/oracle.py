@@ -189,8 +189,7 @@ def integrate_radial(params: SystemParams, E: float,
         top = scale.max() if top is None else top   # one factor for both members
         values.append(_march(M, (f0, g0))[:, at] * np.exp(scale - top))
     f, g = (16.0 * values[1] - values[0]) / 15.0
-    level = EnergyLevel(-1, params.nu, params.parity, E, "oracle", lam)
-    return RadialSolution(grid, f, g, level, "oracle", params)
+    return RadialSolution(grid, f, g, E, "oracle", params)
 
 
 def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:

@@ -115,12 +115,12 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """A wavefunction pair on a grid, with provenance metadata."""
+    """A wavefunction pair on a grid, with its energy E and provenance."""
 
     grid: RadialGrid
     f: np.ndarray
     g: np.ndarray
-    level: EnergyLevel
+    E: float
     route: str
     params: SystemParams
 
@@ -147,18 +147,15 @@ def default_grid(lam: float, points: int = GRID_POINTS,
 
 def _heun_polynomial(hp: HeunCParams, n: int) -> np.ndarray:
     """Coefficients of the terminating Heun series, verified to degree n."""
-    trunc = heunc_truncation(hp)
-    if trunc is None or trunc[0] != n:
-        got = "no termination" if trunc is None else f"degree {trunc[0]}"
-        raise InvalidParams(
-            f"Heun series does not terminate at degree {n} ({got}); "
-            "the energy is off the quantized level"
-        )
-    return trunc[1]
+    degree, coeffs = heunc_truncation(hp)
+    if degree != n:
+        raise InvalidParams(f"Heun series terminates at degree {degree}, not {n}; "
+                            "the energy is off the quantized level")
+    return coeffs
 
 
 def _kummer_polynomial(n_index: int, denom: float) -> np.ndarray:
-    """Coefficients of the terminating 1F1(-n_index; denom; x)."""
+    """Coefficients of the terminating 1F1(-n_index; denom; x); none at n_index = -1."""
     return kummer_series_coefficients(KummerParams(-float(n_index), denom), n_index + 1)
 
 
@@ -168,10 +165,6 @@ def _level_grid(params: SystemParams, n: int, grid: RadialGrid | None):
     require_level(params, n)
     level = energy_closed_form(n, params)
     return level, default_grid(level.lam) if grid is None else grid
-
-
-def _finish(params, level, route, grid, f, g) -> RadialSolution:
-    return RadialSolution(grid, f, g, replace(level, route=route), route, params)
 
 
 def _envelope(lam: float, a: float, r: np.ndarray) -> np.ndarray:
@@ -222,17 +215,14 @@ def solve_standard(params: SystemParams, n: int,
     pref = _envelope(lam, A, r)
     y = 2.0 * lam * r
     comp1 = pref * horner(_kummer_polynomial(n, gamma_k), y)
-    if n >= 1:
-        comp2 = (c2 * pref) * horner(_kummer_polynomial(n - 1, gamma_k), y)
-    else:
-        comp2 = np.zeros_like(y)
+    comp2 = (c2 * pref) * horner(_kummer_polynomial(n - 1, gamma_k), y)  # 0 at n = 0
 
     # sqrt(m + E) and sqrt(m - E) = lam/sqrt(m + E)
     wide = math.sqrt(params.m + E)
     p, q = (wide, lam / wide) if params.parity == 1 else (lam / wide, -wide)
     f = p * (comp1 + comp2)
     g = q * (comp1 - comp2)
-    return _finish(params, level, "standard", grid, f, g)
+    return RadialSolution(grid, f, g, E, "standard", params)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +236,7 @@ def _solve_rotated(parts, route: str, params: SystemParams, n: int,
     _, f_part, _, g_part, _, case = parts(params, level, grid.r)
     f = case.cos_half * f_part + case.sin_half * g_part
     g = -case.sin_half * f_part + case.cos_half * g_part
-    return _finish(params, level, route, grid, f, g)
+    return RadialSolution(grid, f, g, level.E, route, params)
 
 
 def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
@@ -408,7 +398,7 @@ def residual(solution: RadialSolution) -> float:
     if not peak > 0:
         return 0.0
     f, g = solution.f / peak, solution.g / peak
-    params, E, m = solution.params, solution.level.E, solution.params.m
+    params, E, m = solution.params, solution.E, solution.params.m
     df, dg = (_central_derivative(solution.grid, y) / m for y in (f, g))
     mr, fi, gi = (y[half:len(r) - half] for y in (m * r, f, g))
     w = E / m + params.e / mr

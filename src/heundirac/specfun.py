@@ -4,8 +4,8 @@ Both functions are computed from their Frobenius series about the origin,
 with plain iterative term recurrences (no gamma-function calls), so that
 terminating cases stay structurally exact.  The Kummer evaluators and
 heunc_ode_residual broadcast over arrays.  The confluent Heun function is
-evaluated only where its series terminates, as a polynomial; an open
-(non-terminating) series raises InvalidParams.
+evaluated only where its series terminates: heunc_truncation returns the
+polynomial, or raises InvalidParams on an open (non-terminating) series.
 
 Kummer's confluent hypergeometric function:
 
@@ -212,13 +212,13 @@ def kummer_ode_residual(params: KummerParams, x):
 
 
 def kummer_series_coefficients(params: KummerParams, count: int) -> np.ndarray:
-    """First `count` Taylor coefficients of 1F1(a; c; x) about x = 0.
+    """First `count` Taylor coefficients of 1F1(a; c; x) about x = 0, none at count 0.
 
     Useful for vectorized evaluation of terminating (polynomial) cases.
     """
     a, c = params.a, params.c
     t = np.empty(count)
-    t[0] = 1.0
+    t[:1] = 1.0
     for k in range(count - 1):
         t[k + 1] = t[k] * (a + k) / ((c + k) * (k + 1))
         if t[k + 1] == 0.0:
@@ -230,8 +230,8 @@ def kummer_series_coefficients(params: KummerParams, count: int) -> np.ndarray:
 def horner(coeffs: np.ndarray, x, order: int = 0):
     """order-th derivative of sum_k coeffs[k] x^k by Horner's rule.
 
-    x may be a float or an array; both take the same floating-point
-    operations in the same order.
+    x may be a float or an array, and the result is of the same kind; both
+    take the same floating-point operations in the same order.
     """
     c = coeffs
     for _ in range(order):
@@ -239,7 +239,7 @@ def horner(coeffs: np.ndarray, x, order: int = 0):
     acc = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
     for ck in c[::-1]:
         acc = acc * x + ck
-    return acc
+    return acc if isinstance(x, np.ndarray) else float(acc)
 
 
 # ----------------------------------------------------------------------
@@ -327,16 +327,16 @@ def heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
 
 
 def heunc_truncation(p: HeunCParams):
-    """The polynomial the series ends in, as (degree, c_0..c_degree), or None.
+    """The polynomial the series ends in, as (degree, c_0..c_degree).
 
     The degree condition alpha*n + u + v = 0 picks n (at alpha = 0 it can
-    pick only n = 0, when u + v = 0); None when it picks no n below
-    MAX_TERMS, the term budget.  Then the accessory condition, equation
-    k = 0, (beta+1) c_1 = -u c_0, must hold within 1e-6 of the rounding
-    noise of u, which exceeds u itself by ~1/e^2 at weak coupling:
+    pick only n = 0, when u + v = 0); no n below MAX_TERMS, the term budget,
+    means an open series: InvalidParams.  Then the accessory condition,
+    equation k = 0, (beta+1) c_1 = -u c_0, must hold within 1e-6 of the
+    rounding noise of u, which exceeds u itself by ~1/e^2 at weak coupling:
 
     * at n = 0 no recurrence runs and c_1 = c_{n+1} = 0, so it reads u = 0
-      on the parameters; off it the series is open, and None is returned;
+      on the parameters; off it the series is open: InvalidParams;
     * at n >= 1, c_1 comes from the backward recurrence to degree n, which
       also has to stay finite.  A failure cannot tell a series that is no
       polynomial from a pass that lost its digits: NoConvergence.
@@ -346,11 +346,12 @@ def heunc_truncation(p: HeunCParams):
         n = 0 if s == 0.0 else None
     else:
         n = heunc_poly_degree(p, DEGREE_DETECT_TOL)
-    if n is None or n >= MAX_TERMS:
-        return None
     bound = 1e-6 * _u_magnitude(p)
+    if n is None or n >= MAX_TERMS or n == 0 and not abs(u) <= bound:
+        raise InvalidParams(f"the confluent Heun series of {p} is open (no polynomial); "
+                            "only polynomials are evaluated")
     if n == 0:
-        return (0, np.array([1.0])) if abs(u) <= bound else None
+        return 0, np.array([1.0])
     with np.errstate(all="ignore"):
         c = _backward_coefficients(p, n)
     if np.all(np.isfinite(c)) and abs(c[1] + u / (p.beta + 1.0)) <= bound / abs(p.beta + 1.0):
@@ -359,31 +360,21 @@ def heunc_truncation(p: HeunCParams):
                         f"the accessory condition {-u / (p.beta + 1.0):.6e}")
 
 
-def _heunc_eval(p: HeunCParams, trunc, z, order: int):
-    """Value of the polynomial's order-th derivative at z (order 0, 1 or 2),
-    given trunc = heunc_truncation(p); an open series raises InvalidParams."""
-    if trunc is None:
-        raise InvalidParams(f"the confluent Heun series of {p} is open (no polynomial); "
-                            "only polynomials are evaluated")
-    value = horner(trunc[1], z, order)
-    return value if isinstance(z, np.ndarray) else float(value)
-
-
 def heunc(p: HeunCParams, z: float) -> float:
     """Confluent Heun polynomial, the regular branch at z = 0 with H(0) = 1,
     at any finite z.  A parameter set whose series does not terminate
     raises InvalidParams, at z = 0 too."""
-    return _heunc_eval(p, heunc_truncation(p), z, 0)
+    return horner(heunc_truncation(p)[1], z)
 
 
 def heunc_derivative(p: HeunCParams, z: float) -> float:
     """Derivative H'(z) of the same polynomial."""
-    return _heunc_eval(p, heunc_truncation(p), z, 1)
+    return horner(heunc_truncation(p)[1], z, 1)
 
 
 def heunc_second_derivative(p: HeunCParams, z: float) -> float:
     """Second derivative H''(z) of the same polynomial, for residual checks."""
-    return _heunc_eval(p, heunc_truncation(p), z, 2)
+    return horner(heunc_truncation(p)[1], z, 2)
 
 
 def heunc_ode_residual(p: HeunCParams, z):
@@ -397,8 +388,8 @@ def heunc_ode_residual(p: HeunCParams, z):
     """
     if np.any(z == 0.0) or np.any(z == 1.0):
         raise InvalidParams("residual is evaluated away from the singular points")
-    trunc = heunc_truncation(p)
-    h, h1, h2 = (_heunc_eval(p, trunc, z, order) for order in range(3))
+    coeffs = heunc_truncation(p)[1]
+    h, h1, h2 = (horner(coeffs, z, order) for order in range(3))
     u, s = _residue_combinations(p)
     v = s - u
     t_first = (p.alpha + (p.beta + 1.0) / z + (p.gamma + 1.0) / (z - 1.0)) * h1

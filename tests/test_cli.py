@@ -357,7 +357,11 @@ def test_option_the_subcommand_does_not_read_exits_2(capsys, tmp_path, command, 
                                       (b"coupling =\n", "coupling"),
                                       (b"coupling = 0.5\nn-max = 1.5\n", "n_max"),
                                       (b"coupling = 0.5  # \xff\n", None),
-                                      (None, None)))
+                                      (None, None),
+                                      # a boolean reads only 1/true/yes and 0/false/no
+                                      *((b"coupling = 0.5\nno-timestamp = " + word + b"\n",
+                                         "no_timestamp")
+                                        for word in (b"maybe", b"2", b"on", b"off", b""))))
 def test_malformed_config_exits_2(capsys, tmp_path, text, key):
     cfg = tmp_path / "run.cfg"
     if text is not None:
@@ -376,6 +380,28 @@ def test_config_value_outside_choices_exits_2(capsys, tmp_path, line):
     code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
     assert (code, out) == (EXIT_INVALID_PARAMS, "")
     assert f"invalid {line.split()[0]} value" in err
+
+
+@pytest.mark.parametrize("text,value", (("1", True), ("true", True), ("Yes", True),
+                                        ("TRUE", True), ("0", False), ("false", False),
+                                        ("No", False)))
+def test_config_boolean_spellings(capsys, tmp_path, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"coupling = 0.5\nno-timestamp = {text}\n")
+    code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert ("generated" in json.loads(out)) is not value
+
+
+@pytest.mark.parametrize("command", (("spectrum", "--coupling", "0.5"),
+                                     ("verify", "--coupling", "0.5", "--n-max", "1")))
+@pytest.mark.parametrize("target", ("directory", "missing parent"))
+def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
+    out_path = tmp_path if target == "directory" else tmp_path / "no_such_dir" / "x.txt"
+    code, out, err = run_cli(capsys, *command, "--out", str(out_path))
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err.startswith(f"error: cannot write output file {out_path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_module_entry_point_rejects_unread_option():
@@ -694,10 +720,10 @@ def _per_number_table(fmt, route, n, points):
     r, f, g = grid.r.tolist(), sol.f.tolist(), sol.g.tolist()
     if fmt == "csv":
         lines = [f"# route: {route}", f"# n: {n}", "# j: 0.5", "# parity: 1",
-                 f"# E: {sol.level.E:.16e}", f"# system_residual: {res:.16e}", "r,f,g"]
+                 f"# E: {sol.E:.16e}", f"# system_residual: {res:.16e}", "r,f,g"]
         lines += [f"{a:.16e},{b:.16e},{c:.16e}" for a, b, c in zip(r, f, g)]
         return "\n".join(lines) + "\n"
-    return json.dumps({"route": route, "n": n, "j": 0.5, "parity": 1, "E": sol.level.E,
+    return json.dumps({"route": route, "n": n, "j": 0.5, "parity": 1, "E": sol.E,
                        "system_residual": res, "r": r, "f": f, "g": g}) + "\n"
 
 

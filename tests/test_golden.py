@@ -28,9 +28,14 @@ GOLDENS = {
                               "--coupling", "0.5", "--format", "csv"),
     "spectrum_all_alpha.csv": ("spectrum", "--route", "all", "--n-max", "8",
                                "--coupling", ALPHA, "--format", "csv"),
+    "spectrum_all_e0p5.json": ("spectrum", "--route", "all", "--n-max", "8",
+                               "--coupling", "0.5", "--format", "json"),
     "spectrum_mixed2_parity_minus.csv": ("spectrum", "--route", "mixed2", "--n-max", "5",
                                          "--coupling", "0.5", "--parity", "-1",
                                          "--format", "csv"),
+    "spectrum_mixed2_parity_minus.json": ("spectrum", "--route", "mixed2", "--n-max", "5",
+                                          "--coupling", "0.5", "--parity", "-1",
+                                          "--format", "json"),
     "spectrum_oracle_e0p5.csv": ("spectrum", "--route", "oracle", "--n-max", "3",
                                  "--coupling", "0.5", "--format", "csv"),
     "verify_all_e0p5.txt": ("verify", "--route", "all", "--n-max", "2",
@@ -39,6 +44,10 @@ GOLDENS = {
                                           "--n-max", "2", "--grid-points", "50",
                                           "--coupling", "0.5", "--format", fmt)
        for route in ("standard", "mixed1", "mixed2", "heun") for fmt in ("csv", "json")},
+    # the nodeless level, where the standard route's second component is 0
+    "wavefunction_standard_n0.csv": ("wavefunction", "--route", "standard", "--n", "0",
+                                     "--n-max", "0", "--parity", "-1", "--grid-points", "50",
+                                     "--coupling", "0.5", "--format", "csv"),
 }
 
 

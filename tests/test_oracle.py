@@ -127,6 +127,15 @@ def test_integration_matches_analytic_wavefunction():
     assert residual(oracle_sol) < 1e-6
 
 
+def test_integration_carries_its_energy():
+    # the solution holds the energy it was integrated at, and no level label
+    p = SystemParams(0.5, 1)
+    E = energy_closed_form(1, p).E
+    sol = integrate_radial(p, E)
+    assert sol.E == E and sol.route == "oracle"
+    assert not hasattr(sol, "level")
+
+
 def test_integration_determinism():
     p = SystemParams(0.5, 1)
     E = energy_closed_form(1, p).E

@@ -71,7 +71,7 @@ def test_standard_nodeless_level_single_component():
     # -sqrt((m-E)/(m+E)) in the negative-parity channel that hosts n=0
     p = params_for(0)
     sol = solve_standard(p, 0)
-    E = sol.level.E
+    E = sol.E
     expected = -math.sqrt((p.m - E) / (p.m + E))
     ratios = sol.f / sol.g
     assert np.max(np.abs(ratios / expected - 1.0)) < 1e-12
@@ -97,7 +97,7 @@ def test_nodeless_level_rejected_in_positive_parity_channel():
 
 def test_off_level_energy_violates_system():
     sol = solve_standard(params_for(1), 1)
-    off = dataclasses.replace(sol, level=dataclasses.replace(sol.level, E=sol.level.E + 1e-2))
+    off = dataclasses.replace(sol, E=sol.E + 1e-2)
     assert residual(off) > 1e-3
 
 
@@ -198,7 +198,7 @@ def test_mixed_routes_resolve_level_energy_once(monkeypatch, solver):
     monkeypatch.setattr(routes, "energy_closed_form", counted)
     sol = getattr(routes, solver)(params_for(2), 2)
     assert len(calls) == 1
-    assert sol.level.E == energy_closed_form(2, params_for(2)).E
+    assert sol.E == energy_closed_form(2, params_for(2)).E
 
 
 def test_mixed2_residual_and_relation():
@@ -331,7 +331,7 @@ def test_residual_zero_solution_is_zero():
     p = params_for(1)
     sol = solve_standard(p, 1)
     zero = RadialSolution(sol.grid, np.zeros_like(sol.f), np.zeros_like(sol.g),
-                          sol.level, sol.route, p)
+                          sol.E, sol.route, p)
     assert residual(zero) == 0.0
     with pytest.raises(InvalidParams, match="norm integral is 0.0"):
         normalize(zero)
@@ -418,7 +418,7 @@ def test_normalize_unit_norm_and_scaling_invariance():
     r = normed.grid.r
     total = np.trapezoid(normed.f ** 2 + normed.g ** 2, r)
     assert total == pytest.approx(1.0, abs=1e-6)
-    doubled = RadialSolution(sol.grid, 2 * sol.f, 2 * sol.g, sol.level,
+    doubled = RadialSolution(sol.grid, 2 * sol.f, 2 * sol.g, sol.E,
                              sol.route, p)
     renormed = normalize(doubled)
     assert np.allclose(renormed.f, normed.f, rtol=0, atol=1e-15)
@@ -443,7 +443,7 @@ def test_normalize_is_exact_under_power_of_two_amplitudes(power):
 def test_normalize_sign_convention():
     p = params_for(1)
     sol = solve_standard(p, 1)
-    flipped = RadialSolution(sol.grid, -sol.f, -sol.g, sol.level, sol.route, p)
+    flipped = RadialSolution(sol.grid, -sol.f, -sol.g, sol.E, sol.route, p)
     a, b = normalize(sol), normalize(flipped)
     assert a.f[10] > 0 and b.f[10] > 0
     assert np.allclose(a.f, b.f)

@@ -17,7 +17,8 @@ from heundirac import (HeunCParams, InvalidParams, KummerParams, NoConvergence,
                        kummer_derivative)
 from heundirac import specfun
 from heundirac.model import level_channel
-from heundirac.specfun import heunc_ode_residual, horner, kummer_ode_residual
+from heundirac.specfun import (heunc_ode_residual, horner, kummer_ode_residual,
+                               kummer_series_coefficients)
 
 
 # ----------------------------------------------------------------------
@@ -36,6 +37,22 @@ def test_horner_float_and_array_are_bit_identical(order):
             assert np.array([scalar]).tobytes() == array.tobytes()
             expected = np.polynomial.polynomial.polyval(x, ref)
             assert scalar == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_horner_returns_the_kind_of_its_argument():
+    coeffs = np.array([-1.0, 3.0])
+    for order in (0, 1, 2):
+        assert type(horner(coeffs, 0.5, order)) is float
+        assert isinstance(horner(coeffs, np.array([0.5]), order), np.ndarray)
+    # no coefficients: the zero polynomial
+    assert horner(np.array([]), 0.5) == 0.0
+    assert horner(np.array([]), np.ones(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_kummer_series_of_no_terms_is_empty():
+    # the standard route's second component at n = 0: no terms, so Horner gives 0
+    coeffs = kummer_series_coefficients(KummerParams(1.0, 2.0), 0)
+    assert coeffs.shape == (0,)
 
 
 def test_kummer_at_zero_is_one():
@@ -345,7 +362,8 @@ def test_heunc_params_are_a_named_tuple_with_the_dataclass_repr():
 def test_heunc_outside_domain_for_nonterminating_series():
     # only polynomials are evaluated: an open series raises everywhere,
     # at the origin too, from each of the four evaluators
-    assert heunc_truncation(OPEN) is None
+    with pytest.raises(InvalidParams, match="open"):
+        heunc_truncation(OPEN)
     for fn in (heunc, heunc_derivative, heunc_second_derivative, heunc_ode_residual):
         for z in (0.0, 0.6, 1.2):
             with pytest.raises(InvalidParams):
@@ -400,14 +418,17 @@ def test_heunc_truncation_reads_both_conditions_at_degree_zero(nu, e):
     assert heunc_poly_degree(minus, 1e-8) == heunc_poly_degree(plus, 1e-8) == 0
     degree, coeffs = heunc_truncation(minus)
     assert degree == 0 and coeffs.tolist() == [1.0]
-    assert heunc_truncation(plus) is None
+    with pytest.raises(InvalidParams, match="open"):
+        heunc_truncation(plus)
 
 
 def test_heunc_truncation_at_zero_alpha():
     # alpha n + u + v = 0 picks only n = 0, and only when u + v = 0
     assert heunc_truncation(HeunCParams(0.0, 1.0, -2.0, 0.0, 1.5))[1].tolist() == [1.0]
-    assert heunc_truncation(HeunCParams(0.0, 1.0, -2.0, 0.0, 0.2)) is None
-    assert heunc_truncation(HeunCParams(0.0, 1.0, -2.0, 0.3, 1.5)) is None
+    for open_series in (HeunCParams(0.0, 1.0, -2.0, 0.0, 0.2),
+                        HeunCParams(0.0, 1.0, -2.0, 0.3, 1.5)):
+        with pytest.raises(InvalidParams, match="open"):
+            heunc_truncation(open_series)
 
 
 def test_heunc_truncation_runs_no_forward_recurrence(monkeypatch):

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from scipy.optimize import brentq
-
 from .errors import InvalidParams, NoConvergence
 from .specfun import HeunCParams
 
@@ -365,6 +363,50 @@ def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
     return residuals
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int) -> tuple[float, int, bool]:
+    """Brent's method (Brent 1973, ch. 4), the C routine brentq.c step for step:
+    (root, iterations, converged) to the bit, each value taken as a float as the C
+    code does.  An exact zero at an end is the root after 0 iterations (C leaves the
+    count unset).  Ends of one sign raise InvalidParams, a NaN value NoConvergence."""
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NoConvergence(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre if fpre == 0.0 else xcur), 0, True
+    if (fpre < 0.0) == (fcur < 0.0):   # by sign, as a product of two tiny values underflows
+        raise InvalidParams("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, maxiter + 1):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i, True
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:   # try an interpolated step, else bisect
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:   # inverse quadratic; a zero divisor (inf or NaN in C) bisects
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    return xcur, maxiter, False
+
+
 def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     """Root-find one route's quantization condition by Brent's method in t = lam/m.
 
@@ -374,10 +416,10 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     the three Heun maps.  So sign * condition (sign -1 for the Heun maps)
     changes sign once in 0 < t < hi and is positive as t -> 0.  A probe at
     t = min(e/nu, hi/2), then steps that quarter t (or its gap to hi) until
-    the sign changes, bracket the root without evaluating either end; brentq
-    (Brent 1973, ch. 4) closes the bracket to full double precision, in
-    about 7 evaluations per solve, each building only this route's parameter
-    map.  Non-convergence of either stage raises NoConvergence.
+    the sign changes, bracket the root without evaluating either end; Brent's
+    method (_brentq) closes the bracket to full double precision, in about 7
+    evaluations per solve, each building only this route's parameter map.
+    Non-convergence of either stage, or a NaN condition, raises NoConvergence.
 
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +
     m_eff cos A): its pole, the n = 0 energy m cos A at t = e/nu, is hi, and
@@ -400,7 +442,7 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     def point(t: float) -> tuple[float, float]:
         return m * math.sqrt((1.0 - t) * (1.0 + t)), m * t
 
-    values = {}   # by t: brentq opens on the two bracket ends the probes evaluated
+    values = {}   # by t: Brent opens on the two bracket ends the probes evaluated
 
     def condition(t: float) -> float:
         if t not in values:
@@ -423,12 +465,11 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     t = lo
     if lo != up:
         try:
-            t, result = brentq(condition, lo, up, xtol=1e-16, rtol=8.9e-16,
-                               full_output=True, disp=False)
-        except ValueError as exc:   # brentq stops on a NaN value
+            t, steps, converged = _brentq(condition, lo, up, 1e-16, 8.9e-16, 100)
+        except NoConvergence as exc:   # Brent stops on a NaN value
             raise NoConvergence(f"the {route} condition in {lo} < lam/m < {up}: {exc}") from None
-        if not result.converged:
+        if not converged:
             raise NoConvergence(f"Brent refinement of the {route} condition did not "
-                                f"converge in {result.iterations} steps")
+                                f"converge in {steps} steps")
     E, lam = point(t)
     return EnergyLevel(int(n), params.nu, params.parity, E, route, lam)

@@ -22,10 +22,9 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParams, NoConvergence
-from .model import EnergyLevel, SystemParams, require_bound_energy
+from .model import EnergyLevel, SystemParams, _brentq, require_bound_energy
 from .routes import GRID_RMAX_SCALE, RadialGrid, RadialSolution, default_grid
 
 # Brent iteration budget of shoot_energy.
@@ -197,8 +196,9 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
 
     The bracket must contain exactly one sign change of the matched
     functional sin(theta_out - theta_in).  Brent's method refines to
-    |dE|/m near 1e-15.  The radial quantum number of the result is read
-    off the unwrapped mismatch at the root.
+    |dE|/m near 1e-15; ends of one sign, a NaN functional and an unconverged
+    solve each raise their own NoConvergence.  The radial quantum number of
+    the result is read off the unwrapped mismatch at the root.
     """
     if not (0.0 < E_lo < E_hi < params.m):
         raise InvalidParams(f"need 0 < E_lo < E_hi < m, got ({E_lo}, {E_hi})")
@@ -206,15 +206,17 @@ def shoot_energy(params: SystemParams, E_lo: float, E_hi: float) -> EnergyLevel:
     # so r_far covers the full extent of every candidate state
     lam_hi = params.decay_constant(E_hi)
     try:   # a root at either end is returned as it is
-        E, res = brentq(_mismatch, E_lo, E_hi, args=(params, lam_hi), xtol=1e-15 * params.m,
-                        rtol=8.9e-16, maxiter=MAX_ITERATIONS, full_output=True, disp=False)
-    except ValueError:
+        E, _, converged = _brentq(lambda E: _mismatch(E, params, lam_hi), E_lo, E_hi,
+                                  1e-15 * params.m, 8.9e-16, MAX_ITERATIONS)
+    except InvalidParams:
         raise NoConvergence(f"matched functional has the same sign at both ends "
                             f"of ({E_lo}, {E_hi})") from None
-    if not res.converged:
+    except NoConvergence as exc:   # Brent stops on a NaN value
+        raise NoConvergence(f"the matched functional in {E_lo} < E < {E_hi}: {exc}") from None
+    if not converged:
         raise NoConvergence(f"Brent refinement did not converge within {MAX_ITERATIONS} steps")
     return EnergyLevel(_node_label(params, E, lam_hi), params.nu, params.parity,
-                       float(E), "oracle", params.decay_constant(E))
+                       E, "oracle", params.decay_constant(E))
 
 
 def scan_brackets(params: SystemParams, e_min_scale: float = 0.2,

@@ -404,6 +404,25 @@ def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_no_request_loads_scipy():
+    # a fresh interpreter serves an analytic spectrum, a verify run and an
+    # oracle spectrum without importing scipy: it would cost ~0.5 s a start
+    script = """import contextlib, io, sys
+import heundirac.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["spectrum", "--route", "all", "--n-max", "3"],
+                 ["verify", "--n-max", "2"],
+                 ["spectrum", "--route", "oracle", "--n-max", "2"]):
+        assert cli.main([*argv, "--coupling", "0.5"]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_module_entry_point_rejects_unread_option():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

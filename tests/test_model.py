@@ -2,7 +2,6 @@
 
 import math
 from decimal import Decimal, localcontext
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -567,13 +566,23 @@ def test_solve_quantization_raises_no_convergence_on_a_nan_condition(monkeypatch
 def test_solve_quantization_raises_no_convergence_when_brent_does_not_converge(monkeypatch):
     import heundirac.model as model
 
-    def stalled(f, a, b, **kwargs):
-        assert kwargs["full_output"] and not kwargs["disp"]
-        return 0.5 * (a + b), SimpleNamespace(converged=False, iterations=100)
+    def stalled(f, a, b, xtol, rtol, maxiter):
+        # the port's outcome when its budget is spent: the budget, unconverged
+        return 0.5 * (a + b), maxiter, False
 
-    monkeypatch.setattr(model, "brentq", stalled)
+    monkeypatch.setattr(model, "_brentq", stalled)
     with pytest.raises(NoConvergence, match="did not converge in 100 steps"):
         solve_quantization(SystemParams(0.5, 1), 1, "heun")
+
+
+def test_brent_is_scipys_on_every_sweep_condition(quantization_sweep, brent_against_scipy):
+    import heundirac.model as model
+    outcomes = brent_against_scipy(model)
+    for p, n, route, E, _ in quantization_sweep:
+        assert solve_quantization(p, n, route).E == E
+    # a solve whose probe lands on an exact zero needs no Brent step
+    assert len(outcomes) > 0.95 * len(quantization_sweep)
+    assert all(converged for _, converged, _ in outcomes)
 
 
 def test_quantization_residuals_selected_routes():

@@ -295,6 +295,43 @@ def test_shoot_no_bracket_between_levels():
         shoot_energy(p, E1 + 0.3 * (E2 - E1), E1 + 0.7 * (E2 - E1))
 
 
+@pytest.mark.parametrize("calls", (0, 1, 4))
+def test_shoot_names_a_nan_of_the_matched_functional(monkeypatch, calls):
+    # NaN at the lower end, the upper end or an inner step: not "same sign"
+    mismatch, energies = oracle._mismatch, []
+
+    def nan_after(E, params, lam_ref):
+        energies.append(E)
+        return math.nan if len(energies) > calls else mismatch(E, params, lam_ref)
+
+    monkeypatch.setattr(oracle, "_mismatch", nan_after)
+    p = SystemParams(0.5, 1)
+    lo, hi = level_bracket(p, 1)
+    with pytest.raises(NoConvergence) as stop:
+        shoot_energy(p, lo, hi)
+    assert len(energies) == calls + 1
+    assert str(stop.value) == (f"the matched functional in {lo} < E < {hi}: The function "
+                               f"value at x={energies[-1]} is NaN; solver cannot continue.")
+
+
+# the levels shot above, each (m, nu, e, parity, n) in its level_bracket
+BRENT_LEVELS = [(1.0, nu, e, parity, n) for nu in (1, 2, 3)
+                for e in (1e-4, 1e-3, ALPHA, 0.25 * nu, 0.5, 0.95 * nu)
+                for parity in (1, -1) for n in range(0 if parity == -1 else 1, 13)]
+BRENT_LEVELS += [(1.0, nu, 0.5, parity, n) for nu in (22, 50, 80)
+                 for parity in (1, -1) for n in range(0 if parity == -1 else 1, 4)]
+BRENT_LEVELS += [(m, 1, 0.5, 1, 2) for m in (1e-150, 1e-20, 1e-16, 0.51099895, 938.272, 1e150)]
+
+
+def test_brent_is_scipys_on_the_matched_functional(brent_against_scipy):
+    outcomes = brent_against_scipy(oracle)
+    for m, nu, e, parity, n in BRENT_LEVELS:
+        p = SystemParams(e, nu, m, parity)
+        assert shoot_energy(p, *level_bracket(p, n)).n == n
+    assert len(outcomes) == len(BRENT_LEVELS)
+    assert all(converged for _, converged, _ in outcomes)
+
+
 def test_nodeless_level_absent_in_positive_parity_channel():
     # the same interval brackets the level at parity -1 but holds no
     # sign change at parity +1

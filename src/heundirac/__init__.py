@@ -16,8 +16,7 @@ from .routes import (RadialGrid, RadialSolution, count_nodes, default_grid,
                      normalize, residual, solve_heun_full, solve_mixed_case1,
                      solve_mixed_case2, solve_standard)
 from .specfun import (HeunCParams, KummerParams, heunc, heunc_derivative,
-                      heunc_poly_degree, heunc_second_derivative,
-                      heunc_series_coefficients, heunc_truncation, kummer,
-                      kummer_derivative, kummer_series_coefficients)
+                      heunc_second_derivative, heunc_series_coefficients,
+                      heunc_truncation, kummer, kummer_series_coefficients)
 
 __version__ = "0.1.0"

@@ -186,6 +186,10 @@ def _emit(text: str, cfg: RunConfig):
         sys.stdout.write(text)
 
 
+#: one spectrum row as JSON, its keys on the lines of an indent=2 report
+_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     """One row per (n, route); route='all' covers the analytic routes that
     quantize level n (quantized_routes), each row with their max_route_deviation."""
@@ -214,10 +218,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             for row in rows]
         _emit("\n".join(lines) + "\n", cfg)
     else:
-        doc = {"levels": rows}
+        # json.dumps({"levels": rows, "generated": ...}, indent=2), each row
+        # written by the C encoder (json's indent= runs the Python one)
+        text = '{\n  "levels": [\n    ' + ",\n    ".join(
+            "{\n      " + _ROW_JSON(row)[1:-1] + "\n    }" for row in rows) + "\n  ]"
         if not cfg.no_timestamp:
-            doc["generated"] = datetime.now(timezone.utc).isoformat()
-        _emit(json.dumps(doc, indent=2) + "\n", cfg)
+            text += ',\n  "generated": ' + json.dumps(datetime.now(timezone.utc).isoformat())
+        _emit(text + "\n}\n", cfg)
     return EXIT_OK
 
 

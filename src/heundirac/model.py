@@ -210,6 +210,24 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
                       c_plus, c_minus, s_plus, s_minus)
 
 
+def _map_floats(case_id: str, params: SystemParams, E: float, lam: float, e: float,
+                nu: int, m_eff: float) -> tuple[float, float, float]:
+    """(alpha, delta, eta) of the case's rotated map (_rotated_heun_params),
+    e, nu and m_eff those of params; raises InvalidParams where the case-1
+    singular point diverges or a parameter is not finite."""
+    sin_a, cos_a, _, _, X = _rotation(case_id, params, E, lam)
+    if not math.isfinite(X):
+        raise InvalidParams(
+            "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
+        )
+    alpha = 2.0 * (-lam * X)
+    delta = 2.0 * e * E * X
+    eta = 1.0 + m_eff * X * sin_a - delta - nu * cos_a
+    if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(eta)):
+        raise InvalidParams("Heun parameters must be finite")
+    return alpha, delta, eta
+
+
 def _rotated_heun_params(params: SystemParams, E: float, lam: float,
                          case_id: str) -> HeunCParams:
     """Confluent-Heun parameters of the rotated equation for F in y = r/X,
@@ -222,15 +240,9 @@ def _rotated_heun_params(params: SystemParams, E: float, lam: float,
         alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
         eta = 1 + m_eff X sin A - 2eEX - nu cos A.
     """
-    sin_a, cos_a, _, _, X = _rotation(case_id, params, E, lam)
-    if not math.isfinite(X):
-        raise InvalidParams(
-            "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
-        )
-    b = -lam * X
-    delta = 2.0 * params.e * E * X
-    eta = 1.0 + params.m_eff * X * sin_a - delta - params.nu * cos_a
-    return HeunCParams(2.0 * b, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
+    alpha, delta, eta = _map_floats(case_id, params, E, lam, params.e, params.nu,
+                                    params.m_eff)
+    return HeunCParams(alpha, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
 
 
 def heun_params_case1(params: SystemParams, E: float, lam: float) -> HeunCParams:
@@ -333,34 +345,68 @@ def quantized_routes(params: SystemParams, n: int) -> tuple[str, ...]:
     return ANALYTIC_ROUTES
 
 
+#: the rotation case of each Heun route's map, as in HEUN_MAPS
+_ROUTE_CASES = {"mixed1": "1", "mixed2": "2", "heun": "0"}
+
+
+class _ConditionTerms(NamedTuple):
+    """All that one route's quantization condition at level n reads besides
+    (E, lam), formed once per solve by _condition_terms."""
+
+    case_id: str | None   # the Heun route's rotation case; None for standard
+    params: SystemParams
+    e: float
+    nu: int
+    m_eff: float
+    n_a: float   # the map's n + (beta+gamma+2)/2 = n + a; n for standard
+
+
+def _condition_terms(params: SystemParams, n: int, route: str) -> _ConditionTerms:
+    """The terms of `route`'s condition at level n; InvalidParams on an unknown route."""
+    if route == "standard":
+        return _ConditionTerms(None, params, params.e, params.nu, params.m_eff, n)
+    if route not in _ROUTE_CASES:
+        raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
+    beta, gamma = 2.0 * params.frobenius_exponent, -2.0   # those of the map
+    return _ConditionTerms(_ROUTE_CASES[route], params, params.e, params.nu, params.m_eff,
+                           n + 0.5 * (beta + gamma + 2.0))
+
+
+def _route_condition(E: float, lam: float, terms: _ConditionTerms) -> float:
+    """One route's quantization condition at (E, lam): eps - a_frob - n for
+    standard, delta + (n + a)*alpha of the route's map for the Heun routes,
+    from the map's own alpha and delta (_map_floats), so it raises the map's
+    errors where the map raises."""
+    case_id, params, e, nu, m_eff, n_a = terms
+    if case_id is None:
+        sv = standard_vars(params, E, lam)
+        return sv.eps - sv.a_frob - n_a
+    alpha, delta, _ = _map_floats(case_id, params, E, lam, e, nu, m_eff)
+    return delta + n_a * alpha
+
+
 def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
                            routes: tuple[str, ...] = ANALYTIC_ROUTES) -> dict[str, float]:
     """Signed residual of each requested route's quantization condition at
     (E, lam) for level n.
 
-    Only the parameter maps of the routes named in `routes` are built, so
+    Only the conditions of the routes named in `routes` are evaluated, so
     one route's residual neither pays for nor fails on another route's
     map; an unknown route name raises InvalidParams.
 
     standard: eps - a_frob - n.  For the Heun-based routes the residual is
     delta + (n + (beta+gamma+2)/2)*alpha of the respective parameter map,
     which is exactly the coefficient whose vanishing terminates the
-    series.  All four vanish simultaneously at the closed-form energy;
-    note the Heun-route residuals carry route-dependent (negative)
-    prefactors relative to the standard one, so their signs differ while
-    their roots coincide.
+    series; it is formed from the map's alpha and delta (_map_floats)
+    without building the map, and raises the map's errors.  Each residual
+    is the one that solve_quantization's steps evaluate (_route_condition).
+    All four vanish simultaneously at the closed-form energy; note the
+    Heun-route residuals carry route-dependent (negative) prefactors
+    relative to the standard one, so their signs differ while their roots
+    coincide.
     """
-    residuals = {}
-    for route in routes:
-        if route == "standard":
-            sv = standard_vars(params, E, lam)
-            residuals[route] = sv.eps - sv.a_frob - n
-            continue
-        if route not in HEUN_MAPS:
-            raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
-        hp = HEUN_MAPS[route](params, E, lam)
-        residuals[route] = hp.delta + (n + 0.5 * (hp.beta + hp.gamma + 2.0)) * hp.alpha
-    return residuals
+    return {route: _route_condition(E, lam, _condition_terms(params, n, route))
+            for route in routes}
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
@@ -418,8 +464,11 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     t = min(e/nu, hi/2), then steps that quarter t (or its gap to hi) until
     the sign changes, bracket the root without evaluating either end; Brent's
     method (_brentq) closes the bracket to full double precision, in about 7
-    evaluations per solve, each building only this route's parameter map.
-    Non-convergence of either stage, or a NaN condition, raises NoConvergence.
+    evaluations per solve.  The route's rotation case, n + a, e, nu and m_eff
+    are formed once per solve (_condition_terms), so each evaluation is one
+    call of _route_condition, the arithmetic of this route's condition alone:
+    no parameter map is built.  Non-convergence of either stage, or a NaN
+    condition, raises NoConvergence.
 
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +
     m_eff cos A): its pole, the n = 0 energy m cos A at t = e/nu, is hi, and
@@ -435,18 +484,17 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
             "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
         )
     _level_decay_constant(n, params)
+    terms = _condition_terms(params, n, route)
     m = params.m
     sign = 1.0 if route == "standard" else -1.0
     hi = params.e / params.nu if route == "mixed1" and params.parity == -1 else 1.0
 
-    def point(t: float) -> tuple[float, float]:
-        return m * math.sqrt((1.0 - t) * (1.0 + t)), m * t
-
     values = {}   # by t: Brent opens on the two bracket ends the probes evaluated
 
     def condition(t: float) -> float:
-        if t not in values:
-            values[t] = sign * quantization_residuals(params, *point(t), n, (route,))[route]
+        if t not in values:   # at E = m sqrt((1 - t)(1 + t)), lam = m t
+            values[t] = sign * _route_condition(m * math.sqrt((1.0 - t) * (1.0 + t)), m * t,
+                                                terms)
         return values[t]
 
     # every level's t = e/sqrt(N^2 + e^2) is at most e/nu, so the first probe
@@ -471,5 +519,5 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
         if not converged:
             raise NoConvergence(f"Brent refinement of the {route} condition did not "
                                 f"converge in {steps} steps")
-    E, lam = point(t)
-    return EnergyLevel(int(n), params.nu, params.parity, E, route, lam)
+    return EnergyLevel(int(n), params.nu, params.parity, m * math.sqrt((1.0 - t) * (1.0 + t)),
+                       route, m * t)

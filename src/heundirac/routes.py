@@ -66,7 +66,7 @@ RESIDUAL_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radii."""
+    """Strictly increasing, positive, finite radii."""
 
     r: np.ndarray
 
@@ -75,6 +75,8 @@ class RadialGrid:
         object.__setattr__(self, "r", r)
         if r.ndim != 1 or len(r) < 2:
             raise InvalidParams("grid needs at least 2 points")
+        if not np.all(np.isfinite(r)):
+            raise InvalidParams("grid radii must be finite")
         if r[0] <= 0 or np.any(np.diff(r) <= 0):
             raise InvalidParams("grid radii must be positive and strictly increasing")
 

@@ -56,8 +56,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 
-# Integer tolerance used when the evaluator checks the degree condition
-# internally (callers of heunc_poly_degree pass their own).
+# Integer tolerance of the degree condition that heunc_truncation checks.
 DEGREE_DETECT_TOL = 1e-8
 # A Kummer series has converged once two consecutive terms fall below
 # SERIES_REL_TOL times the partial sum (two in a row guards against
@@ -120,12 +119,6 @@ class HeunCParams(namedtuple("HeunCParams", "alpha beta gamma delta eta")):
 def kummer(params: KummerParams, x):
     """Evaluate 1F1(a; c; x) by its defining series (after Kummer's transformation if x < 0)."""
     return _kummer_with_term_scale(params, x)[0]
-
-
-def kummer_derivative(params: KummerParams, x):
-    """d/dx 1F1(a; c; x) = (a/c) 1F1(a+1; c+1; x)."""
-    shifted = KummerParams(params.a + 1.0, params.c + 1.0)
-    return (params.a / params.c) * kummer(shifted, x)
 
 
 def _kummer_with_term_scale(params: KummerParams, x):
@@ -307,7 +300,7 @@ def _backward_coefficients(p: HeunCParams, degree: int) -> np.ndarray:
     return c / c[0]
 
 
-def heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
+def _heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
     """Degree n if delta = -(n + (beta+gamma+2)/2)*alpha holds within tol.
 
     Checks only the first of the two polynomial conditions; truncation of
@@ -345,7 +338,7 @@ def heunc_truncation(p: HeunCParams):
     if p.alpha == 0.0:
         n = 0 if s == 0.0 else None
     else:
-        n = heunc_poly_degree(p, DEGREE_DETECT_TOL)
+        n = _heunc_poly_degree(p, DEGREE_DETECT_TOL)
     bound = 1e-6 * _u_magnitude(p)
     if n is None or n >= MAX_TERMS or n == 0 and not abs(u) <= bound:
         raise InvalidParams(f"the confluent Heun series of {p} is open (no polynomial); "

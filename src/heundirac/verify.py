@@ -246,7 +246,7 @@ def check_kummer_relations(params, n_max, tol=1e-10):
     # 1F1(-n1; g; y) for n1 = 0..N, each the 1F1(-n1+1; g; y) of the next n1
     f_all = specfun.kummer(specfun.KummerParams(-n1, g), y)
     f_n, f_n1, n1 = f_all[1:], f_all[:-1], n1[1:]
-    # lhs is kummer_derivative's (a/c) 1F1(a+1; c+1; y)
+    # lhs is d/dy 1F1(a; c; y) = (a/c) 1F1(a+1; c+1; y)
     f_up = specfun.kummer(specfun.KummerParams(-n1 + 1, g + 1.0), y)
     lhs = (-n1 / g) * f_up
     rhs = (-n1 / y) * f_n1 + (n1 / y) * f_n

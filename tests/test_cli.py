@@ -762,3 +762,19 @@ def test_json_timestamp_follows_the_arrays(capsys):
     assert list(doc) == ["route", "n", "j", "parity", "E", "system_residual", "r", "f",
                          "g", "generated"]
     assert out == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--route", "all", "--n-max", "3"),
+    ("--route", "mixed2", "--n-max", "2"),
+    ("--route", "oracle", "--n-max", "1"),
+    ("--route", "all", "--n-max", "2", "--parity", "-1"),
+], ids=["all", "mixed2", "oracle", "all-parity-minus"])
+@pytest.mark.parametrize("stamp", [(), ("--no-timestamp",)], ids=["generated", "no-timestamp"])
+def test_spectrum_json_report_is_the_indent_2_layout(capsys, argv, stamp):
+    # each row comes from the C encoder; the whole must be json.dumps(doc, indent=2)
+    code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", *argv, *stamp)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert list(doc) == (["levels"] if stamp else ["levels", "generated"])

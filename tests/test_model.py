@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, heun_params_case1,
-                       heun_params_case2, heun_params_full, heunc_poly_degree,
-                       heunc_truncation,
+                       heun_params_case2, heun_params_full, heunc_truncation,
                        mixing_case, quantization_residuals, solve_quantization,
                        standard_vars)
 from heundirac.model import (ANALYTIC_ROUTES, HEUN_MAPS, level_bracket, level_channel,
                              quantized_routes, require_level)
+from heundirac.specfun import _heunc_poly_degree
 
 
 def at(p, E):
@@ -172,7 +172,7 @@ def test_case1_map_satisfies_degree_condition_at_level():
     p = SystemParams(0.5, 1)
     level = energy_closed_form(1, p)
     hp = heun_params_case1(p, level.E, level.lam)
-    assert heunc_poly_degree(hp, 1e-9) == 1
+    assert _heunc_poly_degree(hp, 1e-9) == 1
 
 
 def test_case2_map_gamma_and_degree():
@@ -180,7 +180,7 @@ def test_case2_map_gamma_and_degree():
     level = energy_closed_form(2, p)
     hp = heun_params_case2(p, level.E, level.lam)
     assert hp.gamma == -2.0
-    assert heunc_poly_degree(hp, 1e-9) == 2
+    assert _heunc_poly_degree(hp, 1e-9) == 2
     p0 = SystemParams(0.0, 1)
     hp0 = heun_params_case2(p0, *at(p0, 0.9))
     assert hp0.delta == 0.0
@@ -195,7 +195,7 @@ def test_full_map_values_at_ground_level():
     hp = heun_params_full(p, E, lam)
     # degree condition at n=0: E e / sqrt(m^2-E^2) = sqrt(nu^2-e^2)
     assert E * 0.5 / lam == pytest.approx(math.sqrt(0.75), rel=1e-12)
-    assert heunc_poly_degree(hp, 1e-9) == 0
+    assert _heunc_poly_degree(hp, 1e-9) == 0
 
 
 def test_full_map_identities():
@@ -219,7 +219,7 @@ def test_heun_maps_truncate_at_the_level_degree(e, nu, parity):
         maps = (heun_params_case2, heun_params_full) + ((heun_params_case1,) if n else ())
         for build in maps:
             hp = build(p, level.E, level.lam)
-            assert heunc_poly_degree(hp, 1e-13) == n, (build.__name__, n)
+            assert _heunc_poly_degree(hp, 1e-13) == n, (build.__name__, n)
             try:
                 degree = heunc_truncation(hp)[0]
             except NoConvergence:
@@ -452,10 +452,14 @@ def test_solve_quantization_builds_only_its_own_map(monkeypatch):
     routes = ("standard", "mixed2", "heun")
     expected = {route: solve_quantization(p, 3, route).E for route in routes}
 
-    def broken(*args, **kwargs):
-        raise AssertionError("case-1 map built for another route")
+    step = model._route_condition
 
-    monkeypatch.setitem(model.HEUN_MAPS, "mixed1", broken)
+    def no_case1(E, lam, terms):
+        if terms.case_id == "1":
+            raise AssertionError("case-1 condition evaluated for another route")
+        return step(E, lam, terms)
+
+    monkeypatch.setattr(model, "_route_condition", no_case1)
     for route in routes:
         assert solve_quantization(p, 3, route).E == expected[route]
     with pytest.raises(AssertionError):
@@ -471,15 +475,16 @@ SWEEP_COUPLINGS = (1e-100, 1e-30, 1e-7, 1e-5, 1e-3, 0.0072973525693, 0.25, 0.5, 
 def quantization_sweep():
     """(params, n, route, E, t = lam/m of each condition evaluated) of every solve."""
     import heundirac.model as model
-    evaluate, points = model.quantization_residuals, []
+    step, points, values = model._route_condition, [], []
 
-    def counted(params, E, lam, n, routes=ANALYTIC_ROUTES):
-        points.append(lam / params.m)
-        return evaluate(params, E, lam, n, routes)
+    def counted(E, lam, terms):
+        points.append(lam / terms.params.m)
+        values.append(step(E, lam, terms))
+        return values[-1]
 
     solves = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "quantization_residuals", counted)
+        mp.setattr(model, "_route_condition", counted)
         for nu in (1, 2, 3):
             for e in (*SWEEP_COUPLINGS, 0.99 * nu):
                 for parity in (1, -1):
@@ -487,7 +492,11 @@ def quantization_sweep():
                     for n in range(0 if parity == -1 else 1, 41):
                         for route in quantized_routes(p, n):
                             points.clear()
+                            values.clear()
                             E = solve_quantization(p, n, route).E
+                            # a hook that misses the steps would meet every bound
+                            # below; one step is a first probe on the exact root
+                            assert len(points) >= 2 or values == [0.0], (p, n, route, points)
                             solves.append((p, n, route, E, list(points)))
     return solves
 
@@ -542,23 +551,23 @@ def test_solve_quantization_is_within_4e15_of_the_closed_form(quantization_sweep
 
 def test_solve_quantization_raises_no_convergence_on_a_nan_condition(monkeypatch):
     import heundirac.model as model
-    evaluate, calls = model.quantization_residuals, []
+    step, calls = model._route_condition, []
 
     def nan_after(count):
-        def residuals(params, E, lam, n, routes=ANALYTIC_ROUTES):
+        def condition(E, lam, terms):
             calls.append(lam)
             if len(calls) > count:
-                return dict.fromkeys(routes, math.nan)
-            return evaluate(params, E, lam, n, routes)
-        return residuals
+                return math.nan
+            return step(E, lam, terms)
+        return condition
 
     # NaN from the first probe: the bracket search walks t out of (0, 1)
-    monkeypatch.setattr(model, "quantization_residuals", nan_after(0))
+    monkeypatch.setattr(model, "_route_condition", nan_after(0))
     with pytest.raises(NoConvergence, match="no sign change of the standard condition"):
         solve_quantization(SystemParams(0.5, 1), 1, "standard")
     # NaN once the bracket is found: brentq stops, and so does the solve
     calls.clear()
-    monkeypatch.setattr(model, "quantization_residuals", nan_after(3))
+    monkeypatch.setattr(model, "_route_condition", nan_after(3))
     with pytest.raises(NoConvergence, match="the mixed2 condition in"):
         solve_quantization(SystemParams(0.5, 1), 1, "mixed2")
 
@@ -595,3 +604,66 @@ def test_quantization_residuals_selected_routes():
         assert quantization_residuals(p, E, lam, 2, (route,))[route] == every[route]
     with pytest.raises(InvalidParams):
         quantization_residuals(p, E, lam, 2, ("mixed2", "bogus"))
+
+
+def _outcome(evaluate):
+    """The float's bits, or the type and text of the error raised."""
+    try:
+        return evaluate().hex()
+    except Exception as exc:   # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _map_residual(p, E, lam, n, route):
+    """The route's residual read off its built map (standard: off standard_vars)."""
+    if route == "standard":
+        sv = standard_vars(p, E, lam)
+        return sv.eps - sv.a_frob - n
+    hp = HEUN_MAPS[route](p, E, lam)
+    return hp.delta + (n + 0.5 * (hp.beta + hp.gamma + 2.0)) * hp.alpha
+
+
+def _step_residual(p, E, lam, n, route):
+    import heundirac.model as model
+    return model._route_condition(E, lam, model._condition_terms(p, n, route))
+
+
+def test_each_solve_step_is_the_map_residual_bit_for_bit(quantization_sweep):
+    for p, n, route, _, points in quantization_sweep:
+        for t in points:
+            E, lam = p.m * math.sqrt((1.0 - t) * (1.0 + t)), p.m * t
+            assert (_outcome(lambda: _step_residual(p, E, lam, n, route))
+                    == _outcome(lambda: _map_residual(p, E, lam, n, route))), (p, n, route, t)
+
+
+# the edges of the range: tiny and huge masses, a coupling whose case-1
+# c_plus underflows to 0 at parity -1, and couplings next to nu
+EDGE_PARAMS = [SystemParams(0.5, 1, m, parity) for m in (1e-160, 1e150) for parity in (1, -1)]
+EDGE_PARAMS += [SystemParams(1e-200, 1, parity=-1), SystemParams(1e-200, 2, parity=-1)]
+EDGE_PARAMS += [SystemParams(math.nextafter(float(nu), 0.0), nu, parity=parity)
+                for nu in (1, 3) for parity in (1, -1)]
+
+
+@pytest.mark.parametrize("p", EDGE_PARAMS, ids=repr)
+def test_the_condition_is_the_map_residual_at_the_edges(p):
+    # t = 0 (lam = 0), t = 1 (E = 0), the mixed1 pole t = e/nu and its
+    # neighbours, tiny t, where lam m underflows at m = 1e-160, and a grid
+    ts = [0.0, 1.0, 1e-300, 1e-160, 1e-20, p.e / p.nu, *(k / 16.0 for k in range(1, 16))]
+    ts += [math.nextafter(p.e / p.nu, 0.0), math.nextafter(p.e / p.nu, 1.0)]
+    pairs = [(p.m * math.sqrt((1.0 - t) * (1.0 + t)), p.m * t) for t in ts]
+    # and (E, lam) off the curve, where alpha or delta is not finite
+    pairs += [(0.5 * p.m, math.inf), (0.5 * p.m, math.nan), (math.nan, 0.5 * p.m),
+              (math.inf, 0.5 * p.m)]
+    raised = set()
+    for n in (0, 1, 7):
+        for route in ANALYTIC_ROUTES:
+            for E, lam in pairs:
+                expected = _outcome(lambda: _map_residual(p, E, lam, n, route))
+                assert _outcome(lambda: _step_residual(p, E, lam, n, route)) == expected, \
+                    (n, route, E, lam)
+                assert _outcome(lambda: quantization_residuals(p, E, lam, n, (route,))[route]) \
+                    == expected, (n, route, E, lam)
+                if isinstance(expected, tuple):
+                    raised.add(expected[1].split(" ")[0])
+    # the case-1 divergence, E = 0 in case 2, lam = 0, and non-finite parameters
+    assert {"case-1", "case", "mu", "Heun"} <= raised

@@ -9,9 +9,9 @@ PUBLIC_NAMES = [
     "KummerParams", "MixingCase", "NoConvergence", "RadialGrid", "RadialSolution",
     "StandardVars", "SystemParams", "count_nodes", "default_grid", "energy_closed_form",
     "frobenius_start", "heun_params_case1", "heun_params_case2", "heun_params_full",
-    "heunc", "heunc_derivative", "heunc_poly_degree", "heunc_second_derivative",
+    "heunc", "heunc_derivative", "heunc_second_derivative",
     "heunc_series_coefficients", "heunc_truncation", "integrate_radial", "kummer",
-    "kummer_derivative", "kummer_series_coefficients", "mixing_case", "normalize",
+    "kummer_series_coefficients", "mixing_case", "normalize",
     "quantization_residuals", "residual", "scan_brackets", "shoot_energy",
     "solve_heun_full", "solve_mixed_case1", "solve_mixed_case2", "solve_quantization",
     "solve_standard", "standard_vars",
@@ -21,5 +21,5 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(heundirac).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 39
     assert names == PUBLIC_NAMES

@@ -46,6 +46,13 @@ def test_grid_validation():
     assert len(g) == 3
 
 
+@pytest.mark.parametrize("r", [[0.1, np.nan, 0.3], [0.1, 0.2, np.inf], [np.nan, 0.2],
+                               [0.1, 0.2, np.nan]])
+def test_grid_rejects_non_finite_radii(r):
+    with pytest.raises(InvalidParams, match="grid radii must be finite"):
+        RadialGrid(np.array(r))
+
+
 def test_default_grid_spans_origin_to_tail():
     p = SystemParams(0.5, 1)
     lam = energy_closed_form(1, p).lam

@@ -12,10 +12,10 @@ from scipy.integrate import solve_ivp
 from heundirac import (HeunCParams, InvalidParams, KummerParams, NoConvergence,
                        SystemParams, energy_closed_form, heun_params_case2,
                        heun_params_full, heunc, heunc_derivative,
-                       heunc_poly_degree, heunc_second_derivative,
-                       heunc_series_coefficients, heunc_truncation, kummer,
-                       kummer_derivative)
+                       heunc_second_derivative, heunc_series_coefficients,
+                       heunc_truncation, kummer)
 from heundirac import specfun
+from heundirac.specfun import _heunc_poly_degree
 from heundirac.model import level_channel
 from heundirac.specfun import (heunc_ode_residual, horner, kummer_ode_residual,
                                kummer_series_coefficients)
@@ -85,20 +85,25 @@ def test_kummer_at_negative_argument_matches_mpmath():
             kummer(KummerParams(1.5, 2.0), x)
 
 
+def kummer_prime(kp, x):
+    """d/dx 1F1(a; c; x) = (a/c) 1F1(a+1; c+1; x)."""
+    return (kp.a / kp.c) * kummer(KummerParams(kp.a + 1.0, kp.c + 1.0), x)
+
+
 def test_kummer_derivative_of_exponential_at_zero():
-    assert kummer_derivative(KummerParams(1.0, 1.0), 0.0) == 1.0
+    assert kummer_prime(KummerParams(1.0, 1.0), 0.0) == 1.0
 
 
 def test_kummer_derivative_linear_case():
     # d/dx (1 - x/2) = -1/2, independent of x
-    assert kummer_derivative(KummerParams(-1.0, 2.0), 0.7) == pytest.approx(-0.5)
+    assert kummer_prime(KummerParams(-1.0, 2.0), 0.7) == pytest.approx(-0.5)
 
 
 def test_kummer_derivative_matches_finite_difference():
     kp = KummerParams(-2.0, 3.0)
     x, h = 1.5, 1e-5
     fd = (kummer(kp, x + h) - kummer(kp, x - h)) / (2 * h)
-    assert kummer_derivative(kp, x) == pytest.approx(fd, abs=1e-8)
+    assert kummer_prime(kp, x) == pytest.approx(fd, abs=1e-8)
 
 
 def test_kummer_rejects_bad_denominator():
@@ -133,7 +138,7 @@ def test_kummer_ode_residual_property(a, c, x):
 @given(n1=st.integers(1, 6), g=st.floats(0.5, 6.0), y=st.floats(0.1, 10.0))
 def test_kummer_differentiation_rule(n1, g, y):
     # d/dy 1F1(-n1; g; y) = -(n1/y) 1F1(-n1+1; g; y) + (n1/y) 1F1(-n1; g; y)
-    lhs = kummer_derivative(KummerParams(-n1, g), y)
+    lhs = kummer_prime(KummerParams(-n1, g), y)
     t1 = (-n1 / y) * kummer(KummerParams(-n1 + 1, g), y)
     t2 = (n1 / y) * kummer(KummerParams(-n1, g), y)
     # the two sides may cancel to zero; scale by the pieces that cancel
@@ -217,7 +222,7 @@ def test_kummer_scalar_input_gives_floats_and_arrays_broadcast():
     x = np.array([[0.5], [-7.0], [0.0]])
     assert type(kummer(KummerParams(0.37, 2.41), 7.123)) is float
     assert type(kummer_ode_residual(KummerParams(0.37, 2.41), 7.123)) is float
-    for fn in (kummer, kummer_derivative, kummer_ode_residual):
+    for fn in (kummer, kummer_prime, kummer_ode_residual):
         array = fn(kp, x)
         assert array.shape == (3, 2)
         scalars = [[fn(KummerParams(a, 2.41), xi) for a in (-2.0, 0.37)] for xi in x[:, 0]]
@@ -321,18 +326,18 @@ def test_heunc_derivative_matches_finite_difference():
 
 
 def test_heunc_poly_degree_direct():
-    assert heunc_poly_degree(HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0), 1e-12) == 1
-    assert heunc_poly_degree(HeunCParams(2.0, 1.0, -2.0, -2.5, 0.0), 1e-12) is None
+    assert _heunc_poly_degree(HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0), 1e-12) == 1
+    assert _heunc_poly_degree(HeunCParams(2.0, 1.0, -2.0, -2.5, 0.0), 1e-12) is None
 
 
 def test_heunc_poly_degree_at_quantized_level():
     hp = _physical_params(3, 2, 0.4)
-    assert heunc_poly_degree(hp, 1e-10) == 3
+    assert _heunc_poly_degree(hp, 1e-10) == 3
 
 
 def test_heunc_poly_degree_requires_nonzero_alpha():
     with pytest.raises(InvalidParams):
-        heunc_poly_degree(HeunCParams(0.0, 1.0, -2.0, 0.0, 0.0), 1e-12)
+        _heunc_poly_degree(HeunCParams(0.0, 1.0, -2.0, 0.0, 0.0), 1e-12)
 
 
 def test_heunc_rejects_negative_integer_beta():
@@ -402,7 +407,7 @@ def test_heunc_truncation_overflow_raises_without_a_warning():
 def test_heunc_truncation_rejects_a_degree_without_its_accessory_condition():
     # delta = -3 picks n = 1, but eta = 0 misses (beta+1) c_1 = -u c_0
     hp = HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0)
-    assert heunc_poly_degree(hp, 1e-12) == 1
+    assert _heunc_poly_degree(hp, 1e-12) == 1
     with pytest.raises(NoConvergence, match="backward recurrence to degree 1"):
         heunc_truncation(hp)
 
@@ -415,7 +420,7 @@ def test_heunc_truncation_reads_both_conditions_at_degree_zero(nu, e):
     level = energy_closed_form(0, SystemParams(e, nu))
     minus, plus = (heun_params_case2(SystemParams(e, nu, parity=parity), level.E, level.lam)
                    for parity in (-1, 1))
-    assert heunc_poly_degree(minus, 1e-8) == heunc_poly_degree(plus, 1e-8) == 0
+    assert _heunc_poly_degree(minus, 1e-8) == _heunc_poly_degree(plus, 1e-8) == 0
     degree, coeffs = heunc_truncation(minus)
     assert degree == 0 and coeffs.tolist() == [1.0]
     with pytest.raises(InvalidParams, match="open"):

@@ -12,8 +12,8 @@ from .model import (ANALYTIC_ROUTES, EnergyLevel, MixingCase, StandardVars,
                     quantization_residuals, solve_quantization, standard_vars)
 from .oracle import (frobenius_start, integrate_radial, scan_brackets,
                      shoot_energy)
-from .routes import (RadialGrid, RadialSolution, count_nodes, default_grid,
-                     normalize, residual, solve_heun_full, solve_mixed_case1,
+from .routes import (RadialGrid, RadialSolution, default_grid, normalize,
+                     residual, solve_heun_full, solve_mixed_case1,
                      solve_mixed_case2, solve_standard)
 from .specfun import (HeunCParams, KummerParams, heunc, heunc_derivative,
                       heunc_second_derivative, heunc_series_coefficients,

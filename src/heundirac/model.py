@@ -43,7 +43,8 @@ class SystemParams:
     Subcritical coupling 0 <= e < nu is required so that the origin
     exponent sqrt(nu^2 - e^2) is real; e = nu exactly (critical coupling)
     is rejected.  e = 0 is admitted for limit checks, but supports no
-    bound states.
+    bound states.  The mass lies in [1e-300, 1e300]: near 1e305 E + m
+    overflows, and near 1e-310 the radial grid does.
     """
 
     e: float
@@ -52,8 +53,8 @@ class SystemParams:
     parity: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise InvalidParams(f"mass must be positive, got {self.m}")
+        if not 1e-300 <= self.m <= 1e300:
+            raise InvalidParams(f"mass must be in [1e-300, 1e300], got {self.m}")
         if int(self.nu) != self.nu or self.nu < 1:
             raise InvalidParams(f"nu must be a positive integer, got {self.nu}")
         if not (0 <= self.e < self.nu):
@@ -210,19 +211,19 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
                       c_plus, c_minus, s_plus, s_minus)
 
 
-def _map_floats(case_id: str, params: SystemParams, E: float, lam: float, e: float,
-                nu: int, m_eff: float) -> tuple[float, float, float]:
-    """(alpha, delta, eta) of the case's rotated map (_rotated_heun_params),
-    e, nu and m_eff those of params; raises InvalidParams where the case-1
-    singular point diverges or a parameter is not finite."""
+def _map_floats(case_id: str, params: SystemParams, E: float,
+                lam: float) -> tuple[float, float, float]:
+    """(alpha, delta, eta) of the case's rotated map (_rotated_heun_params);
+    raises InvalidParams where the case-1 singular point diverges or a
+    parameter is not finite."""
     sin_a, cos_a, _, _, X = _rotation(case_id, params, E, lam)
     if not math.isfinite(X):
         raise InvalidParams(
             "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
         )
     alpha = 2.0 * (-lam * X)
-    delta = 2.0 * e * E * X
-    eta = 1.0 + m_eff * X * sin_a - delta - nu * cos_a
+    delta = 2.0 * params.e * E * X
+    eta = 1.0 + params.m_eff * X * sin_a - delta - params.nu * cos_a
     if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(eta)):
         raise InvalidParams("Heun parameters must be finite")
     return alpha, delta, eta
@@ -240,8 +241,7 @@ def _rotated_heun_params(params: SystemParams, E: float, lam: float,
         alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
         eta = 1 + m_eff X sin A - 2eEX - nu cos A.
     """
-    alpha, delta, eta = _map_floats(case_id, params, E, lam, params.e, params.nu,
-                                    params.m_eff)
+    alpha, delta, eta = _map_floats(case_id, params, E, lam)
     return HeunCParams(alpha, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
 
 
@@ -332,8 +332,11 @@ def standard_vars(params: SystemParams, E: float, lam: float) -> StandardVars:
         raise InvalidParams(f"mu = e m/lam and eps = e E/lam need lam > 0, got lam={lam}")
     mu = params.e * params.m / lam
     eps = params.e * E / lam
-    a_frob = math.sqrt(eps * eps - mu * mu + params.nu ** 2)
-    return StandardVars(lam, mu, eps, a_frob)
+    radicand = eps * eps - mu * mu + params.nu ** 2
+    if not radicand >= 0.0:   # cancelled below 0, or inf - inf
+        raise InvalidParams(f"a_frob = sqrt(eps^2 - mu^2 + nu^2) has no real value at "
+                            f"eps={eps}, mu={mu}: the radicand is {radicand}")
+    return StandardVars(lam, mu, eps, math.sqrt(radicand))
 
 
 def quantized_routes(params: SystemParams, n: int) -> tuple[str, ...]:
@@ -355,21 +358,17 @@ class _ConditionTerms(NamedTuple):
 
     case_id: str | None   # the Heun route's rotation case; None for standard
     params: SystemParams
-    e: float
-    nu: int
-    m_eff: float
     n_a: float   # the map's n + (beta+gamma+2)/2 = n + a; n for standard
 
 
 def _condition_terms(params: SystemParams, n: int, route: str) -> _ConditionTerms:
     """The terms of `route`'s condition at level n; InvalidParams on an unknown route."""
     if route == "standard":
-        return _ConditionTerms(None, params, params.e, params.nu, params.m_eff, n)
+        return _ConditionTerms(None, params, n)
     if route not in _ROUTE_CASES:
         raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
     beta, gamma = 2.0 * params.frobenius_exponent, -2.0   # those of the map
-    return _ConditionTerms(_ROUTE_CASES[route], params, params.e, params.nu, params.m_eff,
-                           n + 0.5 * (beta + gamma + 2.0))
+    return _ConditionTerms(_ROUTE_CASES[route], params, n + 0.5 * (beta + gamma + 2.0))
 
 
 def _route_condition(E: float, lam: float, terms: _ConditionTerms) -> float:
@@ -377,11 +376,11 @@ def _route_condition(E: float, lam: float, terms: _ConditionTerms) -> float:
     standard, delta + (n + a)*alpha of the route's map for the Heun routes,
     from the map's own alpha and delta (_map_floats), so it raises the map's
     errors where the map raises."""
-    case_id, params, e, nu, m_eff, n_a = terms
+    case_id, params, n_a = terms
     if case_id is None:
         sv = standard_vars(params, E, lam)
         return sv.eps - sv.a_frob - n_a
-    alpha, delta, _ = _map_floats(case_id, params, E, lam, e, nu, m_eff)
+    alpha, delta, _ = _map_floats(case_id, params, E, lam)
     return delta + n_a * alpha
 
 
@@ -464,10 +463,10 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     t = min(e/nu, hi/2), then steps that quarter t (or its gap to hi) until
     the sign changes, bracket the root without evaluating either end; Brent's
     method (_brentq) closes the bracket to full double precision, in about 7
-    evaluations per solve.  The route's rotation case, n + a, e, nu and m_eff
-    are formed once per solve (_condition_terms), so each evaluation is one
-    call of _route_condition, the arithmetic of this route's condition alone:
-    no parameter map is built.  Non-convergence of either stage, or a NaN
+    evaluations per solve.  The route's rotation case and n + a are formed
+    once per solve (_condition_terms), so each evaluation is one call of
+    _route_condition, the arithmetic of this route's condition alone: no
+    parameter map is built.  Non-convergence of either stage, or a NaN
     condition, raises NoConvergence.
 
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +

@@ -432,19 +432,3 @@ def normalize(solution: RadialSolution) -> RadialSolution:
         if f[lead] < 0:
             scale = -scale
     return replace(solution, f=scale * f, g=scale * g)
-
-
-def count_nodes(solution: RadialSolution, component: str = "f",
-                rel_floor: float = 1e-9) -> int:
-    """Interior zeros of a component, counted as sign changes.
-
-    Samples below rel_floor of the component's maximum are ignored so the
-    empty exponential tail contributes no spurious crossings.
-    """
-    y = solution.f if component == "f" else solution.g
-    ymax = np.max(np.abs(y))
-    if ymax == 0:
-        return 0
-    keep = y[np.abs(y) > rel_floor * ymax]
-    signs = np.sign(keep)
-    return int(np.sum(signs[1:] != signs[:-1]))

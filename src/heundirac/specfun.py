@@ -37,12 +37,13 @@ alpha*n + u + v of the c_{n-1} coupling vanish, which is exactly
     delta = -(n + (beta+gamma+2)/2) * alpha;
 
 it is equation k = n+1 of the recurrence with c_{n+1} = c_{n+2} = 0.  The
-backward recurrence then imposes c_{n+1} = 0, c_n = 1 and solves equations
-k = n..1 downward, the stable direction for the coefficients of a
-terminating series (they are the minimal solution of the forward
-recurrence).  Only equation k = 0 is left: the accessory condition
-(beta+1) c_1 = -u c_0 on eta, accepted within the rounding noise of u.
-At n = 0 no recurrence runs, and it reads u = 0.
+backward pass then imposes c_{n+1} = 0, c_n = 1, solves equations
+k = n..1 downward for c_{n-1}..c_0 and divides by c_0; downward is the
+stable direction for the coefficients of a terminating series (they are
+the minimal solution of the forward recurrence).  Only equation k = 0 is
+left: the accessory condition (beta+1) c_1 = -u c_0 on eta, accepted
+within the rounding noise of u.  At n = 0 no recurrence runs, and it
+reads u = 0.  heunc_truncation applies both conditions.
 """
 
 from __future__ import annotations
@@ -279,74 +280,46 @@ def heunc_series_coefficients(p: HeunCParams, count: int) -> np.ndarray:
     return c
 
 
-def _backward_coefficients(p: HeunCParams, degree: int) -> np.ndarray:
-    """Coefficients c_0..c_degree of a terminating series, backward recurrence.
-
-    Imposes c_{degree+1} = 0 and c_degree = 1, solves the recurrence
-    equations k = degree..1 downward, then normalizes c_0 = 1.  Stable
-    because the decaying coefficients are the dominant solution in this
-    direction; equation k = 0, the accessory condition, is left unchecked.
-    """
-    u, s = _residue_combinations(p)
-    c = np.zeros(degree + 1)
-    c[degree] = 1.0
-    above = 0.0  # c_{k+1}
-    for k in range(degree, 0, -1):
-        bk = k * (k + p.beta + p.gamma + 1.0 - p.alpha) - u
-        ck = p.alpha * (k - 1.0) + s
-        below = ((k + 1.0) * (k + p.beta + 1.0) * above - bk * c[k]) / ck
-        above = c[k]
-        c[k - 1] = below
-    return c / c[0]
-
-
-def _heunc_poly_degree(p: HeunCParams, tol: float = 1e-12):
-    """Degree n if delta = -(n + (beta+gamma+2)/2)*alpha holds within tol.
-
-    Checks only the first of the two polynomial conditions; truncation of
-    the actual series additionally needs the accessory condition, which
-    heunc_truncation checks on the backward recurrence.  Returns None
-    when no non-negative integer satisfies the condition.
-    """
-    if p.alpha == 0.0:
-        raise InvalidParams("degree condition requires alpha != 0")
-    n_real = -p.delta / p.alpha - 0.5 * (p.beta + p.gamma + 2.0)
-    if not math.isfinite(n_real):
-        return None
-    n = round(n_real)
-    if n >= 0 and abs(n_real - n) <= tol:
-        return n
-    return None
-
-
 def heunc_truncation(p: HeunCParams):
     """The polynomial the series ends in, as (degree, c_0..c_degree).
 
-    The degree condition alpha*n + u + v = 0 picks n (at alpha = 0 it can
-    pick only n = 0, when u + v = 0); no n below MAX_TERMS, the term budget,
-    means an open series: InvalidParams.  Then the accessory condition,
-    equation k = 0, (beta+1) c_1 = -u c_0, must hold within 1e-6 of the
-    rounding noise of u, which exceeds u itself by ~1/e^2 at weak coupling:
+    The degree condition delta = -(n + (beta+gamma+2)/2) alpha picks n
+    within DEGREE_DETECT_TOL (at alpha = 0 it can pick only n = 0, when
+    u + v = 0); no n in 0 <= n < MAX_TERMS, the term budget, means an open
+    series: InvalidParams.  Then the accessory condition, equation k = 0,
+    (beta+1) c_1 = -u c_0, must hold within 1e-6 of the rounding noise of
+    u, which exceeds u itself by ~1/e^2 at weak coupling:
 
     * at n = 0 no recurrence runs and c_1 = c_{n+1} = 0, so it reads u = 0
       on the parameters; off it the series is open: InvalidParams;
-    * at n >= 1, c_1 comes from the backward recurrence to degree n, which
+    * at n >= 1, c_1 comes from the backward pass (module docstring), which
       also has to stay finite.  A failure cannot tell a series that is no
       polynomial from a pass that lost its digits: NoConvergence.
     """
     u, s = _residue_combinations(p)
     if p.alpha == 0.0:
-        n = 0 if s == 0.0 else None
+        n_real = 0.0 if s == 0.0 else math.nan
     else:
-        n = _heunc_poly_degree(p, DEGREE_DETECT_TOL)
+        n_real = -p.delta / p.alpha - 0.5 * (p.beta + p.gamma + 2.0)
+    n = round(n_real) if math.isfinite(n_real) else -1
     bound = 1e-6 * _u_magnitude(p)
-    if n is None or n >= MAX_TERMS or n == 0 and not abs(u) <= bound:
+    if (not (0 <= n < MAX_TERMS and abs(n_real - n) <= DEGREE_DETECT_TOL)
+            or n == 0 and not abs(u) <= bound):
         raise InvalidParams(f"the confluent Heun series of {p} is open (no polynomial); "
                             "only polynomials are evaluated")
     if n == 0:
         return 0, np.array([1.0])
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    above = 0.0  # c_{k+1}
     with np.errstate(all="ignore"):
-        c = _backward_coefficients(p, n)
+        for k in range(n, 0, -1):
+            bk = k * (k + p.beta + p.gamma + 1.0 - p.alpha) - u
+            ck = p.alpha * (k - 1.0) + s
+            below = ((k + 1.0) * (k + p.beta + 1.0) * above - bk * c[k]) / ck
+            above = c[k]
+            c[k - 1] = below
+        c = c / c[0]
     if np.all(np.isfinite(c)) and abs(c[1] + u / (p.beta + 1.0)) <= bound / abs(p.beta + 1.0):
         return n, c
     raise NoConvergence(f"backward recurrence to degree {n} gives c_1 = {c[1]:.6e}, "

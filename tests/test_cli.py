@@ -455,6 +455,14 @@ CONTRACT_BREAKS = [
     # lam = m e / sqrt(N^2 + e^2) underflows to 0: the level has no grid
     (("wavefunction", "--coupling", "1e-30", "--n", "1", "--n-max", "1"), "mass", "1e-300",
      "the decay constant m e / sqrt(N^2 + e^2) underflows to 0"),
+    # masses past the admitted range: E + m overflows near 1e305, and the
+    # radial grid near 1e-310
+    (("spectrum", "--coupling", "0.5", "--n-max", "3"), "mass", "1e308",
+     "mass must be in [1e-300, 1e300]"),
+    (("verify", "--coupling", "0.5", "--n-max", "1"), "mass", "1e308",
+     "mass must be in [1e-300, 1e300]"),
+    (BASE_ARGV["wavefunction"], "mass", "1e305", "mass must be in [1e-300, 1e300]"),
+    (BASE_ARGV["spectrum"], "mass", "1e-310", "mass must be in [1e-300, 1e300]"),
 ]
 
 
@@ -477,12 +485,13 @@ def test_input_outside_the_contract_exits_2(capsys, tmp_path, base, option, valu
     assert "Traceback" not in err
 
 
-# Masses at which m^2 - E^2 is no normal double, and a coupling at which
-# m - E is 5e-15 m: each level carries its exact lam, so each answers.
+# Masses at which m^2 - E^2 is no normal double, the two ends of the mass
+# range, and a coupling at which m - E is 5e-15 m: each level carries its
+# exact lam, so each answers.
 EDGE_OF_RANGE = [
     *((base, "mass", m) for base in (("spectrum", "--coupling", "0.5"),
                                      ("verify", "--coupling", "0.5", "--n-max", "1"))
-      for m in ("1e-300", "1e-160", "1e200")),
+      for m in ("1e-300", "1e-160", "1e200", "1e300")),
     *((base, "coupling", "1e-7") for base in (("spectrum", "--n-max", "1", "--route", "standard"),
                                             ("verify", "--n-max", "1"))),
 ]

@@ -13,12 +13,16 @@ from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        standard_vars)
 from heundirac.model import (ANALYTIC_ROUTES, HEUN_MAPS, level_bracket, level_channel,
                              quantized_routes, require_level)
-from heundirac.specfun import _heunc_poly_degree
 
 
 def at(p, E):
     """(E, lam) of an arbitrary bound energy E, lam from E by the oracle's formula."""
     return E, p.decay_constant(E)
+
+
+def _n_real(hp):
+    """The n that solves the degree condition delta = -(n + (beta+gamma+2)/2) alpha."""
+    return -hp.delta / hp.alpha - 0.5 * (hp.beta + hp.gamma + 2.0)
 
 
 def test_system_params_validation():
@@ -172,7 +176,7 @@ def test_case1_map_satisfies_degree_condition_at_level():
     p = SystemParams(0.5, 1)
     level = energy_closed_form(1, p)
     hp = heun_params_case1(p, level.E, level.lam)
-    assert _heunc_poly_degree(hp, 1e-9) == 1
+    assert abs(_n_real(hp) - 1) <= 1e-9
 
 
 def test_case2_map_gamma_and_degree():
@@ -180,7 +184,7 @@ def test_case2_map_gamma_and_degree():
     level = energy_closed_form(2, p)
     hp = heun_params_case2(p, level.E, level.lam)
     assert hp.gamma == -2.0
-    assert _heunc_poly_degree(hp, 1e-9) == 2
+    assert abs(_n_real(hp) - 2) <= 1e-9
     p0 = SystemParams(0.0, 1)
     hp0 = heun_params_case2(p0, *at(p0, 0.9))
     assert hp0.delta == 0.0
@@ -195,7 +199,7 @@ def test_full_map_values_at_ground_level():
     hp = heun_params_full(p, E, lam)
     # degree condition at n=0: E e / sqrt(m^2-E^2) = sqrt(nu^2-e^2)
     assert E * 0.5 / lam == pytest.approx(math.sqrt(0.75), rel=1e-12)
-    assert _heunc_poly_degree(hp, 1e-9) == 0
+    assert abs(_n_real(hp)) <= 1e-9
 
 
 def test_full_map_identities():
@@ -219,7 +223,7 @@ def test_heun_maps_truncate_at_the_level_degree(e, nu, parity):
         maps = (heun_params_case2, heun_params_full) + ((heun_params_case1,) if n else ())
         for build in maps:
             hp = build(p, level.E, level.lam)
-            assert _heunc_poly_degree(hp, 1e-13) == n, (build.__name__, n)
+            assert abs(_n_real(hp) - n) <= 1e-13, (build.__name__, n)
             try:
                 degree = heunc_truncation(hp)[0]
             except NoConvergence:
@@ -364,6 +368,16 @@ def test_standard_vars_guards_against_lambda_underflow():
     for lam in (0.0, math.nan):
         with pytest.raises(InvalidParams, match="need lam > 0"):
             standard_vars(p, p.m, lam)
+
+
+@pytest.mark.parametrize("p,t", [(SystemParams(0.5, 1, 1e150), 1e-8),
+                                 (SystemParams(0.5, 1, 1e150), 1e-300),
+                                 (SystemParams(math.nextafter(3.0, 0.0), 3), 1e-8)])
+def test_standard_vars_rejects_a_radicand_below_0_or_nan(p, t):
+    # far below a level's t, eps^2 - mu^2 + nu^2 cancels below 0 (t = 1e-8)
+    # or is inf - inf (t = 1e-300): no a_frob, and no bare ValueError
+    with pytest.raises(InvalidParams, match="the radicand is (-|nan)"):
+        standard_vars(p, p.m * math.sqrt((1.0 - t) * (1.0 + t)), p.m * t)
 
 
 @settings(max_examples=50, deadline=None)
@@ -665,5 +679,6 @@ def test_the_condition_is_the_map_residual_at_the_edges(p):
                     == expected, (n, route, E, lam)
                 if isinstance(expected, tuple):
                     raised.add(expected[1].split(" ")[0])
-    # the case-1 divergence, E = 0 in case 2, lam = 0, and non-finite parameters
-    assert {"case-1", "case", "mu", "Heun"} <= raised
+    # the case-1 divergence, E = 0 in case 2, lam = 0, non-finite parameters,
+    # and no real a_frob
+    assert {"case-1", "case", "mu", "Heun", "a_frob"} <= raised

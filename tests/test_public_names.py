@@ -7,7 +7,7 @@ import heundirac
 PUBLIC_NAMES = [
     "ANALYTIC_ROUTES", "EnergyLevel", "HeunCParams", "HeunDiracError", "InvalidParams",
     "KummerParams", "MixingCase", "NoConvergence", "RadialGrid", "RadialSolution",
-    "StandardVars", "SystemParams", "count_nodes", "default_grid", "energy_closed_form",
+    "StandardVars", "SystemParams", "default_grid", "energy_closed_form",
     "frobenius_start", "heun_params_case1", "heun_params_case2", "heun_params_full",
     "heunc", "heunc_derivative", "heunc_second_derivative",
     "heunc_series_coefficients", "heunc_truncation", "integrate_radial", "kummer",
@@ -21,5 +21,5 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(heundirac).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 38
     assert names == PUBLIC_NAMES

@@ -15,7 +15,6 @@ from heundirac import (HeunCParams, InvalidParams, KummerParams, NoConvergence,
                        heunc_second_derivative, heunc_series_coefficients,
                        heunc_truncation, kummer)
 from heundirac import specfun
-from heundirac.specfun import _heunc_poly_degree
 from heundirac.model import level_channel
 from heundirac.specfun import (heunc_ode_residual, horner, kummer_ode_residual,
                                kummer_series_coefficients)
@@ -264,6 +263,11 @@ def _physical_params(n, nu, e):
     return heun_params_full(p, level.E, level.lam)
 
 
+def _n_real(hp):
+    """The n that solves the degree condition delta = -(n + (beta+gamma+2)/2) alpha."""
+    return -hp.delta / hp.alpha - 0.5 * (hp.beta + hp.gamma + 2.0)
+
+
 # H = 1 + z: the degree condition delta = -(1 + (beta+gamma+2)/2) alpha and
 # the accessory condition (beta+1) c_1 = -u with u = -2 hold exactly
 ONE_PLUS_Z = HeunCParams(1.5, 1.0, -2.0, -2.25, 5.0)
@@ -326,18 +330,16 @@ def test_heunc_derivative_matches_finite_difference():
 
 
 def test_heunc_poly_degree_direct():
-    assert _heunc_poly_degree(HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0), 1e-12) == 1
-    assert _heunc_poly_degree(HeunCParams(2.0, 1.0, -2.0, -2.5, 0.0), 1e-12) is None
+    assert abs(_n_real(HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0)) - 1) <= 1e-12
+    off = HeunCParams(2.0, 1.0, -2.0, -2.5, 0.0)
+    assert abs(_n_real(off) - round(_n_real(off))) > 1e-12
+    with pytest.raises(InvalidParams, match="open"):
+        heunc_truncation(off)
 
 
 def test_heunc_poly_degree_at_quantized_level():
     hp = _physical_params(3, 2, 0.4)
-    assert _heunc_poly_degree(hp, 1e-10) == 3
-
-
-def test_heunc_poly_degree_requires_nonzero_alpha():
-    with pytest.raises(InvalidParams):
-        _heunc_poly_degree(HeunCParams(0.0, 1.0, -2.0, 0.0, 0.0), 1e-12)
+    assert abs(_n_real(hp) - 3) <= 1e-10
 
 
 def test_heunc_rejects_negative_integer_beta():
@@ -386,14 +388,15 @@ def test_heunc_truncation_collapses_at_quantized_levels():
     assert np.max(np.abs(raw[3:])) < 1e-12 * np.max(np.abs(raw[:3]))
 
 
-def test_heunc_truncation_raises_where_the_backward_head_disagrees(monkeypatch):
-    # no forward-head fallback: a backward pass that does not reproduce the
-    # forward c_1 is no polynomial to return
+def test_heunc_truncation_raises_where_the_backward_head_disagrees():
+    # no forward-head fallback: with eta nudged off the level, the degree
+    # condition still picks n = 2, but the backward pass does not reproduce
+    # the forward c_1, and there is no polynomial to return
     hp = _physical_params(2, 1, 0.5)
-    monkeypatch.setattr(specfun, "_backward_coefficients",
-                        lambda p, degree: np.array([1.0, 0.5, 0.25]))
+    nudged = hp._replace(eta=hp.eta + 1e-3)
+    assert abs(_n_real(nudged) - 2) <= 1e-12
     with pytest.raises(NoConvergence, match="backward recurrence to degree 2"):
-        heunc_truncation(hp)
+        heunc_truncation(nudged)
 
 
 def test_heunc_truncation_overflow_raises_without_a_warning():
@@ -407,7 +410,7 @@ def test_heunc_truncation_overflow_raises_without_a_warning():
 def test_heunc_truncation_rejects_a_degree_without_its_accessory_condition():
     # delta = -3 picks n = 1, but eta = 0 misses (beta+1) c_1 = -u c_0
     hp = HeunCParams(2.0, 1.0, -2.0, -3.0, 0.0)
-    assert _heunc_poly_degree(hp, 1e-12) == 1
+    assert abs(_n_real(hp) - 1) <= 1e-12
     with pytest.raises(NoConvergence, match="backward recurrence to degree 1"):
         heunc_truncation(hp)
 
@@ -420,7 +423,7 @@ def test_heunc_truncation_reads_both_conditions_at_degree_zero(nu, e):
     level = energy_closed_form(0, SystemParams(e, nu))
     minus, plus = (heun_params_case2(SystemParams(e, nu, parity=parity), level.E, level.lam)
                    for parity in (-1, 1))
-    assert _heunc_poly_degree(minus, 1e-8) == _heunc_poly_degree(plus, 1e-8) == 0
+    assert abs(_n_real(minus)) <= 1e-8 and abs(_n_real(plus)) <= 1e-8
     degree, coeffs = heunc_truncation(minus)
     assert degree == 0 and coeffs.tolist() == [1.0]
     with pytest.raises(InvalidParams, match="open"):

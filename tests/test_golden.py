@@ -48,6 +48,11 @@ GOLDENS = {
     "wavefunction_standard_n0.csv": ("wavefunction", "--route", "standard", "--n", "0",
                                      "--n-max", "0", "--parity", "-1", "--grid-points", "50",
                                      "--coupling", "0.5", "--format", "csv"),
+    # the shooting oracle's amplitudes, on a grid cut at 15/lam_1 (repr), inside
+    # the window where the growing mode has not overtaken the bound state
+    "wavefunction_oracle_n1.csv": ("wavefunction", "--route", "oracle", "--coupling", "0.5",
+                                   "--n", "1", "--n-max", "1", "--r-max", "57.9555495773441",
+                                   "--grid-points", "50", "--format", "csv"),
 }
 
 
@@ -72,3 +77,21 @@ def test_oracle_golden_is_within_1e13_of_the_closed_form():
             N = int(cells[0]) + (1 - e * e).sqrt()
             ref = 1 / (1 + e * e / (N * N)).sqrt()
             assert abs(Decimal(cells[4]) - ref) / ref < Decimal("1e-13")
+
+
+def test_oracle_wavefunction_golden_is_within_1e9_of_the_standard_route(tmp_path):
+    # the oracle integrates the system without the analytic formulas: on the
+    # same grid its normalized table is the standard route's, to 6e-11
+    def table(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith(("#", "r,"))]
+        return [[float(cell) for cell in row] for row in rows]
+
+    argv = list(GOLDENS["wavefunction_oracle_n1.csv"])
+    argv[argv.index("oracle")] = "standard"
+    assert main([*argv, "--no-timestamp", "--out", str(tmp_path / "standard.csv")]) == EXIT_OK
+    oracle, standard = table(DATA / "wavefunction_oracle_n1.csv"), table(tmp_path / "standard.csv")
+    assert [row[0] for row in oracle] == [row[0] for row in standard] and len(oracle) == 50
+    for column in (1, 2):
+        peak = max(abs(row[column]) for row in standard)
+        assert max(abs(a[column] - b[column]) for a, b in zip(oracle, standard)) < 1e-9 * peak

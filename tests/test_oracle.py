@@ -1,5 +1,6 @@
 """Tests for the shooting-method cross-check."""
 
+import dataclasses
 import math
 import warnings
 
@@ -90,13 +91,13 @@ def test_integration_off_eigenvalue_grows():
 def test_integration_stops_at_grid_end(monkeypatch):
     # a grid ending at 15/lam is not integrated on to the 40/lam limit
     ends = []
-    propagators = oracle._propagators
+    steps = oracle._steps
 
-    def spy(unit, E, t):
+    def spy(unit, t):
         ends.append(math.exp(t.max()))
-        return propagators(unit, E, t)
+        return steps(unit, t)
 
-    monkeypatch.setattr(oracle, "_propagators", spy)
+    monkeypatch.setattr(oracle, "_steps", spy)
     p = SystemParams(0.5, 1)
     E = energy_closed_form(1, p).E
     lam = p.decay_constant(E)
@@ -205,6 +206,126 @@ def test_shoot_evaluation_budget(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_shoot_builds_the_step_geometry_once(monkeypatch):
+    # the nodes depend on params and lam_ref alone: one shoot builds the steps
+    # of its two Richardson members once, however many energies Brent tries,
+    # and the level label reuses them
+    built, evaluations, labels = [], [], []
+    steps, mismatch, node_label = oracle._steps, oracle._mismatch, oracle._node_label
+
+    def counted_steps(unit, t):
+        built.append(t.shape)
+        return steps(unit, t)
+
+    def counted_mismatch(*args):
+        evaluations.append(len(built))
+        return mismatch(*args)
+
+    def counted_label(*args):
+        before = len(built)
+        n = node_label(*args)
+        labels.append(len(built) - before)
+        return n
+
+    monkeypatch.setattr(oracle, "_steps", counted_steps)
+    monkeypatch.setattr(oracle, "_mismatch", counted_mismatch)
+    monkeypatch.setattr(oracle, "_node_label", counted_label)
+    p = SystemParams(0.5, 1)
+    assert shoot_energy(p, *level_bracket(p, 1)).n == 1
+    assert built == [(2, oracle.STEPS + 1), (2, 2 * oracle.STEPS + 1)]
+    assert len(evaluations) > 2 and set(evaluations) == {2}
+    assert labels == [0]
+
+
+def test_bracket_scan_builds_the_step_geometry_once(monkeypatch):
+    built = []
+    steps = oracle._steps
+
+    def counted_steps(unit, t):
+        built.append(t.shape)
+        return steps(unit, t)
+
+    monkeypatch.setattr(oracle, "_steps", counted_steps)
+    assert len(scan_brackets(SystemParams(0.5, 1), points=20)) >= 1
+    assert built == [(2, oracle.STEPS + 1), (2, 2 * oracle.STEPS + 1)]
+
+
+def _one_pass_propagators(unit, E, t):
+    """The Magnus propagators as formed before the step geometry was split
+    out: every quantity from the nodes at each energy, and cos, sinc, expm1
+    on every step, both branches picked by np.where."""
+    nu, e, m_eff = unit.nu, unit.e, unit.m_eff
+    h = np.diff(t)
+    mid, half = t[..., :-1] + 0.5 * h, (math.sqrt(3.0) / 6.0) * h
+    r1, r2 = np.exp(mid - half), np.exp(mid + half)
+    rs, rd = r1 + r2, (math.sqrt(3.0) / 12.0) * h * h * (r2 - r1)
+    a = -nu * h - 2.0 * e * m_eff * rd
+    b = -0.5 * h * ((E + m_eff) * rs + 2.0 * e) - 2.0 * nu * (E + m_eff) * rd
+    c = 0.5 * h * ((E - m_eff) * rs + 2.0 * e) - 2.0 * nu * (E - m_eff) * rd
+    q2 = a * a + b * c
+    q = np.sqrt(np.abs(q2))
+    hyperbolic = q2 > 0.0
+    ell = np.where(hyperbolic, q, 0.0)
+    decay = np.expm1(-2.0 * ell)
+    cosh = np.where(hyperbolic, 1.0 + 0.5 * decay, np.cos(q))
+    sinh = np.where(hyperbolic, -0.5 * decay / np.where(hyperbolic, q, 1.0),
+                    np.sinc(q / math.pi))
+    return np.array([[cosh + sinh * a, sinh * b], [sinh * c, cosh - sinh * a]]), ell, q2
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("nu, e", [(1, 0.5), (3, ALPHA), (2, 1.9)])
+@pytest.mark.parametrize("parity", (1, -1))
+def test_split_steps_are_the_one_pass_propagators_bit_for_bit(nu, e, parity, monkeypatch):
+    # hyperbolic and oscillatory steps on both legs at a level and off it; and
+    # q = 0 (where sinc takes its stand-in for 0) on steps of length 0 and on
+    # steps of +-1e-170, whose q^2 underflows to 0 while Omega does not
+    nodes, steps = [], oracle._steps
+    monkeypatch.setattr(oracle, "_steps", lambda unit, t: nodes.append(t) or steps(unit, t))
+    p = SystemParams(e, nu, parity=parity)
+    unit = dataclasses.replace(p, m=1.0)
+    E1, E2 = energy_closed_form(1, p).E, energy_closed_form(2, p).E
+    oracle._shooting_legs(p, p.decay_constant(E1))
+    tiny = np.array([[0.0, 0.0, 1e-170, 3e-170, 3.0], [0.0, -1e-170, -1e-170, -2e-170, -3.0]])
+    branches = set()
+    for t in [*nodes, tiny]:
+        for E in (E1, 0.7 * E1 + 0.3 * E2, 0.2):
+            M, ell = oracle._propagators(unit, E, steps(unit, t))
+            M_ref, ell_ref, q2 = _one_pass_propagators(unit, E, t)
+            assert _bits(M) == _bits(M_ref) and _bits(ell) == _bits(ell_ref)
+            branches |= {"hyperbolic"} if np.any(q2 > 0.0) else set()
+            branches |= {"oscillatory"} if np.any(q2 < 0.0) else set()
+            branches |= {"q = 0"} if np.any((q2 == 0.0) & (np.diff(t) != 0.0)) else set()
+    assert branches == {"hyperbolic", "oscillatory", "q = 0"}
+
+
+@pytest.mark.parametrize("parity", (1, -1))
+@pytest.mark.parametrize("nu", (1, 2, 3))
+def test_shared_richardson_product_is_two_products_bit_for_bit(nu, parity):
+    # one product over both members stacked, after pairing the 2N member's
+    # steps once, against a product of each member on its own
+    for e in (1e-3, ALPHA, 0.5, 0.95 * nu):
+        p = SystemParams(e, nu, parity=parity)
+        E1, E2 = energy_closed_form(1, p).E, energy_closed_form(2, p).E
+        legs = oracle._shooting_legs(p, p.decay_constant(E1))
+        unit, members = legs
+        for E in (E1, 0.7 * E1 + 0.3 * E2):
+            coarse, fine = (oracle._propagators(unit, E, steps)[0] for steps in members)
+            shared = oracle._product(np.stack((coarse, oracle._pair(fine)), 2))
+            apart = np.stack((oracle._product(coarse), oracle._product(fine)), 2)
+            assert _bits(shared) == _bits(apart)
+            seeds = oracle._seeds(unit, E)
+            phi = []
+            for P in (oracle._product(coarse), oracle._product(fine)):
+                f, g = np.einsum("ij...,j...->i...", P, seeds)
+                phi.append((g[0] * f[1] - f[0] * g[1])
+                           / (math.hypot(f[0], g[0]) * math.hypot(f[1], g[1])))
+            assert oracle._mismatch(E, p, legs).hex() == ((16.0 * phi[1] - phi[0]) / 15.0).hex()
+
+
 @pytest.mark.parametrize("m", (1e-150, 1e-20, 1e-16, 0.51099895, 938.272, 1e150))
 def test_shooting_is_scale_free_in_the_mass(m):
     # the shooting legs run in units of 1/m, so every mass sees the same
@@ -300,9 +421,9 @@ def test_shoot_names_a_nan_of_the_matched_functional(monkeypatch, calls):
     # NaN at the lower end, the upper end or an inner step: not "same sign"
     mismatch, energies = oracle._mismatch, []
 
-    def nan_after(E, params, lam_ref):
+    def nan_after(E, params, legs):
         energies.append(E)
-        return math.nan if len(energies) > calls else mismatch(E, params, lam_ref)
+        return math.nan if len(energies) > calls else mismatch(E, params, legs)
 
     monkeypatch.setattr(oracle, "_mismatch", nan_after)
     p = SystemParams(0.5, 1)

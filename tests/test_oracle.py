@@ -1,6 +1,5 @@
 """Tests for the shooting-method cross-check."""
 
-import dataclasses
 import math
 import warnings
 
@@ -251,9 +250,9 @@ def test_bracket_scan_builds_the_step_geometry_once(monkeypatch):
 
 
 def _one_pass_propagators(unit, E, t):
-    """The Magnus propagators as formed before the step geometry was split
-    out: every quantity from the nodes at each energy, and cos, sinc, expm1
-    on every step, both branches picked by np.where."""
+    """The reference for _steps + _propagators, bit for bit: every quantity
+    formed from the nodes in one pass, and cos, sinc and expm1 run on every
+    step, each branch picked by np.where."""
     nu, e, m_eff = unit.nu, unit.e, unit.m_eff
     h = np.diff(t)
     mid, half = t[..., :-1] + 0.5 * h, (math.sqrt(3.0) / 6.0) * h
@@ -286,9 +285,8 @@ def test_split_steps_are_the_one_pass_propagators_bit_for_bit(nu, e, parity, mon
     nodes, steps = [], oracle._steps
     monkeypatch.setattr(oracle, "_steps", lambda unit, t: nodes.append(t) or steps(unit, t))
     p = SystemParams(e, nu, parity=parity)
-    unit = dataclasses.replace(p, m=1.0)
     E1, E2 = energy_closed_form(1, p).E, energy_closed_form(2, p).E
-    oracle._shooting_legs(p, p.decay_constant(E1))
+    unit, _ = oracle._shooting_legs(p, p.decay_constant(E1))
     tiny = np.array([[0.0, 0.0, 1e-170, 3e-170, 3.0], [0.0, -1e-170, -1e-170, -2e-170, -3.0]])
     branches = set()
     for t in [*nodes, tiny]:
@@ -315,11 +313,11 @@ def test_shared_richardson_product_is_two_products_bit_for_bit(nu, parity):
         for E in (E1, 0.7 * E1 + 0.3 * E2):
             coarse, fine = (oracle._propagators(unit, E, steps)[0] for steps in members)
             shared = oracle._product(np.stack((coarse, oracle._pair(fine)), 2))
-            apart = np.stack((oracle._product(coarse), oracle._product(fine)), 2)
-            assert _bits(shared) == _bits(apart)
+            apart = oracle._product(coarse), oracle._product(fine)
+            assert _bits(shared) == _bits(np.stack(apart, 2))
             seeds = oracle._seeds(unit, E)
             phi = []
-            for P in (oracle._product(coarse), oracle._product(fine)):
+            for P in apart:
                 f, g = np.einsum("ij...,j...->i...", P, seeds)
                 phi.append((g[0] * f[1] - f[0] * g[1])
                            / (math.hypot(f[0], g[0]) * math.hypot(f[1], g[1])))

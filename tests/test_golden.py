@@ -48,6 +48,12 @@ GOLDENS = {
     "wavefunction_standard_n0.csv": ("wavefunction", "--route", "standard", "--n", "0",
                                      "--n-max", "0", "--parity", "-1", "--grid-points", "50",
                                      "--coupling", "0.5", "--format", "csv"),
+    # the Heun routes at parity -1: the nodeless level, where mixed1 builds F
+    # from G and mixed2 carries the state in F alone, and n = 2
+    **{f"wavefunction_{route}_parity_minus_n{n}.csv": (
+        "wavefunction", "--route", route, "--parity", "-1", "--n", str(n), "--n-max", str(n),
+        "--coupling", "0.5", "--grid-points", "50", "--format", "csv")
+       for route in ("mixed1", "mixed2", "heun") for n in (0, 2)},
     # the shooting oracle's amplitudes, on a grid cut at 15/lam_1 (repr), inside
     # the window where the growing mode has not overtaken the bound state
     "wavefunction_oracle_n1.csv": ("wavefunction", "--route", "oracle", "--coupling", "0.5",

@@ -413,6 +413,78 @@ def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
     assert np.array_equal(s_wsum, np.ldexp(wsum, -k))
 
 
+def _one_pass_stencil(r):
+    """The stencil as built in one pass per weight: each node difference
+    formed again for every weight that reads it."""
+    n = len(r)
+    half = 3 if n >= 9 else 2
+    width = 2 * half + 1
+    exp = -np.frexp(r[half:n - half])[1]
+    nodes = [np.ldexp(r[j:n - width + 1 + j], exp) for j in range(width)]
+    centers = nodes[half]
+    weights = {}
+    wsum = np.zeros_like(centers)
+    for j in range(width):
+        if j == half:
+            continue
+        num, den = np.ones_like(centers), np.ones_like(centers)
+        for k in range(width):
+            if k != j and k != half:
+                num *= centers - nodes[k]
+            if k != j:
+                den *= nodes[j] - nodes[k]
+        weights[j] = np.ldexp(num / den, exp)
+        wsum += weights[j]
+    return half, weights, wsum
+
+
+def _one_pass_residual(solution, stencil):
+    """The system residual as formed one array expression at a time."""
+    half, weights, wsum = stencil
+    r = solution.grid.r
+    peak = np.max(np.abs(solution.f) + np.abs(solution.g))
+    f, g = solution.f / peak, solution.g / peak
+    params, E, m = solution.params, solution.E, solution.params.m
+
+    def derivative(y):
+        total = np.zeros_like(wsum)
+        for j, w in weights.items():
+            total += w * y[j:len(y) - 2 * half + j]
+        total -= wsum * y[half:len(y) - half]
+        return total
+
+    df, dg = (derivative(y) / m for y in (f, g))
+    mr, fi, gi = (y[half:len(r) - half] for y in (m * r, f, g))
+    w = E / m + params.e / mr
+    res1 = df + (params.nu / mr) * fi + (w + params.parity) * gi
+    res2 = dg - (params.nu / mr) * gi - (w - params.parity) * fi
+    scale = np.abs(fi) + np.abs(gi) + routes.RESIDUAL_FLOOR
+    return float(max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("points, r_min", [
+    *((points, None) for points in (5, 8, 9, 50, 2000, 20000)),
+    # starting far inside the Frobenius region, where the rows' power-of-two
+    # scaling keeps the products of node differences in range
+    (2000, 1e-300)])
+def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(points, r_min):
+    p = params_for(1)
+    grid = default_grid(energy_closed_form(1, p).lam, points=points, r_min=r_min)
+    half, weights, wsum = grid._stencil
+    ref_half, ref_weights, ref_wsum = stencil = _one_pass_stencil(grid.r)
+    assert half == ref_half and list(weights) == list(ref_weights)
+    for j, w in weights.items():
+        assert np.array_equal(_bits(w), _bits(ref_weights[j]))
+    assert np.array_equal(_bits(wsum), _bits(ref_wsum))
+    for solver in ALL_SOLVERS:
+        sol = solver(p, 1, grid=grid)
+        assert _bits(residual(sol)) == _bits(_one_pass_residual(sol, stencil))
+
+
 @pytest.mark.parametrize("m", (0.51099895, 2.0, 938.272, 1e-150, 1e150, 1e-300, 1e300))
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=ANALYTIC_ROUTES)
 def test_residual_is_dimensionless(solver, m):

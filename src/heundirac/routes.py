@@ -40,8 +40,9 @@ The nodeless n = 0 level exists only in the negative-parity channel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,26 +99,58 @@ class RadialGrid:
         # the products of up to 6 differences stay in range at any radii
         exp = -np.frexp(r[half:n - half])[1]
         nodes = [np.ldexp(r[j:n - width + 1 + j], exp) for j in range(width)]
-        centers = nodes[half]
+        # each node difference x_a - x_b formed once, for a < b: x_b - x_a is
+        # its negation, and a product or quotient takes the signs of its
+        # factors exactly, so each weight's sign is counted apart
+        pairs = [(a, b) for a in range(width) for b in range(a + 1, width)]
+        diff = dict(zip(pairs, np.empty((len(pairs), len(nodes[half])))))
+        for a, b in pairs:
+            np.subtract(nodes[a], nodes[b], out=diff[a, b])
+
+        def product(pairs):
+            """The product of x_a - x_b over (a, b) in pairs, in their order,
+            with the sign of each a > b factor left out, and their number."""
+            first, second, *rest = (diff[min(pair), max(pair)] for pair in pairs)
+            out = first * second
+            for factor in rest:
+                out *= factor
+            return out, sum(a > b for a, b in pairs)
+
         weights = {}
-        wsum = np.zeros_like(centers)
+        wsum = np.zeros_like(nodes[half])
         for j in range(width):
             if j == half:
                 continue
-            num, den = np.ones_like(centers), np.ones_like(centers)
-            for k in range(width):
-                if k != j and k != half:
-                    num *= centers - nodes[k]
-                if k != j:
-                    den *= nodes[j] - nodes[k]
-            weights[j] = np.ldexp(num / den, exp)
+            num, num_flips = product([(half, k) for k in range(width) if k not in (j, half)])
+            den, den_flips = product([(j, k) for k in range(width) if k != j])
+            num /= den
+            if (num_flips + den_flips) % 2:
+                np.negative(num, out=num)
+            weights[j] = np.ldexp(num, exp, out=num)
             wsum += weights[j]
         return half, weights, wsum
 
 
+class _Frame(NamedTuple):
+    """A rotation case's amplitudes (F, G) of a level on the radii r, with
+    its MixingCase and the coefficients of the Heun polynomial that F is
+    built from (None at the case-1 nodeless level, where F has none).
+    df() and dg() form dF/dr and dG/dr when called, so a solve that reads
+    neither pays for neither; case 0 has no dg."""
+
+    r: np.ndarray
+    f: np.ndarray
+    df: Callable[[], np.ndarray]
+    g: np.ndarray
+    dg: Callable[[], np.ndarray] | None
+    case: MixingCase
+    heun: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class RadialSolution:
-    """A wavefunction pair on a grid, with its energy E and provenance."""
+    """A wavefunction pair on a grid, with its energy E and provenance; a
+    rotated-frame route keeps the _Frame it was rotated from."""
 
     grid: RadialGrid
     f: np.ndarray
@@ -125,6 +158,7 @@ class RadialSolution:
     E: float
     route: str
     params: SystemParams
+    _frame: _Frame | None = field(default=None, repr=False, compare=False)
 
 
 def default_grid(lam: float, points: int = GRID_POINTS,
@@ -178,13 +212,19 @@ def _envelope(lam: float, a: float, r: np.ndarray) -> np.ndarray:
 def _enveloped(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
                r: np.ndarray):
     """P = pref p(k r), with pref a multiple of _envelope(lam, a, r) and p
-    the polynomial with coefficients `coeffs`, plus dP/dr.  Raises
-    InvalidParams where k r overflows on the grid (r positive and increasing)."""
+    the polynomial with coefficients `coeffs`, and a function that forms
+    dP/dr when called (_slope).  Raises InvalidParams where k r overflows on
+    the grid (r positive and increasing)."""
     if not math.isfinite(abs(k) * float(r[-1])):
         raise InvalidParams(f"the polynomial variable k r overflows: k={k}, r_max={r[-1]}")
+    return pref * horner(coeffs, k * r), partial(_slope, pref, coeffs, k, lam, a, r)
+
+
+def _slope(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
+           r: np.ndarray) -> np.ndarray:
+    """dP/dr of the P = pref p(k r) of _enveloped."""
     z = k * r
-    pv = horner(coeffs, z)
-    return pref * pv, pref * ((a / r - lam) * pv + k * horner(coeffs, z, 1))
+    return pref * ((a / r - lam) * horner(coeffs, z) + k * horner(coeffs, z, 1))
 
 
 # ----------------------------------------------------------------------
@@ -235,10 +275,16 @@ def _solve_rotated(parts, route: str, params: SystemParams, n: int,
                    grid: RadialGrid | None) -> RadialSolution:
     """Rotate a case's (F, G) back to (f, g) by the half angle A/2."""
     level, grid = _level_grid(params, n, grid)
-    _, f_part, _, g_part, _, case = parts(params, level, grid.r)
-    f = case.cos_half * f_part + case.sin_half * g_part
-    g = -case.sin_half * f_part + case.cos_half * g_part
-    return RadialSolution(grid, f, g, level.E, route, params)
+    frame = parts(params, level, grid.r)
+    case = frame.case
+    f = case.cos_half * frame.f + case.sin_half * frame.g
+    g = -case.sin_half * frame.f + case.cos_half * frame.g
+    return RadialSolution(grid, f, g, level.E, route, params, frame)
+
+
+def _formed(frame: _Frame):
+    """(r, F, dF/dr, G, dG/dr, case) of a frame, its derivatives formed."""
+    return frame.r, frame.f, frame.df(), frame.g, frame.dg(), frame.case
 
 
 def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
@@ -267,14 +313,14 @@ def f_from_g(case: MixingCase, params: SystemParams, r: np.ndarray,
     return num / (case.c_minus + case.s_minus / r)
 
 
-def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
-    """Case-0 amplitudes of level: (r, F, dF/dr, G, None, case); dG/dr is not formed."""
+def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Frame:
+    """Case-0 frame of level, G by g_from_f."""
     E, lam, a = level.E, level.lam, params.frobenius_exponent
     case = mixing_case("0", params, E, lam)
     heun = _heun_polynomial(heun_params_full(params, E, lam), level.n)
-    f_part, df_part = _enveloped(_envelope(lam, a, r), heun, 1.0 / case.singular_point,
-                                 lam, a, r)
-    return r, f_part, df_part, g_from_f(case, params, r, f_part, df_part), None, case
+    f_part, df = _enveloped(_envelope(lam, a, r), heun, 1.0 / case.singular_point,
+                            lam, a, r)
+    return _Frame(r, f_part, df, g_from_f(case, params, r, f_part, df()), None, case, heun)
 
 
 def solve_heun_full(params: SystemParams, n: int,
@@ -283,14 +329,14 @@ def solve_heun_full(params: SystemParams, n: int,
     return _solve_rotated(_case0_parts, "heun", params, n, grid)
 
 
-def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
-    """Case-1 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
+def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Frame:
+    """Case-1 frame of level."""
     n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
     case = mixing_case("1", params, E, lam)
 
     pref = _envelope(lam, a, r)
     kummer = _kummer_polynomial(n, 2.0 * a)
-    g_part, dg_part = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
+    g_part, dg = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
 
     if n >= 1:
         R = case.singular_point
@@ -299,19 +345,20 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
         # c_plus = -s_plus/R: match the leading terms r^(a+n) e^(-lam r)
         t = (-case.s_plus * kummer[-1] * (2.0 * lam * R) ** n
              / (R * heun[-1] * (lam + params.m_eff * case.sin_a)))
-        f_part, df_part = _enveloped(t * pref, heun, 1.0 / R, lam, a, r)
+        f_part, df = _enveloped(t * pref, heun, 1.0 / R, lam, a, r)
     else:
         # nodeless level: R diverges and the series route for F is empty,
         # but the inverse relation collapses to a pure rescaling of G.
+        heun = None
         ratio = (params.m_eff * case.sin_a - lam) / case.c_minus
-        f_part, df_part = ratio * g_part, ratio * dg_part
-    return r, f_part, df_part, g_part, dg_part, case
+        f_part, df = ratio * g_part, lambda: ratio * dg()
+    return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
 def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
     """Case-1 amplitudes of level n: (r, F, dF/dr, G, dG/dr, case)."""
     level, grid = _level_grid(params, n, grid)
-    return _case1_parts(params, level, grid.r)
+    return _formed(_case1_parts(params, level, grid.r))
 
 
 def solve_mixed_case1(params: SystemParams, n: int,
@@ -320,8 +367,8 @@ def solve_mixed_case1(params: SystemParams, n: int,
     return _solve_rotated(_case1_parts, "mixed1", params, n, grid)
 
 
-def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
-    """Case-2 amplitudes of level: (r, F, dF/dr, G, dG/dr, case)."""
+def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Frame:
+    """Case-2 frame of level."""
     n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
     case = mixing_case("2", params, E, lam)
     D = case.singular_point
@@ -333,7 +380,7 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
     n_index = n if params.parity == 1 else n - 1
     if n_index >= 0:
         kummer = _kummer_polynomial(n_index, 2.0 * a + 1.0)
-        g_part, dg_part = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
+        g_part, dg = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
         # as r -> inf, F = f_from_g(G) / G tends to (a + n_index - nu cos A)/s_minus at
         # parity +1 and to -2 lam r/s_minus at parity -1 (m_eff sin A = parity lam):
         # match the leading terms r^(a+n) e^(-lam r)
@@ -345,16 +392,16 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray):
         # nodeless level: the would-be G component is non-normalizable,
         # so its amplitude is exactly zero and F alone carries the state.
         g_part = np.zeros_like(r)
-        dg_part = np.zeros_like(r)
+        dg = partial(np.zeros_like, r)
         t = 1.0
-    f_part, df_part = _enveloped(t * pref, heun, 1.0 / D, lam, a, r)
-    return r, f_part, df_part, g_part, dg_part, case
+    f_part, df = _enveloped(t * pref, heun, 1.0 / D, lam, a, r)
+    return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
 def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
     """Case-2 amplitudes of level n: (r, F, dF/dr, G, dG/dr, case)."""
     level, grid = _level_grid(params, n, grid)
-    return _case2_parts(params, level, grid.r)
+    return _formed(_case2_parts(params, level, grid.r))
 
 
 def solve_mixed_case2(params: SystemParams, n: int,
@@ -375,10 +422,10 @@ ROUTE_SOLVERS = dict(zip(ANALYTIC_ROUTES, (solve_standard, solve_mixed_case1,
 def _central_derivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
     """First derivative of y at the grid's interior points, by its stencil."""
     half, weights, wsum = grid._stencil
-    total = np.zeros_like(wsum)
+    total, term = np.zeros_like(wsum), np.empty_like(wsum)
     for j, w in weights.items():
-        total += w * y[j:len(y) - 2 * half + j]
-    total -= wsum * y[half:len(y) - half]
+        total += np.multiply(w, y[j:len(y) - 2 * half + j], out=term)
+    total -= np.multiply(wsum, y[half:len(y) - half], out=term)
     return total
 
 
@@ -401,13 +448,25 @@ def residual(solution: RadialSolution) -> float:
         return 0.0
     f, g = solution.f / peak, solution.g / peak
     params, E, m = solution.params, solution.E, solution.params.m
-    df, dg = (_central_derivative(solution.grid, y) / m for y in (f, g))
-    mr, fi, gi = (y[half:len(r) - half] for y in (m * r, f, g))
-    w = E / m + params.e / mr
-    res1 = df + (params.nu / mr) * fi + (w + params.parity) * gi
-    res2 = dg - (params.nu / mr) * gi - (w - params.parity) * fi
-    scale = np.abs(fi) + np.abs(gi) + RESIDUAL_FLOOR
-    return float(max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale)))
+    fi, gi = f[half:len(r) - half], g[half:len(r) - half]
+    mr = m * r[half:len(r) - half]
+    nu_mr = params.nu / mr
+    w = np.divide(params.e, mr, out=mr)
+    w += E / m
+    term = np.empty_like(w)
+    # res1 = df + (nu/mr) f + (w + parity) g, res2 = dg - (nu/mr) g - (w - parity) f
+    res1 = np.multiply(nu_mr, fi)
+    res1 += np.divide(_central_derivative(solution.grid, f), m, out=term)
+    res1 += np.multiply(np.add(w, params.parity, out=term), gi, out=term)
+    res2 = _central_derivative(solution.grid, g)
+    res2 /= m
+    res2 -= np.multiply(nu_mr, gi, out=nu_mr)
+    res2 -= np.multiply(np.subtract(w, params.parity, out=w), fi, out=w)
+    scale = np.abs(fi)
+    scale += np.abs(gi, out=term)
+    scale += RESIDUAL_FLOOR
+    return float(max(np.max(np.divide(np.abs(res1, out=res1), scale, out=res1)),
+                     np.max(np.divide(np.abs(res2, out=res2), scale, out=res2))))
 
 
 def normalize(solution: RadialSolution) -> RadialSolution:

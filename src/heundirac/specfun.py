@@ -225,15 +225,23 @@ def horner(coeffs: np.ndarray, x, order: int = 0):
     """order-th derivative of sum_k coeffs[k] x^k by Horner's rule.
 
     x may be a float or an array, and the result is of the same kind; both
-    take the same floating-point operations in the same order.
+    take the same floating-point operations in the same order.  Trailing
+    axes of coeffs (the degree runs along the first) stack polynomials
+    that broadcast against an array x.
     """
     c = coeffs
     for _ in range(order):
-        c = c[1:] * np.arange(1, len(c))
-    acc = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+        c = (c[1:].T * np.arange(1, len(c))).T
+    if not isinstance(x, np.ndarray):
+        acc = 0.0
+        for ck in c[::-1]:
+            acc = acc * x + ck
+        return float(acc)
+    acc = np.zeros(np.broadcast_shapes(x.shape, c.shape[1:]))
     for ck in c[::-1]:
-        acc = acc * x + ck
-    return acc if isinstance(x, np.ndarray) else float(acc)
+        acc *= x
+        acc += ck
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +351,12 @@ def heunc_second_derivative(p: HeunCParams, z: float) -> float:
     return horner(heunc_truncation(p)[1], z, 2)
 
 
-def heunc_ode_residual(p: HeunCParams, z):
-    """Scaled residual of the canonical equation at z, a float or an array
-    (one truncation serves every z).
+def heunc_ode_residual(p, z, coeffs=None):
+    """Scaled residual of the canonical equation at z, a float or an array.
 
+    p is one parameter set, or a sequence of them that stacks along a
+    leading axis of the result; coeffs is the polynomial of each, as
+    heunc_truncation gives it, truncated here (once for every z) if omitted.
     Plugs (H, H', H'') from the polynomial into the canonical form and
     divides by the largest term magnitude, so the result measures
     internal consistency of the recurrence against the equation.  An open
@@ -354,20 +364,37 @@ def heunc_ode_residual(p: HeunCParams, z):
     """
     if np.any(z == 0.0) or np.any(z == 1.0):
         raise InvalidParams("residual is evaluated away from the singular points")
-    coeffs = heunc_truncation(p)[1]
-    h, h1, h2 = (horner(coeffs, z, order) for order in range(3))
+    single = isinstance(p, HeunCParams)
+    maps = [p] if single else list(p)
+    if coeffs is None:
+        coeffs = [heunc_truncation(hp)[1] for hp in maps]
+    elif single:
+        coeffs = [coeffs]
+    # one map per column of the coefficients (degree down the first axis)
+    # and per entry of each parameter, broadcast against z
+    z_arr = np.asarray(z, dtype=float)
+    column = (len(maps),) + (1,) * z_arr.ndim
+    c = np.zeros((max(map(len, coeffs)),) + column)
+    for i, ci in enumerate(coeffs):
+        c[:len(ci), i] = ci.reshape((-1,) + column[1:])
+    # the maps' fields stacked alike (each map was validated when it was built)
+    p = HeunCParams._make(a.reshape(column) for a in np.array(maps, dtype=float).T)
+    h, h1, h2 = (horner(c, z_arr, order) for order in range(3))
     u, s = _residue_combinations(p)
     v = s - u
-    t_first = (p.alpha + (p.beta + 1.0) / z + (p.gamma + 1.0) / (z - 1.0)) * h1
-    t_zero = (u / z + v / (z - 1.0)) * h
+    t_first = (p.alpha + (p.beta + 1.0) / z_arr + (p.gamma + 1.0) / (z_arr - 1.0)) * h1
+    t_zero = (u / z_arr + v / (z_arr - 1.0)) * h
     res = h2 + t_first + t_zero
     # Backward-error scale: magnitudes of the assembled coefficient
     # pieces, so that solutions annihilating individual terms (e.g. the
     # constant polynomial) are still measured against O(1) ingredients.
     u_mag = _u_magnitude(p)
     v_mag = u_mag + abs(p.delta)
-    first_mag = (abs(p.alpha) + abs(p.beta + 1.0) / abs(z)
-                 + abs(p.gamma + 1.0) / abs(z - 1.0)) * abs(h1)
-    zero_mag = (u_mag / abs(z) + v_mag / abs(z - 1.0)) * abs(h)
+    first_mag = (abs(p.alpha) + abs(p.beta + 1.0) / abs(z_arr)
+                 + abs(p.gamma + 1.0) / abs(z_arr - 1.0)) * abs(h1)
+    zero_mag = (u_mag / abs(z_arr) + v_mag / abs(z_arr - 1.0)) * abs(h)
     scale = np.maximum(np.maximum(abs(h2), first_mag), np.maximum(zero_mag, 1e-300))
-    return abs(res) / scale if isinstance(z, np.ndarray) else float(abs(res) / scale)
+    out = abs(res) / scale
+    if not single:
+        return out
+    return out[0] if isinstance(z, np.ndarray) else float(out[0])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,12 @@ from .routes import ROUTE_SOLVERS
 COLLAPSE_TOL = 1e-12
 COLLAPSE_WINDOW = 6
 
-# Grids and solutions of each level, kept by run_verification while it runs
-# so its checks build and solve them once; None outside a run.
+# The _Level of each (params, n), kept by run_verification while it runs so
+# that its checks form, build and solve each level once; None outside a run.
 _store: ContextVar[dict | None] = ContextVar("verify_store", default=None)
+
+# Points at which heunc_ode_residual checks each Heun map.
+_HEUNC_Z = np.array([-0.7, -0.3, 0.3, 0.6])
 
 #: (name, check, route tags) of every check, in report order
 ALL_CHECKS: list = []
@@ -51,23 +55,61 @@ def _result(name, dev, tol, detail=""):
     return CheckResult(name, bool(dev < tol), float(dev), float(tol), detail)
 
 
+class _Level:
+    """Level n of a request as its checks share it: the channel p that holds
+    it (level_channel) and its closed-form energy E and decay constant lam,
+    formed with it, and, each built when first read, its default grid, each
+    route's solution on that grid and its Heun maps.  What raises is built
+    again when next read, so it raises for each check that reads it."""
+
+    def __init__(self, params, n):
+        self.p, self.n = level_channel(params, n), n
+        level = energy_closed_form(n, self.p)
+        self.E, self.lam = level.E, level.lam
+        self.solutions = {}
+
+    @cached_property
+    def grid(self):
+        require_level(self.p, self.n)
+        return routes.default_grid(self.lam)
+
+    def solution(self, route):
+        """The route's solution, solved once (through ROUTE_SOLVERS)."""
+        if route not in self.solutions:
+            self.solutions[route] = ROUTE_SOLVERS[route](self.p, self.n, grid=self.grid)
+        return self.solutions[route]
+
+    @cached_property
+    def maps(self):
+        """{route: Heun parameter map} at (E, lam) of each Heun route that has
+        a quantization condition at the level: every check reads them here."""
+        return {route: build(self.p, self.E, self.lam) for route, build in HEUN_MAPS.items()
+                if route in quantized_routes(self.p, self.n)}
+
+    def polynomial(self, route):
+        """Coefficients of the route's Heun polynomial: the ones its solve
+        truncated, or, before a solve, truncated here."""
+        if route in self.solutions:
+            return self.solutions[route]._frame.heun
+        return specfun.heunc_truncation(self.maps[route])[1]
+
+
 def _levels(params, first, n_max):
-    """(channel, n, E, lam) of each level n = first..n_max: the channel that
-    holds it (level_channel) and its closed-form energy and decay constant."""
+    """The _Level of each n = first..n_max, formed once per run."""
+    store = {} if _store.get() is None else _store.get()
     for n in range(first, n_max + 1):
-        p = level_channel(params, n)
-        level = energy_closed_form(n, p)
-        yield p, n, level.E, level.lam
+        if (params, n) not in store:
+            store[params, n] = _Level(params, n)
+        yield store[params, n]
 
 
 def _check(name, tags, tol=None, first=0):
     """Register the decorated check in ALL_CHECKS as (name, check, tags).
 
     Without tol it is a whole-run check(params, n_max, tol).  With tol it
-    is the body(p, n, E, lam) of a per-level check, yielding the deviations
-    of level n in its channel p at its closed-form energy E and decay
-    constant lam; the check built here, check(params, n_max, tol=tol), runs
-    the levels n = first..n_max of _levels and reports the running maximum,
+    is the body(level) of a per-level check, yielding the deviations of a
+    _Level; the check built here, check(params, n_max, tol=tol), runs the
+    levels n = first..n_max of _levels and reports the running maximum,
     taken in the order yielded.  A NaN deviation is reported as the
     maximum, so that the check fails.
     """
@@ -79,7 +121,7 @@ def _check(name, tags, tol=None, first=0):
                     return _result(name, 0.0, tol, f"no n >= {first} level requested")
                 dev = 0.0
                 for level in _levels(params, first, n_max):
-                    for value in fn(*level):
+                    for value in fn(level):
                         if value > dev or math.isnan(value):
                             dev = value
                 return _result(name, dev, tol)
@@ -90,35 +132,8 @@ def _check(name, tags, tol=None, first=0):
     return register
 
 
-def _heun_maps(p, n, E, lam):
-    """{route: Heun parameter map} at (E, lam) of each Heun route that has a
-    quantization condition at level n of channel p: every check reads a
-    level's maps from here."""
-    return {route: build(p, E, lam) for route, build in HEUN_MAPS.items()
-            if route in quantized_routes(p, n)}
-
-
-def _level(p, n, lam):
-    """(default grid, solutions so far) of level n of channel p, kept for
-    the rest of the running verification (built afresh outside a run)."""
-    store = {} if _store.get() is None else _store.get()
-    if (p, n) not in store:
-        require_level(p, n)
-        store[p, n] = routes.default_grid(lam), {}
-    return store[p, n]
-
-
-def _level_solutions(p, n, lam):
-    """(route, solution) of level n for every route, each solved once per run."""
-    grid, solved = _level(p, n, lam)
-    for route, solver in ROUTE_SOLVERS.items():
-        if route not in solved:
-            solved[route] = solver(p, n, grid=grid)
-        yield route, solved[route]
-
-
 @_check("scaled_variable_identities", ANALYTIC_ROUTES, 1e-12)
-def check_scaled_variable_identities(p, n, E, lam):
+def check_scaled_variable_identities(level):
     """mu^2 - eps^2 = e^2 and a_frob = sqrt(nu^2 - e^2) at every level.
 
     mu^2 - eps^2 = e^2 (m^2 - E^2)/lam^2, so the first identity is
@@ -126,6 +141,7 @@ def check_scaled_variable_identities(p, n, E, lam):
     mu^2 - eps^2 itself cancels to e^2 from terms of size N^2 + e^2 at weak
     coupling.  Where t^2 is below the rounding of E this ties E to lam, not
     lam to E; the quantization checks tie lam through eps = e E/lam."""
+    p, E, lam = level.p, level.E, level.lam
     sv = standard_vars(p, E, lam)
     t = lam / p.m
     yield abs(E / p.m - math.sqrt((1.0 - t) * (1.0 + t)))
@@ -134,60 +150,62 @@ def check_scaled_variable_identities(p, n, E, lam):
 
 
 @_check("mixing_case_identities", ("mixed1", "mixed2"), 1e-14)
-def check_mixing_cases(p, n, E, lam):
+def check_mixing_cases(level):
     """Angle identities of both rotation cases at every level."""
     for cid in ("1", "2"):
-        c = mixing_case(cid, p, E, lam)
+        c = mixing_case(cid, level.p, level.E, level.lam)
         yield abs(c.sin_a ** 2 + c.cos_a ** 2 - 1.0)
         yield abs(c.cos_half ** 2 + c.sin_half ** 2 - 1.0)
         yield abs(2.0 * c.cos_half * c.sin_half - abs(c.sin_a))
 
 
 @_check("singular_point_consistency", ("mixed2",), 1e-14)
-def check_singular_point_consistency(p, n, E, lam):
+def check_singular_point_consistency(level):
     """Both printed forms of the case-2 singular point, -(e + nu sin A)/(2 m_eff cos A)
     and -(e + nu sin A)/(2E), agree: the case-2 angle condition sets m_eff cos A = E."""
-    case = mixing_case("2", p, E, lam)
-    d_a = -case.s_plus / (2.0 * p.m_eff * case.cos_a)
+    case = mixing_case("2", level.p, level.E, level.lam)
+    d_a = -case.s_plus / (2.0 * level.p.m_eff * case.cos_a)
     yield abs(d_a - case.singular_point) / abs(d_a)
 
 
 @_check("parameter_map_identities", ("mixed1", "mixed2", "heun"), 1e-12)
-def check_parameter_map_identities(p, n, E, lam):
+def check_parameter_map_identities(level):
     """gamma = -2 in every Heun map of the level; delta + eta = 1 - nu_s for
     the full map."""
-    maps = _heun_maps(p, n, E, lam)
-    for hp in maps.values():
+    for hp in level.maps.values():
         yield abs(hp.gamma + 2.0)
-    hp = maps["heun"]
+    hp, p = level.maps["heun"], level.p
     yield abs(hp.delta + hp.eta - (1.0 - p.parity * p.nu))
 
 
 @_check("spectrum_route_equality", ANALYTIC_ROUTES, 1e-12)
-def check_spectrum_routes(p, n, E, lam):
+def check_spectrum_routes(level):
     """Each route's root-found energy matches the closed form of the level."""
+    p, n, E = level.p, level.n, level.E
     for route in quantized_routes(p, n):
         yield abs(solve_quantization(p, n, route).E - E) / E
 
 
 @_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
-def check_quantization_residuals(p, n, E, lam):
+def check_quantization_residuals(level):
     """The level's quantization residuals vanish at the closed-form energy."""
-    for value in quantization_residuals(p, E, lam, n, quantized_routes(p, n)).values():
+    p, n = level.p, level.n
+    for value in quantization_residuals(p, level.E, level.lam, n,
+                                        quantized_routes(p, n)).values():
         yield abs(value)
 
 
 @_check("wavefunction_residuals", ANALYTIC_ROUTES, 1e-6)
-def check_wavefunction_residuals(p, n, E, lam):
+def check_wavefunction_residuals(level):
     """Every route's (f, g) satisfies the radial system on the default grid."""
-    for route, sol in _level_solutions(p, n, lam):
-        yield routes.residual(sol)
+    for route in ROUTE_SOLVERS:
+        yield routes.residual(level.solution(route))
 
 
 @_check("cross_route_agreement", ANALYTIC_ROUTES, 1e-6)
-def check_cross_route_agreement(p, n, E, lam):
+def check_cross_route_agreement(level):
     """Normalized (f, g) agree pointwise across all four routes."""
-    normed = {route: routes.normalize(sol) for route, sol in _level_solutions(p, n, lam)}
+    normed = {route: routes.normalize(level.solution(route)) for route in ROUTE_SOLVERS}
     ref = normed["standard"]
     fs, gs = np.max(np.abs(ref.f)), np.max(np.abs(ref.g))
     for sol in normed.values():
@@ -196,24 +214,25 @@ def check_cross_route_agreement(p, n, E, lam):
 
 
 @_check("operator_closure", ("mixed1",), 1e-6, first=1)
-def check_operator_closure(p, n, E, lam):
-    """Case-1 first-order maps close: F -> G pointwise, and F -> G -> F
-    proportional to the identity."""
-    r, f_part, df_part, g_part, dg_part, case = routes.mixed1_parts(
-        p, n, _level(p, n, lam)[0])
-    g_implied = routes.g_from_f(case, p, r, f_part, df_part)
+def check_operator_closure(level):
+    """Case-1 first-order maps close on the parts that the mixed1 solve
+    built: F -> G pointwise, and F -> G -> F proportional to the identity."""
+    p = level.p
+    r, f_part, df, g_part, dg, case, _ = level.solution("mixed1")._frame
+    g_implied = routes.g_from_f(case, p, r, f_part, df())
     yield float(np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)))
-    f_back = routes.f_from_g(case, p, r, g_part, dg_part)
+    f_back = routes.f_from_g(case, p, r, g_part, dg())
     mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
     ratios = f_back[mask] / f_part[mask]
     yield float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0)))
 
 
 @_check("coefficient_ratio", ("standard",), 1e-12, first=1)
-def check_coefficient_ratio(p, n, E, lam):
+def check_coefficient_ratio(level):
     """Both first-order equations give the standard route's C1/C2 alike,
     (nu_s - mu_s)/n = -(a + eps)/(nu_s + mu_s), by nu^2 - mu^2 = a^2 - eps^2 (checked too)."""
-    sv = standard_vars(p, E, lam)
+    p, n = level.p, level.n
+    sv = standard_vars(p, level.E, level.lam)
     mu_s, nu_s = p.parity * sv.mu, float(p.nu)
     first = (nu_s - mu_s) / n
     second = -(sv.a_frob + sv.eps) / (nu_s + mu_s)
@@ -258,10 +277,12 @@ def check_kummer_relations(params, n_max, tol=1e-10):
 
 
 @_check("heunc_ode_residual", ("mixed1", "mixed2", "heun"), 1e-8)
-def check_heunc_ode_residual(p, n, E, lam):
-    """Heun series satisfies the canonical equation at every Heun map of the level."""
-    for hp in _heun_maps(p, n, E, lam).values():
-        yield np.max(specfun.heunc_ode_residual(hp, np.array([-0.7, -0.3, 0.3, 0.6])))
+def check_heunc_ode_residual(level):
+    """Heun series satisfies the canonical equation at every Heun map of the
+    level, all maps in one array pass."""
+    maps = level.maps
+    yield from np.max(specfun.heunc_ode_residual(
+        list(maps.values()), _HEUNC_Z, [level.polynomial(route) for route in maps]), axis=1)
 
 
 @_check("truncation_audit", ("mixed1", "mixed2", "heun"))
@@ -273,8 +294,9 @@ def check_truncation_audit(params, n_max, tol=math.inf):
     second one holds numerically."""
     notes = []
     worst = 0.0
-    for p, n, E, lam in _levels(params, 0, n_max):
-        for name, hp in _heun_maps(p, n, E, lam).items():
+    for level in _levels(params, 0, n_max):
+        n = level.n
+        for name, hp in level.maps.items():
             coeffs = specfun.heunc_series_coefficients(hp, n + 1 + COLLAPSE_WINDOW)
             head = float(np.max(np.abs(coeffs[:n + 1])))
             beyond = float(np.max(np.abs(coeffs[n + 1:])))
@@ -286,9 +308,10 @@ def check_truncation_audit(params, n_max, tol=math.inf):
 
 
 @_check("oracle_spectrum", ("oracle",), 1e-8)
-def check_oracle_spectrum(p, n, E, lam):
+def check_oracle_spectrum(level):
     """Shooting energies agree with the closed form for every level."""
-    yield abs(oracle.shoot_energy(p, *level_bracket(p, n)).E - E) / E
+    E = level.E
+    yield abs(oracle.shoot_energy(level.p, *level_bracket(level.p, level.n)).E - E) / E
 
 
 def run_verification(params: SystemParams, n_max: int,

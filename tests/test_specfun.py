@@ -516,3 +516,17 @@ def test_heunc_ode_residual_on_an_array_matches_each_z(monkeypatch):
     assert calls == [hp]
     with pytest.raises(InvalidParams, match="away from the singular points"):
         heunc_ode_residual(hp, np.array([0.3, 1.0]))
+
+
+def test_heunc_ode_residual_stacks_maps_bit_for_bit(monkeypatch):
+    # maps of several degrees on a leading axis, each with the polynomial
+    # given: the values of one call per map, and no truncation
+    maps = [_physical_params(n, nu, e) for n, nu, e in ((1, 2, 0.5), (2, 1, 0.5), (5, 2, 0.9))]
+    coeffs = [heunc_truncation(hp)[1] for hp in maps]
+    z = np.array([-0.7, -0.3, 0.3, 0.6, -12.5])
+    each = np.array([heunc_ode_residual(hp, z) for hp in maps])
+    monkeypatch.setattr(specfun, "heunc_truncation", None)
+    stacked = heunc_ode_residual(maps, z, coeffs)
+    assert stacked.shape == (3, 5) and stacked.tobytes() == each.tobytes()
+    assert heunc_ode_residual(maps[1], z, coeffs[1]).tobytes() == each[1].tobytes()
+    assert heunc_ode_residual(maps[2], -12.5, coeffs[2]) == each[2, -1]

@@ -205,8 +205,8 @@ def test_nan_deviation_of_a_level_fails_its_check(n_nan, monkeypatch):
 def test_nan_in_an_array_check_fails_it(evaluator, check, monkeypatch):
     exact = getattr(specfun, evaluator)
 
-    def one_nan(params, x):
-        out = np.array(exact(params, x), dtype=float)
+    def one_nan(params, x, *coeffs):
+        out = np.array(exact(params, x, *coeffs), dtype=float)
         out.flat[out.size // 2] = math.nan
         return out
 
@@ -235,12 +235,15 @@ def test_every_body_sees_the_nodeless_level_at_parity_minus_only(route, monkeypa
 
 @pytest.mark.parametrize("parity", (1, -1))
 def test_heunc_ode_residual_reads_every_quantized_map(parity, monkeypatch):
-    # three Heun maps per level, two at the nodeless level (no mixed1 condition)
+    # three Heun maps per level, two at the nodeless level (no mixed1 condition),
+    # each checked with its own polynomial
     seen, exact = [], specfun.heunc_ode_residual
 
-    def record(hp, z):
-        seen.append(hp)
-        return exact(hp, z)
+    def record(maps, z, coeffs):
+        seen.extend(maps)
+        for hp, c in zip(maps, coeffs, strict=True):
+            assert np.array_equal(c, specfun.heunc_truncation(hp)[1])
+        return exact(maps, z, coeffs)
     monkeypatch.setattr(specfun, "heunc_ode_residual", record)
     assert verify.check_heunc_ode_residual(SystemParams(0.5, 2, parity=parity), 3).passed
     expected = []
@@ -251,3 +254,71 @@ def test_heunc_ode_residual_reads_every_quantized_map(parity, monkeypatch):
         expected += [build(p, level.E, level.lam)
                      for build in ((heun_params_case1,) + maps if n else maps)]
     assert seen == expected
+
+
+# work counts of one run, levels n = 0..4 (n = 0 in the parity -1 channel)
+WORK_PARAMS, WORK_N_MAX = SystemParams(0.5, 2), 4
+
+
+def test_run_builds_the_case1_parts_once_per_level(monkeypatch):
+    # the operator closure reads the parts that the mixed1 solve built
+    built, exact = Counter(), routes._case1_parts
+
+    def counted(params, level, r):
+        built[level.n] += 1
+        return exact(params, level, r)
+    monkeypatch.setattr(routes, "_case1_parts", counted)
+    verify.run_verification(WORK_PARAMS, WORK_N_MAX, "all")
+    assert built == {n: 1 for n in range(WORK_N_MAX + 1)}
+
+
+def test_run_forms_each_level_once(monkeypatch):
+    formed, exact = Counter(), verify.energy_closed_form
+
+    def counted(n, params):
+        formed[n, params.parity] += 1
+        return exact(n, params)
+    monkeypatch.setattr(verify, "energy_closed_form", counted)
+    verify.run_verification(WORK_PARAMS, WORK_N_MAX, "all")
+    assert formed == {(n, -1 if n == 0 else 1): 1 for n in range(WORK_N_MAX + 1)}
+
+
+def test_run_truncates_each_heun_map_once(monkeypatch):
+    # the solve's polynomial serves the ODE check of its map
+    truncated, exact = Counter(), specfun.heunc_truncation
+
+    def counted(hp):
+        truncated[hp] += 1
+        return exact(hp)
+    monkeypatch.setattr(specfun, "heunc_truncation", counted)
+    monkeypatch.setattr(routes, "heunc_truncation", counted)
+    verify.run_verification(WORK_PARAMS, WORK_N_MAX, "all")
+    expected = []
+    for n in range(WORK_N_MAX + 1):
+        p = SystemParams(0.5, 2, parity=-1 if n == 0 else 1)
+        level = energy_closed_form(n, p)
+        maps = (heun_params_case2, heun_params_full)
+        expected += [build(p, level.E, level.lam)
+                     for build in ((heun_params_case1,) + maps if n else maps)]
+    assert truncated == Counter(expected)
+
+
+def test_mixed_solves_form_no_derivative(monkeypatch):
+    # dF/dr and dG/dr are formed only where a relation reads them
+    orders, inside, exact = Counter(), [], specfun.horner
+
+    def counted(coeffs, x, order=0):
+        if inside:
+            orders[order] += 1
+        return exact(coeffs, x, order)
+    monkeypatch.setattr(routes, "horner", counted)
+    for route in ("mixed1", "mixed2"):
+        def solve(*args, _solver=routes.ROUTE_SOLVERS[route], **kwargs):
+            inside.append(True)
+            try:
+                return _solver(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setitem(routes.ROUTE_SOLVERS, route, solve)
+    verify.run_verification(WORK_PARAMS, WORK_N_MAX, "all")
+    assert orders[0] > 0 and set(orders) == {0}

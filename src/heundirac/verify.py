@@ -95,7 +95,8 @@ class _Level:
 
 
 def _levels(params, first, n_max):
-    """The _Level of each n = first..n_max, formed once per run."""
+    """The _Level of each n = first..n_max: the running verification's, each
+    formed once per run; outside a run, formed for this caller alone."""
     store = {} if _store.get() is None else _store.get()
     for n in range(first, n_max + 1):
         if (params, n) not in store:

@@ -25,22 +25,22 @@ from heundirac import SystemParams, verify
 from heundirac.model import ANALYTIC_ROUTES
 
 DATA = Path(__file__).parent / "data" / "verify_deviations.json"
-ELECTRON_MASS = 0.51099895
-# (parity, mass, n_max) of each group of cases
-GROUPS = ((1, 1.0, 4), (-1, 1.0, 8), (1, ELECTRON_MASS, 8))
-CASES = [(e, nu, route, parity, m, n_max)
-         for parity, m, n_max in GROUPS
+N_MAX = 4
+CASES = [(e, nu, route)
          for nu in (1, 2)
          for e in (0.25, 0.5, 0.85 * nu)
          for route in ("all", *ANALYTIC_ROUTES)]
+ELECTRON_MASS = 0.51099895
+# (parity, mass, n_max) of each further group of the same cases
+GROUPS = ((-1, 1.0, 8), (1, ELECTRON_MASS, 8))
 
 
-def _key(e, nu, route, parity, m, n_max):
-    extra = "" if (parity, m, n_max) == GROUPS[0] else f" parity={parity} m={m!r} n_max={n_max}"
+def _key(e, nu, route, parity=1, m=1.0, n_max=N_MAX):
+    extra = "" if (parity, m, n_max) == (1, 1.0, N_MAX) else f" parity={parity} m={m!r} n_max={n_max}"
     return f"e={e!r} nu={nu} route={route}{extra}"
 
 
-def deviations(e, nu, route, parity, m, n_max):
+def deviations(e, nu, route, parity=1, m=1.0, n_max=N_MAX):
     return [{"name": res.name, "max_deviation": repr(res.max_deviation),
              "detail": res.detail}
             for res in verify.run_verification(SystemParams(e, nu, m, parity), n_max, route)]
@@ -51,12 +51,20 @@ def golden():
     return json.loads(DATA.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("e, nu, route, parity, m, n_max", CASES)
-def test_verify_deviations_are_bit_identical(golden, e, nu, route, parity, m, n_max):
-    key = _key(e, nu, route, parity, m, n_max)
-    assert deviations(e, nu, route, parity, m, n_max) == golden[key]
+@pytest.mark.parametrize("e, nu, route", CASES)
+def test_verify_deviations_are_bit_identical(golden, e, nu, route):
+    assert deviations(e, nu, route) == golden[_key(e, nu, route)]
+
+
+@pytest.mark.parametrize("parity, m, n_max", GROUPS)
+@pytest.mark.parametrize("e, nu, route", CASES)
+def test_verify_deviations_are_bit_identical_at_parity_minus_and_electron_mass(
+        golden, e, nu, route, parity, m, n_max):
+    case = (e, nu, route, parity, m, n_max)
+    assert deviations(*case) == golden[_key(*case)]
 
 
 if __name__ == "__main__":
-    doc = {_key(*case): deviations(*case) for case in CASES}
+    cases = [*CASES, *((*case, *group) for group in GROUPS for case in CASES)]
+    doc = {_key(*case): deviations(*case) for case in cases}
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")

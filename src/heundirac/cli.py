@@ -35,15 +35,14 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from importlib import import_module
 from types import SimpleNamespace
 from typing import Callable
 
-from . import oracle, routes, tables, verify
 from .errors import HeunDiracError, InvalidParams, NoConvergence
-from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form,
+from .model import (ANALYTIC_ROUTES, GRID_POINTS, SystemParams, energy_closed_form,
                     level_bracket, level_channel, quantized_routes,
                     require_level, solve_quantization)
-from .routes import ROUTE_SOLVERS as _SOLVERS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,7 +103,7 @@ _OPTIONS = {
     "format": _Option(str, "json", "output format (default json)", _TABLES,
                       ("json", "csv")),
     "out": _Option(str, None, "output file (default stdout)", _ALL),
-    "grid_points": _Option(int, routes.GRID_POINTS, "radial grid size (default 2000)",
+    "grid_points": _Option(int, GRID_POINTS, f"radial grid size (default {GRID_POINTS})",
                            ("wavefunction",)),
     "r_min": _Option(float, None, "grid start radius (default 0.01/lambda)",
                      ("wavefunction",)),
@@ -200,6 +199,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         per_route = {}
         for route in selected:
             if route == "oracle":
+                from . import oracle
                 p = level_channel(params, n)
                 require_level(p, n)
                 per_route[route] = oracle.shoot_energy(p, *level_bracket(p, n))
@@ -229,6 +229,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
+    from . import oracle, routes, tables
     if n > cfg.n_max:
         raise InvalidParams(f"n={n} exceeds n_max={cfg.n_max}")
     route = "standard" if cfg.route == "all" else cfg.route
@@ -239,7 +240,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     if route == "oracle":
         sol = oracle.integrate_radial(params, level.E, grid=grid)
     else:
-        sol = _SOLVERS[route](params, n, grid=grid)
+        sol = routes.ROUTE_SOLVERS[route](params, n, grid=grid)
     sol = routes.normalize(sol)
     res = routes.residual(sol)
     if cfg.format == "csv":
@@ -263,6 +264,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import verify
     params = cfg.system_params()
     results = verify.run_verification(params, cfg.n_max, route=cfg.route,
                                       tol_override=cfg.tol)
@@ -317,6 +319,17 @@ def main(argv: list[str] | None = None) -> int:
     except HeunDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_INVALID_PARAMS
+
+
+def __getattr__(name: str):
+    """oracle, routes, tables, verify and _SOLVERS (routes.ROUTE_SOLVERS),
+    imported on first read (PEP 562).  They import numpy, so each subcommand
+    imports them where it needs them, and an analytic spectrum never does."""
+    if name == "_SOLVERS":
+        return import_module(".routes", __package__).ROUTE_SOLVERS
+    if name in ("oracle", "routes", "tables", "verify"):
+        return import_module(f".{name}", __package__)
+    return object.__getattribute__(sys.modules[__name__], name)  # raises AttributeError
 
 
 if __name__ == "__main__":

@@ -26,14 +26,16 @@ and the quantization-condition residuals that every route must share.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InvalidParams, NoConvergence
-from .specfun import HeunCParams
 
 #: analytic solution routes, in report order
 ANALYTIC_ROUTES = ("standard", "mixed1", "mixed2", "heun")
+#: points of the default radial grid (routes.default_grid, --grid-points)
+GRID_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,25 @@ class StandardVars(NamedTuple):
     mu: float
     eps: float
     a_frob: float
+
+
+class HeunCParams(namedtuple("HeunCParams", "alpha beta gamma delta eta")):
+    """Canonical confluent Heun parameters (alpha, beta, gamma, delta, eta).
+
+    beta must not be a negative integer: the series recurrence (specfun)
+    divides by (k+1)(k+beta+1), so beta in {-1, -2, ...} breaks the
+    regular branch.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta, gamma, delta, eta):
+        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)
+                and math.isfinite(delta) and math.isfinite(eta)):
+            raise InvalidParams("Heun parameters must be finite")
+        if beta <= -1 and beta == math.floor(beta):
+            raise InvalidParams(f"beta={beta} is a negative integer")
+        return super().__new__(cls, alpha, beta, gamma, delta, eta)
 
 
 @dataclass(frozen=True)

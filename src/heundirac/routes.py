@@ -47,15 +47,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParams
-from .model import (ANALYTIC_ROUTES, EnergyLevel, MixingCase, SystemParams,
+from .model import (ANALYTIC_ROUTES, GRID_POINTS, EnergyLevel, MixingCase, SystemParams,
                     energy_closed_form, mixing_case, heun_params_case1, heun_params_case2,
                     heun_params_full, require_level, standard_vars)
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
 
 # Default radial grid: geometric spacing resolves both the r^s origin
-# behavior and the exponential tail.
-GRID_POINTS = 2000
+# behavior and the exponential tail (GRID_POINTS points, from model).
 GRID_RMIN_SCALE = 0.01
 GRID_RMAX_SCALE = 40.0
 _LAM_R_MAX = 745.0   # exp(-745) is the smallest double above 0

@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence
+from .model import HeunCParams
 
 # Integer tolerance of the degree condition that heunc_truncation checks.
 DEGREE_DETECT_TOL = 1e-8
@@ -93,24 +93,6 @@ class KummerParams:
                                                    and abs(a) < abs(c)):
                 raise InvalidParams(f"c={c} is a non-positive integer and the series does "
                                     f"not terminate first (a={a})")
-
-
-class HeunCParams(namedtuple("HeunCParams", "alpha beta gamma delta eta")):
-    """Canonical confluent Heun parameters (alpha, beta, gamma, delta, eta).
-
-    beta must not be a negative integer: the recurrence divides by
-    (k+1)(k+beta+1), so beta in {-1, -2, ...} breaks the regular branch.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, alpha, beta, gamma, delta, eta):
-        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)
-                and math.isfinite(delta) and math.isfinite(eta)):
-            raise InvalidParams("Heun parameters must be finite")
-        if beta <= -1 and beta == math.floor(beta):
-            raise InvalidParams(f"beta={beta} is a negative integer")
-        return super().__new__(cls, alpha, beta, gamma, delta, eta)
 
 
 # ----------------------------------------------------------------------

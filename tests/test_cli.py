@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from heundirac import (ANALYTIC_ROUTES, NoConvergence, SystemParams,
                        energy_closed_form, routes)
-from heundirac.cli import (EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
+from heundirac.cli import (_OPTIONS, EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VERIFY_FAILED, build_parser, main)
 
 
@@ -337,6 +338,16 @@ def test_subcommand_lists_exactly_its_options(capsys, command):
     assert listed == SUBCOMMAND_OPTIONS[command] | {"help", "config"}
 
 
+def test_grid_points_default_is_the_default_grid_size(capsys):
+    # one constant: the --grid-points default, default_grid's and the help text
+    points = inspect.signature(routes.default_grid).parameters["points"].default
+    assert _OPTIONS["grid_points"].default == points == routes.GRID_POINTS == 2000
+    with pytest.raises(SystemExit):
+        main(["wavefunction", "--help"])
+    assert ("  --grid-points GRID_POINTS\n                        radial grid size "
+            "(default 2000)\n") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command,option", UNREAD)
 def test_option_the_subcommand_does_not_read_exits_2(capsys, tmp_path, command, option):
     value = UNREAD_VALUES[option]
@@ -404,6 +415,14 @@ def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _fresh_python(*args):
+    """Run `python *args` in a new interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_no_request_loads_scipy():
     # a fresh interpreter serves an analytic spectrum, a verify run and an
     # oracle spectrum without importing scipy: it would cost ~0.5 s a start
@@ -416,20 +435,48 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*argv, "--coupling", "0.5"]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = _fresh_python("-c", script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_analytic_spectrum_loads_no_numpy(tmp_path):
+    # numpy's import is about half of a spectrum shell call; the numpy
+    # modules load on first use, also after a numpy-free start
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling = 0.25\nroute = mixed2\nn-max = 3\n")
+    script = f"""import contextlib, io, sys
+import heundirac.model
+assert "numpy" not in sys.modules
+import heundirac.cli as cli
+analytic = [(0, ["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4"]),
+            (0, ["spectrum", "--route", "all", "--coupling", "0.5", "--format", "csv"]),
+            (0, ["spectrum", "--route", "heun", "--coupling", "0.5", "--parity", "-1",
+                 "--n-max", "3"]),
+            (0, ["spectrum", "--config", {str(cfg)!r}]),
+            (2, ["spectrum", "--route", "all", "--coupling", "1e-200", "--parity", "-1",
+                 "--n-max", "2"])]
+numpy_served = [(0, ["wavefunction", "--coupling", "0.5", "--n", "1", "--n-max", "1"]),
+                (0, ["verify", "--coupling", "0.5", "--n-max", "1"]),
+                (0, ["spectrum", "--route", "oracle", "--coupling", "0.5", "--n-max", "1"])]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for code, argv in analytic:
+        assert cli.main(argv) == code, argv
+    try:
+        cli.main(["spectrum", "--help"])
+    except SystemExit as exc:
+        help_code = exc.code
+    assert help_code == 0 and "numpy" not in sys.modules
+    for code, argv in numpy_served:
+        assert cli.main(argv) == code, argv
+print("numpy" in sys.modules)
+"""
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
 def test_module_entry_point_rejects_unread_option():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "heundirac", "verify", "--coupling",
-                           "0.5", "--n-max", "1", "--format", "csv"],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _fresh_python("-m", "heundirac", "verify", "--coupling", "0.5", "--n-max", "1",
+                         "--format", "csv")
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID_PARAMS, "")
     assert "unrecognized arguments: --format csv" in proc.stderr
 

@@ -1,8 +1,13 @@
-"""The public surface of the package, pinned name by name."""
+"""The public surface of the package, pinned name by name.
+
+The package loads each name's module on first read, so its namespace holds
+a name only after it is read: the names are read through dir() and __all__.
+"""
 
 import types
 
 import heundirac
+from heundirac import model, specfun
 
 PUBLIC_NAMES = [
     "ANALYTIC_ROUTES", "EnergyLevel", "HeunCParams", "HeunDiracError", "InvalidParams",
@@ -19,7 +24,21 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    names = sorted(name for name, value in vars(heundirac).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    names = sorted(name for name in dir(heundirac) if not name.startswith("_")
+                   and not isinstance(getattr(heundirac, name), types.ModuleType))
     assert len(PUBLIC_NAMES) == 38
-    assert names == PUBLIC_NAMES
+    assert names == PUBLIC_NAMES == sorted(heundirac.__all__)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from heundirac import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(heundirac, "no_such_name")
+
+
+def test_heun_parameters_are_one_class():
+    assert specfun.HeunCParams is model.HeunCParams is heundirac.HeunCParams

@@ -229,7 +229,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
-    from . import oracle, routes, tables
+    from . import routes, tables
     if n > cfg.n_max:
         raise InvalidParams(f"n={n} exceeds n_max={cfg.n_max}")
     route = "standard" if cfg.route == "all" else cfg.route
@@ -238,6 +238,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     level = energy_closed_form(n, params)
     grid = routes.default_grid(level.lam, cfg.grid_points, cfg.r_min, cfg.r_max)
     if route == "oracle":
+        from . import oracle
         sol = oracle.integrate_radial(params, level.E, grid=grid)
     else:
         sol = routes.ROUTE_SOLVERS[route](params, n, grid=grid)

@@ -373,36 +373,63 @@ def quantized_routes(params: SystemParams, n: int) -> tuple[str, ...]:
 _ROUTE_CASES = {"mixed1": "1", "mixed2": "2", "heun": "0"}
 
 
-class _ConditionTerms(NamedTuple):
-    """All that one route's quantization condition at level n reads besides
-    (E, lam), formed once per solve by _condition_terms."""
-
-    case_id: str | None   # the Heun route's rotation case; None for standard
-    params: SystemParams
-    n_a: float   # the map's n + (beta+gamma+2)/2 = n + a; n for standard
-
-
-def _condition_terms(params: SystemParams, n: int, route: str) -> _ConditionTerms:
-    """The terms of `route`'s condition at level n; InvalidParams on an unknown route."""
+def _route_condition(params: SystemParams, n: int, route: str):
+    """`route`'s quantization condition at level n as a function of (E, lam)
+    alone, built once per solve; InvalidParams on an unknown route.  It is the
+    reference's arithmetic (standard_vars' eps - a_frob - n, or delta + (n + a)
+    alpha of the route's map from _map_floats) in the same order, with the
+    rotation case resolved and each term free of E bound here; where the
+    reference raises, the step returns the reference, which raises its error."""
+    e, nu, m, m_eff = params.e, params.nu, params.m, params.m_eff
     if route == "standard":
-        return _ConditionTerms(None, params, n)
+        em, nu2 = e * m, nu ** 2
+
+        def condition(E: float, lam: float) -> float:
+            if lam > 0.0:
+                mu, eps = em / lam, e * E / lam
+                radicand = eps * eps - mu * mu + nu2
+                if radicand >= 0.0:
+                    return eps - math.sqrt(radicand) - n
+            sv = standard_vars(params, E, lam)
+            return sv.eps - sv.a_frob - n
+        return condition
     if route not in _ROUTE_CASES:
         raise InvalidParams(f"unknown route {route!r}; expected one of {ANALYTIC_ROUTES}")
-    beta, gamma = 2.0 * params.frobenius_exponent, -2.0   # those of the map
-    return _ConditionTerms(_ROUTE_CASES[route], params, n + 0.5 * (beta + gamma + 2.0))
+    case_id, two_e = _ROUTE_CASES[route], 2.0 * e
+    n_a = n + 0.5 * (2.0 * params.frobenius_exponent - 2.0 + 2.0)   # beta = 2a, gamma = -2
 
+    def reference(E: float, lam: float) -> float:
+        alpha, delta, _ = _map_floats(case_id, params, E, lam)
+        return delta + n_a * alpha
 
-def _route_condition(E: float, lam: float, terms: _ConditionTerms) -> float:
-    """One route's quantization condition at (E, lam): eps - a_frob - n for
-    standard, delta + (n + a)*alpha of the route's map for the Heun routes,
-    from the map's own alpha and delta (_map_floats), so it raises the map's
-    errors where the map raises."""
-    case_id, params, n_a = terms
-    if case_id is None:
-        sv = standard_vars(params, E, lam)
-        return sv.eps - sv.a_frob - n_a
-    alpha, delta, _ = _map_floats(case_id, params, E, lam)
-    return delta + n_a * alpha
+    if case_id == "2":
+        def condition(E: float, lam: float) -> float:
+            if 0.0 < E <= m:
+                sin_a = lam / m
+                X = -(e + nu * sin_a) / (2.0 * E)   # c_plus = 2E > 0
+                alpha, delta = 2.0 * (-lam * X), two_e * E * X
+                eta = 1.0 + m_eff * X * sin_a - delta - nu * (E / m_eff)
+                if math.isfinite(alpha + delta + eta):   # so is each term, X too
+                    return delta + n_a * alpha
+            return reference(E, lam)
+        return condition
+    # cases 0 and 1: c_plus = E + m, E + m cos A or, at parity -1, _case1_c's
+    if case_id == "0":
+        sin_a, cos_a, s_plus, shift, plus = 0.0, float(params.parity), e, m, True
+    else:
+        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
+        s_plus, shift, plus = two_e, m * cos_a, params.parity == 1
+    nu_cos = nu * cos_a
+
+    def condition(E: float, lam: float) -> float:
+        c_plus = (E + shift if plus
+                  else m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
+        X = -s_plus / c_plus if c_plus != 0.0 else math.inf
+        alpha, delta = 2.0 * (-lam * X), two_e * E * X
+        if math.isfinite(alpha + delta + (1.0 + m_eff * X * sin_a - delta - nu_cos)):
+            return delta + n_a * alpha
+        return reference(E, lam)
+    return condition
 
 
 def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
@@ -417,16 +444,14 @@ def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
     standard: eps - a_frob - n.  For the Heun-based routes the residual is
     delta + (n + (beta+gamma+2)/2)*alpha of the respective parameter map,
     which is exactly the coefficient whose vanishing terminates the
-    series; it is formed from the map's alpha and delta (_map_floats)
-    without building the map, and raises the map's errors.  Each residual
-    is the one that solve_quantization's steps evaluate (_route_condition).
+    series; it is formed without building the map and raises the map's
+    errors.  Each is the step that solve_quantization evaluates (_route_condition).
     All four vanish simultaneously at the closed-form energy; note the
     Heun-route residuals carry route-dependent (negative) prefactors
     relative to the standard one, so their signs differ while their roots
     coincide.
     """
-    return {route: _route_condition(E, lam, _condition_terms(params, n, route))
-            for route in routes}
+    return {route: _route_condition(params, n, route)(E, lam) for route in routes}
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
@@ -484,11 +509,10 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     t = min(e/nu, hi/2), then steps that quarter t (or its gap to hi) until
     the sign changes, bracket the root without evaluating either end; Brent's
     method (_brentq) closes the bracket to full double precision, in about 7
-    evaluations per solve.  The route's rotation case and n + a are formed
-    once per solve (_condition_terms), so each evaluation is one call of
-    _route_condition, the arithmetic of this route's condition alone: no
-    parameter map is built.  Non-convergence of either stage, or a NaN
-    condition, raises NoConvergence.
+    evaluations per solve.  The route's condition is built once per solve
+    (_route_condition), so each evaluation is one call that does only this
+    route's arithmetic: no parameter map is built.  Non-convergence of
+    either stage, or a NaN condition, raises NoConvergence.
 
     hi is 1 but for mixed1 at parity -1, whose multiple carries R = -2e/(E +
     m_eff cos A): its pole, the n = 0 energy m cos A at t = e/nu, is hi, and
@@ -504,7 +528,7 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
             "pole E = m cos A, where R = -2e/(E + m_eff cos A) diverges"
         )
     _level_decay_constant(n, params)
-    terms = _condition_terms(params, n, route)
+    step = _route_condition(params, n, route)
     m = params.m
     sign = 1.0 if route == "standard" else -1.0
     hi = params.e / params.nu if route == "mixed1" and params.parity == -1 else 1.0
@@ -513,8 +537,7 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
 
     def condition(t: float) -> float:
         if t not in values:   # at E = m sqrt((1 - t)(1 + t)), lam = m t
-            values[t] = sign * _route_condition(m * math.sqrt((1.0 - t) * (1.0 + t)), m * t,
-                                                terms)
+            values[t] = sign * step(m * math.sqrt((1.0 - t) * (1.0 + t)), m * t)
         return values[t]
 
     # every level's t = e/sqrt(N^2 + e^2) is at most e/nu, so the first probe

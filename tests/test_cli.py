@@ -474,6 +474,23 @@ print("numpy" in sys.modules)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
+def test_analytic_wavefunction_loads_no_oracle():
+    # the shooting oracle is imported by the oracle route alone
+    script = """import contextlib, io, sys
+import heundirac.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["wavefunction", "--route", "standard", "--coupling", "0.5", "--n", "1",
+                     "--n-max", "1", "--grid-points", "50"])
+assert code == 0 and "heundirac.oracle" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["wavefunction", "--route", "oracle", "--coupling", "0.5", "--n", "1",
+                     "--n-max", "1", "--grid-points", "50"])
+print(code, "heundirac.oracle" in sys.modules)
+"""
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True\n", "")
+
+
 def test_module_entry_point_rejects_unread_option():
     proc = _fresh_python("-m", "heundirac", "verify", "--coupling", "0.5", "--n-max", "1",
                          "--format", "csv")

@@ -36,6 +36,13 @@ GOLDENS = {
     "spectrum_mixed2_parity_minus.json": ("spectrum", "--route", "mixed2", "--n-max", "5",
                                           "--coupling", "0.5", "--parity", "-1",
                                           "--format", "json"),
+    # route all at parity -1: case 1 at parity -1, and three rows at n = 0
+    "spectrum_all_parity_minus.csv": ("spectrum", "--route", "all", "--n-max", "5",
+                                      "--coupling", "0.5", "--parity", "-1",
+                                      "--format", "csv"),
+    # a coupling where the case-0 and case-2 terms cancel
+    "spectrum_all_e1e-7.csv": ("spectrum", "--route", "all", "--n-max", "1",
+                               "--coupling", "1e-7", "--format", "csv"),
     "spectrum_oracle_e0p5.csv": ("spectrum", "--route", "oracle", "--n-max", "3",
                                  "--coupling", "0.5", "--format", "csv"),
     "verify_all_e0p5.txt": ("verify", "--route", "all", "--n-max", "2",

@@ -466,12 +466,16 @@ def test_solve_quantization_builds_only_its_own_map(monkeypatch):
     routes = ("standard", "mixed2", "heun")
     expected = {route: solve_quantization(p, 3, route).E for route in routes}
 
-    step = model._route_condition
+    build = model._route_condition
 
-    def no_case1(E, lam, terms):
-        if terms.case_id == "1":
-            raise AssertionError("case-1 condition evaluated for another route")
-        return step(E, lam, terms)
+    def no_case1(params, n, route):
+        step = build(params, n, route)
+
+        def condition(E, lam):
+            if route == "mixed1":
+                raise AssertionError("case-1 condition evaluated for another route")
+            return step(E, lam)
+        return condition
 
     monkeypatch.setattr(model, "_route_condition", no_case1)
     for route in routes:
@@ -489,12 +493,16 @@ SWEEP_COUPLINGS = (1e-100, 1e-30, 1e-7, 1e-5, 1e-3, 0.0072973525693, 0.25, 0.5, 
 def quantization_sweep():
     """(params, n, route, E, t = lam/m of each condition evaluated) of every solve."""
     import heundirac.model as model
-    step, points, values = model._route_condition, [], []
+    build, points, values = model._route_condition, [], []
 
-    def counted(E, lam, terms):
-        points.append(lam / terms.params.m)
-        values.append(step(E, lam, terms))
-        return values[-1]
+    def counted(params, n, route):
+        step = build(params, n, route)
+
+        def condition(E, lam):
+            points.append(lam / params.m)
+            values.append(step(E, lam))
+            return values[-1]
+        return condition
 
     solves = []
     with pytest.MonkeyPatch.context() as mp:
@@ -565,15 +573,19 @@ def test_solve_quantization_is_within_4e15_of_the_closed_form(quantization_sweep
 
 def test_solve_quantization_raises_no_convergence_on_a_nan_condition(monkeypatch):
     import heundirac.model as model
-    step, calls = model._route_condition, []
+    build, calls = model._route_condition, []
 
     def nan_after(count):
-        def condition(E, lam, terms):
-            calls.append(lam)
-            if len(calls) > count:
-                return math.nan
-            return step(E, lam, terms)
-        return condition
+        def counted(params, n, route):
+            step = build(params, n, route)
+
+            def condition(E, lam):
+                calls.append(lam)
+                if len(calls) > count:
+                    return math.nan
+                return step(E, lam)
+            return condition
+        return counted
 
     # NaN from the first probe: the bracket search walks t out of (0, 1)
     monkeypatch.setattr(model, "_route_condition", nan_after(0))
@@ -639,7 +651,7 @@ def _map_residual(p, E, lam, n, route):
 
 def _step_residual(p, E, lam, n, route):
     import heundirac.model as model
-    return model._route_condition(E, lam, model._condition_terms(p, n, route))
+    return model._route_condition(p, n, route)(E, lam)
 
 
 def test_each_solve_step_is_the_map_residual_bit_for_bit(quantization_sweep):
@@ -658,16 +670,20 @@ EDGE_PARAMS += [SystemParams(math.nextafter(float(nu), 0.0), nu, parity=parity)
                 for nu in (1, 3) for parity in (1, -1)]
 
 
-@pytest.mark.parametrize("p", EDGE_PARAMS, ids=repr)
-def test_the_condition_is_the_map_residual_at_the_edges(p):
-    # t = 0 (lam = 0), t = 1 (E = 0), the mixed1 pole t = e/nu and its
-    # neighbours, tiny t, where lam m underflows at m = 1e-160, and a grid
+def _edge_pairs(p):
+    """(E, lam) at t = 0 (lam = 0), t = 1 (E = 0), the mixed1 pole t = e/nu
+    and its neighbours, tiny t, where lam m underflows at m = 1e-160, and a
+    grid, then off the curve, where alpha or delta is not finite."""
     ts = [0.0, 1.0, 1e-300, 1e-160, 1e-20, p.e / p.nu, *(k / 16.0 for k in range(1, 16))]
     ts += [math.nextafter(p.e / p.nu, 0.0), math.nextafter(p.e / p.nu, 1.0)]
     pairs = [(p.m * math.sqrt((1.0 - t) * (1.0 + t)), p.m * t) for t in ts]
-    # and (E, lam) off the curve, where alpha or delta is not finite
-    pairs += [(0.5 * p.m, math.inf), (0.5 * p.m, math.nan), (math.nan, 0.5 * p.m),
-              (math.inf, 0.5 * p.m)]
+    return pairs + [(0.5 * p.m, math.inf), (0.5 * p.m, math.nan), (math.nan, 0.5 * p.m),
+                    (math.inf, 0.5 * p.m)]
+
+
+@pytest.mark.parametrize("p", EDGE_PARAMS, ids=repr)
+def test_the_condition_is_the_map_residual_at_the_edges(p):
+    pairs = _edge_pairs(p)
     raised = set()
     for n in (0, 1, 7):
         for route in ANALYTIC_ROUTES:
@@ -682,3 +698,31 @@ def test_the_condition_is_the_map_residual_at_the_edges(p):
     # the case-1 divergence, E = 0 in case 2, lam = 0, non-finite parameters,
     # and no real a_frob
     assert {"case-1", "case", "mu", "Heun", "a_frob"} <= raised
+
+
+@pytest.mark.parametrize("p", [SystemParams(0.5, 2), SystemParams(0.5, 2, parity=-1),
+                               *EDGE_PARAMS], ids=repr)
+def test_each_solve_builds_its_condition_once(p, monkeypatch):
+    # the solve's step, kept, gives quantization_residuals' bits, or its
+    # error, at every edge point
+    import heundirac.model as model
+    build, steps = model._route_condition, []
+
+    def kept(params, n, route):
+        steps.append(build(params, n, route))
+        return steps[-1]
+
+    monkeypatch.setattr(model, "_route_condition", kept)
+    pairs = _edge_pairs(p)
+    for n in ((0, 1, 7) if p.parity == -1 else (1, 7)):
+        for route in quantized_routes(p, n):
+            steps.clear()
+            try:
+                solve_quantization(p, n, route)
+            except (InvalidParams, NoConvergence):
+                pass   # the case-1 divergence at e = 1e-200, no real a_frob next to nu
+            assert len(steps) == 1, (n, route)
+            for E, lam in pairs:
+                assert (_outcome(lambda: steps[0](E, lam))
+                        == _outcome(lambda: quantization_residuals(p, E, lam, n, (route,))[route])
+                        ), (n, route, E, lam)

@@ -185,8 +185,8 @@ def _emit(text: str, cfg: RunConfig):
         sys.stdout.write(text)
 
 
-#: one spectrum row as JSON, its keys on the lines of an indent=2 report
-_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+#: a list of spectrum rows as JSON, their keys on the lines of an indent=2 report
+_ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -213,15 +213,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 row["max_route_deviation"] = (max(energies) - min(energies)) / min(energies)
             rows.append(row)
     if cfg.format == "csv":
-        lines = [",".join(rows[0])] + [
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values())
-            for row in rows]
+        line = "{},{:.16e},{},{},{:.16e},{:.16e}" + (",{:.16e}" if cfg.route == "all" else "")
+        lines = [",".join(rows[0])] + [line.format(*row.values()) for row in rows]
         _emit("\n".join(lines) + "\n", cfg)
     else:
-        # json.dumps({"levels": rows, "generated": ...}, indent=2), each row
-        # written by the C encoder (json's indent= runs the Python one)
-        text = '{\n  "levels": [\n    ' + ",\n    ".join(
-            "{\n      " + _ROW_JSON(row)[1:-1] + "\n    }" for row in rows) + "\n  ]"
+        # json.dumps({"levels": rows, "generated": ...}, indent=2): the C encoder
+        # writes the rows in one call (json's indent= runs the Python one), and
+        # one replace puts each row's braces on lines of their own
+        rows_text = _ROWS_JSON(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        text = '{\n  "levels": [\n    {\n      ' + rows_text + "\n    }\n  ]"
         if not cfg.no_timestamp:
             text += ',\n  "generated": ' + json.dumps(datetime.now(timezone.utc).isoformat())
         _emit(text + "\n}\n", cfg)

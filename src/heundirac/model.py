@@ -232,16 +232,20 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
                       c_plus, c_minus, s_plus, s_minus)
 
 
+#: where each rotation case's singular point -s_plus/c_plus diverges
+_POLES = {"0": "E + m = 0", "1": "E + m_eff cos A = 0",
+          "2": "D = -(e + nu sin A)/(2E) overflows"}
+
+
 def _map_floats(case_id: str, params: SystemParams, E: float,
                 lam: float) -> tuple[float, float, float]:
     """(alpha, delta, eta) of the case's rotated map (_rotated_heun_params);
-    raises InvalidParams where the case-1 singular point diverges or a
+    raises InvalidParams where the case's singular point diverges or a
     parameter is not finite."""
     sin_a, cos_a, _, _, X = _rotation(case_id, params, E, lam)
     if not math.isfinite(X):
-        raise InvalidParams(
-            "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"
-        )
+        raise InvalidParams(f"case-{case_id} singular point diverges at this energy "
+                            f"({_POLES[case_id]})")
     alpha = 2.0 * (-lam * X)
     delta = 2.0 * params.e * E * X
     eta = 1.0 + params.m_eff * X * sin_a - delta - params.nu * cos_a
@@ -454,20 +458,26 @@ def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
     return {route: _route_condition(params, n, route)(E, lam) for route in routes}
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float,
-            maxiter: int) -> tuple[float, int, bool]:
+#: the error of a NaN function value at x in _brentq, scipy's text
+_NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
+            fa: float | None = None, fb: float | None = None) -> tuple[float, int, bool]:
     """Brent's method (Brent 1973, ch. 4), the C routine brentq.c step for step:
     (root, iterations, converged) to the bit, each value taken as a float as the C
-    code does.  An exact zero at an end is the root after 0 iterations (C leaves the
-    count unset).  Ends of one sign raise InvalidParams, a NaN value NoConvergence."""
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NoConvergence(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
+    code does.  fa and fb, where given, are f(a) and f(b), which are then not
+    evaluated again.  An exact zero at an end is the root after 0 iterations (C leaves
+    the count unset).  Ends of one sign raise InvalidParams, a NaN value NoConvergence.
+    Each step forms |sbis| and |spre| once and writes min and |s| > delta (delta > 0)
+    as comparisons with their result, NaN included (min(p, q) is q if q < p else p)."""
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = float(f(xpre) if fa is None else fa)
+    if fpre != fpre:
+        raise NoConvergence(_NAN_VALUE.format(xpre))
+    fcur = float(f(xcur) if fb is None else fb)
+    if fcur != fcur:
+        raise NoConvergence(_NAN_VALUE.format(xcur))
     if fpre == 0.0 or fcur == 0.0:
         return (xpre if fpre == 0.0 else xcur), 0, True
     if (fpre < 0.0) == (fcur < 0.0):   # by sign, as a product of two tiny values underflows
@@ -480,9 +490,11 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
             xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        abis = abs(sbis)
+        if fcur == 0.0 or abis < delta:
             return xcur, i, True
-        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        aspre = abs(spre)
+        short = aspre > delta and abs(fcur) < abs(fpre)
         if short:   # try an interpolated step, else bisect
             if xpre == xblk:   # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -490,11 +502,14 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
                 dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
                 den = dblk * dpre * (fblk - fpre)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            bound = 3 * abis - delta
+            short = 2 * abs(stry) < (bound if bound < aspre else aspre)
         spre, scur = (scur, stry) if short else (sbis, sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        xcur += scur if scur > delta or -scur > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise NoConvergence(_NAN_VALUE.format(xcur))
     return xcur, maxiter, False
 
 
@@ -533,30 +548,28 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
     sign = 1.0 if route == "standard" else -1.0
     hi = params.e / params.nu if route == "mixed1" and params.parity == -1 else 1.0
 
-    values = {}   # by t: Brent opens on the two bracket ends the probes evaluated
-
-    def condition(t: float) -> float:
-        if t not in values:   # at E = m sqrt((1 - t)(1 + t)), lam = m t
-            values[t] = sign * step(m * math.sqrt((1.0 - t) * (1.0 + t)), m * t)
-        return values[t]
+    def condition(t: float) -> float:   # at E = m sqrt((1 - t)(1 + t)), lam = m t
+        return sign * step(m * math.sqrt((1.0 - t) * (1.0 + t)), m * t)
 
     # every level's t = e/sqrt(N^2 + e^2) is at most e/nu, so the first probe
     # is within a few quarterings of the root at any coupling; a NaN moves
-    # neither end and walks t out of (0, hi)
+    # neither end and walks t out of (0, hi).  Brent opens on the ends' values.
     lo, up, t = 0.0, hi, min(params.e / params.nu, 0.5 * hi)
+    f_lo = f_up = 0.0
     while (lo == 0.0 or up == hi) and 0.0 < t < hi:
         value = condition(t)
         if value >= 0.0:
-            lo = t
+            lo, f_lo = t, value
         if value <= 0.0:   # both at an exact zero, which is the root
-            up = t
+            up, f_up = t, value
         t = t / 4.0 if lo == 0.0 else hi - (hi - t) / 4.0
     if lo == 0.0 or up == hi:
         raise NoConvergence(f"no sign change of the {route} condition in 0 < lam/m < {hi}")
     t = lo
     if lo != up:
         try:
-            t, steps, converged = _brentq(condition, lo, up, 1e-16, 8.9e-16, 100)
+            t, steps, converged = _brentq(condition, lo, up, 1e-16, 8.9e-16, 100,
+                                          f_lo, f_up)
         except NoConvergence as exc:   # Brent stops on a NaN value
             raise NoConvergence(f"the {route} condition in {lo} < lam/m < {up}: {exc}") from None
         if not converged:

@@ -30,8 +30,8 @@ def _kind(outcome):
     return "converged" if outcome[1] else "maxiter"
 
 
-def test_port_matches_scipy_on_seeded_random_brackets(brent_against_scipy):
-    outcomes = brent_against_scipy(model)
+def _seeded_brackets():
+    """(f, a, b, xtol, rtol, maxiter) of 2800 seeded brackets over the FAMILIES."""
     rng = random.Random(20140)
     for case in range(2800):
         k, c, d = rng.uniform(0.1, 20.0), rng.uniform(-1.0, 2.0), rng.uniform(-0.5, 0.5)
@@ -40,13 +40,47 @@ def test_port_matches_scipy_on_seeded_random_brackets(brent_against_scipy):
             a, b = b, a
         xtol = 10.0 ** rng.uniform(-16.0, -3.0)
         rtol = 10.0 ** rng.uniform(math.log10(8.9e-16), -6.0)
+        yield FAMILIES[case % len(FAMILIES)](k, c, d), a, b, xtol, rtol, rng.randint(3, 200)
+
+
+def _outcome(f, *args):
+    """(root bits, converged, iterations) of the port, or its error's class and text."""
+    try:
+        root, iterations, converged = model._brentq(f, *args)
+    except HeunDiracError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return root.hex(), converged, iterations
+
+
+def test_port_matches_scipy_on_seeded_random_brackets(brent_against_scipy):
+    outcomes = brent_against_scipy(model)
+    for f, *args in _seeded_brackets():
         try:
-            model._brentq(FAMILIES[case % len(FAMILIES)](k, c, d), a, b, xtol, rtol,
-                          rng.randint(3, 200))
+            model._brentq(f, *args)
         except HeunDiracError:
             pass
     kinds = Counter(map(_kind, outcomes))
     assert len(outcomes) == 2800
+    assert min(kinds[kind] for kind in ("converged", "maxiter", "sign", "NaN")) >= 20
+
+
+def test_given_end_values_are_the_evaluated_ones():
+    # f(a) and f(b) passed in: the same outcome, and f is evaluated at the
+    # same inner points only (the port evaluates a, then b, before any step)
+    kinds = Counter()
+    for f, a, b, *rest in _seeded_brackets():
+        points = []
+
+        def counted(x):
+            points.append(x)
+            return f(x)
+
+        evaluated = _outcome(counted, a, b, *rest)
+        inner = points[2:]
+        points.clear()
+        assert _outcome(counted, a, b, *rest, f(a), f(b)) == evaluated, (a, b)
+        assert points == inner, (a, b)
+        kinds[_kind(evaluated)] += 1
     assert min(kinds[kind] for kind in ("converged", "maxiter", "sign", "NaN")) >= 20
 
 

@@ -107,6 +107,14 @@ def test_mixed1_parity_minus_spectrum_still_exits_2_at_the_nodeless_level(capsys
     assert "sits on the case-1 pole E = m cos A" in err
 
 
+def test_all_routes_spectrum_where_the_case1_pole_is_reached_exits_2(capsys):
+    # at e = 1e-200, parity -1 the case-1 c_plus underflows to 0 inside the bracket
+    code, out, err = run_cli(capsys, "spectrum", "--route", "all", "--coupling", "1e-200",
+                             "--parity", "-1", "--n-max", "2")
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err == "error: case-1 singular point diverges at this energy (E + m_eff cos A = 0)\n"
+
+
 def test_spectrum_csv_determinism(capsys):
     args = ("spectrum", "--coupling", "0.3", "--j", "1.5", "--n-max", "2",
             "--route", "standard", "--format", "csv", "--no-timestamp")
@@ -837,17 +845,39 @@ def test_json_timestamp_follows_the_arrays(capsys):
     assert out == json.dumps(doc) + "\n"
 
 
-@pytest.mark.parametrize("argv", [
+SPECTRUM_REPORTS = pytest.mark.parametrize("argv", [
     ("--route", "all", "--n-max", "3"),
     ("--route", "mixed2", "--n-max", "2"),
     ("--route", "oracle", "--n-max", "1"),
     ("--route", "all", "--n-max", "2", "--parity", "-1"),
-], ids=["all", "mixed2", "oracle", "all-parity-minus"])
-@pytest.mark.parametrize("stamp", [(), ("--no-timestamp",)], ids=["generated", "no-timestamp"])
+    ("--route", "all", "--j", "1.5", "--n-max", "16"),
+    ("--route", "all", "--n-max", "0"),
+], ids=["all", "mixed2", "oracle", "all-parity-minus", "all-j1.5-n16", "all-n0"])
+SPECTRUM_STAMPS = pytest.mark.parametrize("stamp", [(), ("--no-timestamp",)],
+                                          ids=["generated", "no-timestamp"])
+
+
+@SPECTRUM_REPORTS
+@SPECTRUM_STAMPS
 def test_spectrum_json_report_is_the_indent_2_layout(capsys, argv, stamp):
-    # each row comes from the C encoder; the whole must be json.dumps(doc, indent=2)
+    # the C encoder writes the rows in one call; the whole must be json.dumps(doc, indent=2)
     code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", *argv, *stamp)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
     assert list(doc) == (["levels"] if stamp else ["levels", "generated"])
+
+
+@SPECTRUM_REPORTS
+@SPECTRUM_STAMPS
+def test_spectrum_csv_report_is_the_per_value_join_of_the_json_rows(capsys, argv, stamp):
+    code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", *argv, *stamp)
+    assert code == EXIT_OK
+    rows = json.loads(out)["levels"]
+    code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", *argv, *stamp,
+                           "--format", "csv")
+    assert code == EXIT_OK
+    lines = [",".join(rows[0])] + [
+        ",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows]
+    assert out == "\n".join(lines) + "\n"

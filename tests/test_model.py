@@ -601,8 +601,10 @@ def test_solve_quantization_raises_no_convergence_on_a_nan_condition(monkeypatch
 def test_solve_quantization_raises_no_convergence_when_brent_does_not_converge(monkeypatch):
     import heundirac.model as model
 
-    def stalled(f, a, b, xtol, rtol, maxiter):
-        # the port's outcome when its budget is spent: the budget, unconverged
+    def stalled(f, a, b, xtol, rtol, maxiter, fa, fb):
+        # the port's outcome when its budget is spent: the budget, unconverged;
+        # the solve passes the probes' values at the bracket ends
+        assert fa == f(a) > 0.0 > fb == f(b)
         return 0.5 * (a + b), maxiter, False
 
     monkeypatch.setattr(model, "_brentq", stalled)
@@ -630,6 +632,21 @@ def test_quantization_residuals_selected_routes():
         assert quantization_residuals(p, E, lam, 2, (route,))[route] == every[route]
     with pytest.raises(InvalidParams):
         quantization_residuals(p, E, lam, 2, ("mixed2", "bogus"))
+
+
+@pytest.mark.parametrize("E, lam, route, pole", [
+    (5e-324, 1.0, "mixed2", "case-2 singular point diverges at this energy "
+                            "(D = -(e + nu sin A)/(2E) overflows)"),
+    (-1.0, 0.5, "heun", "case-0 singular point diverges at this energy (E + m = 0)"),
+], ids=["case-2", "case-0"])
+def test_a_diverging_singular_point_names_its_own_case(E, lam, route, pole):
+    # the condition and the route's map both name the case and its pole
+    p = SystemParams(0.5, 1)
+    with pytest.raises(InvalidParams) as condition:
+        quantization_residuals(p, E, lam, 1, (route,))
+    with pytest.raises(InvalidParams) as built:
+        HEUN_MAPS[route](p, E, lam)
+    assert str(condition.value) == str(built.value) == pole
 
 
 def _outcome(evaluate):

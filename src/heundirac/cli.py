@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters
 (InvalidParams: the request has no answer), 3 solver non-convergence
 (NoConvergence: a solver stopped without an answer).  A non-finite or
 non-half-integer j, a negative n-max, a tol that is negative or not
-finite, non-finite grid radii, an r-max past 745/lambda and a level whose
+finite, a wavefunction grid of fewer than 5 points (checked before the
+solve), non-finite grid radii, an r-max past 745/lambda and a level whose
 decay constant m e / sqrt(N^2 + e^2) underflows to 0 exit 2 with a message,
 as flags and as config keys alike.
 
@@ -232,6 +233,8 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     from . import routes, tables
     if n > cfg.n_max:
         raise InvalidParams(f"n={n} exceeds n_max={cfg.n_max}")
+    if cfg.grid_points < 5:  # the residual's five-point stencil, checked before the solve
+        raise InvalidParams(f"wavefunction needs at least 5 grid points, got {cfg.grid_points}")
     route = "standard" if cfg.route == "all" else cfg.route
     params = cfg.system_params()
     require_level(params, n)

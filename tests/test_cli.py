@@ -176,6 +176,26 @@ def test_wavefunction_empty_grid_exits_2(capsys):
     assert code == EXIT_INVALID_PARAMS
 
 
+@pytest.mark.parametrize("points", (1, 2, 4))
+def test_wavefunction_grid_below_five_points_exits_2_before_the_solve(capsys, monkeypatch,
+                                                                       points):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a grid the residual cannot check")
+    monkeypatch.setitem(routes.ROUTE_SOLVERS, "standard", unreachable)
+    code, out, err = run_cli(capsys, "wavefunction", "--n", "1", "--n-max", "1",
+                             "--coupling", "0.5", "--grid-points", str(points))
+    assert code == EXIT_INVALID_PARAMS
+    assert out == ""
+    assert err == f"error: wavefunction needs at least 5 grid points, got {points}\n"
+
+
+def test_wavefunction_on_five_grid_points_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "wavefunction", "--n", "1", "--n-max", "1",
+                           "--coupling", "0.5", "--grid-points", "5")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["r"]) == 5
+
+
 def test_wavefunction_n_above_n_max_exits_2(capsys):
     code, _, _ = run_cli(capsys, "wavefunction", "--n", "3", "--n-max", "1",
                          "--coupling", "0.5", "--j", "0.5")

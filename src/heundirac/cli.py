@@ -9,13 +9,14 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters
 (InvalidParams: the request has no answer), 3 solver non-convergence
 (NoConvergence: a solver stopped without an answer).  A non-finite or
 non-half-integer j, a negative n-max, a tol that is negative or not
-finite, a wavefunction grid of fewer than 5 points (checked before the
-solve), non-finite grid radii, an r-max past 745/lambda and a level whose
-decay constant m e / sqrt(N^2 + e^2) underflows to 0 exit 2 with a message,
-as flags and as config keys alike.
+finite, a wavefunction grid of fewer than 5 points or with an overflowing
+stencil (checked before the solve), non-finite grid radii, an r-max past
+745/lambda and a level whose decay constant m e / sqrt(N^2 + e^2)
+underflows to 0 exit 2 with a message, as flags and as config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
-lists them).  Flags override config-file keys, which override defaults.
+lists them), and only its parser reads a request (`main`).  Flags
+override config-file keys, which override defaults.
 The config file is flat `key = value` text, keys named like the long flags
 without the leading dashes (dashes may be written as underscores), e.g.
 
@@ -186,17 +187,19 @@ def _emit(text: str, cfg: RunConfig):
         sys.stdout.write(text)
 
 
-#: a list of spectrum rows as JSON, their keys on the lines of an indent=2 report
-_ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+#: a spectrum row of an indent=2 report; route all adds the deviation's line
+_ROW_JSON = ('    {\n      "n": %d,\n      "j": %r,\n      "parity": %d,\n'
+             '      "route": "%s",\n      "E": %r,\n      "E_over_m": %r')
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     """One row per (n, route); route='all' covers the analytic routes that
     quantize level n (quantized_routes), each row with their max_route_deviation."""
     params = cfg.system_params()
+    every = cfg.route == "all"
     rows = []
     for n in range(cfg.n_max + 1):
-        selected = quantized_routes(params, n) if cfg.route == "all" else (cfg.route,)
+        selected = quantized_routes(params, n) if every else (cfg.route,)
         per_route = {}
         for route in selected:
             if route == "oracle":
@@ -207,22 +210,21 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             else:
                 per_route[route] = solve_quantization(params, n, route)
         energies = [level.E for level in per_route.values()]
-        for route, level in per_route.items():
-            row = {"n": level.n, "j": level.nu - 0.5, "parity": level.parity,
-                   "route": route, "E": level.E, "E_over_m": level.E / cfg.mass}
-            if cfg.route == "all":
-                row["max_route_deviation"] = (max(energies) - min(energies)) / min(energies)
-            rows.append(row)
+        deviation = ((max(energies) - min(energies)) / min(energies),) if every else ()
+        rows += [(level.n, level.nu - 0.5, level.parity, route, level.E,
+                  level.E / cfg.mass, *deviation) for route, level in per_route.items()]
     if cfg.format == "csv":
-        line = "{},{:.16e},{},{},{:.16e},{:.16e}" + (",{:.16e}" if cfg.route == "all" else "")
-        lines = [",".join(rows[0])] + [line.format(*row.values()) for row in rows]
+        head = "n,j,parity,route,E,E_over_m" + (",max_route_deviation" if every else "")
+        line = "{},{:.16e},{},{},{:.16e},{:.16e}" + (",{:.16e}" if every else "")
+        lines = [head] + [line.format(*row) for row in rows]
         _emit("\n".join(lines) + "\n", cfg)
     else:
-        # json.dumps({"levels": rows, "generated": ...}, indent=2): the C encoder
-        # writes the rows in one call (json's indent= runs the Python one), and
-        # one replace puts each row's braces on lines of their own
-        rows_text = _ROWS_JSON(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        text = '{\n  "levels": [\n    {\n      ' + rows_text + "\n    }\n  ]"
+        # json.dumps({"levels": rows, ...}, indent=2), which writes a finite
+        # float as its repr; all are finite: m is in [1e-300, 1e300] and each
+        # E in (m 2**-28, m) (t = lam/m stays below 1, the oracle above E_0/2),
+        # so E/m and the spread over the smallest E are finite
+        row = _ROW_JSON + (',\n      "max_route_deviation": %r' if every else "") + "\n    }"
+        text = '{\n  "levels": [\n' + ",\n".join([row % v for v in rows]) + "\n  ]"
         if not cfg.no_timestamp:
             text += ',\n  "generated": ' + json.dumps(datetime.now(timezone.utc).isoformat())
         _emit(text + "\n}\n", cfg)
@@ -240,6 +242,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     require_level(params, n)
     level = energy_closed_form(n, params)
     grid = routes.default_grid(level.lam, cfg.grid_points, cfg.r_min, cfg.r_max)
+    grid._stencil  # the residual's weights: InvalidParams here, before the solve, on overflow
     if route == "oracle":
         from . import oracle
         sol = oracle.integrate_radial(params, level.E, grid=grid)
@@ -288,8 +291,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="heundirac",
         description="Dirac-Coulomb bound states by Kummer/Heun routes and shooting")
@@ -307,13 +310,26 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
         p.add_argument("--config", help="flat key=value config file")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; NoConvergence exits 3, any other HeunDiracError 2."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
     try:
-        args = build_parser().parse_args(argv)
+        # argv[0]'s parser reads the rest, as the full parser would have it do;
+        # that one only exits: no subcommand, -h, an unknown name, tokens unread
+        sub = commands.get(argv[0]) if argv else None
+        args, unread = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                        if sub else (None, True))
+        if unread:
+            args = parser.parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)

@@ -89,7 +89,16 @@ class RadialGrid:
         built once per grid: 2*half+1 Lagrange nodes per interior point
         (half = 3 from 9 points on, else 2), the weight of each off-center
         node keyed by its offset, and their sum (the center weight is -wsum).
+        Raises InvalidParams where a weight overflows (r near 1e-308, far-apart nodes).
         """
+        try:   # an overflow, or the inf/inf or x/0 it makes, voids the weights
+            return self._stencil_weights()
+        except FloatingPointError:
+            raise InvalidParams(f"the derivative stencil overflows on the {len(self.r)}-point "
+                                f"grid from r_min={self.r[0]} to r_max={self.r[-1]}") from None
+
+    @np.errstate(over="raise", invalid="raise", divide="raise")
+    def _stencil_weights(self):
         r = self.r
         n = len(r)
         half = 3 if n >= 9 else 2

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from heundirac import (ANALYTIC_ROUTES, NoConvergence, SystemParams,
+from heundirac import (ANALYTIC_ROUTES, HeunDiracError, NoConvergence, SystemParams,
                        energy_closed_form, routes)
 from heundirac.cli import (_OPTIONS, EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
                            EXIT_VERIFY_FAILED, build_parser, main)
@@ -187,6 +187,38 @@ def test_wavefunction_grid_below_five_points_exits_2_before_the_solve(capsys, mo
     assert code == EXIT_INVALID_PARAMS
     assert out == ""
     assert err == f"error: wavefunction needs at least 5 grid points, got {points}\n"
+
+
+@pytest.mark.parametrize("points,r_min", ((5, "1e-300"), (7, "1e-300"), (12, "1e-300"),
+                                          (2000, "1e-308")))
+def test_wavefunction_grid_whose_stencil_overflows_exits_2_before_the_solve(
+        capsys, monkeypatch, points, r_min):
+    # the stencil's weights overflow: across the few points of a 1e-300 grid,
+    # and from the near-1e-308 spacings of the 2000-point one
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a grid whose residual overflows")
+    monkeypatch.setitem(routes.ROUTE_SOLVERS, "standard", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "wavefunction", "--coupling", "0.5", "--n", "1",
+                                 "--n-max", "1", "--grid-points", str(points),
+                                 "--r-min", r_min)
+    r_max = 40 / energy_closed_form(1, SystemParams(0.5, 1)).lam
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err == (f"error: the derivative stencil overflows on the {points}-point grid "
+                   f"from r_min={float(r_min)} to r_max={r_max}\n")
+
+
+def test_wavefunction_on_a_20_point_grid_from_1e_300_keeps_its_table(capsys):
+    # no weight overflows on this grid, so it is served, its residual pinned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "wavefunction", "--coupling", "0.5", "--n", "1",
+                               "--n-max", "1", "--grid-points", "20", "--r-min", "1e-300",
+                               "--no-timestamp")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert len(doc["r"]) == 20 and doc["system_residual"] == 4.699536018480135e+84
 
 
 def test_wavefunction_on_five_grid_points_exits_0(capsys):
@@ -831,6 +863,112 @@ def test_parser_is_built_once_and_stays_reusable(capsys):
         assert texts[0] == texts[1] and texts[0]
 
 
+# values for every option, as flags; the corpus sets each one on each
+# subcommand that reads it
+OPTION_VALUES = {"mass": "2", "coupling": "0.25", "j": "1.5", "parity": "-1", "n_max": "3",
+                 "route": "mixed2", "format": "csv", "out": "report.txt",
+                 "grid_points": "50", "r_min": "0.1", "r_max": "30", "tol": "1e-9",
+                 "no_timestamp": None}
+UNREAD_TAILS = {"spectrum --grid-points 5": ("spectrum", "--coupling", "0.5",
+                                             "--grid-points", "5"),
+                "stray positional": ("spectrum", "--coupling", "0.5", "stray"),
+                "verify --format csv": ("verify", "--coupling", "0.5", "--format", "csv")}
+PARSE_CORPUS = {
+    **{f"{command} --{key.replace('_', '-')}": (
+        *BASE_ARGV[command], "--" + key.replace("_", "-"),
+        *([OPTION_VALUES[key]] if OPTION_VALUES[key] else []))
+       for key, opt in _OPTIONS.items() for command in opt.commands},
+    **{f"{command} every option": (
+        command, *[arg for key, opt in _OPTIONS.items() if command in opt.commands
+                   for arg in ("--" + key.replace("_", "-"), OPTION_VALUES[key])
+                   if arg is not None], *(("--n", "2") if command == "wavefunction" else ()))
+       for command in BASE_ARGV},
+    "--opt=value": ("spectrum", "--coupling=0.5", "--n-max=2", "--route=heun"),
+    "abbreviated --coup": ("spectrum", "--coup", "0.5"),
+    "negative --n-max": ("spectrum", "--coupling", "0.5", "--n-max", "-1"),
+    "--config": ("spectrum", "--config", "{cfg}"),
+    "--config and flags": ("wavefunction", "--config", "{cfg}", "--n", "1", "--mass", "4"),
+    "--config on verify": ("verify", "--n-max", "1", "--config", "{cfg}"),
+    "no arguments": (),
+    "-h": ("-h",),
+    "--help": ("--help",),
+    **{f"{command} {flag}": (command, flag) for command in BASE_ARGV
+       for flag in ("-h", "--help")},
+    "help after options": ("wavefunction", "--coupling", "0.5", "--help"),
+    "unknown subcommand": ("bogus", "--coupling", "0.5"),
+    "abbreviated subcommand": ("spec", "--coupling", "0.5"),
+    "option before the subcommand": ("--coupling=0.5", "spectrum"),
+    "-- before the subcommand": ("--", "spectrum", "--coupling", "0.5"),
+    **UNREAD_TAILS,
+    "wavefunction without --n": ("wavefunction", "--coupling", "0.5"),
+    "invalid float": ("spectrum", "--coupling", "x"),
+    "invalid choice": ("spectrum", "--coupling", "0.5", "--route", "nope"),
+    "invalid j, then unread": ("spectrum", "--coupling", "0.5", "--j", "0.7", "--tol", "1"),
+    "no coupling": ("verify", "--n-max", "1"),
+}
+
+
+def _capture(capsys, read):
+    """(exit code, stdout, stderr, what read() returned) of one reading of argv."""
+    try:
+        code, result = read()
+    except SystemExit as exc:
+        code, result = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, result
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS)
+def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv):
+    import heundirac.cli as cli
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling = 0.5\nn-max = 2\nmass = 3\n")
+    argv = [str(cfg) if arg == "{cfg}" else arg for arg in argv]
+
+    def full_parse():   # the reading main served every request by before
+        try:
+            args = build_parser().parse_args(argv)
+            return EXIT_OK, (cli._resolve_config(args), getattr(args, "n", None))
+        except HeunDiracError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_PARAMS, None
+
+    served = []   # each subcommand records its resolved settings instead of running
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda cfg: served.append((cfg, None)))
+    monkeypatch.setattr(cli, "cmd_verify", lambda cfg: served.append((cfg, None)))
+    monkeypatch.setattr(cli, "cmd_wavefunction", lambda cfg, n: served.append((cfg, n)))
+    want = _capture(capsys, full_parse)
+    got = _capture(capsys, lambda: (main(list(argv)) or EXIT_OK, (served or [None])[0]))
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", UNREAD_TAILS.values(), ids=UNREAD_TAILS)
+def test_unread_arguments_get_the_top_level_error(capsys, monkeypatch, argv):
+    # with argv=None main reads sys.argv, as the console script calls it
+    for call in (lambda: main(list(argv)), main):
+        monkeypatch.setattr(sys, "argv", ["heundirac", *argv])
+        with pytest.raises(SystemExit) as exc:
+            call()
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_INVALID_PARAMS
+        assert err.startswith("usage: heundirac [-h] {spectrum,wavefunction,verify} ...\n")
+        assert err.endswith("\nheundirac: error: unrecognized arguments: "
+                            f"{' '.join(argv[3:])}\n")
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["heundirac", "spectrum", "--coupling", "0.5",
+                                      "--format", "csv", "--no-timestamp"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == run_cli(capsys, *sys.argv[1:])[1]
+    monkeypatch.setattr(sys, "argv", ["heundirac"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == EXIT_INVALID_PARAMS
+    assert "heundirac: error: the following arguments are required: command" in \
+        capsys.readouterr().err
+
+
 def _per_number_table(fmt, route, n, points):
     """The wavefunction output as the per-number expressions printed it."""
     params = SystemParams(0.5, 1)
@@ -872,7 +1010,10 @@ SPECTRUM_REPORTS = pytest.mark.parametrize("argv", [
     ("--route", "all", "--n-max", "2", "--parity", "-1"),
     ("--route", "all", "--j", "1.5", "--n-max", "16"),
     ("--route", "all", "--n-max", "0"),
-], ids=["all", "mixed2", "oracle", "all-parity-minus", "all-j1.5-n16", "all-n0"])
+    ("--route", "all", "--n-max", "3", "--mass", "0.51099895"),
+    ("--parity", "-1", "--route", "all"),
+], ids=["all", "mixed2", "oracle", "all-parity-minus", "all-j1.5-n16", "all-n0",
+        "all-electron-mass", "parity-minus-all"])
 SPECTRUM_STAMPS = pytest.mark.parametrize("stamp", [(), ("--no-timestamp",)],
                                           ids=["generated", "no-timestamp"])
 
@@ -901,3 +1042,52 @@ def test_spectrum_csv_report_is_the_per_value_join_of_the_json_rows(capsys, argv
         ",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row.values())
         for row in rows]
     assert out == "\n".join(lines) + "\n"
+
+
+# finite floats whose repr json must print: the smallest subnormal, ones
+# repr writes in exponent form (1e-05, 1e+16, 2.5e-16) and the largest double
+REPR_FLOATS = (5e-324, 1e-5, 0.1, 1e16, 2.5e-16, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("argv", [("--route", "all", "--n-max", "5"),
+                                  ("--route", "all", "--n-max", "5", "--parity", "-1"),
+                                  ("--route", "all", "--n-max", "5", "--mass", "3"),
+                                  ("--route", "heun", "--n-max", "5"),
+                                  ("--route", "oracle", "--n-max", "5"),
+                                  ("--route", "all", "--n-max", "0")],
+                         ids=["all", "all-parity-minus", "all-mass-3", "heun", "oracle",
+                              "all-n0"])
+@SPECTRUM_STAMPS
+def test_spectrum_json_row_template_is_json_dumps(capsys, monkeypatch, argv, stamp):
+    import heundirac.cli as cli
+    from heundirac import oracle
+    from heundirac.model import EnergyLevel
+
+    def level(params, n, route):
+        # route standard sits on the float, the others a step toward 1, so
+        # max_route_deviation is a float of its own (1.0 at 5e-324)
+        E = REPR_FLOATS[n % len(REPR_FLOATS)]
+        E = E if route == "standard" else math.nextafter(E, 1.0)
+        return EnergyLevel(n, params.nu, params.parity, E, route, 1.0)
+
+    shots = iter(range(6))
+    monkeypatch.setattr(cli, "solve_quantization", level)
+    monkeypatch.setattr(oracle, "shoot_energy",
+                        lambda params, lo, hi: level(params, next(shots), "standard"))
+    code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", *argv, *stamp)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    mass = float(argv[argv.index("--mass") + 1]) if "--mass" in argv else 1.0
+    rows = doc["levels"]
+    assert len({row["E"] for row in rows}) >= len(rows) // 4
+    for row in rows:
+        E = REPR_FLOATS[row["n"]]
+        assert row["E"] == (E if row["route"] in ("standard", "oracle")
+                            else math.nextafter(E, 1.0))
+        assert row["E_over_m"] == row["E"] / mass
+        if argv[1] == "all":
+            same = [other["E"] for other in rows if other["n"] == row["n"]]
+            assert row["max_route_deviation"] == (max(same) - min(same)) / min(same)
+        else:
+            assert "max_route_deviation" not in row

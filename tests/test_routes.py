@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,17 @@ def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
     for j, w in weights.items():
         assert np.array_equal(s_weights[j], np.ldexp(w, -k))
     assert np.array_equal(s_wsum, np.ldexp(wsum, -k))
+
+
+@pytest.mark.parametrize("r", (np.geomspace(1e-300, 154.5, 7), np.geomspace(1e-308, 1.0, 2000),
+                               np.array([1e-300, 1e-200, 1e-100, 1.0, 1e100])),
+                         ids=("7-points-from-1e-300", "2000-points-from-1e-308", "decades"))
+def test_grid_stencil_that_overflows_is_invalid_params(r):
+    # and no numpy RuntimeWarning escapes: pytest's filter makes one an error
+    grid = RadialGrid(r)
+    message = f"stencil overflows on the {len(r)}-point grid from r_min={r[0]} to r_max={r[-1]}"
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        grid._stencil
 
 
 def _one_pass_stencil(r):

@@ -164,38 +164,18 @@ def require_bound_energy(params: SystemParams, E: float):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
 
 
-def _rotation(case_id: str, params: SystemParams, E: float,
-              lam: float) -> tuple[float, float, float, float, float]:
-    """(sin A, cos A, c_plus, s_plus, X = -s_plus/c_plus) of a rotation case,
-    all that a Heun parameter map reads of it (see mixing_case)."""
-    e, nu, m = params.e, params.nu, params.m
-    if case_id == "0":
-        sin_a, cos_a, c_plus, s_plus = 0.0, float(params.parity), E + m, e
-    elif case_id == "1":
-        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
-        c_plus, s_plus = _case1_c(params.parity, m, E, lam, sin_a, cos_a), 2.0 * e
-    elif case_id == "2":
-        if not 0.0 < E <= m:
-            raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
-                                f"diverges at E = 0), got E={E}")
-        sin_a, cos_a = lam / m, E / params.m_eff
-        c_plus, s_plus = 2.0 * E, e + nu * sin_a
-    else:
-        raise InvalidParams(f"unknown mixing case {case_id!r}; use 0, 1 or 2")
-    point = -s_plus / c_plus if c_plus != 0.0 else math.inf
-    return sin_a, cos_a, c_plus, s_plus, point
-
-
-def _case1_c(sign: int, m: float, E: float, lam: float, sin_a: float, cos_a: float) -> float:
-    """E + sign m cos A of case 1: c_plus at sign = parity, c_minus at -parity."""
-    return (E + m * cos_a if sign == 1
-            else m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
+#: the error of each rotation case where its singular point -s_plus/c_plus diverges
+_POLES = {case_id: f"case-{case_id} singular point diverges at this energy ({where})"
+          for case_id, where in (("0", "E + m = 0"), ("1", "E + m_eff cos A = 0"),
+                                 ("2", "D = -(e + nu sin A)/(2E) overflows"))}
 
 
 def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
     """Resolve rotation case 0 (sin A = 0, cos A = parity), 1 (sin A = e/nu)
     or 2 (cos A = E/m_eff, sin A = lam/m) at energy E with decay constant lam.
 
+    Every Heun map is read off the case this returns (_heun_map); only the
+    quantization steps (_route_condition) form a case's terms elsewhere.
     Cases 0 and 1 need subcritical coupling only, case 2 needs 0 < E <= m
     (E may round to m where lam > 0 still resolves the level).  The angle
     conditions fix
@@ -209,80 +189,80 @@ def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> Mix
     cancels at weak coupling: the case-0 E - m is -lam^2/(E + m), the
     case-1 E - m cos A is m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A),
     and the case-2 half angles take m - E as lam^2/(m + E).  Each is formed
-    in units of m, so no mass overflows it.
+    in units of m, so no mass overflows it.  Where one of those
+    denominators vanishes (E + m = 0, E/m + cos A = 0) the case's pole
+    raises InvalidParams; where c_plus is 0 the singular point is inf.
     """
-    sin_a, cos_a, c_plus, s_plus, point = _rotation(case_id, params, E, lam)
     e, nu, m = params.e, params.nu, params.m
     if case_id == "0":
+        if E + m == 0.0:
+            raise InvalidParams(_POLES[case_id])
+        sin_a, cos_a = 0.0, float(params.parity)
         cos_half, sin_half = (1.0, 0.0) if params.parity == 1 else (0.0, 1.0)
-        c_minus, s_minus = -lam * (lam / (E + m)), e
+        c_plus, c_minus, s_plus, s_minus = E + m, -lam * (lam / (E + m)), e, e
     elif case_id == "1":
+        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
+        scale = E / m + cos_a
+        if scale == 0.0:
+            raise InvalidParams(_POLES[case_id])
         root = params.frobenius_exponent
         # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
         cos_half = math.sqrt((nu + root) / (2.0 * nu))
         sin_half = e / math.sqrt(2.0 * nu * (nu + root))
-        c_minus, s_minus = _case1_c(-params.parity, m, E, lam, sin_a, cos_a), 0.0
-    else:
+        far, near = E + m * cos_a, m * (sin_a - lam / m) * (sin_a + lam / m) / scale
+        c_plus, c_minus = (far, near) if params.parity == 1 else (near, far)
+        s_plus, s_minus = 2.0 * e, 0.0
+    elif case_id == "2":
+        if not 0.0 < E <= m:
+            raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
+                                f"diverges at E = 0), got E={E}")
+        sin_a, cos_a = lam / m, E / params.m_eff
         # sqrt((m + E)/(2m)) and sqrt((m - E)/(2m)) = (lam/m)/(2 sqrt((m + E)/(2m)))
         wide = math.sqrt(0.5 + 0.5 * E / m)
         narrow = 0.5 * sin_a / wide
         cos_half, sin_half = (wide, narrow) if params.parity == 1 else (narrow, wide)
-        c_minus, s_minus = 0.0, e - nu * sin_a
+        c_plus, c_minus, s_plus, s_minus = 2.0 * E, 0.0, e + nu * sin_a, e - nu * sin_a
+    else:
+        raise InvalidParams(f"unknown mixing case {case_id!r}; use 0, 1 or 2")
+    point = -s_plus / c_plus if c_plus != 0.0 else math.inf
     return MixingCase(case_id, sin_a, cos_a, cos_half, sin_half, point,
                       c_plus, c_minus, s_plus, s_minus)
 
 
-#: where each rotation case's singular point -s_plus/c_plus diverges
-_POLES = {"0": "E + m = 0", "1": "E + m_eff cos A = 0",
-          "2": "D = -(e + nu sin A)/(2E) overflows"}
-
-
-def _map_floats(case_id: str, params: SystemParams, E: float,
-                lam: float) -> tuple[float, float, float]:
-    """(alpha, delta, eta) of the case's rotated map (_rotated_heun_params);
-    raises InvalidParams where the case's singular point diverges or a
-    parameter is not finite."""
-    sin_a, cos_a, _, _, X = _rotation(case_id, params, E, lam)
-    if not math.isfinite(X):
-        raise InvalidParams(f"case-{case_id} singular point diverges at this energy "
-                            f"({_POLES[case_id]})")
-    alpha = 2.0 * (-lam * X)
-    delta = 2.0 * params.e * E * X
-    eta = 1.0 + params.m_eff * X * sin_a - delta - params.nu * cos_a
-    if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(eta)):
-        raise InvalidParams("Heun parameters must be finite")
-    return alpha, delta, eta
-
-
-def _rotated_heun_params(params: SystemParams, E: float, lam: float,
-                         case_id: str) -> HeunCParams:
+def _heun_map(params: SystemParams, E: float, lam: float, case: MixingCase) -> HeunCParams:
     """Confluent-Heun parameters of the rotated equation for F in y = r/X,
     X the singular point of the case (-e/(E + m) for case 0, R for case 1,
-    D for case 2).
+    D for case 2), read off the resolved case.
 
     With a = sqrt(nu^2-e^2) and b = -lam*X, the signs of the normalizable
     branch:
 
         alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
         eta = 1 + m_eff X sin A - 2eEX - nu cos A.
+
+    Raises InvalidParams where X diverges or a parameter is not finite.
     """
-    alpha, delta, eta = _map_floats(case_id, params, E, lam)
-    return HeunCParams(alpha, 2.0 * params.frobenius_exponent, -2.0, delta, eta)
+    X = case.singular_point
+    if not math.isfinite(X):
+        raise InvalidParams(_POLES[case.case_id])
+    delta = 2.0 * params.e * E * X
+    return HeunCParams(2.0 * (-lam * X), 2.0 * params.frobenius_exponent, -2.0, delta,
+                       1.0 + params.m_eff * X * case.sin_a - delta - params.nu * case.cos_a)
 
 
 def heun_params_case1(params: SystemParams, E: float, lam: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-1 equation for F in y = r/R."""
-    return _rotated_heun_params(params, E, lam, "1")
+    return _heun_map(params, E, lam, mixing_case("1", params, E, lam))
 
 
 def heun_params_case2(params: SystemParams, E: float, lam: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-2 equation for F in y = r/D."""
-    return _rotated_heun_params(params, E, lam, "2")
+    return _heun_map(params, E, lam, mixing_case("2", params, E, lam))
 
 
 def heun_params_full(params: SystemParams, E: float, lam: float) -> HeunCParams:
     """Confluent-Heun parameters of the case-0 equation for F in y = -(E+m) r/e."""
-    return _rotated_heun_params(params, E, lam, "0")
+    return _heun_map(params, E, lam, mixing_case("0", params, E, lam))
 
 
 #: the confluent-Heun parameter map of each Heun-based route
@@ -381,9 +361,10 @@ def _route_condition(params: SystemParams, n: int, route: str):
     """`route`'s quantization condition at level n as a function of (E, lam)
     alone, built once per solve; InvalidParams on an unknown route.  It is the
     reference's arithmetic (standard_vars' eps - a_frob - n, or delta + (n + a)
-    alpha of the route's map from _map_floats) in the same order, with the
-    rotation case resolved and each term free of E bound here; where the
-    reference raises, the step returns the reference, which raises its error."""
+    alpha of the route's map in HEUN_MAPS) in the same order, with the rotation
+    case's E-free terms bound here and the rest inline, so that a step builds
+    no MixingCase; where the reference raises, the step returns the reference,
+    which raises its error."""
     e, nu, m, m_eff = params.e, params.nu, params.m, params.m_eff
     if route == "standard":
         em, nu2 = e * m, nu ** 2
@@ -402,9 +383,11 @@ def _route_condition(params: SystemParams, n: int, route: str):
     case_id, two_e = _ROUTE_CASES[route], 2.0 * e
     n_a = n + 0.5 * (2.0 * params.frobenius_exponent - 2.0 + 2.0)   # beta = 2a, gamma = -2
 
+    build = HEUN_MAPS[route]
+
     def reference(E: float, lam: float) -> float:
-        alpha, delta, _ = _map_floats(case_id, params, E, lam)
-        return delta + n_a * alpha
+        hp = build(params, E, lam)
+        return hp.delta + n_a * hp.alpha
 
     if case_id == "2":
         def condition(E: float, lam: float) -> float:
@@ -417,7 +400,8 @@ def _route_condition(params: SystemParams, n: int, route: str):
                     return delta + n_a * alpha
             return reference(E, lam)
         return condition
-    # cases 0 and 1: c_plus = E + m, E + m cos A or, at parity -1, _case1_c's
+    # cases 0 and 1: c_plus = E + m, E + m cos A or, at parity -1, mixing_case's
+    # factored E - m cos A
     if case_id == "0":
         sin_a, cos_a, s_plus, shift, plus = 0.0, float(params.parity), e, m, True
     else:
@@ -426,8 +410,11 @@ def _route_condition(params: SystemParams, n: int, route: str):
     nu_cos = nu * cos_a
 
     def condition(E: float, lam: float) -> float:
-        c_plus = (E + shift if plus
-                  else m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
+        try:
+            c_plus = (E + shift if plus
+                      else m * (sin_a - lam / m) * (sin_a + lam / m) / (E / m + cos_a))
+        except ZeroDivisionError:   # E/m + cos A = 0, where mixing_case raises the pole
+            return reference(E, lam)
         X = -s_plus / c_plus if c_plus != 0.0 else math.inf
         alpha, delta = 2.0 * (-lam * X), two_e * E * X
         if math.isfinite(alpha + delta + (1.0 + m_eff * X * sin_a - delta - nu_cos)):

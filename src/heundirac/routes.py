@@ -15,8 +15,9 @@ to normalization:
                 x = -(E+m) r/e, G recovered from the first-order system.
 
 The three Heun routes work in the rotated frame (F, G) of model.MixingCase,
-whose two equations give one relation each, valid in every case: g_from_f
-reads G off the F equation and f_from_g reads F off the G equation.
+resolved once per solve, and read their Heun map off it.  Its two
+equations give one relation each, valid in every case: g_from_f reads G
+off the F equation and f_from_g reads F off the G equation.
 
 Every component is the shared envelope (2*lam*r)^a e^{-lam*r},
 a = sqrt(nu^2-e^2), times a polynomial in k*r, with k = 2*lam (Kummer) or
@@ -48,8 +49,8 @@ import numpy as np
 
 from .errors import InvalidParams
 from .model import (ANALYTIC_ROUTES, GRID_POINTS, EnergyLevel, MixingCase, SystemParams,
-                    energy_closed_form, mixing_case, heun_params_case1, heun_params_case2,
-                    heun_params_full, require_level, standard_vars)
+                    _heun_map, energy_closed_form, mixing_case, require_level,
+                    standard_vars)
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
 
@@ -325,7 +326,7 @@ def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     """Case-0 frame of level, G by g_from_f."""
     E, lam, a = level.E, level.lam, params.frobenius_exponent
     case = mixing_case("0", params, E, lam)
-    heun = _heun_polynomial(heun_params_full(params, E, lam), level.n)
+    heun = _heun_polynomial(_heun_map(params, E, lam, case), level.n)
     f_part, df = _enveloped(_envelope(lam, a, r), heun, 1.0 / case.singular_point,
                             lam, a, r)
     return _Frame(r, f_part, df, g_from_f(case, params, r, f_part, df()), None, case, heun)
@@ -348,7 +349,7 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
 
     if n >= 1:
         R = case.singular_point
-        heun = _heun_polynomial(heun_params_case1(params, E, lam), n)
+        heun = _heun_polynomial(_heun_map(params, E, lam, case), n)
         # as r -> inf, G = g_from_f(F) tends to F (lam + m_eff sin A)/c_plus with
         # c_plus = -s_plus/R: match the leading terms r^(a+n) e^(-lam r)
         t = (-case.s_plus * kummer[-1] * (2.0 * lam * R) ** n
@@ -380,7 +381,7 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     n, E, lam, a = level.n, level.E, level.lam, params.frobenius_exponent
     case = mixing_case("2", params, E, lam)
     D = case.singular_point
-    heun = _heun_polynomial(heun_params_case2(params, E, lam), n)
+    heun = _heun_polynomial(_heun_map(params, E, lam, case), n)
     pref = _envelope(lam, a, r)
 
     # The G equation picks up a parity-dependent 1/r term, shifting the

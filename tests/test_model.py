@@ -1,6 +1,9 @@
 """Tests for the parameter layer: cases, maps, spectrum, quantization."""
 
+import hashlib
+import json
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -537,18 +540,29 @@ def test_solve_quantization_evaluates_each_point_once(quantization_sweep):
         assert len(set(points)) == len(points), (p, n, route)
 
 
-def test_heun_maps_build_no_mixing_case(monkeypatch):
-    # a map reads sin A, cos A and the singular point alone
+@pytest.mark.parametrize("solver", ["solve_mixed_case1", "solve_mixed_case2", "solve_heun_full"])
+@pytest.mark.parametrize("parity, n", [(1, 1), (1, 3), (-1, 0), (-1, 2)])
+def test_each_rotated_solve_resolves_its_case_once(solver, parity, n, monkeypatch):
+    # the solve reads its Heun map off the case it resolved: one mixing_case
+    # call, and no public map, which would resolve the case again
     import heundirac.model as model
-    p = SystemParams(0.5, 2, parity=-1)
-    level = energy_closed_form(1, p)
-    maps = {route: build(p, level.E, level.lam) for route, build in HEUN_MAPS.items()}
+    import heundirac.routes as routes
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("mixing_case called")
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(model, "mixing_case", refuse)
-    assert {route: build(p, level.E, level.lam) for route, build in HEUN_MAPS.items()} == maps
+    for name in ("mixing_case", "heun_params_case1", "heun_params_case2", "heun_params_full"):
+        for module in (model, routes):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for route, build in HEUN_MAPS.items():
+        monkeypatch.setitem(HEUN_MAPS, route, counted(build.__name__, build))
+    getattr(routes, solver)(SystemParams(0.5, 2, parity=parity), n)
+    assert calls == ["mixing_case"]
 
 
 def test_solve_quantization_evaluates_inside_the_bracket(quantization_sweep):
@@ -649,6 +663,15 @@ def test_a_diverging_singular_point_names_its_own_case(E, lam, route, pole):
     assert str(condition.value) == str(built.value) == pole
 
 
+@pytest.mark.parametrize("case_id, E", [("0", -1.0), ("1", -math.sqrt(0.75))])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_a_vanishing_rotation_denominator_raises_the_pole(case_id, E, parity):
+    # E + m = 0 in case 0 and E/m + cos A = 0 in case 1 (cos A = sqrt(3)/2):
+    # the case's pole, not a bare ZeroDivisionError
+    with pytest.raises(InvalidParams, match=f"case-{case_id} singular point diverges"):
+        mixing_case(case_id, SystemParams(0.5, 1, parity=parity), E, 0.5)
+
+
 def _outcome(evaluate):
     """The float's bits, or the type and text of the error raised."""
     try:
@@ -690,12 +713,15 @@ EDGE_PARAMS += [SystemParams(math.nextafter(float(nu), 0.0), nu, parity=parity)
 def _edge_pairs(p):
     """(E, lam) at t = 0 (lam = 0), t = 1 (E = 0), the mixed1 pole t = e/nu
     and its neighbours, tiny t, where lam m underflows at m = 1e-160, and a
-    grid, then off the curve, where alpha or delta is not finite."""
+    grid, then off the curve, where alpha or delta is not finite, and at the
+    negative energies where a rotation denominator vanishes: E + m = 0
+    (case 0) and E/m + cos A = 0 (case 1)."""
     ts = [0.0, 1.0, 1e-300, 1e-160, 1e-20, p.e / p.nu, *(k / 16.0 for k in range(1, 16))]
     ts += [math.nextafter(p.e / p.nu, 0.0), math.nextafter(p.e / p.nu, 1.0)]
     pairs = [(p.m * math.sqrt((1.0 - t) * (1.0 + t)), p.m * t) for t in ts]
     return pairs + [(0.5 * p.m, math.inf), (0.5 * p.m, math.nan), (math.nan, 0.5 * p.m),
-                    (math.inf, 0.5 * p.m)]
+                    (math.inf, 0.5 * p.m), (-p.m, 0.5 * p.m),
+                    (-p.m * math.sqrt(1.0 - (p.e / p.nu) ** 2), 0.5 * p.m)]
 
 
 @pytest.mark.parametrize("p", EDGE_PARAMS, ids=repr)
@@ -743,3 +769,40 @@ def test_each_solve_builds_its_condition_once(p, monkeypatch):
                 assert (_outcome(lambda: steps[0](E, lam))
                         == _outcome(lambda: quantization_residuals(p, E, lam, n, (route,))[route])
                         ), (n, route, E, lam)
+
+
+def _rotation_edges() -> str:
+    """Every outcome of the rotation layer at EDGE_PARAMS x _edge_pairs, as
+    one JSON text: mixing_case for cases 0-2 and the three Heun maps, each
+    float as hex and each error as [type, text]."""
+    def bits(evaluate):
+        try:
+            return [x.hex() for x in evaluate()]
+        except Exception as exc:   # noqa: BLE001 - the error itself is pinned
+            return [type(exc).__name__, str(exc)]
+
+    doc = {}
+    for p in EDGE_PARAMS:
+        for E, lam in _edge_pairs(p):
+            row = {f"case {cid}": bits(lambda: mixing_case(cid, p, E, lam)[1:])
+                   for cid in "012"}
+            row.update({route: bits(lambda: build(p, E, lam))
+                        for route, build in HEUN_MAPS.items()})
+            doc[f"{p!r} at E={E.hex()}, lam={lam.hex()}"] = row
+    return json.dumps(doc, indent=1)
+
+
+#: sha256 of _rotation_edges(), which `PYTHONPATH=src python tests/test_model.py`
+#: prints: change it only for a change that moves the rotation layer on
+#: purpose, say so in CHANGES.md, and diff both commits' documents to see
+#: what moved
+ROTATION_EDGES_SHA256 = "fca8fe625a616898b056ec3b1a8fb4dc0b3c7fd5dff4de328385425a31b36480"
+
+
+def test_the_rotation_layer_keeps_its_bits_at_the_edges():
+    # the step is pinned against the map above; this pins both to fixed bits
+    assert hashlib.sha256(_rotation_edges().encode()).hexdigest() == ROTATION_EDGES_SHA256
+
+
+if __name__ == "__main__":
+    sys.stdout.write(_rotation_edges())

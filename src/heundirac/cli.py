@@ -247,7 +247,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
         from . import oracle
         sol = oracle.integrate_radial(params, level.E, grid=grid)
     else:
-        sol = routes.ROUTE_SOLVERS[route](params, n, grid=grid)
+        sol = routes.ROUTE_SOLVERS[route](params, level, grid)
     sol = routes.normalize(sol)
     res = routes.residual(sol)
     if cfg.format == "csv":

@@ -34,8 +34,9 @@ at parity +1.)
 Conventions.  The Heun-route variables y and x are negative for bound
 states (the extra singular point sits at negative radius); the envelope
 is taken in 2*lam*r > 0, so no branch of y^a is chosen.
-The nodeless n = 0 level exists only in the negative-parity channel
-(kappa < 0); requesting it at parity = +1 raises InvalidParams.
+Each solver builds the EnergyLevel it is given, on the grid it is given.  It
+raises InvalidParams for a level of another channel (nu, parity) than params
+and for the nodeless n = 0 level at parity +1 (it exists only at kappa < 0).
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .model import (ANALYTIC_ROUTES, GRID_POINTS, EnergyLevel, MixingCase, SystemParams,
-                    _heun_map, energy_closed_form, mixing_case, require_level,
-                    standard_vars)
+                    _heun_map, mixing_case, require_level, standard_vars)
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
 
@@ -204,12 +204,12 @@ def _kummer_polynomial(n_index: int, denom: float) -> np.ndarray:
     return kummer_series_coefficients(KummerParams(-float(n_index), denom), n_index + 1)
 
 
-def _level_grid(params: SystemParams, n: int, grid: RadialGrid | None):
-    """(closed-form level n with its exact lam, the grid or the level's
-    default grid); raises unless level n exists."""
-    require_level(params, n)
-    level = energy_closed_form(n, params)
-    return level, default_grid(level.lam) if grid is None else grid
+def _require_channel_level(params: SystemParams, level: EnergyLevel):
+    """require_level, and InvalidParams unless level is of params' channel."""
+    require_level(params, level.n)
+    if (level.nu, level.parity) != (params.nu, params.parity):
+        raise InvalidParams(f"the level of nu={level.nu}, parity={level.parity} is not in "
+                            f"the channel nu={params.nu}, parity={params.parity}")
 
 
 def _envelope(lam: float, a: float, r: np.ndarray) -> np.ndarray:
@@ -240,8 +240,8 @@ def _slope(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
 # standard route
 # ----------------------------------------------------------------------
 
-def solve_standard(params: SystemParams, n: int,
-                   grid: RadialGrid | None = None) -> RadialSolution:
+def solve_standard(params: SystemParams, level: EnergyLevel,
+                   grid: RadialGrid) -> RadialSolution:
     """Both components from terminating Kummer series.
 
     In y = 2*lam*r, the two auxiliary amplitudes are
@@ -254,8 +254,8 @@ def solve_standard(params: SystemParams, n: int,
     C2/C1 = -(nu_signed + mu_signed)/(A + eps), which degenerates to
     C2 = 0 exactly at the nodeless level.
     """
-    level, grid = _level_grid(params, n, grid)
-    E = level.E
+    _require_channel_level(params, level)
+    n, E = level.n, level.E
     sv = standard_vars(params, E, level.lam)
     lam, A, eps = sv.lam, sv.a_frob, sv.eps
     mu_s = params.parity * sv.mu
@@ -280,10 +280,10 @@ def solve_standard(params: SystemParams, n: int,
 # rotated-frame routes: heun (case 0), mixed1, mixed2
 # ----------------------------------------------------------------------
 
-def _solve_rotated(parts, route: str, params: SystemParams, n: int,
-                   grid: RadialGrid | None) -> RadialSolution:
+def _solve_rotated(parts, route: str, params: SystemParams, level: EnergyLevel,
+                   grid: RadialGrid) -> RadialSolution:
     """Rotate a case's (F, G) back to (f, g) by the half angle A/2."""
-    level, grid = _level_grid(params, n, grid)
+    _require_channel_level(params, level)
     frame = parts(params, level, grid.r)
     case = frame.case
     f = case.cos_half * frame.f + case.sin_half * frame.g
@@ -332,10 +332,10 @@ def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     return _Frame(r, f_part, df, g_from_f(case, params, r, f_part, df()), None, case, heun)
 
 
-def solve_heun_full(params: SystemParams, n: int,
-                    grid: RadialGrid | None = None) -> RadialSolution:
+def solve_heun_full(params: SystemParams, level: EnergyLevel,
+                    grid: RadialGrid) -> RadialSolution:
     """Rotation case 0: F from a Heun polynomial in -(E+m) r/e, G by g_from_f."""
-    return _solve_rotated(_case0_parts, "heun", params, n, grid)
+    return _solve_rotated(_case0_parts, "heun", params, level, grid)
 
 
 def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Frame:
@@ -364,16 +364,16 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
-def mixed1_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
-    """Case-1 amplitudes of level n: (r, F, dF/dr, G, dG/dr, case)."""
-    level, grid = _level_grid(params, n, grid)
+def mixed1_parts(params: SystemParams, level: EnergyLevel, grid: RadialGrid):
+    """Case-1 amplitudes of level on the grid: (r, F, dF/dr, G, dG/dr, case)."""
+    _require_channel_level(params, level)
     return _formed(_case1_parts(params, level, grid.r))
 
 
-def solve_mixed_case1(params: SystemParams, n: int,
-                      grid: RadialGrid | None = None) -> RadialSolution:
+def solve_mixed_case1(params: SystemParams, level: EnergyLevel,
+                      grid: RadialGrid) -> RadialSolution:
     """Rotation case 1: G from Kummer, F from a Heun polynomial in r/R."""
-    return _solve_rotated(_case1_parts, "mixed1", params, n, grid)
+    return _solve_rotated(_case1_parts, "mixed1", params, level, grid)
 
 
 def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Frame:
@@ -407,16 +407,16 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
-def mixed2_parts(params: SystemParams, n: int, grid: RadialGrid | None = None):
-    """Case-2 amplitudes of level n: (r, F, dF/dr, G, dG/dr, case)."""
-    level, grid = _level_grid(params, n, grid)
+def mixed2_parts(params: SystemParams, level: EnergyLevel, grid: RadialGrid):
+    """Case-2 amplitudes of level on the grid: (r, F, dF/dr, G, dG/dr, case)."""
+    _require_channel_level(params, level)
     return _formed(_case2_parts(params, level, grid.r))
 
 
-def solve_mixed_case2(params: SystemParams, n: int,
-                      grid: RadialGrid | None = None) -> RadialSolution:
+def solve_mixed_case2(params: SystemParams, level: EnergyLevel,
+                      grid: RadialGrid) -> RadialSolution:
     """Rotation case 2: G from Kummer (shifted denominator), F from Heun."""
-    return _solve_rotated(_case2_parts, "mixed2", params, n, grid)
+    return _solve_rotated(_case2_parts, "mixed2", params, level, grid)
 
 
 #: wavefunction solver of each analytic route, keyed in ANALYTIC_ROUTES order

@@ -57,15 +57,15 @@ def _result(name, dev, tol, detail=""):
 
 class _Level:
     """Level n of a request as its checks share it: the channel p that holds
-    it (level_channel) and its closed-form energy E and decay constant lam,
+    it (level_channel) and its closed-form EnergyLevel (closed_form, E, lam),
     formed with it, and, each built when first read, its default grid, each
-    route's solution on that grid and its Heun maps.  What raises is built
-    again when next read, so it raises for each check that reads it."""
+    route's solution of closed_form on that grid and its Heun maps.  What
+    raises is built again when next read, so it raises for each check that reads it."""
 
     def __init__(self, params, n):
         self.p, self.n = level_channel(params, n), n
-        level = energy_closed_form(n, self.p)
-        self.E, self.lam = level.E, level.lam
+        self.closed_form = energy_closed_form(n, self.p)
+        self.E, self.lam = self.closed_form.E, self.closed_form.lam
         self.solutions = {}
 
     @cached_property
@@ -76,7 +76,7 @@ class _Level:
     def solution(self, route):
         """The route's solution, solved once (through ROUTE_SOLVERS)."""
         if route not in self.solutions:
-            self.solutions[route] = ROUTE_SOLVERS[route](self.p, self.n, grid=self.grid)
+            self.solutions[route] = ROUTE_SOLVERS[route](self.p, self.closed_form, self.grid)
         return self.solutions[route]
 
     @cached_property

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from heundirac import (SystemParams, energy_closed_form, heun_params_case1,
-                       heun_params_case2, heun_params_full, normalize,
-                       residual, shoot_energy, solve_quantization,
+from closed_level import solve_closed
+from heundirac import (SystemParams, default_grid, energy_closed_form,
+                       heun_params_case1, heun_params_case2, heun_params_full,
+                       normalize, residual, shoot_energy, solve_quantization,
                        standard_vars)
 from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
 from heundirac.routes import ROUTE_SOLVERS, f_from_g, g_from_f, mixed1_parts
@@ -99,7 +100,7 @@ def test_a4_wavefunction_residuals_and_cross_route_agreement():
                 p = level_channel(SystemParams(e, nu), n)
                 normed = {}
                 for route, solver in ROUTE_SOLVERS.items():
-                    sol = solver(p, n)
+                    sol = solve_closed(solver, p, n)
                     worst_res = max(worst_res, residual(sol))
                     normed[route] = normalize(sol)
                 ref = normed["standard"]
@@ -126,7 +127,7 @@ def test_a5_operator_closure_and_coefficient_ratio():
         for n in range(1, 5):
             level = energy_closed_form(n, p)
             E, lam = level.E, level.lam
-            r, f_part, df_part, g_part, dg_part, case = mixed1_parts(p, n)
+            r, f_part, df_part, g_part, dg_part, case = mixed1_parts(p, level, default_grid(lam))
             g_implied = g_from_f(case, p, r, f_part, df_part)
             worst_closure = max(worst_closure, float(
                 np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part))))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from closed_level import count_closed_forms
 from heundirac import (ANALYTIC_ROUTES, HeunDiracError, NoConvergence, SystemParams,
                        energy_closed_form, routes)
 from heundirac.cli import (_OPTIONS, EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
@@ -168,6 +169,16 @@ def test_wavefunction_two_nodes(capsys):
                 if math.copysign(1, a) != math.copysign(1, b))
     assert flips == 2
     assert doc["system_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+def test_wavefunction_forms_its_level_once(capsys, monkeypatch, route):
+    # counted at every binding: the route builds the level the request formed
+    formed = count_closed_forms(monkeypatch)
+    code, _, _ = run_cli(capsys, "wavefunction", "--route", route, "--n", "1", "--n-max", "1",
+                         "--coupling", "0.5", "--grid-points", "50", "--no-timestamp")
+    assert code == EXIT_OK
+    assert formed == {(1, 1): 1}
 
 
 def test_wavefunction_empty_grid_exits_2(capsys):
@@ -972,8 +983,9 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
 def _per_number_table(fmt, route, n, points):
     """The wavefunction output as the per-number expressions printed it."""
     params = SystemParams(0.5, 1)
-    grid = routes.default_grid(energy_closed_form(n, params).lam, points)
-    sol = routes.normalize(routes.ROUTE_SOLVERS[route](params, n, grid=grid))
+    level = energy_closed_form(n, params)
+    grid = routes.default_grid(level.lam, points)
+    sol = routes.normalize(routes.ROUTE_SOLVERS[route](params, level, grid))
     res = routes.residual(sol)
     r, f, g = grid.r.tolist(), sol.f.tolist(), sol.g.tolist()
     if fmt == "csv":

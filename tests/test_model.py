@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_level import solve_closed
 from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, heun_params_case1,
                        heun_params_case2, heun_params_full, heunc_truncation,
@@ -561,7 +562,7 @@ def test_each_rotated_solve_resolves_its_case_once(solver, parity, n, monkeypatc
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for route, build in HEUN_MAPS.items():
         monkeypatch.setitem(HEUN_MAPS, route, counted(build.__name__, build))
-    getattr(routes, solver)(SystemParams(0.5, 2, parity=parity), n)
+    solve_closed(getattr(routes, solver), SystemParams(0.5, 2, parity=parity), n)
     assert calls == ["mixing_case"]
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from closed_level import solve_closed
 from heundirac import (InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, frobenius_start, integrate_radial,
                        normalize, residual, scan_brackets, shoot_energy,
@@ -121,7 +122,7 @@ def test_integration_matches_analytic_wavefunction():
     lam = math.sqrt(1 - E * E)
     grid = RadialGrid(np.geomspace(0.01 / lam, 20.0 / lam, 1500))
     oracle_sol = normalize(integrate_radial(p, E, grid=grid))
-    analytic = normalize(solve_heun_full(p, 1, grid=grid))
+    analytic = normalize(solve_closed(solve_heun_full, p, 1, grid=grid))
     assert np.max(np.abs(oracle_sol.f - analytic.f)) / np.max(np.abs(analytic.f)) < 1e-5
     assert np.max(np.abs(oracle_sol.g - analytic.g)) / np.max(np.abs(analytic.g)) < 1e-5
     assert residual(oracle_sol) < 1e-6
@@ -342,7 +343,7 @@ def test_integration_is_scale_free_in_the_mass(m):
     lam = p.decay_constant(E)
     grid = RadialGrid(np.geomspace(0.01 / lam, 20.0 / lam, 400))
     oracle_sol = normalize(integrate_radial(p, E, grid=grid))
-    analytic = normalize(solve_heun_full(p, 1, grid=grid))
+    analytic = normalize(solve_closed(solve_heun_full, p, 1, grid=grid))
     assert np.max(np.abs(oracle_sol.f - analytic.f)) / np.max(np.abs(analytic.f)) < 1e-5
     assert np.max(np.abs(oracle_sol.g - analytic.g)) / np.max(np.abs(analytic.g)) < 1e-5
 

@@ -7,12 +7,13 @@ import re
 import numpy as np
 import pytest
 
+from closed_level import count_closed_forms, solve_closed
 from heundirac import (InvalidParams, RadialGrid, SystemParams,
                        default_grid, energy_closed_form, normalize, residual,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
-                       solve_standard, standard_vars)
+                       solve_quantization, solve_standard, standard_vars)
 from heundirac import cli, routes, verify
-from heundirac.model import ANALYTIC_ROUTES, level_channel, mixing_case
+from heundirac.model import ANALYTIC_ROUTES, level_channel, mixing_case, quantized_routes
 from heundirac.routes import (ROUTE_SOLVERS, RadialSolution, f_from_g, g_from_f,
                               mixed1_parts, mixed2_parts)
 
@@ -28,7 +29,7 @@ def test_one_route_registry():
     assert verify.ROUTE_SOLVERS is cli._SOLVERS is routes.ROUTE_SOLVERS
     assert tuple(routes.ROUTE_SOLVERS) == ANALYTIC_ROUTES
     for route, solver in ROUTE_SOLVERS.items():
-        assert solver(params_for(1), 1).route == route
+        assert solve_closed(solver, params_for(1), 1).route == route
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +78,7 @@ def test_standard_nodeless_level_single_component():
     # C2 = 0 exactly: f and g are proportional everywhere, with ratio
     # -sqrt((m-E)/(m+E)) in the negative-parity channel that hosts n=0
     p = params_for(0)
-    sol = solve_standard(p, 0)
+    sol = solve_closed(solve_standard, p, 0)
     E = sol.E
     expected = -math.sqrt((p.m - E) / (p.m + E))
     ratios = sol.f / sol.g
@@ -86,26 +87,56 @@ def test_standard_nodeless_level_single_component():
 
 
 def test_standard_excited_level_residual():
-    sol = solve_standard(params_for(1), 1)
+    sol = solve_closed(solve_standard, params_for(1), 1)
     assert residual(sol) < 1e-8
 
 
 def test_standard_rejects_zero_coupling():
-    with pytest.raises(InvalidParams):
-        solve_standard(SystemParams(0.0, 1), 1)
+    p = SystemParams(0.0, 1)
+    # the level's lam is 0 at zero coupling, so the grid is another level's
+    grid = default_grid(energy_closed_form(1, params_for(1)).lam)
+    with pytest.raises(InvalidParams, match="zero coupling"):
+        solve_standard(p, energy_closed_form(1, p), grid)
 
 
 def test_nodeless_level_rejected_in_positive_parity_channel():
     p = SystemParams(0.5, 1, parity=1)
+    level = energy_closed_form(0, p)
     for solver in ALL_SOLVERS:
-        with pytest.raises(InvalidParams):
-            solver(p, 0)
+        with pytest.raises(InvalidParams, match="nodeless"):
+            solver(p, level, default_grid(level.lam))
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS + (mixed1_parts, mixed2_parts),
+                         ids=ANALYTIC_ROUTES + ("mixed1_parts", "mixed2_parts"))
+@pytest.mark.parametrize("other", [SystemParams(0.5, 2), SystemParams(0.5, 1, parity=-1)],
+                         ids=("nu", "parity"))
+def test_level_of_another_channel_is_rejected(solver, other):
+    # level 1 exists in both channels; built in params' channel, it is another state
+    level = energy_closed_form(1, other)
+    with pytest.raises(InvalidParams, match="is not in the channel nu=1, parity=1"):
+        solver(params_for(1), level, default_grid(level.lam))
 
 
 def test_off_level_energy_violates_system():
-    sol = solve_standard(params_for(1), 1)
+    sol = solve_closed(solve_standard, params_for(1), 1)
     off = dataclasses.replace(sol, E=sol.E + 1e-2)
     assert residual(off) > 1e-3
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_every_solver_builds_every_routes_quantized_level(nu, parity):
+    # one spectrum: each route's root-found level, handed to every solver,
+    # is a solution of the radial system on its default grid
+    for e in (0.0072973525693, 0.25, 0.5, 0.9 * nu):
+        p = SystemParams(e, nu, parity=parity)
+        for n in range(0 if parity == -1 else 1, 5):
+            for route in quantized_routes(p, n):
+                level = solve_quantization(p, n, route)
+                grid = default_grid(level.lam)
+                for solver in ALL_SOLVERS:
+                    assert residual(solver(p, level, grid)) < 1e-6, (e, n, route, solver)
 
 
 # ----------------------------------------------------------------------
@@ -113,12 +144,12 @@ def test_off_level_energy_violates_system():
 # ----------------------------------------------------------------------
 
 def test_mixed1_residual():
-    assert residual(solve_mixed_case1(params_for(1), 1)) < 1e-7
+    assert residual(solve_closed(solve_mixed_case1, params_for(1), 1)) < 1e-7
 
 
 def test_mixed1_forward_operator_reproduces_kummer_component():
     p = params_for(1)
-    r, f_part, df_part, g_part, _, case = mixed1_parts(p, 1)
+    r, f_part, df_part, g_part, _, case = solve_closed(mixed1_parts, p, 1)
     implied = g_from_f(case, p, r, f_part, df_part)
     scale = np.max(np.abs(g_part))
     assert np.max(np.abs(implied - g_part)) / scale < 1e-7
@@ -135,7 +166,7 @@ def test_mixed1_round_trip_is_proportional_to_identity():
     for parts in (mixed1_parts, mixed2_parts):
         for e, parity in ((0.5, 1), (0.5, -1), (1e-5, 1), (1e-5, -1)):
             p = SystemParams(e, 1, parity=parity)
-            r, f_part, df_part, g_part, dg_part, case = parts(p, 2)
+            r, f_part, df_part, g_part, dg_part, case = solve_closed(parts, p, 2)
             g_implied = g_from_f(case, p, r, f_part, df_part)
             assert np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)) < 1e-12
             f_back = f_from_g(case, p, r, g_part, dg_part)
@@ -164,7 +195,7 @@ def test_case1_g_to_f_relation_carries_the_nodeless_level():
     # at parity -1 the case-1 F coefficient E + m cos A stays finite at E_0,
     # and the relation gives the nodeless F that mixed1 builds from G
     p = params_for(0)
-    r, f_part, _, g_part, dg_part, case = mixed1_parts(p, 0)
+    r, f_part, _, g_part, dg_part, case = solve_closed(mixed1_parts, p, 0)
     f_back = f_from_g(case, p, r, g_part, dg_part)
     assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
 
@@ -176,8 +207,8 @@ def test_mixed1_matches_standard():
     cases = [(params_for(1), 1),
              *((SystemParams(1e-7, 1, parity=-1), n) for n in (1, 2, 5))]
     for p, n in cases:
-        a = normalize(solve_mixed_case1(p, n))
-        b = normalize(solve_standard(p, n, grid=a.grid))
+        a = normalize(solve_closed(solve_mixed_case1, p, n))
+        b = normalize(solve_closed(solve_standard, p, n, grid=a.grid))
         assert np.max(np.abs(a.f - b.f)) / np.max(np.abs(b.f)) < 1e-12, (p.e, n)
         assert np.max(np.abs(a.g - b.g)) / np.max(np.abs(b.g)) < 1e-12, (p.e, n)
 
@@ -188,30 +219,29 @@ def test_mixed1_matches_standard():
 def test_amplitudes_are_pointwise(route, e, parity, n):
     # the value at a radius does not depend on the rest of the grid
     p = SystemParams(e, 1, parity=parity)
-    full = ROUTE_SOLVERS[route](p, n)
-    prefix = ROUTE_SOLVERS[route](p, n, grid=RadialGrid(full.grid.r[:700]))
+    full = solve_closed(ROUTE_SOLVERS[route], p, n)
+    prefix = solve_closed(ROUTE_SOLVERS[route], p, n, grid=RadialGrid(full.grid.r[:700]))
     assert np.array_equal(prefix.f, full.f[:700])
     assert np.array_equal(prefix.g, full.g[:700])
 
 
-@pytest.mark.parametrize("solver", ["solve_mixed_case1", "solve_mixed_case2"])
-def test_mixed_routes_resolve_level_energy_once(monkeypatch, solver):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return energy_closed_form(*args)
-
-    monkeypatch.setattr(routes, "energy_closed_form", counted)
-    sol = getattr(routes, solver)(params_for(2), 2)
-    assert len(calls) == 1
-    assert sol.E == energy_closed_form(2, params_for(2)).E
+@pytest.mark.parametrize("solver", ALL_SOLVERS, ids=ANALYTIC_ROUTES)
+def test_solvers_form_no_level_and_keep_the_given_energy(monkeypatch, solver):
+    # the level of another route's quantization, one ulp off the closed form
+    p = params_for(2)
+    level = solve_quantization(p, 2, "mixed2")
+    level = dataclasses.replace(level, E=math.nextafter(level.E, 0.0))
+    grid = default_grid(level.lam)
+    formed = count_closed_forms(monkeypatch)
+    sol = solver(p, level, grid)
+    assert not formed
+    assert sol.E.hex() == level.E.hex()
 
 
 def test_mixed2_residual_and_relation():
     p = params_for(1)
-    assert residual(solve_mixed_case2(p, 1)) < 1e-7
-    r, f_part, _, g_part, dg_part, case = mixed2_parts(p, 1)
+    assert residual(solve_closed(solve_mixed_case2, p, 1)) < 1e-7
+    r, f_part, _, g_part, dg_part, case = solve_closed(mixed2_parts, p, 1)
     implied = f_from_g(case, p, r, g_part, dg_part)
     scale = np.max(np.abs(f_part))
     assert np.max(np.abs(implied - f_part)) / scale < 1e-7
@@ -220,10 +250,10 @@ def test_mixed2_residual_and_relation():
 def test_mixed_routes_nodeless_level():
     p = params_for(0)
     for solver in (solve_mixed_case1, solve_mixed_case2):
-        sol = solver(p, 0)
+        sol = solve_closed(solver, p, 0)
         assert residual(sol) < 1e-7
     # case 2 carries the state in its rotated F component alone
-    _, f_part, _, g_part, _, _ = mixed2_parts(p, 0)
+    _, f_part, _, g_part, _, _ = solve_closed(mixed2_parts, p, 0)
     assert np.all(g_part == 0.0)
     assert np.max(np.abs(f_part)) > 0
 
@@ -233,14 +263,14 @@ def test_mixed_routes_nodeless_level():
 # ----------------------------------------------------------------------
 
 def test_heun_full_nodeless_residual():
-    sol = solve_heun_full(params_for(0), 0)
+    sol = solve_closed(solve_heun_full, params_for(0), 0)
     assert residual(sol) < 1e-8
 
 
 def test_heun_full_matches_standard():
     p = SystemParams(0.3, 2)
-    a = normalize(solve_heun_full(p, 2))
-    b = normalize(solve_standard(p, 2, grid=a.grid))
+    a = normalize(solve_closed(solve_heun_full, p, 2))
+    b = normalize(solve_closed(solve_standard, p, 2, grid=a.grid))
     assert np.max(np.abs(a.f - b.f)) / np.max(np.abs(b.f)) < 1e-6
     assert np.max(np.abs(a.g - b.g)) / np.max(np.abs(b.g)) < 1e-6
 
@@ -277,7 +307,7 @@ def test_heun_full_matches_a_40_digit_standard_wavefunction(parity):
             p = SystemParams(e, nu, parity=parity)
             for n in range(1 if parity == 1 else 0, 6):
                 grid = RadialGrid(default_grid(energy_closed_form(n, p).lam).r[::50])
-                sol = solve_heun_full(p, n, grid=grid)
+                sol = solve_closed(solve_heun_full, p, n, grid=grid)
                 f, g = _mp_standard_pair(mpmath, p, n, grid.r)
                 scale = (sol.f @ f + sol.g @ g) / (sol.f @ sol.f + sol.g @ sol.g)
                 peak = max(np.max(np.abs(f)), np.max(np.abs(g)))
@@ -296,7 +326,7 @@ def _nodes(y):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_node_counts_negative_parity(n):
     # kappa < 0: both components oscillate n times
-    sol = solve_heun_full(SystemParams(0.5, 1, parity=-1), n)
+    sol = solve_closed(solve_heun_full, SystemParams(0.5, 1, parity=-1), n)
     assert _nodes(sol.f) == n
     assert _nodes(sol.g) == n
 
@@ -305,7 +335,7 @@ def test_node_counts_negative_parity(n):
 def test_node_counts_positive_parity(n):
     # kappa > 0 raises the orbital number of the dominant component by
     # one, costing it a radial node: (n-1, n) for (f, g)
-    sol = solve_heun_full(SystemParams(0.5, 1, parity=1), n)
+    sol = solve_closed(solve_heun_full, SystemParams(0.5, 1, parity=1), n)
     assert _nodes(sol.f) == n - 1
     assert _nodes(sol.g) == n
 
@@ -343,7 +373,7 @@ def test_coefficient_ratio_sign_pattern(n, nu, e, monkeypatch):
 
 def test_residual_zero_solution_is_zero():
     p = params_for(1)
-    sol = solve_standard(p, 1)
+    sol = solve_closed(solve_standard, p, 1)
     zero = RadialSolution(sol.grid, np.zeros_like(sol.f), np.zeros_like(sol.g),
                           sol.E, sol.route, p)
     assert residual(zero) == 0.0
@@ -354,7 +384,7 @@ def test_residual_zero_solution_is_zero():
 def test_residual_needs_enough_points():
     p = params_for(1)
     grid = RadialGrid(np.geomspace(0.1, 10.0, 4))
-    sol = solve_standard(p, 1, grid=grid)
+    sol = solve_closed(solve_standard, p, 1, grid=grid)
     with pytest.raises(InvalidParams):
         residual(sol)
 
@@ -391,7 +421,7 @@ def _central_derivative_reference(r, y, half):
 def test_grid_stencil_derivative_is_bit_identical(points, half):
     p = params_for(2)
     grid = default_grid(energy_closed_form(2, p).lam, points=points)
-    sol = solve_standard(p, 2, grid=grid)
+    sol = solve_closed(solve_standard, p, 2, grid=grid)
     assert grid._stencil[0] == half
     for y in (sol.f, sol.g):
         assert np.array_equal(routes._central_derivative(grid, y),
@@ -493,7 +523,7 @@ def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(points, r_
         assert np.array_equal(_bits(w), _bits(ref_weights[j]))
     assert np.array_equal(_bits(wsum), _bits(ref_wsum))
     for solver in ALL_SOLVERS:
-        sol = solver(p, 1, grid=grid)
+        sol = solve_closed(solver, p, 1, grid=grid)
         assert _bits(residual(sol)) == _bits(_one_pass_residual(sol, stencil))
 
 
@@ -503,14 +533,14 @@ def test_residual_is_dimensionless(solver, m):
     # each term of the system is f/length, so the residual is read in units
     # of m: the same level at another mass has the same residual
     p = SystemParams(1.0, 2)
-    at_unit_mass = residual(solver(p, 3))
-    assert residual(solver(dataclasses.replace(p, m=m), 3)) == pytest.approx(
+    at_unit_mass = residual(solve_closed(solver, p, 3))
+    assert residual(solve_closed(solver, dataclasses.replace(p, m=m), 3)) == pytest.approx(
         at_unit_mass, rel=1e-4)
 
 
 def test_normalize_unit_norm_and_scaling_invariance():
     p = params_for(2)
-    sol = solve_standard(p, 2)
+    sol = solve_closed(solve_standard, p, 2)
     normed = normalize(sol)
     r = normed.grid.r
     total = np.trapezoid(normed.f ** 2 + normed.g ** 2, r)
@@ -529,7 +559,7 @@ def test_normalize_is_exact_under_power_of_two_amplitudes(power):
     # f and g are squared in units of a power of two near their peak, so a
     # power-of-two rescaling moves no bit, also where f^2 would under- or
     # overflow
-    sol = solve_standard(params_for(2), 2)
+    sol = solve_closed(solve_standard, params_for(2), 2)
     ref = normalize(sol)
     scaled = normalize(dataclasses.replace(sol, f=np.ldexp(sol.f, power),
                                            g=np.ldexp(sol.g, power)))
@@ -539,7 +569,7 @@ def test_normalize_is_exact_under_power_of_two_amplitudes(power):
 
 def test_normalize_sign_convention():
     p = params_for(1)
-    sol = solve_standard(p, 1)
+    sol = solve_closed(solve_standard, p, 1)
     flipped = RadialSolution(sol.grid, -sol.f, -sol.g, sol.E, sol.route, p)
     a, b = normalize(sol), normalize(flipped)
     assert a.f[10] > 0 and b.f[10] > 0
@@ -555,7 +585,7 @@ def test_origin_power_law():
     E = energy_closed_form(1, p).E
     lam = math.sqrt(1 - E * E)
     grid = RadialGrid(np.geomspace(1e-7 / lam, 1.0 / lam, 200))
-    sol = solve_standard(p, 1, grid=grid)
+    sol = solve_closed(solve_standard, p, 1, grid=grid)
     s = p.frobenius_exponent
     ratio = sol.f / grid.r ** s
     # the reduced amplitude converges to a nonzero constant at the origin
@@ -568,7 +598,7 @@ def test_exponential_tail_log_slope():
     E = energy_closed_form(1, p).E
     lam = math.sqrt(1 - E * E)
     grid = RadialGrid(np.linspace(200.0 / lam, 260.0 / lam, 400))
-    sol = solve_standard(p, 1, grid=grid)
+    sol = solve_closed(solve_standard, p, 1, grid=grid)
     slope = np.gradient(np.log(np.abs(sol.f)), grid.r)
     assert abs(np.median(slope) / (-lam) - 1.0) < 0.01
 
@@ -585,8 +615,8 @@ def test_cross_route_pointwise_agreement(n, nu, e):
     # ~1e-16/e^2 off relative to the leading one, so a mixed-route amplitude
     # matched at the origin would miss 1e-12 by that
     p = params_for(n, nu, e)
-    ref = normalize(solve_standard(p, n))
+    ref = normalize(solve_closed(solve_standard, p, n))
     for solver in (solve_mixed_case1, solve_mixed_case2, solve_heun_full):
-        sol = normalize(solver(p, n, grid=ref.grid))
+        sol = normalize(solve_closed(solver, p, n, grid=ref.grid))
         assert np.max(np.abs(sol.f - ref.f)) / np.max(np.abs(ref.f)) < 1e-12
         assert np.max(np.abs(sol.g - ref.g)) / np.max(np.abs(ref.g)) < 1e-12

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from closed_level import count_closed_forms
 from heundirac import (HeunDiracError, InvalidParams, SystemParams, energy_closed_form,
                        heun_params_case1, heun_params_case2, heun_params_full, routes,
                        specfun, verify)
@@ -273,12 +274,9 @@ def test_run_builds_the_case1_parts_once_per_level(monkeypatch):
 
 
 def test_run_forms_each_level_once(monkeypatch):
-    formed, exact = Counter(), verify.energy_closed_form
-
-    def counted(n, params):
-        formed[n, params.parity] += 1
-        return exact(n, params)
-    monkeypatch.setattr(verify, "energy_closed_form", counted)
+    # counted at every binding: the route solves build the level the run
+    # formed, and form none of their own
+    formed = count_closed_forms(monkeypatch)
     verify.run_verification(WORK_PARAMS, WORK_N_MAX, "all")
     assert formed == {(n, -1 if n == 0 else 1): 1 for n in range(WORK_N_MAX + 1)}
 

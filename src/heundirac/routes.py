@@ -90,13 +90,67 @@ class RadialGrid:
         built once per grid: 2*half+1 Lagrange nodes per interior point
         (half = 3 from 9 points on, else 2), the weight of each off-center
         node keyed by its offset, and their sum (the center weight is -wsum).
+
+        The weights are first formed in the grid's own units (_unscaled_weights),
+        which raises where one of its steps leaves the normal range (radii or
+        masses beyond about 1e+-50).  There, and on grids spanning 2**62 or
+        more, each row is formed in units of a power of two near its center
+        (_stencil_weights).  Scaling by a power of two commutes with every
+        rounding whose operands and result are normal, and on a grid spanning
+        under 2**62 every row-scaled step is normal: wherever the unscaled
+        formation raises nothing, the two agree bit for bit.
         Raises InvalidParams where a weight overflows (r near 1e-308, far-apart nodes).
         """
+        r = self.r
+        if math.frexp(r[-1])[1] - math.frexp(r[0])[1] < 62:
+            try:
+                return self._unscaled_weights()
+            except FloatingPointError:
+                pass
         try:   # an overflow, or the inf/inf or x/0 it makes, voids the weights
             return self._stencil_weights()
         except FloatingPointError:
             raise InvalidParams(f"the derivative stencil overflows on the {len(self.r)}-point "
                                 f"grid from r_min={self.r[0]} to r_max={self.r[-1]}") from None
+
+    @np.errstate(over="raise", under="raise", invalid="raise", divide="raise")
+    def _unscaled_weights(self):
+        """_stencil's weights in the grid's units: each factor x_a - x_b of a
+        weight's products is a slice of the differences of radii |a - b|
+        apart, taken in _stencil_weights' order of factors, weights and sum."""
+        r = self.r
+        n = len(r)
+        half = 3 if n >= 9 else 2
+        width = 2 * half + 1
+        rows = n - 2 * half
+        span = {}
+        for gap in range(1, width):
+            diff = r[gap:] - r[:n - gap]
+            for a in range(width - gap):
+                span[a, a + gap] = span[a + gap, a] = diff[a:a + rows]
+
+        def product(a, others, out):
+            """Write the product of |x_a - x_b| over b in others, in their order,
+            into out; return the number of its factors x_a - x_b < 0 (a < b)."""
+            np.multiply(span[a, others[0]], span[a, others[1]], out=out)
+            for b in others[2:]:
+                out *= span[a, b]
+            return sum(a < b for b in others)
+
+        weights = {}
+        wsum = np.zeros(rows)
+        den = np.empty(rows)
+        for j in range(width):
+            if j == half:
+                continue
+            num = np.empty(rows)
+            flips = (product(half, [k for k in range(width) if k not in (j, half)], num)
+                     + product(j, [k for k in range(width) if k != j], den))
+            weights[j] = np.divide(num, den, out=num)
+            if flips % 2:
+                np.negative(num, out=num)
+            wsum += num
+        return half, weights, wsum
 
     @np.errstate(over="raise", invalid="raise", divide="raise")
     def _stencil_weights(self):
@@ -176,6 +230,8 @@ def default_grid(lam: float, points: int = GRID_POINTS,
     r_max (default 40/lam), lam the decay constant of the level."""
     if points < 2:
         raise InvalidParams(f"grid needs at least 2 points, got {points}")
+    if not 0 < lam < math.inf:
+        raise InvalidParams(f"need a positive finite decay constant lam, got {lam}")
     r_min = GRID_RMIN_SCALE / lam if r_min is None else r_min
     r_max = GRID_RMAX_SCALE / lam if r_max is None else r_max
     if not (0 < r_min < r_max < math.inf):
@@ -446,14 +502,17 @@ def residual(solution: RadialSolution) -> float:
     |f| + |g| plus a small relative floor.  The terms are taken in units of
     the peak of |f| + |g| and of 1/m (each term of the system is f/length),
     which makes the result dimensionless and keeps every term in range at
-    any mass.
+    any mass.  A zero solution has residual 0.0, one holding a NaN or an
+    infinity NaN.
     """
     r = solution.grid.r
     if len(r) < 5:
         raise InvalidParams("residual needs at least 5 grid points")
     half = solution.grid._stencil[0]
     peak = np.max(np.abs(solution.f) + np.abs(solution.g))
-    if not peak > 0:
+    if not math.isfinite(peak):   # a NaN or inf in f or g: no residual is defined
+        return math.nan
+    if peak == 0:
         return 0.0
     f, g = solution.f / peak, solution.g / peak
     params, E, m = solution.params, solution.E, solution.params.m
@@ -474,8 +533,9 @@ def residual(solution: RadialSolution) -> float:
     scale = np.abs(fi)
     scale += np.abs(gi, out=term)
     scale += RESIDUAL_FLOOR
-    return float(max(np.max(np.divide(np.abs(res1, out=res1), scale, out=res1)),
-                     np.max(np.divide(np.abs(res2, out=res2), scale, out=res2))))
+    # np.maximum, unlike max(), carries a NaN of either maximum
+    return float(np.maximum(np.max(np.divide(np.abs(res1, out=res1), scale, out=res1)),
+                            np.max(np.divide(np.abs(res2, out=res2), scale, out=res2))))
 
 
 def normalize(solution: RadialSolution) -> RadialSolution:

@@ -70,6 +70,14 @@ def test_default_grid_spans_origin_to_tail():
         default_grid(lam, r_min=50.0 / lam)
 
 
+@pytest.mark.parametrize("lam", (0.0, -0.0, math.nan, math.inf, -1.0,
+                                 # form a level, then its grid, at zero coupling
+                                 energy_closed_form(1, SystemParams(0.0, 1)).lam))
+def test_default_grid_needs_a_positive_finite_decay_constant(lam):
+    with pytest.raises(InvalidParams, match=re.escape(f"decay constant lam, got {lam}")):
+        default_grid(lam)
+
+
 # ----------------------------------------------------------------------
 # standard route
 # ----------------------------------------------------------------------
@@ -381,6 +389,50 @@ def test_residual_zero_solution_is_zero():
         normalize(zero)
 
 
+def _with_value_at(y, index, value):
+    y = y.copy()
+    y[index] = value
+    return y
+
+
+@pytest.mark.parametrize("component, value", (("f", math.nan), ("g", math.nan),
+                                              ("g", math.inf), ("f", -math.inf)))
+def test_residual_of_a_non_finite_solution_is_nan(component, value):
+    # and no numpy RuntimeWarning: pytest's filter makes one an error
+    p = SystemParams(0.5, 1)
+    sol = solve_closed(solve_standard, p, 1)
+    bad = dataclasses.replace(sol, **{component: _with_value_at(getattr(sol, component),
+                                                                  len(sol.f) // 2, value)})
+    assert math.isnan(residual(bad))
+
+
+@pytest.mark.parametrize("nan_call", (0, 1), ids=("in-df", "in-dg"))
+def test_residual_carries_a_nan_of_either_equation(monkeypatch, nan_call):
+    sol = solve_closed(solve_standard, SystemParams(0.5, 1), 1)
+    finite = residual(sol)
+    derivative, calls = routes._central_derivative, []
+
+    def one_nan(grid, y):
+        calls.append(y)
+        d = derivative(grid, y)
+        return _with_value_at(d, 10, math.nan) if len(calls) - 1 == nan_call else d
+
+    monkeypatch.setattr(routes, "_central_derivative", one_nan)
+    assert math.isfinite(finite) and math.isnan(residual(sol))
+
+
+def test_wavefunction_residual_check_fails_on_a_nan_solution(monkeypatch):
+    solver = ROUTE_SOLVERS["mixed2"]
+
+    def with_a_nan(params, level, grid):
+        sol = solver(params, level, grid)
+        return dataclasses.replace(sol, f=_with_value_at(sol.f, 100, math.nan))
+
+    monkeypatch.setitem(ROUTE_SOLVERS, "mixed2", with_a_nan)
+    result = verify.check_wavefunction_residuals(SystemParams(0.5, 1), 1)
+    assert not result.passed and math.isnan(result.max_deviation)
+
+
 def test_residual_needs_enough_points():
     p = params_for(1)
     grid = RadialGrid(np.geomspace(0.1, 10.0, 4))
@@ -445,8 +497,11 @@ def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
 
 
 @pytest.mark.parametrize("r", (np.geomspace(1e-300, 154.5, 7), np.geomspace(1e-308, 1.0, 2000),
-                               np.array([1e-300, 1e-200, 1e-100, 1.0, 1e100])),
-                         ids=("7-points-from-1e-300", "2000-points-from-1e-308", "decades"))
+                               np.array([1e-300, 1e-200, 1e-100, 1.0, 1e100]),
+                               # in range in the grid's own units, not in the row's
+                               np.array([1e-12, 1e-11, 1e-10, 1e30, 1e70])),
+                         ids=("7-points-from-1e-300", "2000-points-from-1e-308", "decades",
+                              "spanning-2**272"))
 def test_grid_stencil_that_overflows_is_invalid_params(r):
     # and no numpy RuntimeWarning escapes: pytest's filter makes one an error
     grid = RadialGrid(r)
@@ -508,23 +563,62 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("points, r_min", [
-    *((points, None) for points in (5, 8, 9, 50, 2000, 20000)),
-    # starting far inside the Frobenius region, where the rows' power-of-two
-    # scaling keeps the products of node differences in range
-    (2000, 1e-300)])
-def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(points, r_min):
-    p = params_for(1)
-    grid = default_grid(energy_closed_form(1, p).lam, points=points, r_min=r_min)
-    half, weights, wsum = grid._stencil
-    ref_half, ref_weights, ref_wsum = stencil = _one_pass_stencil(grid.r)
+def _assert_same_bits(stencil, ref):
+    (half, weights, wsum), (ref_half, ref_weights, ref_wsum) = stencil, ref
     assert half == ref_half and list(weights) == list(ref_weights)
     for j, w in weights.items():
         assert np.array_equal(_bits(w), _bits(ref_weights[j]))
     assert np.array_equal(_bits(wsum), _bits(ref_wsum))
+
+
+_MASSES = (1e-300, 1e-150, 0.51099895, 1.0, 938.272, 1e150, 1e300)
+# m r underflows at r_min = 1e-300 and m < 1e-8, and residual's nu/(m r) overflows
+_M_R_UNDERFLOWS = pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                                    reason="residual divides by m r, which underflows")
+
+
+@pytest.mark.parametrize("points, r_min, m", [
+    *((points, None, m) for points in (5, 8, 9, 50, 2000, 20000) for m in _MASSES),
+    # starting far inside the Frobenius region, where the rows' power-of-two
+    # scaling keeps the products of node differences in range
+    *(pytest.param(2000, 1e-300, m, marks=_M_R_UNDERFLOWS if m < 1e-8 else ())
+      for m in _MASSES)])
+def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(monkeypatch, points,
+                                                                      r_min, m):
+    p = dataclasses.replace(params_for(1), m=m)
+    grid = default_grid(energy_closed_form(1, p).lam, points=points, r_min=r_min)
+    row_scaled = []
+    stencil_weights = RadialGrid._stencil_weights
+    monkeypatch.setattr(RadialGrid, "_stencil_weights",
+                        lambda grid: row_scaled.append(grid) or stencil_weights(grid))
+    half, weights, wsum = grid._stencil
+    # the grid's own units where the node differences' products stay in range
+    assert len(row_scaled) == (r_min is not None or not 1e-50 < m < 1e50)
+    stencil = _one_pass_stencil(grid.r)
+    _assert_same_bits((half, weights, wsum), stencil)
     for solver in ALL_SOLVERS:
         sol = solve_closed(solver, p, 1, grid=grid)
         assert _bits(residual(sol)) == _bits(_one_pass_residual(sol, stencil))
+
+
+def test_grid_stencils_across_levels_match_the_one_pass_formula_bit_for_bit():
+    # default grids of 300 levels drawn across channels, couplings, masses and n
+    rng = np.random.default_rng(2014)
+    for _ in range(300):
+        nu = int(rng.integers(1, 4))
+        e = 10.0 ** rng.uniform(-3.0, math.log10(0.95 * nu))
+        m = 10.0 ** rng.uniform(-10.0, 10.0)
+        n = int(rng.integers(0, 17))
+        level = energy_closed_form(n, level_channel(SystemParams(e, nu, m=m), n))
+        grid = default_grid(level.lam, points=int(rng.choice((5, 9, 300, 2000))))
+        _assert_same_bits(grid._stencil, _one_pass_stencil(grid.r))
+    # masses where a product of the grid's node differences turns subnormal
+    p = params_for(1)
+    for m in 10.0 ** np.linspace(46.5, 50.5, 9):
+        lam = energy_closed_form(1, dataclasses.replace(p, m=m)).lam
+        for points in (2000, 20000):
+            grid = default_grid(lam, points=points)
+            _assert_same_bits(grid._stencil, _one_pass_stencil(grid.r))
 
 
 @pytest.mark.parametrize("m", (0.51099895, 2.0, 938.272, 1e-150, 1e150, 1e-300, 1e300))

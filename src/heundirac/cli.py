@@ -245,7 +245,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     grid._stencil  # the residual's weights: InvalidParams here, before the solve, on overflow
     if route == "oracle":
         from . import oracle
-        sol = oracle.integrate_radial(params, level.E, grid=grid)
+        sol = oracle.integrate_radial(params, level.E, grid)
     else:
         sol = routes.ROUTE_SOLVERS[route](params, level, grid)
     sol = routes.normalize(sol)
@@ -313,11 +313,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    return _parsers()[0]
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; NoConvergence exits 3, any other HeunDiracError 2."""
     argv = sys.argv[1:] if argv is None else argv
@@ -342,13 +337,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def __getattr__(name: str):
-    """oracle, routes, tables, verify and _SOLVERS (routes.ROUTE_SOLVERS),
-    imported on first read (PEP 562).  They import numpy, so each subcommand
-    imports them where it needs them, and an analytic spectrum never does."""
+    """_SOLVERS: routes.ROUTE_SOLVERS, imported on first read (PEP 562), as
+    routes imports numpy, which an analytic spectrum never loads."""
     if name == "_SOLVERS":
         return import_module(".routes", __package__).ROUTE_SOLVERS
-    if name in ("oracle", "routes", "tables", "verify"):
-        return import_module(f".{name}", __package__)
     return object.__getattribute__(sys.modules[__name__], name)  # raises AttributeError
 
 

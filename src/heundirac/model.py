@@ -423,14 +423,10 @@ def _route_condition(params: SystemParams, n: int, route: str):
     return condition
 
 
-def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
-                           routes: tuple[str, ...] = ANALYTIC_ROUTES) -> dict[str, float]:
-    """Signed residual of each requested route's quantization condition at
-    (E, lam) for level n.
-
-    Only the conditions of the routes named in `routes` are evaluated, so
-    one route's residual neither pays for nor fails on another route's
-    map; an unknown route name raises InvalidParams.
+def quantization_residuals(params: SystemParams, E: float, lam: float,
+                           n: int) -> dict[str, float]:
+    """Signed residual of the quantization condition of each route that
+    quantizes level n (quantized_routes) at (E, lam).
 
     standard: eps - a_frob - n.  For the Heun-based routes the residual is
     delta + (n + (beta+gamma+2)/2)*alpha of the respective parameter map,
@@ -442,7 +438,8 @@ def quantization_residuals(params: SystemParams, E: float, lam: float, n: int,
     relative to the standard one, so their signs differ while their roots
     coincide.
     """
-    return {route: _route_condition(params, n, route)(E, lam) for route in routes}
+    return {route: _route_condition(params, n, route)(E, lam)
+            for route in quantized_routes(params, n)}
 
 
 #: the error of a NaN function value at x in _brentq, scipy's text

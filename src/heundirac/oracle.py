@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .model import EnergyLevel, SystemParams, _brentq, require_bound_energy
-from .routes import GRID_RMAX_SCALE, RadialGrid, RadialSolution, default_grid
+from .routes import GRID_RMAX_SCALE, RadialGrid, RadialSolution
 
 # Brent iteration budget of shoot_energy.
 MAX_ITERATIONS = 200
@@ -186,21 +186,19 @@ def _node_label(params: SystemParams, E: float, legs) -> int:
     return round((theta[0, -1] - theta[1, -1]) / math.pi) + 1
 
 
-def integrate_radial(params: SystemParams, E: float,
-                     grid: RadialGrid | None = None) -> RadialSolution:
+def integrate_radial(params: SystemParams, E: float, grid: RadialGrid) -> RadialSolution:
     """Integrate the radial system outward and record (f, g) on a grid.
 
     From the Frobenius seed at R_SEED_SCALE/lam, N steps reach the first
     grid radius and k steps span each grid interval (Richardson pair (N, k),
     (2N, 2k)), in units of 1/m; each node keeps its log scale, and one
-    factor puts the largest at 1, so no j overflows (f, g).  The grid,
-    default_grid(lam) by default, may not reach past GRID_RMAX_SCALE/lam (up
-    to eps (m/lam)^2, the rounding of lam from a double E).  Even at an
-    eigenvalue, roundoff seeds the growing mode at relative size ~eps, which
-    overtakes the decaying profile beyond lam*r ~ 18-23."""
+    factor puts the largest at 1, so no j overflows (f, g).  The grid may
+    not reach past GRID_RMAX_SCALE/lam (up to eps (m/lam)^2, the rounding of
+    lam from a double E).  Even at an eigenvalue, roundoff seeds the growing
+    mode at relative size ~eps, which overtakes the decaying profile beyond
+    lam*r ~ 18-23."""
     require_bound_energy(params, E)
     lam = params.decay_constant(E)
-    grid = default_grid(lam) if grid is None else grid
     r, m = grid.r, params.m
     if r[0] < R_SEED_SCALE / lam or r[-1] * lam > GRID_RMAX_SCALE * (1.0 + 1e-15 * (m / lam) ** 2):
         raise InvalidParams("grid must lie within [r_seed, r_max] of the oracle")

@@ -347,11 +347,6 @@ def _solve_rotated(parts, route: str, params: SystemParams, level: EnergyLevel,
     return RadialSolution(grid, f, g, level.E, route, params, frame)
 
 
-def _formed(frame: _Frame):
-    """(r, F, dF/dr, G, dG/dr, case) of a frame, its derivatives formed."""
-    return frame.r, frame.f, frame.df(), frame.g, frame.dg(), frame.case
-
-
 def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
              f_part: np.ndarray, df_part: np.ndarray) -> np.ndarray:
     """G from F through the rotated F equation of any case.
@@ -420,10 +415,10 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
-def mixed1_parts(params: SystemParams, level: EnergyLevel, grid: RadialGrid):
-    """Case-1 amplitudes of level on the grid: (r, F, dF/dr, G, dG/dr, case)."""
+def mixed1_parts(params: SystemParams, level: EnergyLevel, grid: RadialGrid) -> _Frame:
+    """Case-1 frame of level on the grid, as solve_mixed_case1 rotates it."""
     _require_channel_level(params, level)
-    return _formed(_case1_parts(params, level, grid.r))
+    return _case1_parts(params, level, grid.r)
 
 
 def solve_mixed_case1(params: SystemParams, level: EnergyLevel,
@@ -463,10 +458,10 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
-def mixed2_parts(params: SystemParams, level: EnergyLevel, grid: RadialGrid):
-    """Case-2 amplitudes of level on the grid: (r, F, dF/dr, G, dG/dr, case)."""
+def mixed2_parts(params: SystemParams, level: EnergyLevel, grid: RadialGrid) -> _Frame:
+    """Case-2 frame of level on the grid, as solve_mixed_case2 rotates it."""
     _require_channel_level(params, level)
-    return _formed(_case2_parts(params, level, grid.r))
+    return _case2_parts(params, level, grid.r)
 
 
 def solve_mixed_case2(params: SystemParams, level: EnergyLevel,
@@ -501,9 +496,9 @@ def residual(solution: RadialSolution) -> float:
     own grid; each equation residual is scaled by the local magnitude
     |f| + |g| plus a small relative floor.  The terms are taken in units of
     the peak of |f| + |g| and of 1/m (each term of the system is f/length),
-    which makes the result dimensionless and keeps every term in range at
-    any mass.  A zero solution has residual 0.0, one holding a NaN or an
-    infinity NaN.
+    which makes the result dimensionless.  A zero solution has residual 0.0,
+    one holding a NaN or an infinity NaN.  Raises InvalidParams where a term
+    overflows or divides by zero (m r_min underflows to 0 or near it).
     """
     r = solution.grid.r
     if len(r) < 5:
@@ -514,10 +509,20 @@ def residual(solution: RadialSolution) -> float:
         return math.nan
     if peak == 0:
         return 0.0
+    try:
+        return _scaled_residual(solution, peak, half)
+    except FloatingPointError:
+        raise InvalidParams(f"the residual's terms in units of 1/m overflow at "
+                            f"m={solution.params.m} on the grid from r_min={r[0]}") from None
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _scaled_residual(solution: RadialSolution, peak: float, half: int) -> float:
+    """residual of a solution of finite, nonzero peak |f| + |g|."""
     f, g = solution.f / peak, solution.g / peak
     params, E, m = solution.params, solution.E, solution.params.m
-    fi, gi = f[half:len(r) - half], g[half:len(r) - half]
-    mr = m * r[half:len(r) - half]
+    inner = slice(half, len(f) - half)
+    fi, gi, mr = f[inner], g[inner], m * solution.grid.r[inner]
     nu_mr = params.nu / mr
     w = np.divide(params.e, mr, out=mr)
     w += E / m

@@ -333,25 +333,18 @@ def heunc_second_derivative(p: HeunCParams, z: float) -> float:
     return horner(heunc_truncation(p)[1], z, 2)
 
 
-def heunc_ode_residual(p, z, coeffs=None):
-    """Scaled residual of the canonical equation at z, a float or an array.
+def heunc_ode_residual(maps, z, coeffs):
+    """Scaled residual of the canonical equation at z, for each parameter set
+    in maps along the leading axis of the result (z may be an array).
 
-    p is one parameter set, or a sequence of them that stacks along a
-    leading axis of the result; coeffs is the polynomial of each, as
-    heunc_truncation gives it, truncated here (once for every z) if omitted.
+    coeffs holds the polynomial of each map, as heunc_truncation gives it.
     Plugs (H, H', H'') from the polynomial into the canonical form and
     divides by the largest term magnitude, so the result measures
-    internal consistency of the recurrence against the equation.  An open
-    series raises InvalidParams, as do the singular points z = 0 and 1.
+    internal consistency of the recurrence against the equation.  The
+    singular points z = 0 and 1 raise InvalidParams.
     """
     if np.any(z == 0.0) or np.any(z == 1.0):
         raise InvalidParams("residual is evaluated away from the singular points")
-    single = isinstance(p, HeunCParams)
-    maps = [p] if single else list(p)
-    if coeffs is None:
-        coeffs = [heunc_truncation(hp)[1] for hp in maps]
-    elif single:
-        coeffs = [coeffs]
     # one map per column of the coefficients (degree down the first axis)
     # and per entry of each parameter, broadcast against z
     z_arr = np.asarray(z, dtype=float)
@@ -376,7 +369,4 @@ def heunc_ode_residual(p, z, coeffs=None):
                  + abs(p.gamma + 1.0) / abs(z_arr - 1.0)) * abs(h1)
     zero_mag = (u_mag / abs(z_arr) + v_mag / abs(z_arr - 1.0)) * abs(h)
     scale = np.maximum(np.maximum(abs(h2), first_mag), np.maximum(zero_mag, 1e-300))
-    out = abs(res) / scale
-    if not single:
-        return out
-    return out[0] if isinstance(z, np.ndarray) else float(out[0])
+    return abs(res) / scale

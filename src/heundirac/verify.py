@@ -190,9 +190,7 @@ def check_spectrum_routes(level):
 @_check("quantization_residuals_at_levels", ANALYTIC_ROUTES, 1e-10)
 def check_quantization_residuals(level):
     """The level's quantization residuals vanish at the closed-form energy."""
-    p, n = level.p, level.n
-    for value in quantization_residuals(p, level.E, level.lam, n,
-                                        quantized_routes(p, n)).values():
+    for value in quantization_residuals(level.p, level.E, level.lam, level.n).values():
         yield abs(value)
 
 

@@ -19,7 +19,7 @@ from heundirac import (SystemParams, default_grid, energy_closed_form,
 from heundirac.model import ANALYTIC_ROUTES, level_bracket, level_channel
 from heundirac.routes import ROUTE_SOLVERS, f_from_g, g_from_f, mixed1_parts
 from heundirac.specfun import (KummerParams, heunc_ode_residual,
-                               heunc_series_coefficients, kummer,
+                               heunc_series_coefficients, heunc_truncation, kummer,
                                kummer_ode_residual)
 from heundirac.verify import COLLAPSE_TOL
 
@@ -127,11 +127,11 @@ def test_a5_operator_closure_and_coefficient_ratio():
         for n in range(1, 5):
             level = energy_closed_form(n, p)
             E, lam = level.E, level.lam
-            r, f_part, df_part, g_part, dg_part, case = mixed1_parts(p, level, default_grid(lam))
-            g_implied = g_from_f(case, p, r, f_part, df_part)
+            r, f_part, df, g_part, dg, case, _ = mixed1_parts(p, level, default_grid(lam))
+            g_implied = g_from_f(case, p, r, f_part, df())
             worst_closure = max(worst_closure, float(
                 np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part))))
-            f_back = f_from_g(case, p, r, g_part, dg_part)
+            f_back = f_from_g(case, p, r, g_part, dg())
             mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
             ratio = f_back[mask] / f_part[mask]
             worst_closure = max(worst_closure, float(
@@ -218,9 +218,10 @@ def test_a7_special_function_property_suite():
         for n in range(4):
             p = level_channel(SystemParams(e, nu), n)
             level = energy_closed_form(n, p)
-            for hp in (heun_params_full(p, level.E, level.lam),
-                       heun_params_case2(p, level.E, level.lam)):
-                for z in (-12.0, -0.8, -0.35, 0.4, 0.85):
-                    worst_heun = max(worst_heun, heunc_ode_residual(hp, z))
+            maps = [heun_params_full(p, level.E, level.lam),
+                    heun_params_case2(p, level.E, level.lam)]
+            worst_heun = max(worst_heun, np.max(heunc_ode_residual(
+                maps, np.array([-12.0, -0.8, -0.35, 0.4, 0.85]),
+                [heunc_truncation(hp)[1] for hp in maps])))
     ok_heun = report("A7 confluent Heun equation residual", worst_heun, ode_tol)
     assert ok_kummer and ok_rel and ok_heun

@@ -16,7 +16,7 @@ from closed_level import count_closed_forms
 from heundirac import (ANALYTIC_ROUTES, HeunDiracError, NoConvergence, SystemParams,
                        energy_closed_form, routes)
 from heundirac.cli import (_OPTIONS, EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
-                           EXIT_VERIFY_FAILED, build_parser, main)
+                           EXIT_VERIFY_FAILED, _parsers, main)
 
 
 def run_cli(capsys, *argv):
@@ -360,12 +360,12 @@ def test_missing_coupling_exits_2(capsys):
 
 
 def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
-    import heundirac.cli as cli_mod
+    from heundirac import oracle
 
     def explode(*args, **kwargs):
         raise NoConvergence("synthetic bracket failure")
 
-    monkeypatch.setattr(cli_mod.oracle, "shoot_energy", explode)
+    monkeypatch.setattr(oracle, "shoot_energy", explode)
     code, _, err = run_cli(capsys, "spectrum", "--coupling", "0.5", "--j", "0.5",
                            "--n-max", "0", "--route", "oracle")
     assert code == EXIT_NO_CONVERGENCE
@@ -863,7 +863,7 @@ def test_zero_tolerance_stays_the_unattainable_override(capsys):
 
 
 def test_parser_is_built_once_and_stays_reusable(capsys):
-    assert build_parser() is build_parser()
+    assert _parsers() is _parsers()
     for argv, stream in ((["wavefunction", "--help"], "out"),
                          (["spectrum", "--coupling", "0.5", "--parity", "2"], "err")):
         texts = []
@@ -938,7 +938,7 @@ def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv
 
     def full_parse():   # the reading main served every request by before
         try:
-            args = build_parser().parse_args(argv)
+            args = _parsers()[0].parse_args(argv)
             return EXIT_OK, (cli._resolve_config(args), getattr(args, "n", None))
         except HeunDiracError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -637,16 +637,16 @@ def test_brent_is_scipys_on_every_sweep_condition(quantization_sweep, brent_agai
     assert all(converged for _, converged, _ in outcomes)
 
 
-def test_quantization_residuals_selected_routes():
+def test_quantization_residuals_cover_the_quantized_routes():
+    # every analytic route, but no mixed1 at the nodeless level of parity -1,
+    # which sits on the case-1 pole
     p = SystemParams(0.5, 1)
-    E, lam = at(p, 0.9 * p.m)
-    every = quantization_residuals(p, E, lam, 2)
-    assert list(every) == list(ANALYTIC_ROUTES)
-    assert quantization_residuals(p, E, lam, 2, ("mixed2",)) == {"mixed2": every["mixed2"]}
-    for route in ANALYTIC_ROUTES:
-        assert quantization_residuals(p, E, lam, 2, (route,))[route] == every[route]
-    with pytest.raises(InvalidParams):
-        quantization_residuals(p, E, lam, 2, ("mixed2", "bogus"))
+    assert list(quantization_residuals(p, *at(p, 0.9 * p.m), 2)) == list(ANALYTIC_ROUTES)
+    p = SystemParams(0.5, 1, parity=-1)
+    level = energy_closed_form(0, p)
+    nodeless = quantization_residuals(p, level.E, level.lam, 0)
+    assert list(nodeless) == ["standard", "mixed2", "heun"] == list(quantized_routes(p, 0))
+    assert all(abs(value) < 1e-10 for value in nodeless.values())
 
 
 @pytest.mark.parametrize("E, lam, route, pole", [
@@ -658,7 +658,7 @@ def test_a_diverging_singular_point_names_its_own_case(E, lam, route, pole):
     # the condition and the route's map both name the case and its pole
     p = SystemParams(0.5, 1)
     with pytest.raises(InvalidParams) as condition:
-        quantization_residuals(p, E, lam, 1, (route,))
+        _step_residual(p, E, lam, 1, route)
     with pytest.raises(InvalidParams) as built:
         HEUN_MAPS[route](p, E, lam)
     assert str(condition.value) == str(built.value) == pole
@@ -677,6 +677,14 @@ def _outcome(evaluate):
     """The float's bits, or the type and text of the error raised."""
     try:
         return evaluate().hex()
+    except Exception as exc:   # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _residuals_outcome(p, E, lam, n):
+    """quantization_residuals' floats as bits, or the type and text of its error."""
+    try:
+        return {route: value.hex() for route, value in quantization_residuals(p, E, lam, n).items()}
     except Exception as exc:   # noqa: BLE001 - the error itself is compared
         return type(exc), str(exc)
 
@@ -735,10 +743,15 @@ def test_the_condition_is_the_map_residual_at_the_edges(p):
                 expected = _outcome(lambda: _map_residual(p, E, lam, n, route))
                 assert _outcome(lambda: _step_residual(p, E, lam, n, route)) == expected, \
                     (n, route, E, lam)
-                assert _outcome(lambda: quantization_residuals(p, E, lam, n, (route,))[route]) \
-                    == expected, (n, route, E, lam)
                 if isinstance(expected, tuple):
                     raised.add(expected[1].split(" ")[0])
+        # quantization_residuals: each quantized route's step, or the first error
+        for E, lam in pairs:
+            steps = {route: _outcome(lambda: _step_residual(p, E, lam, n, route))
+                     for route in quantized_routes(p, n)}
+            errors = [outcome for outcome in steps.values() if isinstance(outcome, tuple)]
+            assert _residuals_outcome(p, E, lam, n) == (errors[0] if errors else steps), \
+                (n, E, lam)
     # the case-1 divergence, E = 0 in case 2, lam = 0, non-finite parameters,
     # and no real a_frob
     assert {"case-1", "case", "mu", "Heun", "a_frob"} <= raised
@@ -747,8 +760,8 @@ def test_the_condition_is_the_map_residual_at_the_edges(p):
 @pytest.mark.parametrize("p", [SystemParams(0.5, 2), SystemParams(0.5, 2, parity=-1),
                                *EDGE_PARAMS], ids=repr)
 def test_each_solve_builds_its_condition_once(p, monkeypatch):
-    # the solve's step, kept, gives quantization_residuals' bits, or its
-    # error, at every edge point
+    # the solve's step, kept, gives a fresh condition's bits, or its error,
+    # at every edge point
     import heundirac.model as model
     build, steps = model._route_condition, []
 
@@ -768,8 +781,7 @@ def test_each_solve_builds_its_condition_once(p, monkeypatch):
             assert len(steps) == 1, (n, route)
             for E, lam in pairs:
                 assert (_outcome(lambda: steps[0](E, lam))
-                        == _outcome(lambda: quantization_residuals(p, E, lam, n, (route,))[route])
-                        ), (n, route, E, lam)
+                        == _outcome(lambda: build(p, n, route)(E, lam))), (n, route, E, lam)
 
 
 def _rotation_edges() -> str:

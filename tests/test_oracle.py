@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from closed_level import solve_closed
-from heundirac import (InvalidParams, NoConvergence, SystemParams,
+from heundirac import (InvalidParams, NoConvergence, SystemParams, default_grid,
                        energy_closed_form, frobenius_start, integrate_radial,
                        normalize, residual, scan_brackets, shoot_energy,
                        solve_heun_full)
@@ -83,7 +83,7 @@ def test_integration_off_eigenvalue_grows():
     E1 = energy_closed_form(1, p).E
     E2 = energy_closed_form(2, p).E
     E_mid = 0.5 * (E1 + E2)
-    sol = integrate_radial(p, E_mid)
+    sol = integrate_radial(p, E_mid, default_grid(p.decay_constant(E_mid)))
     interior = np.max(np.abs(sol.f[: len(sol.f) // 2]))
     assert abs(sol.f[-1]) / interior > 1e3
 
@@ -132,7 +132,7 @@ def test_integration_carries_its_energy():
     # the solution holds the energy it was integrated at, and no level label
     p = SystemParams(0.5, 1)
     E = energy_closed_form(1, p).E
-    sol = integrate_radial(p, E)
+    sol = integrate_radial(p, E, default_grid(p.decay_constant(E)))
     assert sol.E == E and sol.route == "oracle"
     assert not hasattr(sol, "level")
 
@@ -140,8 +140,9 @@ def test_integration_carries_its_energy():
 def test_integration_determinism():
     p = SystemParams(0.5, 1)
     E = energy_closed_form(1, p).E
-    a = integrate_radial(p, E)
-    b = integrate_radial(p, E)
+    grid = default_grid(p.decay_constant(E))
+    a = integrate_radial(p, E, grid)
+    b = integrate_radial(p, E, grid)
     assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
 
 

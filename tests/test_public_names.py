@@ -4,10 +4,11 @@ The package loads each name's module on first read, so its namespace holds
 a name only after it is read: the names are read through dir() and __all__.
 """
 
+import inspect
 import types
 
 import heundirac
-from heundirac import model, specfun
+from heundirac import model, routes, specfun
 
 PUBLIC_NAMES = [
     "ANALYTIC_ROUTES", "EnergyLevel", "HeunCParams", "HeunDiracError", "InvalidParams",
@@ -21,6 +22,60 @@ PUBLIC_NAMES = [
     "solve_heun_full", "solve_mixed_case1", "solve_mixed_case2", "solve_quantization",
     "solve_standard", "standard_vars",
 ]
+
+# each public callable's parameters, names and defaults, as a call writes
+# them; the errors take Exception's arguments
+SIGNATURES = {
+    "EnergyLevel": "(n, nu, parity, E, route, lam)",
+    "HeunCParams": "(alpha, beta, gamma, delta, eta)",
+    "KummerParams": "(a, c)",
+    "MixingCase": "(case_id, sin_a, cos_a, cos_half, sin_half, singular_point, c_plus, "
+                  "c_minus, s_plus, s_minus)",
+    "RadialGrid": "(r)",
+    "RadialSolution": "(grid, f, g, E, route, params, _frame=None)",
+    "StandardVars": "(lam, mu, eps, a_frob)",
+    "SystemParams": "(e, nu, m=1.0, parity=1)",
+    "default_grid": "(lam, points=2000, r_min=None, r_max=None)",
+    "energy_closed_form": "(n, params)",
+    "frobenius_start": "(params, E, r_start)",
+    "heun_params_case1": "(params, E, lam)",
+    "heun_params_case2": "(params, E, lam)",
+    "heun_params_full": "(params, E, lam)",
+    "heunc": "(p, z)",
+    "heunc_derivative": "(p, z)",
+    "heunc_second_derivative": "(p, z)",
+    "heunc_series_coefficients": "(p, count)",
+    "heunc_truncation": "(p)",
+    "integrate_radial": "(params, E, grid)",
+    "kummer": "(params, x)",
+    "kummer_series_coefficients": "(params, count)",
+    "mixing_case": "(case_id, params, E, lam)",
+    "normalize": "(solution)",
+    "quantization_residuals": "(params, E, lam, n)",
+    "residual": "(solution)",
+    "scan_brackets": "(params, e_min_scale=0.2, e_max_scale=0.999999999, points=200)",
+    "shoot_energy": "(params, E_lo, E_hi)",
+    "solve_heun_full": "(params, level, grid)",
+    "solve_mixed_case1": "(params, level, grid)",
+    "solve_mixed_case2": "(params, level, grid)",
+    "solve_quantization": "(params, n, route)",
+    "solve_standard": "(params, level, grid)",
+    "standard_vars": "(params, E, lam)",
+}
+# module functions that other modules call, outside the package namespace
+MODULE_SIGNATURES = {
+    specfun.heunc_ode_residual: "(maps, z, coeffs)",
+    routes.mixed1_parts: "(params, level, grid)",
+    routes.mixed2_parts: "(params, level, grid)",
+}
+
+
+def _parameters(fn):
+    """fn's parameter list without annotations: names, defaults and markers."""
+    sig = inspect.signature(fn)
+    return str(sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty))
 
 
 def test_public_names_are_pinned():
@@ -42,3 +97,13 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_heun_parameters_are_one_class():
     assert specfun.HeunCParams is model.HeunCParams is heundirac.HeunCParams
+
+
+def test_public_signatures_are_pinned():
+    public = {name: getattr(heundirac, name) for name in heundirac.__all__}
+    errors = {name for name, obj in public.items()
+              if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert errors == {"HeunDiracError", "InvalidParams", "NoConvergence"}
+    assert {name: _parameters(obj) for name, obj in public.items()
+            if callable(obj) and name not in errors} == SIGNATURES
+    assert {fn: _parameters(fn) for fn in MODULE_SIGNATURES} == MODULE_SIGNATURES

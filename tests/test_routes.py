@@ -157,8 +157,8 @@ def test_mixed1_residual():
 
 def test_mixed1_forward_operator_reproduces_kummer_component():
     p = params_for(1)
-    r, f_part, df_part, g_part, _, case = solve_closed(mixed1_parts, p, 1)
-    implied = g_from_f(case, p, r, f_part, df_part)
+    r, f_part, df, g_part, _, case, _ = solve_closed(mixed1_parts, p, 1)
+    implied = g_from_f(case, p, r, f_part, df())
     scale = np.max(np.abs(g_part))
     assert np.max(np.abs(implied - g_part)) / scale < 1e-7
 
@@ -174,10 +174,10 @@ def test_mixed1_round_trip_is_proportional_to_identity():
     for parts in (mixed1_parts, mixed2_parts):
         for e, parity in ((0.5, 1), (0.5, -1), (1e-5, 1), (1e-5, -1)):
             p = SystemParams(e, 1, parity=parity)
-            r, f_part, df_part, g_part, dg_part, case = solve_closed(parts, p, 2)
-            g_implied = g_from_f(case, p, r, f_part, df_part)
+            r, f_part, df, g_part, dg, case, _ = solve_closed(parts, p, 2)
+            g_implied = g_from_f(case, p, r, f_part, df())
             assert np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)) < 1e-12
-            f_back = f_from_g(case, p, r, g_part, dg_part)
+            f_back = f_from_g(case, p, r, g_part, dg())
             assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
             mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
             ratio = f_back[mask] / f_part[mask]
@@ -203,8 +203,8 @@ def test_case1_g_to_f_relation_carries_the_nodeless_level():
     # at parity -1 the case-1 F coefficient E + m cos A stays finite at E_0,
     # and the relation gives the nodeless F that mixed1 builds from G
     p = params_for(0)
-    r, f_part, _, g_part, dg_part, case = solve_closed(mixed1_parts, p, 0)
-    f_back = f_from_g(case, p, r, g_part, dg_part)
+    r, f_part, _, g_part, dg, case, _ = solve_closed(mixed1_parts, p, 0)
+    f_back = f_from_g(case, p, r, g_part, dg())
     assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
 
 
@@ -249,8 +249,8 @@ def test_solvers_form_no_level_and_keep_the_given_energy(monkeypatch, solver):
 def test_mixed2_residual_and_relation():
     p = params_for(1)
     assert residual(solve_closed(solve_mixed_case2, p, 1)) < 1e-7
-    r, f_part, _, g_part, dg_part, case = solve_closed(mixed2_parts, p, 1)
-    implied = f_from_g(case, p, r, g_part, dg_part)
+    r, f_part, _, g_part, dg, case, _ = solve_closed(mixed2_parts, p, 1)
+    implied = f_from_g(case, p, r, g_part, dg())
     scale = np.max(np.abs(f_part))
     assert np.max(np.abs(implied - f_part)) / scale < 1e-7
 
@@ -261,7 +261,7 @@ def test_mixed_routes_nodeless_level():
         sol = solve_closed(solver, p, 0)
         assert residual(sol) < 1e-7
     # case 2 carries the state in its rotated F component alone
-    _, f_part, _, g_part, _, _ = solve_closed(mixed2_parts, p, 0)
+    _, f_part, _, g_part, _, _, _ = solve_closed(mixed2_parts, p, 0)
     assert np.all(g_part == 0.0)
     assert np.max(np.abs(f_part)) > 0
 
@@ -572,17 +572,13 @@ def _assert_same_bits(stencil, ref):
 
 
 _MASSES = (1e-300, 1e-150, 0.51099895, 1.0, 938.272, 1e150, 1e300)
-# m r underflows at r_min = 1e-300 and m < 1e-8, and residual's nu/(m r) overflows
-_M_R_UNDERFLOWS = pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                                    reason="residual divides by m r, which underflows")
 
 
 @pytest.mark.parametrize("points, r_min, m", [
     *((points, None, m) for points in (5, 8, 9, 50, 2000, 20000) for m in _MASSES),
     # starting far inside the Frobenius region, where the rows' power-of-two
     # scaling keeps the products of node differences in range
-    *(pytest.param(2000, 1e-300, m, marks=_M_R_UNDERFLOWS if m < 1e-8 else ())
-      for m in _MASSES)])
+    *((2000, 1e-300, m) for m in _MASSES)])
 def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(monkeypatch, points,
                                                                       r_min, m):
     p = dataclasses.replace(params_for(1), m=m)
@@ -598,7 +594,12 @@ def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(monkeypatc
     _assert_same_bits((half, weights, wsum), stencil)
     for solver in ALL_SOLVERS:
         sol = solve_closed(solver, p, 1, grid=grid)
-        assert _bits(residual(sol)) == _bits(_one_pass_residual(sol, stencil))
+        if r_min is not None and m < 1e-8:   # m r underflows, and nu/(m r) overflows
+            with pytest.raises(InvalidParams, match=f"1/m overflow at m={m} on the grid "
+                                                    f"from r_min={grid.r[0]}"):
+                residual(sol)
+        else:
+            assert _bits(residual(sol)) == _bits(_one_pass_residual(sol, stencil))
 
 
 def test_grid_stencils_across_levels_match_the_one_pass_formula_bit_for_bit():

@@ -368,10 +368,10 @@ def test_heunc_params_are_a_named_tuple_with_the_dataclass_repr():
 
 def test_heunc_outside_domain_for_nonterminating_series():
     # only polynomials are evaluated: an open series raises everywhere,
-    # at the origin too, from each of the four evaluators
+    # at the origin too, from each of the three evaluators
     with pytest.raises(InvalidParams, match="open"):
         heunc_truncation(OPEN)
-    for fn in (heunc, heunc_derivative, heunc_second_derivative, heunc_ode_residual):
+    for fn in (heunc, heunc_derivative, heunc_second_derivative):
         for z in (0.0, 0.6, 1.2):
             with pytest.raises(InvalidParams):
                 fn(OPEN, z)
@@ -486,36 +486,18 @@ def test_heunc_physical_polynomials_satisfy_equation(n, nu, efrac, z):
     p = level_channel(SystemParams(efrac * nu, nu), n)
     level = energy_closed_form(n, p)
     hp = heun_params_full(p, level.E, level.lam)
-    assert heunc_ode_residual(hp, z) < 1e-8
+    assert heunc_ode_residual([hp], z, [heunc_truncation(hp)[1]])[0] < 1e-8
 
 
-def test_heunc_ode_residual_runs_one_truncation(monkeypatch):
-    hp = _physical_params(2, 1, 0.5)
-    calls = []
-    original = specfun.heunc_truncation
-
-    def counted(params):
-        calls.append(params)
-        return original(params)
-
-    monkeypatch.setattr(specfun, "heunc_truncation", counted)
-    assert heunc_ode_residual(hp, 0.6) < 1e-8
-    assert calls == [hp]
-
-
-def test_heunc_ode_residual_on_an_array_matches_each_z(monkeypatch):
+def test_heunc_ode_residual_on_an_array_matches_each_z():
     hp = _physical_params(3, 2, 0.7)
+    coeffs = [heunc_truncation(hp)[1]]
     z = np.array([-0.7, -0.3, 0.3, 0.6, -12.5])
-    each = [heunc_ode_residual(hp, float(zi)) for zi in z]
-    assert all(type(value) is float for value in each)
-    calls = []
-    original = specfun.heunc_truncation
-    monkeypatch.setattr(specfun, "heunc_truncation",
-                        lambda params: calls.append(params) or original(params))
-    assert heunc_ode_residual(hp, z).tobytes() == np.array(each).tobytes()
-    assert calls == [hp]
+    each = np.concatenate([heunc_ode_residual([hp], zi, coeffs) for zi in z])
+    assert each.shape == (5,)
+    assert heunc_ode_residual([hp], z, coeffs).tobytes() == each.tobytes()
     with pytest.raises(InvalidParams, match="away from the singular points"):
-        heunc_ode_residual(hp, np.array([0.3, 1.0]))
+        heunc_ode_residual([hp], np.array([0.3, 1.0]), coeffs)
 
 
 def test_heunc_ode_residual_stacks_maps_bit_for_bit(monkeypatch):
@@ -524,9 +506,8 @@ def test_heunc_ode_residual_stacks_maps_bit_for_bit(monkeypatch):
     maps = [_physical_params(n, nu, e) for n, nu, e in ((1, 2, 0.5), (2, 1, 0.5), (5, 2, 0.9))]
     coeffs = [heunc_truncation(hp)[1] for hp in maps]
     z = np.array([-0.7, -0.3, 0.3, 0.6, -12.5])
-    each = np.array([heunc_ode_residual(hp, z) for hp in maps])
+    each = np.concatenate([heunc_ode_residual([hp], z, [c]) for hp, c in zip(maps, coeffs)])
     monkeypatch.setattr(specfun, "heunc_truncation", None)
     stacked = heunc_ode_residual(maps, z, coeffs)
     assert stacked.shape == (3, 5) and stacked.tobytes() == each.tobytes()
-    assert heunc_ode_residual(maps[1], z, coeffs[1]).tobytes() == each[1].tobytes()
-    assert heunc_ode_residual(maps[2], -12.5, coeffs[2]) == each[2, -1]
+    assert heunc_ode_residual(maps, -12.5, coeffs).tobytes() == each[:, -1].tobytes()

@@ -15,7 +15,7 @@ stencil (checked before the solve), non-finite grid radii, an r-max past
 underflows to 0 exit 2 with a message, as flags and as config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
-lists them), and only its parser reads a request (`main`).  Flags
+lists them), and only its parser is built to read a request (`main`).  Flags
 override config-file keys, which override defaults.
 The config file is flat `key = value` text, keys named like the long flags
 without the leading dashes (dashes may be written as underscores), e.g.
@@ -35,11 +35,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from importlib import import_module
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import HeunDiracError, InvalidParams, NoConvergence
 from .model import (ANALYTIC_ROUTES, GRID_POINTS, SystemParams, energy_closed_form,
@@ -54,8 +52,7 @@ EXIT_NO_CONVERGENCE = 3
 ROUTE_CHOICES = (*ANALYTIC_ROUTES, "oracle", "all")
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """One setting, as flag --name-with-dashes and as config key."""
 
     type: Callable[[str], object]
@@ -129,6 +126,12 @@ class RunConfig(SimpleNamespace):
 def _fmt(x: float) -> str:
     """17 significant digits, scientific: bit-stable across platforms."""
     return f"{x:.16e}"
+
+
+def _generated() -> str:
+    """A report's UTC stamp as JSON; only a stamped report imports datetime."""
+    from datetime import datetime, timezone
+    return json.dumps(datetime.now(timezone.utc).isoformat())
 
 
 def _read_config_file(path: str, command: str) -> dict:
@@ -226,7 +229,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         row = _ROW_JSON + (',\n      "max_route_deviation": %r' if every else "") + "\n    }"
         text = '{\n  "levels": [\n' + ",\n".join([row % v for v in rows]) + "\n  ]"
         if not cfg.no_timestamp:
-            text += ',\n  "generated": ' + json.dumps(datetime.now(timezone.utc).isoformat())
+            text += ',\n  "generated": ' + _generated()
         _emit(text + "\n}\n", cfg)
     return EXIT_OK
 
@@ -265,7 +268,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
         for key, values in (("r", grid.r), ("f", sol.f), ("g", sol.g)):
             text += f', "{key}": {tables.json_array(values)}'
         if not cfg.no_timestamp:
-            text += ', "generated": ' + json.dumps(datetime.now(timezone.utc).isoformat())
+            text += ', "generated": ' + _generated()
         _emit(text + "}\n", cfg)
     return EXIT_OK
 
@@ -290,41 +293,53 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
+def _add_options(parser: argparse.ArgumentParser, command: str):
+    """Give `parser` the flags of subcommand `command`."""
+    if command == "wavefunction":
+        parser.add_argument("--n", type=int, required=True, help="radial quantum number")
+    for key, opt in _OPTIONS.items():
+        if command not in opt.commands:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if opt.type is _truthy:
+            parser.add_argument(flag, action="store_true", default=None, help=opt.help)
+        else:
+            parser.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
+    parser.add_argument("--config", help="flat key=value config file")
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subcommands' parsers by name."""
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, as the full parser's add_parser makes it."""
+    parser = argparse.ArgumentParser(prog=f"heundirac {command}")
+    _add_options(parser, command)
+    return parser
+
+
+def _full_parser() -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand under it, built only to
+    print its help or its error."""
     parser = argparse.ArgumentParser(
         prog="heundirac",
         description="Dirac-Coulomb bound states by Kummer/Heun routes and shooting")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        if command == "wavefunction":
-            p.add_argument("--n", type=int, required=True, help="radial quantum number")
-        for key, opt in _OPTIONS.items():
-            if command not in opt.commands:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if opt.type is _truthy:
-                p.add_argument(flag, action="store_true", default=None, help=opt.help)
-            else:
-                p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
-        p.add_argument("--config", help="flat key=value config file")
-    return parser, sub.choices
+        _add_options(sub.add_parser(command, help=text), command)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; NoConvergence exits 3, any other HeunDiracError 2."""
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parsers()
     try:
         # argv[0]'s parser reads the rest, as the full parser would have it do;
         # that one only exits: no subcommand, -h, an unknown name, tokens unread
-        sub = commands.get(argv[0]) if argv else None
-        args, unread = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-                        if sub else (None, True))
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args, unread = (_subparser(command).parse_known_args(
+                            argv[1:], argparse.Namespace(command=command))
+                        if command else (None, True))
         if unread:
-            args = parser.parse_args(argv)
+            args = _full_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InvalidParams, NoConvergence
@@ -38,33 +37,31 @@ ANALYTIC_ROUTES = ("standard", "mixed1", "mixed2", "heun")
 GRID_POINTS = 2000
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "e nu m parity", defaults=(1.0, 1))):
     """Mass, Coulomb coupling, angular number nu = j + 1/2 and parity.
 
     Subcritical coupling 0 <= e < nu is required so that the origin
     exponent sqrt(nu^2 - e^2) is real; e = nu exactly (critical coupling)
     is rejected.  e = 0 is admitted for limit checks, but supports no
     bound states.  The mass lies in [1e-300, 1e300]: near 1e305 E + m
-    overflows, and near 1e-310 the radial grid does.
+    overflows, and near 1e-310 the radial grid does.  `_replace` skips
+    these checks: it derives a channel from values already checked.
     """
 
-    e: float
-    nu: int
-    m: float = 1.0
-    parity: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1e-300 <= self.m <= 1e300:
-            raise InvalidParams(f"mass must be in [1e-300, 1e300], got {self.m}")
-        if int(self.nu) != self.nu or self.nu < 1:
-            raise InvalidParams(f"nu must be a positive integer, got {self.nu}")
-        if not (0 <= self.e < self.nu):
+    def __new__(cls, e, nu, m=1.0, parity=1):
+        if not 1e-300 <= m <= 1e300:
+            raise InvalidParams(f"mass must be in [1e-300, 1e300], got {m}")
+        if int(nu) != nu or nu < 1:
+            raise InvalidParams(f"nu must be a positive integer, got {nu}")
+        if not (0 <= e < nu):
             raise InvalidParams(
-                f"supercritical coupling: need 0 <= e < nu, got e={self.e}, nu={self.nu}"
+                f"supercritical coupling: need 0 <= e < nu, got e={e}, nu={nu}"
             )
-        if self.parity not in (1, -1):
-            raise InvalidParams(f"parity must be +1 or -1, got {self.parity}")
+        if parity not in (1, -1):
+            raise InvalidParams(f"parity must be +1 or -1, got {parity}")
+        return super().__new__(cls, e, nu, m, parity)
 
     @property
     def m_eff(self) -> float:
@@ -144,8 +141,7 @@ class HeunCParams(namedtuple("HeunCParams", "alpha beta gamma delta eta")):
         return super().__new__(cls, alpha, beta, gamma, delta, eta)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One bound level: quantum numbers, energy, provenance route and the
     decay constant lam = sqrt(m^2 - E^2), carried rather than recomputed
     from E, where m - E cancels at weak coupling."""
@@ -316,7 +312,7 @@ def require_level(params: SystemParams, n: int):
 
 def level_channel(params: SystemParams, n: int) -> SystemParams:
     """The channel holding level n: the nodeless n = 0 level exists only at parity -1."""
-    return replace(params, parity=-1) if n == 0 else params
+    return params._replace(parity=-1) if n == 0 else params
 
 
 def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:

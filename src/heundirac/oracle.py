@@ -24,7 +24,6 @@ counts the nodes, which labels the level without the closed-form spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -149,7 +148,7 @@ def _shooting_legs(params: SystemParams, lam_ref: float):
     leg, the _steps of log radii from the seed and from the far end to the
     match, one leg per row.  The radii are those of lam_ref, so one shoot or
     scan builds them once and every energy it evaluates reads them."""
-    unit, lam_m = replace(params, m=1.0), lam_ref / params.m
+    unit, lam_m = params._replace(m=1.0), lam_ref / params.m
     N = unit.e * math.sqrt(1.0 - lam_m * lam_m) / lam_m
     start = np.log(np.array([[R_SEED_SCALE], [R_FAR_SCALE + 2.0 * N]]) / lam_m)
     match = math.log(unit.frobenius_exponent / lam_m)
@@ -203,7 +202,7 @@ def integrate_radial(params: SystemParams, E: float, grid: RadialGrid) -> Radial
     if r[0] < R_SEED_SCALE / lam or r[-1] * lam > GRID_RMAX_SCALE * (1.0 + 1e-15 * (m / lam) ** 2):
         raise InvalidParams("grid must lie within [r_seed, r_max] of the oracle")
 
-    unit, E_m, x_seed = replace(params, m=1.0), E / m, R_SEED_SCALE * m / lam
+    unit, E_m, x_seed = params._replace(m=1.0), E / m, R_SEED_SCALE * m / lam
     f0, g0, _, _ = frobenius_start(unit, E_m, 1.0)   # the direction (1, -(s + nu)/e)
     t = np.log(r * m)
     h = np.diff(t)

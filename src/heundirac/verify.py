@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import oracle, routes, specfun
+from . import routes, specfun
 from .errors import HeunDiracError
 from .model import (ANALYTIC_ROUTES, HEUN_MAPS, SystemParams, energy_closed_form,
                     level_bracket, level_channel, mixing_case,
@@ -309,6 +309,7 @@ def check_truncation_audit(params, n_max, tol=math.inf):
 @_check("oracle_spectrum", ("oracle",), 1e-8)
 def check_oracle_spectrum(level):
     """Shooting energies agree with the closed form for every level."""
+    from . import oracle   # only this check shoots; verify --route all never loads it
     E = level.E
     yield abs(oracle.shoot_energy(level.p, *level_bracket(level.p, level.n)).E - E) / E
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import inspect
 import json
 import math
@@ -16,7 +17,7 @@ from closed_level import count_closed_forms
 from heundirac import (ANALYTIC_ROUTES, HeunDiracError, NoConvergence, SystemParams,
                        energy_closed_form, routes)
 from heundirac.cli import (_OPTIONS, EXIT_INVALID_PARAMS, EXIT_NO_CONVERGENCE, EXIT_OK,
-                           EXIT_VERIFY_FAILED, _parsers, main)
+                           EXIT_VERIFY_FAILED, _full_parser, _subparser, main)
 
 
 def run_cli(capsys, *argv):
@@ -511,27 +512,39 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_analytic_spectrum_loads_no_numpy(tmp_path):
-    # numpy's import is about half of a spectrum shell call; the numpy
-    # modules load on first use, also after a numpy-free start
+    # numpy's import is about half of a spectrum shell call; dataclasses (which
+    # loads inspect) and datetime cost milliseconds more, and datetime loads
+    # for a report's stamp alone.  The numpy modules load on first use, also
+    # after a numpy-free start
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coupling = 0.25\nroute = mixed2\nn-max = 3\n")
-    script = f"""import contextlib, io, sys
+    script = f"""import contextlib, io, json, sys
 import heundirac.model
 assert "numpy" not in sys.modules
 import heundirac.cli as cli
-analytic = [(0, ["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4"]),
-            (0, ["spectrum", "--route", "all", "--coupling", "0.5", "--format", "csv"]),
-            (0, ["spectrum", "--route", "heun", "--coupling", "0.5", "--parity", "-1",
-                 "--n-max", "3"]),
-            (0, ["spectrum", "--config", {str(cfg)!r}]),
-            (2, ["spectrum", "--route", "all", "--coupling", "1e-200", "--parity", "-1",
-                 "--n-max", "2"])]
+unstamped = [(0, ["spectrum", "--route", "all", "--coupling", "0.5", "--format", "csv"]),
+             (0, ["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4",
+                  "--no-timestamp"]),
+             (2, ["spectrum", "--route", "all", "--coupling", "1e-200", "--parity", "-1",
+                  "--n-max", "2"])]
+stamped = [["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4"],
+           ["spectrum", "--route", "heun", "--coupling", "0.5", "--parity", "-1",
+            "--n-max", "3"],
+           ["spectrum", "--config", {str(cfg)!r}]]
 numpy_served = [(0, ["wavefunction", "--coupling", "0.5", "--n", "1", "--n-max", "1"]),
                 (0, ["verify", "--coupling", "0.5", "--n-max", "1"]),
                 (0, ["spectrum", "--route", "oracle", "--coupling", "0.5", "--n-max", "1"])]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for code, argv in analytic:
+    for code, argv in unstamped:
         assert cli.main(argv) == code, argv
+loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime")
+          if name in sys.modules]
+assert not loaded, loaded
+for argv in stamped:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0, argv
+    assert "generated" in json.loads(out.getvalue()), argv
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         cli.main(["spectrum", "--help"])
     except SystemExit as exc:
@@ -556,6 +569,21 @@ assert code == 0 and "heundirac.oracle" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["wavefunction", "--route", "oracle", "--coupling", "0.5", "--n", "1",
                      "--n-max", "1", "--grid-points", "50"])
+print(code, "heundirac.oracle" in sys.modules)
+"""
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True\n", "")
+
+
+def test_verify_route_all_loads_no_oracle():
+    # only the oracle check shoots; verify --route all leaves it out
+    script = """import contextlib, io, sys
+import heundirac.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--route", "all", "--coupling", "0.5", "--n-max", "1"])
+assert code == 0 and "heundirac.oracle" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--route", "oracle", "--coupling", "0.5", "--n-max", "1"])
 print(code, "heundirac.oracle" in sys.modules)
 """
     proc = _fresh_python("-c", script)
@@ -863,7 +891,8 @@ def test_zero_tolerance_stays_the_unattainable_override(capsys):
 
 
 def test_parser_is_built_once_and_stays_reusable(capsys):
-    assert _parsers() is _parsers()
+    for command in ("spectrum", "wavefunction", "verify"):
+        assert _subparser(command) is _subparser(command)
     for argv, stream in ((["wavefunction", "--help"], "out"),
                          (["spectrum", "--coupling", "0.5", "--parity", "2"], "err")):
         texts = []
@@ -872,6 +901,34 @@ def test_parser_is_built_once_and_stays_reusable(capsys):
                 main(argv)
             texts.append(getattr(capsys.readouterr(), stream))
         assert texts[0] == texts[1] and texts[0]
+
+
+def test_a_request_builds_one_parser_and_help_or_an_error_the_full_one(capsys, monkeypatch):
+    built = []   # the prog of each ArgumentParser made
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    _subparser.cache_clear()
+    full = ["heundirac", "heundirac spectrum", "heundirac wavefunction", "heundirac verify"]
+    for argv, code, want in (
+            (["spectrum", "--coupling", "0.5", "--no-timestamp"], EXIT_OK,
+             ["heundirac spectrum"]),
+            (["spectrum", "--coupling", "0.25", "--format", "csv"], EXIT_OK, []),
+            (["verify", "--coupling", "0.5", "--n-max", "0"], EXIT_OK, ["heundirac verify"]),
+            (["--help"], 0, full),
+            (["bogus", "--coupling", "0.5"], 2, full),
+            (["spectrum", "--coupling", "0.5", "--grid-points", "5"], 2, full)):
+        built.clear()
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        capsys.readouterr()
+        assert (got, built) == (code, want), argv
 
 
 # values for every option, as flags; the corpus sets each one on each
@@ -938,7 +995,7 @@ def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv
 
     def full_parse():   # the reading main served every request by before
         try:
-            args = _parsers()[0].parse_args(argv)
+            args = _full_parser().parse_args(argv)
             return EXIT_OK, (cli._resolve_config(args), getattr(args, "n", None))
         except HeunDiracError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closed_level import solve_closed
-from heundirac import (InvalidParams, NoConvergence, SystemParams,
+from heundirac import (EnergyLevel, InvalidParams, NoConvergence, SystemParams,
                        energy_closed_form, heun_params_case1,
                        heun_params_case2, heun_params_full, heunc_truncation,
                        mixing_case, quantization_residuals, solve_quantization,
@@ -43,6 +43,34 @@ def test_system_params_validation():
         SystemParams(0.5, 1, m=-1.0)
     with pytest.raises(InvalidParams):
         SystemParams(0.5, 1, parity=0)
+    # the checks run mass, nu, coupling, parity: the first failing one names itself
+    with pytest.raises(InvalidParams, match=r"^mass must be in \[1e-300, 1e300\], got -1.0$"):
+        SystemParams(5.0, 0.5, m=-1.0, parity=0)
+    with pytest.raises(InvalidParams, match="^nu must be a positive integer, got 0.5$"):
+        SystemParams(5.0, 0.5, parity=0)
+    with pytest.raises(InvalidParams, match="^supercritical coupling: need 0 <= e < nu, "
+                                            "got e=5.0, nu=1$"):
+        SystemParams(5.0, 1, parity=0)
+    with pytest.raises(InvalidParams, match="^parity must be [+]1 or -1, got 0$"):
+        SystemParams(0.5, 1, parity=0)
+
+
+def test_records_are_named_tuples_with_the_dataclass_repr():
+    p = SystemParams(0.5, 2, m=3.0, parity=-1)
+    assert repr(p) == "SystemParams(e=0.5, nu=2, m=3.0, parity=-1)"
+    assert repr(SystemParams(0.25, 1)) == "SystemParams(e=0.25, nu=1, m=1.0, parity=1)"
+    level = EnergyLevel(1, 2, -1, 0.875, "heun", 0.5)
+    assert repr(level) == "EnergyLevel(n=1, nu=2, parity=-1, E=0.875, route='heun', lam=0.5)"
+    for record, twin in ((p, SystemParams(0.5, 2, 3.0, -1)),
+                         (level, EnergyLevel(1, 2, -1, 0.875, "heun", 0.5))):
+        assert record == twin and hash(record) == hash(twin) and record is not twin
+        assert record == tuple(record) and record != record._replace(nu=3)
+        with pytest.raises(AttributeError):
+            setattr(record, "nu", 3)
+        with pytest.raises(AttributeError):
+            record.extra = 0   # no instance dict
+    channel = level_channel(p._replace(parity=1), 0)
+    assert type(channel) is SystemParams and channel == p
 
 
 # ----------------------------------------------------------------------

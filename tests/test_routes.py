@@ -238,7 +238,7 @@ def test_solvers_form_no_level_and_keep_the_given_energy(monkeypatch, solver):
     # the level of another route's quantization, one ulp off the closed form
     p = params_for(2)
     level = solve_quantization(p, 2, "mixed2")
-    level = dataclasses.replace(level, E=math.nextafter(level.E, 0.0))
+    level = level._replace(E=math.nextafter(level.E, 0.0))
     grid = default_grid(level.lam)
     formed = count_closed_forms(monkeypatch)
     sol = solver(p, level, grid)
@@ -581,7 +581,7 @@ _MASSES = (1e-300, 1e-150, 0.51099895, 1.0, 938.272, 1e150, 1e300)
     *((2000, 1e-300, m) for m in _MASSES)])
 def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(monkeypatch, points,
                                                                       r_min, m):
-    p = dataclasses.replace(params_for(1), m=m)
+    p = params_for(1)._replace(m=m)
     grid = default_grid(energy_closed_form(1, p).lam, points=points, r_min=r_min)
     row_scaled = []
     stencil_weights = RadialGrid._stencil_weights
@@ -616,7 +616,7 @@ def test_grid_stencils_across_levels_match_the_one_pass_formula_bit_for_bit():
     # masses where a product of the grid's node differences turns subnormal
     p = params_for(1)
     for m in 10.0 ** np.linspace(46.5, 50.5, 9):
-        lam = energy_closed_form(1, dataclasses.replace(p, m=m)).lam
+        lam = energy_closed_form(1, p._replace(m=m)).lam
         for points in (2000, 20000):
             grid = default_grid(lam, points=points)
             _assert_same_bits(grid._stencil, _one_pass_stencil(grid.r))
@@ -629,7 +629,7 @@ def test_residual_is_dimensionless(solver, m):
     # of m: the same level at another mass has the same residual
     p = SystemParams(1.0, 2)
     at_unit_mass = residual(solve_closed(solver, p, 3))
-    assert residual(solve_closed(solver, dataclasses.replace(p, m=m), 3)) == pytest.approx(
+    assert residual(solve_closed(solver, p._replace(m=m), 3)) == pytest.approx(
         at_unit_mass, rel=1e-4)
 
 

@@ -4,7 +4,6 @@ import gc
 import math
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +132,7 @@ def test_scaled_variable_identities_tie_E_to_lam(monkeypatch):
     # and a decay constant off by 1e-9 relative is seen
     exact = verify.energy_closed_form
     monkeypatch.setattr(verify, "energy_closed_form",
-                        lambda n, p: replace(exact(n, p), lam=exact(n, p).lam * (1 + 1e-9)))
+                        lambda n, p: exact(n, p)._replace(lam=exact(n, p).lam * (1 + 1e-9)))
     assert not verify.check_scaled_variable_identities(SystemParams(0.5, 1), 4).passed
 
 

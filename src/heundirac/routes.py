@@ -91,107 +91,73 @@ class RadialGrid:
         (half = 3 from 9 points on, else 2), the weight of each off-center
         node keyed by its offset, and their sum (the center weight is -wsum).
 
-        The weights are first formed in the grid's own units (_unscaled_weights),
-        which raises where one of its steps leaves the normal range (radii or
-        masses beyond about 1e+-50).  There, and on grids spanning 2**62 or
-        more, each row is formed in units of a power of two near its center
-        (_stencil_weights).  Scaling by a power of two commutes with every
-        rounding whose operands and result are normal, and on a grid spanning
-        under 2**62 every row-scaled step is normal: wherever the unscaled
-        formation raises nothing, the two agree bit for bit.
+        The rows are formed in runs of consecutive rows whose nodes span under
+        2**62, each run in units of 2**s, s the exponent of the center node of
+        its middle row; a row whose own nodes span 2**62 or more is a run of
+        its own, in units of its center.  Scaling by a power of two commutes
+        with every rounding whose operands and result are normal, and in a run
+        spanning under 2**62 every step is normal, so each weight, scaled back
+        in one rounding before it is summed, has the bits it has with every row
+        formed in units of its own center.
         Raises InvalidParams where a weight overflows (r near 1e-308, far-apart nodes).
         """
         r = self.r
-        if math.frexp(r[-1])[1] - math.frexp(r[0])[1] < 62:
-            try:
-                return self._unscaled_weights()
-            except FloatingPointError:
-                pass
+        n = len(r)
+        half = 3 if n >= 9 else 2
+        exp = np.frexp(r)[1]
+        runs, start = [], 0
         try:   # an overflow, or the inf/inf or x/0 it makes, voids the weights
-            return self._stencil_weights()
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                while start < n - 2 * half:
+                    end = max(start + 1, int(np.searchsorted(exp, exp[start] + 62)) - 2 * half)
+                    s = exp[(start + end) // 2 + half]
+                    runs.append(_lagrange_rows(np.ldexp(r[start:end + 2 * half], -s), s, half))
+                    start = end
         except FloatingPointError:
-            raise InvalidParams(f"the derivative stencil overflows on the {len(self.r)}-point "
-                                f"grid from r_min={self.r[0]} to r_max={self.r[-1]}") from None
+            raise InvalidParams(f"the derivative stencil overflows on the {n}-point "
+                                f"grid from r_min={r[0]} to r_max={r[-1]}") from None
+        if len(runs) == 1:   # a one-run grid keeps its run's arrays
+            return half, *runs[0]
+        return (half, {j: np.concatenate([w[j] for w, _ in runs]) for j in runs[0][0]},
+                np.concatenate([wsum for _, wsum in runs]))
 
-    @np.errstate(over="raise", under="raise", invalid="raise", divide="raise")
-    def _unscaled_weights(self):
-        """_stencil's weights in the grid's units: each factor x_a - x_b of a
-        weight's products is a slice of the differences of radii |a - b|
-        apart, taken in _stencil_weights' order of factors, weights and sum."""
-        r = self.r
-        n = len(r)
-        half = 3 if n >= 9 else 2
-        width = 2 * half + 1
-        rows = n - 2 * half
-        span = {}
-        for gap in range(1, width):
-            diff = r[gap:] - r[:n - gap]
-            for a in range(width - gap):
-                span[a, a + gap] = span[a + gap, a] = diff[a:a + rows]
 
-        def product(a, others, out):
-            """Write the product of |x_a - x_b| over b in others, in their order,
-            into out; return the number of its factors x_a - x_b < 0 (a < b)."""
-            np.multiply(span[a, others[0]], span[a, others[1]], out=out)
-            for b in others[2:]:
-                out *= span[a, b]
-            return sum(a < b for b in others)
+def _lagrange_rows(x, s, half):
+    """(weights, wsum) of the stencil rows whose nodes are x, in units of 2**s,
+    each weight scaled back to the grid's units before it is summed: each
+    factor x_a - x_b of a weight's products is a slice of the differences of
+    nodes |a - b| apart."""
+    n = len(x)
+    width = 2 * half + 1
+    rows = n - 2 * half
+    span = {}
+    for gap in range(1, width):
+        diff = x[gap:] - x[:n - gap]
+        for a in range(width - gap):
+            span[a, a + gap] = span[a + gap, a] = diff[a:a + rows]
 
-        weights = {}
-        wsum = np.zeros(rows)
-        den = np.empty(rows)
-        for j in range(width):
-            if j == half:
-                continue
-            num = np.empty(rows)
-            flips = (product(half, [k for k in range(width) if k not in (j, half)], num)
-                     + product(j, [k for k in range(width) if k != j], den))
-            weights[j] = np.divide(num, den, out=num)
-            if flips % 2:
-                np.negative(num, out=num)
-            wsum += num
-        return half, weights, wsum
+    def product(a, others, out):
+        """Write the product of |x_a - x_b| over b in others, in their order,
+        into out; return the number of its factors x_a - x_b < 0 (a < b)."""
+        np.multiply(span[a, others[0]], span[a, others[1]], out=out)
+        for b in others[2:]:
+            out *= span[a, b]
+        return sum(a < b for b in others)
 
-    @np.errstate(over="raise", invalid="raise", divide="raise")
-    def _stencil_weights(self):
-        r = self.r
-        n = len(r)
-        half = 3 if n >= 9 else 2
-        width = 2 * half + 1
-        # each row in units of a power of two near its center: exact, and
-        # the products of up to 6 differences stay in range at any radii
-        exp = -np.frexp(r[half:n - half])[1]
-        nodes = [np.ldexp(r[j:n - width + 1 + j], exp) for j in range(width)]
-        # each node difference x_a - x_b formed once, for a < b: x_b - x_a is
-        # its negation, and a product or quotient takes the signs of its
-        # factors exactly, so each weight's sign is counted apart
-        pairs = [(a, b) for a in range(width) for b in range(a + 1, width)]
-        diff = dict(zip(pairs, np.empty((len(pairs), len(nodes[half])))))
-        for a, b in pairs:
-            np.subtract(nodes[a], nodes[b], out=diff[a, b])
-
-        def product(pairs):
-            """The product of x_a - x_b over (a, b) in pairs, in their order,
-            with the sign of each a > b factor left out, and their number."""
-            first, second, *rest = (diff[min(pair), max(pair)] for pair in pairs)
-            out = first * second
-            for factor in rest:
-                out *= factor
-            return out, sum(a > b for a, b in pairs)
-
-        weights = {}
-        wsum = np.zeros_like(nodes[half])
-        for j in range(width):
-            if j == half:
-                continue
-            num, num_flips = product([(half, k) for k in range(width) if k not in (j, half)])
-            den, den_flips = product([(j, k) for k in range(width) if k != j])
-            num /= den
-            if (num_flips + den_flips) % 2:
-                np.negative(num, out=num)
-            weights[j] = np.ldexp(num, exp, out=num)
-            wsum += weights[j]
-        return half, weights, wsum
+    weights = {}
+    wsum = np.zeros(rows)
+    den = np.empty(rows)
+    for j in range(width):
+        if j == half:
+            continue
+        num = np.empty(rows)
+        flips = (product(half, [k for k in range(width) if k not in (j, half)], num)
+                 + product(j, [k for k in range(width) if k != j], den))
+        weights[j] = np.divide(num, den, out=num)
+        if flips % 2:
+            np.negative(num, out=num)
+        wsum += np.ldexp(num, -s, out=num)
+    return weights, wsum
 
 
 class _Frame(NamedTuple):

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import routes, specfun
-from .errors import HeunDiracError
+from .errors import HeunDiracError, InvalidParams
 from .model import (ANALYTIC_ROUTES, HEUN_MAPS, SystemParams, energy_closed_form,
                     level_bracket, level_channel, mixing_case,
                     quantization_residuals, quantized_routes, require_level,
@@ -322,9 +322,12 @@ def run_verification(params: SystemParams, n_max: int,
     route="all" runs everything except the slow oracle check (request
     route="oracle" for it).  tol_override replaces each check's tolerance,
     so an unattainable override reports the measured deviations as failures.
-    Before any check, InvalidParams rejects zero coupling, which supports no
-    bound states.
+    Before any check, InvalidParams rejects a route other than "all", an
+    analytic route or "oracle", and zero coupling, which supports no bound states.
     """
+    if route not in ("all", *ANALYTIC_ROUTES, "oracle"):
+        raise InvalidParams(f"unknown route {route!r}; expected all, oracle or one of "
+                            f"{ANALYTIC_ROUTES}")
     require_level(params, 1)  # level 1 is in both channels: the zero-coupling rule
     selected = [(name, fn) for name, fn, tags in ALL_CHECKS
                 if (name != "oracle_spectrum" if route == "all" else route in tags)]

@@ -579,17 +579,10 @@ _MASSES = (1e-300, 1e-150, 0.51099895, 1.0, 938.272, 1e150, 1e300)
     # starting far inside the Frobenius region, where the rows' power-of-two
     # scaling keeps the products of node differences in range
     *((2000, 1e-300, m) for m in _MASSES)])
-def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(monkeypatch, points,
-                                                                      r_min, m):
+def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(points, r_min, m):
     p = params_for(1)._replace(m=m)
     grid = default_grid(energy_closed_form(1, p).lam, points=points, r_min=r_min)
-    row_scaled = []
-    stencil_weights = RadialGrid._stencil_weights
-    monkeypatch.setattr(RadialGrid, "_stencil_weights",
-                        lambda grid: row_scaled.append(grid) or stencil_weights(grid))
     half, weights, wsum = grid._stencil
-    # the grid's own units where the node differences' products stay in range
-    assert len(row_scaled) == (r_min is not None or not 1e-50 < m < 1e50)
     stencil = _one_pass_stencil(grid.r)
     _assert_same_bits((half, weights, wsum), stencil)
     for solver in ALL_SOLVERS:
@@ -620,6 +613,49 @@ def test_grid_stencils_across_levels_match_the_one_pass_formula_bit_for_bit():
         for points in (2000, 20000):
             grid = default_grid(lam, points=points)
             _assert_same_bits(grid._stencil, _one_pass_stencil(grid.r))
+
+
+def _irregular_radii(rng):
+    """Up to 300 increasing radii from a start between 1e-320 and 1e300: steps
+    of one to three ulps, of 1e-15 to 1 relative, and jumps of up to 1e40."""
+    r = [10.0 ** rng.uniform(-320, 300)]
+    for _ in range(int(rng.integers(4, 300))):
+        kind = rng.random()
+        step = math.nextafter(r[-1], math.inf)
+        if kind < 0.25:
+            for _ in range(int(rng.integers(0, 3))):
+                step = math.nextafter(step, math.inf)
+        else:   # at least one ulp up where r[-1] is subnormal
+            step = max(step, r[-1] * (1 + 10.0 ** rng.uniform(-15, 0) if kind < 0.8
+                                      else 10.0 ** rng.uniform(0, 40)))
+        if step == math.inf:
+            break
+        r.append(step)
+    return np.array(r)
+
+
+def test_irregular_grid_stencils_match_the_one_pass_formula_bit_for_bit():
+    # runs of rows spanning under 2**62 and rows spanning more, one run each,
+    # give each row's own bits; where a row's formation overflows, or makes
+    # an inf/inf or x/0, the grid's stencil is invalid
+    rng = np.random.default_rng(36)
+    outcomes = {"same": 0, "invalid": 0}
+    for _ in range(250):
+        r = _irregular_radii(rng)
+        if len(r) < 5:
+            continue
+        grid = RadialGrid(r)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                ref = _one_pass_stencil(r)
+        except FloatingPointError:
+            with pytest.raises(InvalidParams, match="the derivative stencil overflows"):
+                grid._stencil
+            outcomes["invalid"] += 1
+        else:
+            _assert_same_bits(grid._stencil, ref)
+            outcomes["same"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 @pytest.mark.parametrize("m", (0.51099895, 2.0, 938.272, 1e-150, 1e150, 1e-300, 1e300))

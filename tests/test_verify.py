@@ -90,6 +90,13 @@ def test_zero_coupling_is_rejected_before_any_check(route, monkeypatch):
         verify.run_verification(SystemParams(0.0, 1), 1, route)
 
 
+@pytest.mark.parametrize("route", ("Standard", "ALL", "", "kummer"))
+def test_unknown_route_is_rejected_before_any_check(route):
+    # no check is tagged with it: the run would report nothing, which reads as a pass
+    with pytest.raises(InvalidParams, match=f"unknown route {route!r}"):
+        verify.run_verification(SystemParams(0.5, 1), 2, route)
+
+
 ANALYTIC = ("standard", "mixed1", "mixed2", "heun")
 HEUN = ("mixed1", "mixed2", "heun")
 

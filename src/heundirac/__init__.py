@@ -13,10 +13,10 @@ import sys
 
 _EXPORTS = {
     "errors": ("HeunDiracError", "InvalidParams", "NoConvergence"),
-    "model": ("ANALYTIC_ROUTES", "EnergyLevel", "HeunCParams", "MixingCase", "StandardVars",
-              "SystemParams", "energy_closed_form", "heun_params_case1",
-              "heun_params_case2", "heun_params_full", "mixing_case",
-              "quantization_residuals", "solve_quantization", "standard_vars"),
+    "maps": ("HeunCParams", "MixingCase", "StandardVars", "heun_params_case1",
+             "heun_params_case2", "heun_params_full", "mixing_case", "standard_vars"),
+    "model": ("ANALYTIC_ROUTES", "EnergyLevel", "SystemParams", "energy_closed_form",
+              "quantization_residuals", "solve_quantization"),
     "oracle": ("frobenius_start", "integrate_radial", "scan_brackets", "shoot_energy"),
     "routes": ("RadialGrid", "RadialSolution", "default_grid", "normalize", "residual",
                "solve_heun_full", "solve_mixed_case1", "solve_mixed_case2",

@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import sys
+import time
 from importlib import import_module
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -129,9 +130,13 @@ def _fmt(x: float) -> str:
 
 
 def _generated() -> str:
-    """A report's UTC stamp as JSON; only a stamped report imports datetime."""
-    from datetime import datetime, timezone
-    return json.dumps(datetime.now(timezone.utc).isoformat())
+    """A report's UTC stamp as JSON, in the text of
+    datetime.now(timezone.utc).isoformat() (the clock floored to whole
+    microseconds, none written when they are 0), formed without datetime."""
+    seconds, nanos = divmod(time.time_ns(), 1_000_000_000)
+    micros = nanos // 1000
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return json.dumps(stamp + (f".{micros:06d}" if micros else "") + "+00:00")
 
 
 def _read_config_file(path: str, command: str) -> dict:

@@ -12,21 +12,23 @@ the mass sign flipped.  In the usual kappa labelling, parity = +1 is the
 kappa = +nu channel (radial quantum number n >= 1) and parity = -1 is
 kappa = -nu (n >= 0, including the nodeless ground level).
 
-This module holds the parameter containers, the decoupling-rotation
-cases (case 0, the unrotated frame of the `heun` route, and the two mixed
-rotations), the one confluent-Heun parameter map that serves the three
-Heun-based solution routes (it reads only sin A, cos A and the singular
-point of its case), the closed-form spectrum
+This module holds the parameter containers, the closed-form spectrum
 
     E = m / sqrt(1 + e^2 / (n + sqrt(nu^2 - e^2))^2),
 
-and the quantization-condition residuals that every route must share.
+and the quantization conditions that every route must share, with the
+Brent root-finder that solves them.  The decoupling-rotation cases and the
+confluent-Heun parameter maps, which the wavefunction routes and the checks
+read, live in `maps`: an analytic spectrum forms each condition inline and
+never loads them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
+from importlib import import_module
 from typing import NamedTuple
 
 from .errors import InvalidParams, NoConvergence
@@ -81,66 +83,6 @@ class SystemParams(namedtuple("SystemParams", "e nu m parity", defaults=(1.0, 1)
         return self.m * math.sqrt(1.0 - (E / self.m) ** 2)
 
 
-class MixingCase(NamedTuple):
-    """A resolved decoupling-rotation case.  Turning (f, g) by the half
-    angle A/2 into (F, G) gives the rotated system
-
-        (d/dr + nu cos A/r - m_eff sin A) F + (c_plus + s_plus/r) G = 0
-        (d/dr - nu cos A/r + m_eff sin A) G - (c_minus + s_minus/r) F = 0
-
-    with c_plus, c_minus = E +- m_eff cos A and s_plus, s_minus =
-    e +- nu sin A.  Each angle condition zeroes one of the four (s_minus in
-    case 1, c_minus in case 2); case 0 (sin A = 0, cos A = parity) is the
-    unrotated system, turned a quarter at parity -1, and zeroes none.  The
-    extra regular singular point (R, D, -e/(E + m)) of the equation for F
-    is -s_plus/c_plus.
-    """
-
-    case_id: str
-    sin_a: float
-    cos_a: float
-    cos_half: float
-    sin_half: float
-    singular_point: float
-    c_plus: float
-    c_minus: float
-    s_plus: float
-    s_minus: float
-
-
-class StandardVars(NamedTuple):
-    """Scaled variables of the hypergeometric treatment.
-
-    lam = sqrt(m^2 - E^2), mu = e*m/lam, eps = e*E/lam, and the origin
-    exponent a_frob = sqrt(eps^2 - mu^2 + nu^2), which algebraically
-    equals sqrt(nu^2 - e^2).
-    """
-
-    lam: float
-    mu: float
-    eps: float
-    a_frob: float
-
-
-class HeunCParams(namedtuple("HeunCParams", "alpha beta gamma delta eta")):
-    """Canonical confluent Heun parameters (alpha, beta, gamma, delta, eta).
-
-    beta must not be a negative integer: the series recurrence (specfun)
-    divides by (k+1)(k+beta+1), so beta in {-1, -2, ...} breaks the
-    regular branch.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, alpha, beta, gamma, delta, eta):
-        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)
-                and math.isfinite(delta) and math.isfinite(eta)):
-            raise InvalidParams("Heun parameters must be finite")
-        if beta <= -1 and beta == math.floor(beta):
-            raise InvalidParams(f"beta={beta} is a negative integer")
-        return super().__new__(cls, alpha, beta, gamma, delta, eta)
-
-
 class EnergyLevel(NamedTuple):
     """One bound level: quantum numbers, energy, provenance route and the
     decay constant lam = sqrt(m^2 - E^2), carried rather than recomputed
@@ -158,112 +100,6 @@ def require_bound_energy(params: SystemParams, E: float):
     """Raise InvalidParams unless 0 < E < m: the energy of a bound state."""
     if not (0.0 < E < params.m):
         raise InvalidParams(f"bound state requires 0 < E < m, got E={E}")
-
-
-#: the error of each rotation case where its singular point -s_plus/c_plus diverges
-_POLES = {case_id: f"case-{case_id} singular point diverges at this energy ({where})"
-          for case_id, where in (("0", "E + m = 0"), ("1", "E + m_eff cos A = 0"),
-                                 ("2", "D = -(e + nu sin A)/(2E) overflows"))}
-
-
-def mixing_case(case_id: str, params: SystemParams, E: float, lam: float) -> MixingCase:
-    """Resolve rotation case 0 (sin A = 0, cos A = parity), 1 (sin A = e/nu)
-    or 2 (cos A = E/m_eff, sin A = lam/m) at energy E with decay constant lam.
-
-    Every Heun map is read off the case this returns (_heun_map); only the
-    quantization steps (_route_condition) form a case's terms elsewhere.
-    Cases 0 and 1 need subcritical coupling only, case 2 needs 0 < E <= m
-    (E may round to m where lam > 0 still resolves the level).  The angle
-    conditions fix
-
-        case 0:  c_plus = E + m, s_plus = s_minus = e,  X = -e / (E + m),
-        case 1:  s_plus = 2e, s_minus = 0,   R = -2e / (E + m_eff cos A),
-        case 2:  c_plus = 2E, c_minus = 0,   D = -(e + nu sin A) / (2E).
-
-    Case 0 turns (f, g) by no angle at parity +1 and by a quarter at parity
-    -1, where (f, g) = (G, -F).  No coefficient takes a difference that
-    cancels at weak coupling: the case-0 E - m is -lam^2/(E + m), the
-    case-1 E - m cos A is m (sin A - lam/m)(sin A + lam/m)/(E/m + cos A),
-    and the case-2 half angles take m - E as lam^2/(m + E).  Each is formed
-    in units of m, so no mass overflows it.  Where one of those
-    denominators vanishes (E + m = 0, E/m + cos A = 0) the case's pole
-    raises InvalidParams; where c_plus is 0 the singular point is inf.
-    """
-    e, nu, m = params.e, params.nu, params.m
-    if case_id == "0":
-        if E + m == 0.0:
-            raise InvalidParams(_POLES[case_id])
-        sin_a, cos_a = 0.0, float(params.parity)
-        cos_half, sin_half = (1.0, 0.0) if params.parity == 1 else (0.0, 1.0)
-        c_plus, c_minus, s_plus, s_minus = E + m, -lam * (lam / (E + m)), e, e
-    elif case_id == "1":
-        sin_a, cos_a = e / nu, math.sqrt(1.0 - (e / nu) ** 2)
-        scale = E / m + cos_a
-        if scale == 0.0:
-            raise InvalidParams(_POLES[case_id])
-        root = params.frobenius_exponent
-        # sqrt((nu - root)/(2 nu)) with nu - root = e^2/(nu + root)
-        cos_half = math.sqrt((nu + root) / (2.0 * nu))
-        sin_half = e / math.sqrt(2.0 * nu * (nu + root))
-        far, near = E + m * cos_a, m * (sin_a - lam / m) * (sin_a + lam / m) / scale
-        c_plus, c_minus = (far, near) if params.parity == 1 else (near, far)
-        s_plus, s_minus = 2.0 * e, 0.0
-    elif case_id == "2":
-        if not 0.0 < E <= m:
-            raise InvalidParams(f"case 2 requires 0 < E <= m (cos A = E/m_eff, and D "
-                                f"diverges at E = 0), got E={E}")
-        sin_a, cos_a = lam / m, E / params.m_eff
-        # sqrt((m + E)/(2m)) and sqrt((m - E)/(2m)) = (lam/m)/(2 sqrt((m + E)/(2m)))
-        wide = math.sqrt(0.5 + 0.5 * E / m)
-        narrow = 0.5 * sin_a / wide
-        cos_half, sin_half = (wide, narrow) if params.parity == 1 else (narrow, wide)
-        c_plus, c_minus, s_plus, s_minus = 2.0 * E, 0.0, e + nu * sin_a, e - nu * sin_a
-    else:
-        raise InvalidParams(f"unknown mixing case {case_id!r}; use 0, 1 or 2")
-    point = -s_plus / c_plus if c_plus != 0.0 else math.inf
-    return MixingCase(case_id, sin_a, cos_a, cos_half, sin_half, point,
-                      c_plus, c_minus, s_plus, s_minus)
-
-
-def _heun_map(params: SystemParams, E: float, lam: float, case: MixingCase) -> HeunCParams:
-    """Confluent-Heun parameters of the rotated equation for F in y = r/X,
-    X the singular point of the case (-e/(E + m) for case 0, R for case 1,
-    D for case 2), read off the resolved case.
-
-    With a = sqrt(nu^2-e^2) and b = -lam*X, the signs of the normalizable
-    branch:
-
-        alpha = 2b,  beta = 2a,  gamma = -2,  delta = 2eEX,
-        eta = 1 + m_eff X sin A - 2eEX - nu cos A.
-
-    Raises InvalidParams where X diverges or a parameter is not finite.
-    """
-    X = case.singular_point
-    if not math.isfinite(X):
-        raise InvalidParams(_POLES[case.case_id])
-    delta = 2.0 * params.e * E * X
-    return HeunCParams(2.0 * (-lam * X), 2.0 * params.frobenius_exponent, -2.0, delta,
-                       1.0 + params.m_eff * X * case.sin_a - delta - params.nu * case.cos_a)
-
-
-def heun_params_case1(params: SystemParams, E: float, lam: float) -> HeunCParams:
-    """Confluent-Heun parameters of the case-1 equation for F in y = r/R."""
-    return _heun_map(params, E, lam, mixing_case("1", params, E, lam))
-
-
-def heun_params_case2(params: SystemParams, E: float, lam: float) -> HeunCParams:
-    """Confluent-Heun parameters of the case-2 equation for F in y = r/D."""
-    return _heun_map(params, E, lam, mixing_case("2", params, E, lam))
-
-
-def heun_params_full(params: SystemParams, E: float, lam: float) -> HeunCParams:
-    """Confluent-Heun parameters of the case-0 equation for F in y = -(E+m) r/e."""
-    return _heun_map(params, E, lam, mixing_case("0", params, E, lam))
-
-
-#: the confluent-Heun parameter map of each Heun-based route
-HEUN_MAPS = {"mixed1": heun_params_case1, "mixed2": heun_params_case2,
-             "heun": heun_params_full}
 
 
 def _require_index(n: int):
@@ -327,19 +163,6 @@ def level_bracket(params: SystemParams, n: int) -> tuple[float, float]:
     return 0.5 * (below + E), 0.5 * (E + above)
 
 
-def standard_vars(params: SystemParams, E: float, lam: float) -> StandardVars:
-    """Scaled variables (lam, mu, eps, a_frob) at energy E with decay constant lam."""
-    if not lam > 0.0:
-        raise InvalidParams(f"mu = e m/lam and eps = e E/lam need lam > 0, got lam={lam}")
-    mu = params.e * params.m / lam
-    eps = params.e * E / lam
-    radicand = eps * eps - mu * mu + params.nu ** 2
-    if not radicand >= 0.0:   # cancelled below 0, or inf - inf
-        raise InvalidParams(f"a_frob = sqrt(eps^2 - mu^2 + nu^2) has no real value at "
-                            f"eps={eps}, mu={mu}: the radicand is {radicand}")
-    return StandardVars(lam, mu, eps, math.sqrt(radicand))
-
-
 def quantized_routes(params: SystemParams, n: int) -> tuple[str, ...]:
     """The analytic routes with a quantization condition at level n: all of
     them but mixed1 at the nodeless level of parity -1, which sits on the
@@ -349,18 +172,18 @@ def quantized_routes(params: SystemParams, n: int) -> tuple[str, ...]:
     return ANALYTIC_ROUTES
 
 
-#: the rotation case of each Heun route's map, as in HEUN_MAPS
+#: the rotation case of each Heun route's map, as in maps.HEUN_MAPS
 _ROUTE_CASES = {"mixed1": "1", "mixed2": "2", "heun": "0"}
 
 
 def _route_condition(params: SystemParams, n: int, route: str):
     """`route`'s quantization condition at level n as a function of (E, lam)
     alone, built once per solve; InvalidParams on an unknown route.  It is the
-    reference's arithmetic (standard_vars' eps - a_frob - n, or delta + (n + a)
-    alpha of the route's map in HEUN_MAPS) in the same order, with the rotation
-    case's E-free terms bound here and the rest inline, so that a step builds
-    no MixingCase; where the reference raises, the step returns the reference,
-    which raises its error."""
+    reference's arithmetic (maps.standard_vars' eps - a_frob - n, or delta +
+    (n + a) alpha of the route's map in maps.HEUN_MAPS) in the same order, with
+    the rotation case's E-free terms bound here and the rest inline, so that a
+    step builds no MixingCase; where the reference raises, the step returns the
+    reference, which raises its error.  Only such a step imports maps."""
     e, nu, m, m_eff = params.e, params.nu, params.m, params.m_eff
     if route == "standard":
         em, nu2 = e * m, nu ** 2
@@ -371,6 +194,7 @@ def _route_condition(params: SystemParams, n: int, route: str):
                 radicand = eps * eps - mu * mu + nu2
                 if radicand >= 0.0:
                     return eps - math.sqrt(radicand) - n
+            from .maps import standard_vars
             sv = standard_vars(params, E, lam)
             return sv.eps - sv.a_frob - n
         return condition
@@ -379,10 +203,9 @@ def _route_condition(params: SystemParams, n: int, route: str):
     case_id, two_e = _ROUTE_CASES[route], 2.0 * e
     n_a = n + 0.5 * (2.0 * params.frobenius_exponent - 2.0 + 2.0)   # beta = 2a, gamma = -2
 
-    build = HEUN_MAPS[route]
-
     def reference(E: float, lam: float) -> float:
-        hp = build(params, E, lam)
+        from .maps import HEUN_MAPS
+        hp = HEUN_MAPS[route](params, E, lam)
         return hp.delta + n_a * hp.alpha
 
     if case_id == "2":
@@ -396,7 +219,7 @@ def _route_condition(params: SystemParams, n: int, route: str):
                     return delta + n_a * alpha
             return reference(E, lam)
         return condition
-    # cases 0 and 1: c_plus = E + m, E + m cos A or, at parity -1, mixing_case's
+    # cases 0 and 1: c_plus = E + m, E + m cos A or, at parity -1, maps.mixing_case's
     # factored E - m cos A
     if case_id == "0":
         sin_a, cos_a, s_plus, shift, plus = 0.0, float(params.parity), e, m, True
@@ -557,3 +380,17 @@ def solve_quantization(params: SystemParams, n: int, route: str) -> EnergyLevel:
                                 f"converge in {steps} steps")
     return EnergyLevel(int(n), params.nu, params.parity, m * math.sqrt((1.0 - t) * (1.0 + t)),
                        route, m * t)
+
+
+#: the map-layer functions that perfbench/tracer.py reads from this module
+_TRACED = ("standard_vars", "mixing_case", "heun_params_case1", "heun_params_case2",
+           "heun_params_full")
+
+
+def __getattr__(name: str):
+    """The five _TRACED functions, read from maps (PEP 562) as maps' own
+    objects, so that the tracer's wrappers replace them where maps, HEUN_MAPS,
+    routes and verify hold them.  Goes once the tracer reads maps itself."""
+    if name in _TRACED:
+        return getattr(import_module(".maps", __package__), name)
+    return object.__getattribute__(sys.modules[__name__], name)  # raises AttributeError

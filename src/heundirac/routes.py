@@ -14,7 +14,7 @@ to normalization:
                 parity -1): F from a confluent-Heun polynomial in
                 x = -(E+m) r/e, G recovered from the first-order system.
 
-The three Heun routes work in the rotated frame (F, G) of model.MixingCase,
+The three Heun routes work in the rotated frame (F, G) of maps.MixingCase,
 resolved once per solve, and read their Heun map off it.  Its two
 equations give one relation each, valid in every case: g_from_f reads G
 off the F equation and f_from_g reads F off the G equation.
@@ -49,8 +49,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParams
-from .model import (ANALYTIC_ROUTES, GRID_POINTS, EnergyLevel, MixingCase, SystemParams,
-                    _heun_map, mixing_case, require_level, standard_vars)
+from .maps import MixingCase, _heun_map, mixing_case, standard_vars
+from .model import ANALYTIC_ROUTES, GRID_POINTS, EnergyLevel, SystemParams, require_level
 from .specfun import (HeunCParams, KummerParams, heunc_truncation, horner,
                       kummer_series_coefficients)
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence
-from .model import HeunCParams
+from .maps import HeunCParams
 
 # Integer tolerance of the degree condition that heunc_truncation checks.
 DEGREE_DETECT_TOL = 1e-8

@@ -10,6 +10,7 @@ degree, without failing the run.
 
 from __future__ import annotations
 
+import inspect
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import routes, specfun
 from .errors import HeunDiracError, InvalidParams
-from .model import (ANALYTIC_ROUTES, HEUN_MAPS, SystemParams, energy_closed_form,
-                    level_bracket, level_channel, mixing_case,
-                    quantization_residuals, quantized_routes, require_level,
-                    solve_quantization, standard_vars)
+from .maps import HEUN_MAPS, mixing_case, standard_vars
+from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form, level_bracket,
+                    level_channel, quantization_residuals, quantized_routes, require_level,
+                    solve_quantization)
 from .routes import ROUTE_SOLVERS
 
 # Collapse threshold of the truncation audit: a raw-series coefficient past
@@ -314,6 +315,13 @@ def check_oracle_spectrum(level):
     yield abs(oracle.shoot_energy(level.p, *level_bracket(level.p, level.n)).E - E) / E
 
 
+def _default_tol(check) -> float:
+    """The default of the check's tol, read through a wrapper's __wrapped__;
+    NaN where that default is not a number."""
+    default = inspect.signature(check).parameters["tol"].default
+    return float(default) if isinstance(default, (int, float)) else math.nan
+
+
 def run_verification(params: SystemParams, n_max: int,
                      route: str = "all",
                      tol_override: float | None = None) -> list[CheckResult]:
@@ -339,7 +347,7 @@ def run_verification(params: SystemParams, n_max: int,
             try:
                 results.append(fn(params, n_max, **kwargs))
             except HeunDiracError as exc:
-                tol = math.nan if tol_override is None else tol_override
+                tol = _default_tol(fn) if tol_override is None else tol_override
                 results.append(CheckResult(name, False, math.inf, tol,
                                            f"raised {type(exc).__name__}: {exc}"))
     finally:

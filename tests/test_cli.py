@@ -373,6 +373,20 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
     assert "bracket" in err
 
 
+@pytest.mark.parametrize("instant", (1_700_000_000 * 10**9, 1_700_000_000_999_999_999,
+                                     1_709_210_096_500_000_000, 0),
+                         ids=("whole second", "999999 us", "leap day", "epoch"))
+def test_stamp_is_the_text_datetime_writes(monkeypatch, instant):
+    # datetime.now(timezone.utc).isoformat() at the clock floored to a microsecond
+    import time
+    from datetime import datetime, timedelta, timezone
+
+    import heundirac.cli as cli
+    monkeypatch.setattr(time, "time_ns", lambda: instant)
+    expected = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=instant // 1000)
+    assert cli._generated() == json.dumps(expected.isoformat())
+
+
 def test_json_timestamp_present_by_default(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--coupling", "0.5", "--j", "0.5",
                            "--n-max", "0", "--route", "standard")
@@ -513,20 +527,21 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 def test_analytic_spectrum_loads_no_numpy(tmp_path):
     # numpy's import is about half of a spectrum shell call; dataclasses (which
-    # loads inspect) and datetime cost milliseconds more, and datetime loads
-    # for a report's stamp alone.  The numpy modules load on first use, also
-    # after a numpy-free start
+    # loads inspect), datetime and the rotation-case and Heun-map layer (maps)
+    # cost milliseconds more.  A CSV, an unstamped and a stamped JSON report
+    # load none of them; only a quantization step whose inline terms are not
+    # finite loads maps, for the error its reference raises.  The numpy
+    # modules load on first use, also after a numpy-free start
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coupling = 0.25\nroute = mixed2\nn-max = 3\n")
     script = f"""import contextlib, io, json, sys
 import heundirac.model
 assert "numpy" not in sys.modules
 import heundirac.cli as cli
-unstamped = [(0, ["spectrum", "--route", "all", "--coupling", "0.5", "--format", "csv"]),
-             (0, ["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4",
-                  "--no-timestamp"]),
-             (2, ["spectrum", "--route", "all", "--coupling", "1e-200", "--parity", "-1",
-                  "--n-max", "2"])]
+spared = ("numpy", "dataclasses", "inspect", "datetime", "heundirac.maps")
+unstamped = [["spectrum", "--route", "all", "--coupling", "0.5", "--format", "csv"],
+             ["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4",
+              "--no-timestamp"]]
 stamped = [["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4"],
            ["spectrum", "--route", "heun", "--coupling", "0.5", "--parity", "-1",
             "--n-max", "3"],
@@ -534,16 +549,22 @@ stamped = [["spectrum", "--route", "all", "--coupling", "0.5", "--n-max", "4"],
 numpy_served = [(0, ["wavefunction", "--coupling", "0.5", "--n", "1", "--n-max", "1"]),
                 (0, ["verify", "--coupling", "0.5", "--n-max", "1"]),
                 (0, ["spectrum", "--route", "oracle", "--coupling", "0.5", "--n-max", "1"])]
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for code, argv in unstamped:
-        assert cli.main(argv) == code, argv
-loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime")
-          if name in sys.modules]
-assert not loaded, loaded
-for argv in stamped:
+for argv in unstamped + stamped:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0, argv
-    assert "generated" in json.loads(out.getvalue()), argv
+    if argv in stamped:
+        assert "generated" in json.loads(out.getvalue()), argv
+    loaded = [name for name in spared if name in sys.modules]
+    assert not loaded, (argv, loaded)
+# at e = 1e-200, parity -1 the case-1 c_plus underflows to 0: the step's fallback
+with contextlib.redirect_stdout(io.StringIO()) as out, \\
+        contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(["spectrum", "--route", "all", "--coupling", "1e-200", "--parity", "-1",
+                     "--n-max", "2"])
+assert (code, out.getvalue(), err.getvalue()) == (
+    2, "", "error: case-1 singular point diverges at this energy (E + m_eff cos A = 0)\\n")
+loaded = [name for name in spared if name in sys.modules]
+assert loaded == ["heundirac.maps"], loaded
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         cli.main(["spectrum", "--help"])
@@ -877,10 +898,24 @@ def test_oracle_answers_at_large_j(capsys, j):
 
 def test_operator_closure_passes_at_weak_coupling_parity_minus(capsys):
     # both case-1 maps divide by E -/+ m_eff cos A, one of which cancels to
-    # O(e^2) unless factored (model.mixing_case)
+    # O(e^2) unless factored (maps.mixing_case)
     _, out, _ = run_cli(capsys, "verify", "--coupling", "1e-5", "--parity", "-1",
                         "--n-max", "3")
     assert re.search(r"^\[PASS\] operator_closure:", out, re.M)
+
+
+def test_a_raising_check_prints_its_own_tolerance(capsys):
+    # at e = 1e-7 the level-1 Heun recurrences stop on the accessory condition:
+    # each check that solves or truncates them raises and fails at its default tol
+    code, out, _ = run_cli(capsys, "verify", "--coupling", "1e-7", "--n-max", "4")
+    assert code == EXIT_VERIFY_FAILED
+    failed = [line.split(" [raised")[0] for line in out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] wavefunction_residuals: max deviation inf (tolerance 1.000e-06)",
+        "[FAIL] cross_route_agreement: max deviation inf (tolerance 1.000e-06)",
+        "[FAIL] operator_closure: max deviation inf (tolerance 1.000e-06)",
+        "[FAIL] heunc_ode_residual: max deviation inf (tolerance 1.000e-08)"]
 
 
 def test_zero_tolerance_stays_the_unattainable_override(capsys):

@@ -15,7 +15,8 @@ from heundirac import (EnergyLevel, InvalidParams, NoConvergence, SystemParams,
                        heun_params_case2, heun_params_full, heunc_truncation,
                        mixing_case, quantization_residuals, solve_quantization,
                        standard_vars)
-from heundirac.model import (ANALYTIC_ROUTES, HEUN_MAPS, level_bracket, level_channel,
+from heundirac.maps import HEUN_MAPS
+from heundirac.model import (ANALYTIC_ROUTES, level_bracket, level_channel,
                              quantized_routes, require_level)
 
 
@@ -574,7 +575,7 @@ def test_solve_quantization_evaluates_each_point_once(quantization_sweep):
 def test_each_rotated_solve_resolves_its_case_once(solver, parity, n, monkeypatch):
     # the solve reads its Heun map off the case it resolved: one mixing_case
     # call, and no public map, which would resolve the case again
-    import heundirac.model as model
+    import heundirac.maps as maps
     import heundirac.routes as routes
     calls = []
 
@@ -585,7 +586,7 @@ def test_each_rotated_solve_resolves_its_case_once(solver, parity, n, monkeypatc
         return call
 
     for name in ("mixing_case", "heun_params_case1", "heun_params_case2", "heun_params_full"):
-        for module in (model, routes):
+        for module in (maps, routes):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for route, build in HEUN_MAPS.items():

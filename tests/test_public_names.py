@@ -4,11 +4,15 @@ The package loads each name's module on first read, so its namespace holds
 a name only after it is read: the names are read through dir() and __all__.
 """
 
+import ast
 import inspect
 import types
+from pathlib import Path
+
+import pytest
 
 import heundirac
-from heundirac import model, routes, specfun
+from heundirac import maps, model, routes, specfun
 
 PUBLIC_NAMES = [
     "ANALYTIC_ROUTES", "EnergyLevel", "HeunCParams", "HeunDiracError", "InvalidParams",
@@ -96,7 +100,37 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_heun_parameters_are_one_class():
-    assert specfun.HeunCParams is model.HeunCParams is heundirac.HeunCParams
+    assert specfun.HeunCParams is maps.HeunCParams is heundirac.HeunCParams
+
+
+#: the rotation-case and Heun-map layer, whose one home is maps
+MAP_LAYER = ("MixingCase", "mixing_case", "_POLES", "HeunCParams", "_heun_map",
+             "heun_params_case1", "heun_params_case2", "heun_params_full", "HEUN_MAPS",
+             "StandardVars", "standard_vars")
+#: the ones that perfbench/tracer.py reads from model, which model serves from maps
+TRACED_FROM_MODEL = ("standard_vars", "mixing_case", "heun_params_case1",
+                     "heun_params_case2", "heun_params_full")
+
+
+@pytest.mark.parametrize("name", MAP_LAYER)
+def test_model_serves_only_the_traced_map_layer_names(name):
+    assert name not in vars(model)
+    if name in TRACED_FROM_MODEL:
+        assert getattr(model, name) is getattr(maps, name)
+    else:
+        with pytest.raises(AttributeError):
+            getattr(model, name)
+
+
+def test_no_module_imports_a_map_layer_name_from_model():
+    offenders = []
+    for path in sorted(Path(heundirac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module, node.level) in (("model", 1), ("heundirac.model", 0))):
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names if alias.name in MAP_LAYER]
+    assert offenders == []
 
 
 def test_public_signatures_are_pinned():

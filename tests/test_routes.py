@@ -13,7 +13,8 @@ from heundirac import (InvalidParams, RadialGrid, SystemParams,
                        solve_heun_full, solve_mixed_case1, solve_mixed_case2,
                        solve_quantization, solve_standard, standard_vars)
 from heundirac import cli, routes, verify
-from heundirac.model import ANALYTIC_ROUTES, level_channel, mixing_case, quantized_routes
+from heundirac.maps import mixing_case
+from heundirac.model import ANALYTIC_ROUTES, level_channel, quantized_routes
 from heundirac.routes import (ROUTE_SOLVERS, RadialSolution, f_from_g, g_from_f,
                               mixed1_parts, mixed2_parts)
 

@@ -15,7 +15,8 @@ stencil (checked before the solve), non-finite grid radii, an r-max past
 underflows to 0 exit 2 with a message, as flags and as config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
-lists them), and only its parser is built to read a request (`main`).  Flags
+lists them).  A request in exact long flags is read from that table; argparse
+is imported only for help, an error or another spelling (`main`).  Flags
 override config-file keys, which override defaults.
 The config file is flat `key = value` text, keys named like the long flags
 without the leading dashes (dashes may be written as underscores), e.g.
@@ -30,10 +31,9 @@ read, or a value of the wrong type or outside the option's choices, exits 2.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import sys
 import time
 from importlib import import_module
@@ -115,6 +115,17 @@ _OPTIONS = {
     "no_timestamp": _Option(_truthy, False,
                             "omit the timestamp field (byte-stable reports)", _TABLES),
 }
+_EXTRA_HELP = {"n": "radial quantum number", "config": "flat key=value config file"}
+#: per subcommand, each long flag -> (key, type, choices) in --help's order,
+#: type None for a flag that takes no value
+_FLAGS = {command: {"--" + key.replace("_", "-"): (key, None if kind is _truthy else kind, choices)
+                    for key, kind, choices, commands in (
+                        ("n", int, None, ("wavefunction",)),
+                        *((key, opt.type, opt.choices, opt.commands)
+                          for key, opt in _OPTIONS.items()),
+                        ("config", str, None, _ALL))
+                    if command in commands}
+          for command in _COMMANDS}
 
 
 class RunConfig(SimpleNamespace):
@@ -170,7 +181,7 @@ def _read_config_file(path: str, command: str) -> dict:
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
     merged = {key: opt.default for key, opt in _OPTIONS.items()
               if args.command in opt.commands}
     if args.config:
@@ -298,53 +309,71 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str):
-    """Give `parser` the flags of subcommand `command`."""
-    if command == "wavefunction":
-        parser.add_argument("--n", type=int, required=True, help="radial quantum number")
-    for key, opt in _OPTIONS.items():
-        if command not in opt.commands:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if opt.type is _truthy:
-            parser.add_argument(flag, action="store_true", default=None, help=opt.help)
-        else:
-            parser.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
-    parser.add_argument("--config", help="flat key=value config file")
-
-
-@functools.cache
-def _subparser(command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, as the full parser's add_parser makes it."""
-    parser = argparse.ArgumentParser(prog=f"heundirac {command}")
-    _add_options(parser, command)
-    return parser
-
-
-def _full_parser() -> argparse.ArgumentParser:
+def _full_parser():
     """The command-line parser with every subcommand under it, built only to
-    print its help or its error."""
+    print its help or its error, or to read a request _read_flags does not."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="heundirac",
         description="Dirac-Coulomb bound states by Kummer/Heun routes and shooting")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in _COMMANDS.items():
-        _add_options(sub.add_parser(command, help=text), command)
+        options = sub.add_parser(command, help=text)
+        for flag, (key, convert, choices) in _FLAGS[command].items():
+            note = _OPTIONS[key].help if key in _OPTIONS else _EXTRA_HELP[key]
+            if convert is None:
+                options.add_argument(flag, action="store_true", default=None, help=note)
+            else:
+                options.add_argument(flag, type=convert, choices=choices,
+                                     required=key == "n", help=note)
     return parser
+
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative-number pattern
+
+
+def _read_flags(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace _full_parser().parse_args(argv) returns, for a request
+    of a subcommand and exact long flags, each with its one value (which
+    starts with "-" only as a negative number).  None for anything else:
+    help, abbreviations, --opt=value, --, unknown or unread tokens, a missing
+    --n, a value that does not convert or is no choice."""
+    table = _FLAGS.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    # pass 1 classifies every token, as argparse does before it converts any:
+    # a later token it cannot read must fall back before an earlier value raises
+    pairs, tokens = [], iter(argv[1:])
+    for flag in tokens:
+        entry = table.get(flag)
+        if entry is None:
+            return None
+        text = None if entry[1] is None else next(tokens, "-")  # "-": no value left
+        if text is not None and text.startswith("-") and not _NEGATIVE.match(text):
+            return None
+        pairs.append((entry, text))
+    if "--n" in table and "--n" not in argv:   # no value is "--n" after pass 1
+        return None
+    args = dict.fromkeys(["command", *(key for key, _, _ in table.values())])
+    args["command"] = argv[0]
+    # pass 2 converts left to right: a _checked type raises at argparse's token
+    for (key, convert, choices), text in pairs:
+        try:
+            value = True if convert is None else convert(text)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        args[key] = value
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; NoConvergence exits 3, any other HeunDiracError 2."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # argv[0]'s parser reads the rest, as the full parser would have it do;
-        # that one only exits: no subcommand, -h, an unknown name, tokens unread
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args, unread = (_subparser(command).parse_known_args(
-                            argv[1:], argparse.Namespace(command=command))
-                        if command else (None, True))
-        if unread:
-            args = _full_parser().parse_args(argv)
+        # the full parser reads, or exits on, what the table reader leaves
+        args = _read_flags(argv) or _full_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)

@@ -291,19 +291,24 @@ def check_truncation_audit(params, n_max, tol=math.inf):
     the largest raw-series coefficient past order n (through n +
     COLLAPSE_WINDOW) over the largest at or below it.  The degree condition
     is one of two requirements for a polynomial; this records whether the
-    second one holds numerically."""
+    second one holds numerically.  A level whose closed form, maps or series
+    raise is recorded as "n=<n>: raised <Type>: <text>", and the worst ratio
+    covers the maps read."""
     notes = []
     worst = 0.0
-    for level in _levels(params, 0, n_max):
-        n = level.n
-        for name, hp in level.maps.items():
-            coeffs = specfun.heunc_series_coefficients(hp, n + 1 + COLLAPSE_WINDOW)
-            head = float(np.max(np.abs(coeffs[:n + 1])))
-            beyond = float(np.max(np.abs(coeffs[n + 1:])))
-            rel = beyond / max(head, 1e-300)
-            worst = max(worst, rel)
-            notes.append(f"n={n} {name}: beyond/head={rel:.2e} "
-                         f"collapsed={beyond < COLLAPSE_TOL * head}")
+    for n in range(n_max + 1):
+        try:
+            level, = _levels(params, n, n)
+            for name, hp in level.maps.items():
+                coeffs = specfun.heunc_series_coefficients(hp, n + 1 + COLLAPSE_WINDOW)
+                head = float(np.max(np.abs(coeffs[:n + 1])))
+                beyond = float(np.max(np.abs(coeffs[n + 1:])))
+                rel = beyond / max(head, 1e-300)
+                worst = max(worst, rel)
+                notes.append(f"n={n} {name}: beyond/head={rel:.2e} "
+                             f"collapsed={beyond < COLLAPSE_TOL * head}")
+        except HeunDiracError as exc:
+            notes.append(f"n={n}: raised {type(exc).__name__}: {exc}")
     return CheckResult("truncation_audit", True, worst, tol, "; ".join(notes))
 
 

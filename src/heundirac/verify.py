@@ -21,9 +21,9 @@ import numpy as np
 from . import routes, specfun
 from .errors import HeunDiracError, InvalidParams
 from .maps import HEUN_MAPS, mixing_case, standard_vars
-from .model import (ANALYTIC_ROUTES, SystemParams, energy_closed_form, level_bracket,
-                    level_channel, quantization_residuals, quantized_routes, require_level,
-                    solve_quantization)
+from .model import (ANALYTIC_ROUTES, SystemParams, _level_decay_constant, energy_closed_form,
+                    level_bracket, level_channel, quantization_residuals, quantized_routes,
+                    require_level, solve_quantization)
 from .routes import ROUTE_SOLVERS
 
 # Collapse threshold of the truncation audit: a raw-series coefficient past
@@ -336,12 +336,16 @@ def run_verification(params: SystemParams, n_max: int,
     route="oracle" for it).  tol_override replaces each check's tolerance,
     so an unattainable override reports the measured deviations as failures.
     Before any check, InvalidParams rejects a route other than "all", an
-    analytic route or "oracle", and zero coupling, which supports no bound states.
+    analytic route or "oracle", zero coupling, which supports no bound states,
+    and a request whose level n_max (the one of smallest lam) has a decay
+    constant that underflows to 0, which has no answer, as spectrum says.
     """
     if route not in ("all", *ANALYTIC_ROUTES, "oracle"):
         raise InvalidParams(f"unknown route {route!r}; expected all, oracle or one of "
                             f"{ANALYTIC_ROUTES}")
     require_level(params, 1)  # level 1 is in both channels: the zero-coupling rule
+    if n_max >= 0:
+        _level_decay_constant(n_max, params)
     selected = [(name, fn) for name, fn, tags in ALL_CHECKS
                 if (name != "oracle_spectrum" if route == "all" else route in tags)]
     kwargs = {} if tol_override is None else {"tol": tol_override}

@@ -943,9 +943,19 @@ def test_a_raising_check_prints_its_own_tolerance(capsys):
         "[FAIL] heunc_ode_residual: max deviation inf (tolerance 1.000e-08)"]
 
 
+@pytest.mark.parametrize("route", ("all", "standard", "oracle"))
+def test_verify_whose_decay_constant_underflows_exits_2_before_any_check(capsys, route):
+    # lam = m e / sqrt(N^2 + e^2) of levels 1-3 underflows to 0 at e = 5e-324: no
+    # level has an answer, so the request is invalid input, as for spectrum
+    code, out, err = run_cli(capsys, "verify", "--route", route, "--coupling", "5e-324",
+                             "--parity", "-1", "--n-max", "3")
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err == ("error: the decay constant m e / sqrt(N^2 + e^2) underflows to 0 "
+                   "at m=1.0, e=5e-324\n")
+
+
 @pytest.mark.parametrize("coupling,message", (
-    ("1e-200", "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"),
-    ("5e-324", "the decay constant m e / sqrt(N^2 + e^2) underflows to 0 at m=1.0, e=5e-324")))
+    ("1e-200", "case-1 singular point diverges at this energy (E + m_eff cos A = 0)"),))
 def test_truncation_audit_notes_a_raising_level_and_passes(capsys, coupling, message):
     # informational: a level whose closed form or maps raise is noted, not failed;
     # the request still exits 1 on the checks that do fail there

@@ -254,16 +254,18 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     from . import routes, tables
     if n > cfg.n_max:
         raise InvalidParams(f"n={n} exceeds n_max={cfg.n_max}")
-    if cfg.grid_points < 5:  # the residual's five-point stencil, checked before the solve
+    if cfg.grid_points < 5:  # the residual's five points, checked before the solve
         raise InvalidParams(f"wavefunction needs at least 5 grid points, got {cfg.grid_points}")
     route = "standard" if cfg.route == "all" else cfg.route
     params = cfg.system_params()
     require_level(params, n)
     level = energy_closed_form(n, params)
     grid = routes.default_grid(level.lam, cfg.grid_points, cfg.r_min, cfg.r_max)
-    grid._stencil  # the residual's weights: InvalidParams here, before the solve, on overflow
     if route == "oracle":
         from . import oracle
+        # the residual's finite-difference weights: InvalidParams here, before
+        # the solve, on overflow; an analytic solve carries its derivatives
+        grid._stencil
         sol = oracle.integrate_radial(params, level.E, grid)
     else:
         sol = routes.ROUTE_SOLVERS[route](params, level, grid)

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,24 +162,26 @@ def _lagrange_rows(x, s, half):
 
 class _Frame(NamedTuple):
     """A rotation case's amplitudes (F, G) of a level on the radii r, with
-    its MixingCase and the coefficients of the Heun polynomial that F is
-    built from (None at the case-1 nodeless level, where F has none).
-    df() and dg() form dF/dr and dG/dr when called, so a solve that reads
-    neither pays for neither; case 0 has no dg."""
+    dF/dr and dG/dr in closed form, in units of m (so g_from_f and f_from_g
+    read m df and m dg), its MixingCase and the coefficients of the Heun
+    polynomial that F is built from (None at the case-1 nodeless level, where
+    F has none)."""
 
     r: np.ndarray
     f: np.ndarray
-    df: Callable[[], np.ndarray]
+    df: np.ndarray
     g: np.ndarray
-    dg: Callable[[], np.ndarray] | None
+    dg: np.ndarray
     case: MixingCase
     heun: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """A wavefunction pair on a grid, with its energy E and provenance; a
-    rotated-frame route keeps the _Frame it was rotated from."""
+    """A wavefunction pair on a grid, with its energy E and provenance.  An
+    analytic route gives df and dg, the closed-form df/dr and dg/dr in units of
+    m (so they stay in range at any mass), and a rotated-frame route keeps the
+    _Frame it was rotated from; the oracle's table has neither."""
 
     grid: RadialGrid
     f: np.ndarray
@@ -187,6 +189,8 @@ class RadialSolution:
     E: float
     route: str
     params: SystemParams
+    df: np.ndarray | None = None
+    dg: np.ndarray | None = None
     _frame: _Frame | None = field(default=None, repr=False, compare=False)
 
 
@@ -241,21 +245,25 @@ def _envelope(lam: float, a: float, r: np.ndarray) -> np.ndarray:
 
 
 def _enveloped(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
-               r: np.ndarray):
-    """P = pref p(k r), with pref a multiple of _envelope(lam, a, r) and p
-    the polynomial with coefficients `coeffs`, and a function that forms
-    dP/dr when called (_slope).  Raises InvalidParams where k r overflows on
-    the grid (r positive and increasing)."""
+               r: np.ndarray, unit: float):
+    """P = pref p(k r) and dP/dr in units of `unit`, with pref a multiple of
+    _envelope(lam, a, r) and p the polynomial with coefficients `coeffs`; the
+    slope reuses p's values.  In units of m the slope stays in range at any
+    mass, but where a/(m r) overflows (m r_min near 2.2e-308 or below, where
+    the residual's terms overflow and it raises InvalidParams) it is NaN.
+    Raises InvalidParams where k r or a/r overflows on the grid (r positive
+    and increasing)."""
     if not math.isfinite(abs(k) * float(r[-1])):
         raise InvalidParams(f"the polynomial variable k r overflows: k={k}, r_max={r[-1]}")
-    return pref * horner(coeffs, k * r), partial(_slope, pref, coeffs, k, lam, a, r)
-
-
-def _slope(pref: np.ndarray, coeffs: np.ndarray, k: float, lam: float, a: float,
-           r: np.ndarray) -> np.ndarray:
-    """dP/dr of the P = pref p(k r) of _enveloped."""
+    if not math.isfinite(a / float(r[0])):
+        raise InvalidParams(f"the envelope's slope a/r overflows at r_min={r[0]}")
     z = k * r
-    return pref * ((a / r - lam) * horner(coeffs, z) + k * horner(coeffs, z, 1))
+    p = horner(coeffs, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = pref * (((a / r - lam) / unit) * p + (k / unit) * horner(coeffs, z, 1))
+    if not math.isfinite(a / float(r[0]) / unit):
+        slope[~np.isfinite(slope)] = math.nan
+    return pref * p, slope
 
 
 # ----------------------------------------------------------------------
@@ -286,16 +294,19 @@ def solve_standard(params: SystemParams, level: EnergyLevel,
     gamma_k = 2.0 * A + 1.0
     c2 = -(params.nu + mu_s) / (A + eps)
     pref = _envelope(lam, A, r)
-    y = 2.0 * lam * r
-    comp1 = pref * horner(_kummer_polynomial(n, gamma_k), y)
-    comp2 = (c2 * pref) * horner(_kummer_polynomial(n - 1, gamma_k), y)  # 0 at n = 0
+    m = params.m
+    comp1, dcomp1 = _enveloped(pref, _kummer_polynomial(n, gamma_k), 2.0 * lam, lam, A, r, m)
+    # 0 at n = 0
+    comp2, dcomp2 = _enveloped(c2 * pref, _kummer_polynomial(n - 1, gamma_k), 2.0 * lam, lam,
+                               A, r, m)
 
     # sqrt(m + E) and sqrt(m - E) = lam/sqrt(m + E)
     wide = math.sqrt(params.m + E)
     p, q = (wide, lam / wide) if params.parity == 1 else (lam / wide, -wide)
     f = p * (comp1 + comp2)
     g = q * (comp1 - comp2)
-    return RadialSolution(grid, f, g, E, "standard", params)
+    return RadialSolution(grid, f, g, E, "standard", params,
+                          p * (dcomp1 + dcomp2), q * (dcomp1 - dcomp2))
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +321,9 @@ def _solve_rotated(parts, route: str, params: SystemParams, level: EnergyLevel,
     case = frame.case
     f = case.cos_half * frame.f + case.sin_half * frame.g
     g = -case.sin_half * frame.f + case.cos_half * frame.g
-    return RadialSolution(grid, f, g, level.E, route, params, frame)
+    c, s = case.cos_half, case.sin_half
+    return RadialSolution(grid, f, g, level.E, route, params,
+                          c * frame.df + s * frame.dg, c * frame.dg - s * frame.df, frame)
 
 
 def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
@@ -340,13 +353,27 @@ def f_from_g(case: MixingCase, params: SystemParams, r: np.ndarray,
 
 
 def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Frame:
-    """Case-0 frame of level, G by g_from_f."""
-    E, lam, a = level.E, level.lam, params.frobenius_exponent
+    """Case-0 frame of level, G by g_from_f from dF/dr in absolute units.
+
+    With N = r F' + nu cos A F - m_eff sin A r F, G = -N/(c_plus r + s_plus),
+    so dG/dr = -(N' + c_plus G)/(c_plus r + s_plus), whose r F'' (in N') has
+    no r^-2 factor: with F = pref p(z), z = k r and u = a - lam r,
+    r F'' = pref ((u^2 - a)/r p + 2 u k p' + k z p'')."""
+    E, lam, a, m = level.E, level.lam, params.frobenius_exponent, params.m
     case = mixing_case("0", params, E, lam)
     heun = _heun_polynomial(_heun_map(params, E, lam, case), level.n)
-    f_part, df = _enveloped(_envelope(lam, a, r), heun, 1.0 / case.singular_point,
-                            lam, a, r)
-    return _Frame(r, f_part, df, g_from_f(case, params, r, f_part, df()), None, case, heun)
+    pref = _envelope(lam, a, r)
+    k = 1.0 / case.singular_point
+    f_part, df = _enveloped(pref, heun, k, lam, a, r, 1.0)
+    g_part = g_from_f(case, params, r, f_part, df)
+    z = k * r
+    u = a - lam * r
+    r_d2f = pref * ((u * u - a) / r * horner(heun, z) + 2.0 * k * u * horner(heun, z, 1)
+                    + k * z * horner(heun, z, 2))
+    msa = params.m_eff * case.sin_a
+    dn = (1.0 + params.nu * case.cos_a) * df + r_d2f - msa * (f_part + r * df)
+    dg = -(dn + case.c_plus * g_part) / (case.c_plus * r + case.s_plus)
+    return _Frame(r, f_part, df / m, g_part, dg / m, case, heun)
 
 
 def solve_heun_full(params: SystemParams, level: EnergyLevel,
@@ -362,7 +389,7 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
 
     pref = _envelope(lam, a, r)
     kummer = _kummer_polynomial(n, 2.0 * a)
-    g_part, dg = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
+    g_part, dg = _enveloped(pref, kummer, 2.0 * lam, lam, a, r, params.m)
 
     if n >= 1:
         R = case.singular_point
@@ -371,13 +398,13 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
         # c_plus = -s_plus/R: match the leading terms r^(a+n) e^(-lam r)
         t = (-case.s_plus * kummer[-1] * (2.0 * lam * R) ** n
              / (R * heun[-1] * (lam + params.m_eff * case.sin_a)))
-        f_part, df = _enveloped(t * pref, heun, 1.0 / R, lam, a, r)
+        f_part, df = _enveloped(t * pref, heun, 1.0 / R, lam, a, r, params.m)
     else:
         # nodeless level: R diverges and the series route for F is empty,
         # but the inverse relation collapses to a pure rescaling of G.
         heun = None
         ratio = (params.m_eff * case.sin_a - lam) / case.c_minus
-        f_part, df = ratio * g_part, lambda: ratio * dg()
+        f_part, df = ratio * g_part, ratio * dg
     return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
@@ -406,7 +433,7 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     n_index = n if params.parity == 1 else n - 1
     if n_index >= 0:
         kummer = _kummer_polynomial(n_index, 2.0 * a + 1.0)
-        g_part, dg = _enveloped(pref, kummer, 2.0 * lam, lam, a, r)
+        g_part, dg = _enveloped(pref, kummer, 2.0 * lam, lam, a, r, params.m)
         # as r -> inf, F = f_from_g(G) / G tends to (a + n_index - nu cos A)/s_minus at
         # parity +1 and to -2 lam r/s_minus at parity -1 (m_eff sin A = parity lam):
         # match the leading terms r^(a+n) e^(-lam r)
@@ -418,9 +445,9 @@ def _case2_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
         # nodeless level: the would-be G component is non-normalizable,
         # so its amplitude is exactly zero and F alone carries the state.
         g_part = np.zeros_like(r)
-        dg = partial(np.zeros_like, r)
+        dg = np.zeros_like(r)
         t = 1.0
-    f_part, df = _enveloped(t * pref, heun, 1.0 / D, lam, a, r)
+    f_part, df = _enveloped(t * pref, heun, 1.0 / D, lam, a, r, params.m)
     return _Frame(r, f_part, df, g_part, dg, case, heun)
 
 
@@ -456,57 +483,74 @@ def _central_derivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
 
 
 def residual(solution: RadialSolution) -> float:
-    """Worst scaled residual of the radial system over interior grid points.
+    """Worst scaled residual of the radial system over the grid.
 
-    Derivatives are taken by central finite differences on the solution's
-    own grid; each equation residual is scaled by the local magnitude
-    |f| + |g| plus a small relative floor.  The terms are taken in units of
-    the peak of |f| + |g| and of 1/m (each term of the system is f/length),
-    which makes the result dimensionless.  A zero solution has residual 0.0,
-    one holding a NaN or an infinity NaN.  Raises InvalidParams where a term
-    overflows or divides by zero (m r_min underflows to 0 or near it).
+    An analytic solution carries its closed-form derivatives, read at every
+    grid point; the oracle's table has none, so they are taken by central
+    finite differences on its own grid, at its interior points.  The terms
+    are taken in units of the peak of |f| + |g| and of 1/m (each term of the
+    system is f/length), which makes the result dimensionless; each
+    equation's residual is scaled by the larger of the sum of its terms'
+    magnitudes and |f| + |g| plus a small relative floor.  A zero solution
+    has residual 0.0, one holding a NaN or an infinity NaN.  Raises
+    InvalidParams where a term overflows or divides by zero (m r_min
+    underflows to 0 or near it).
     """
     r = solution.grid.r
     if len(r) < 5:
         raise InvalidParams("residual needs at least 5 grid points")
-    half = solution.grid._stencil[0]
     peak = np.max(np.abs(solution.f) + np.abs(solution.g))
     if not math.isfinite(peak):   # a NaN or inf in f or g: no residual is defined
         return math.nan
     if peak == 0:
         return 0.0
     try:
-        return _scaled_residual(solution, peak, half)
+        return _scaled_residual(solution, peak)
     except FloatingPointError:
         raise InvalidParams(f"the residual's terms in units of 1/m overflow at "
                             f"m={solution.params.m} on the grid from r_min={r[0]}") from None
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _scaled_residual(solution: RadialSolution, peak: float, half: int) -> float:
+def _scaled_residual(solution: RadialSolution, peak: float) -> float:
     """residual of a solution of finite, nonzero peak |f| + |g|."""
-    f, g = solution.f / peak, solution.g / peak
     params, E, m = solution.params, solution.E, solution.params.m
-    inner = slice(half, len(f) - half)
+    f, g = solution.f / peak, solution.g / peak
+    if solution.df is None:
+        half = solution.grid._stencil[0]
+        inner = slice(half, len(f) - half)
+        df = _central_derivative(solution.grid, f)
+        df /= m
+        dg = _central_derivative(solution.grid, g)
+        dg /= m
+    else:
+        inner = slice(None)
+        df, dg = solution.df / peak, solution.dg / peak
     fi, gi, mr = f[inner], g[inner], m * solution.grid.r[inner]
     nu_mr = params.nu / mr
     w = np.divide(params.e, mr, out=mr)
     w += E / m
-    term = np.empty_like(w)
-    # res1 = df + (nu/mr) f + (w + parity) g, res2 = dg - (nu/mr) g - (w - parity) f
-    res1 = np.multiply(nu_mr, fi)
-    res1 += np.divide(_central_derivative(solution.grid, f), m, out=term)
-    res1 += np.multiply(np.add(w, params.parity, out=term), gi, out=term)
-    res2 = _central_derivative(solution.grid, g)
-    res2 /= m
-    res2 -= np.multiply(nu_mr, gi, out=nu_mr)
-    res2 -= np.multiply(np.subtract(w, params.parity, out=w), fi, out=w)
-    scale = np.abs(fi)
-    scale += np.abs(gi, out=term)
-    scale += RESIDUAL_FLOOR
-    # np.maximum, unlike max(), carries a NaN of either maximum
-    return float(np.maximum(np.max(np.divide(np.abs(res1, out=res1), scale, out=res1)),
-                            np.max(np.divide(np.abs(res2, out=res2), scale, out=res2))))
+    # res1 = df + (nu/mr) f + (w + parity) g, res2 = dg - (nu/mr) g - (w - parity) f,
+    # each over max(|df| + |(nu/mr) f| + |(w + parity) g|, |f| + |g| + floor)
+    floor = np.abs(fi)
+    floor += np.abs(gi)
+    floor += RESIDUAL_FLOOR
+    worst = 0.0
+    for d, own, other, sign in ((df, fi, gi, 1.0), (dg, gi, fi, -1.0)):
+        t1 = np.multiply(nu_mr, own)
+        t2 = np.multiply(np.add(w, sign * params.parity, out=np.empty_like(w)), other)
+        if sign < 0:
+            np.negative(t1, out=t1)
+            np.negative(t2, out=t2)
+        res = d + t1
+        res += t2
+        scale = np.abs(d)
+        scale += np.abs(t1, out=t1)
+        scale += np.abs(t2, out=t2)
+        np.maximum(scale, floor, out=scale)
+        # np.maximum, unlike max(), carries a NaN of either maximum
+        worst = np.maximum(worst, np.max(np.divide(np.abs(res, out=res), scale, out=res)))
+    return float(worst)
 
 
 def normalize(solution: RadialSolution) -> RadialSolution:
@@ -530,4 +574,7 @@ def normalize(solution: RadialSolution) -> RadialSolution:
         lead = np.argmax(np.abs(f) > 1e-3 * fmax)
         if f[lead] < 0:
             scale = -scale
-    return replace(solution, f=scale * f, g=scale * g)
+    if solution.df is None:
+        return replace(solution, f=scale * f, g=scale * g)
+    return replace(solution, f=scale * f, g=scale * g, df=scale * solution.df,
+                   dg=scale * solution.dg)

@@ -219,9 +219,9 @@ def check_operator_closure(level):
     built: F -> G pointwise, and F -> G -> F proportional to the identity."""
     p = level.p
     r, f_part, df, g_part, dg, case, _ = level.solution("mixed1")._frame
-    g_implied = routes.g_from_f(case, p, r, f_part, df())
+    g_implied = routes.g_from_f(case, p, r, f_part, p.m * df)
     yield float(np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)))
-    f_back = routes.f_from_g(case, p, r, g_part, dg())
+    f_back = routes.f_from_g(case, p, r, g_part, p.m * dg)
     mask = np.abs(f_part) > 1e-6 * np.max(np.abs(f_part))
     ratios = f_back[mask] / f_part[mask]
     yield float(np.max(np.abs(ratios / ratios[len(ratios) // 2] - 1.0)))

@@ -128,10 +128,10 @@ def test_a5_operator_closure_and_coefficient_ratio():
             level = energy_closed_form(n, p)
             E, lam = level.E, level.lam
             r, f_part, df, g_part, dg, case, _ = mixed1_parts(p, level, default_grid(lam))
-            g_implied = g_from_f(case, p, r, f_part, df())
+            g_implied = g_from_f(case, p, r, f_part, p.m * df)
             worst_closure = max(worst_closure, float(
                 np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part))))
-            f_back = f_from_g(case, p, r, g_part, dg())
+            f_back = f_from_g(case, p, r, g_part, p.m * dg)
             mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
             ratio = f_back[mask] / f_part[mask]
             worst_closure = max(worst_closure, float(

@@ -202,28 +202,54 @@ def test_wavefunction_grid_below_five_points_exits_2_before_the_solve(capsys, mo
     assert err == f"error: wavefunction needs at least 5 grid points, got {points}\n"
 
 
+@pytest.mark.parametrize("argv, formed", (
+    (("wavefunction", "--route", "standard", "--n", "2", "--n-max", "2"), False),
+    (("wavefunction", "--route", "heun", "--n", "2", "--n-max", "2", "--grid-points", "20000"),
+     False),
+    (("verify", "--route", "all", "--n-max", "3"), False),
+    (("wavefunction", "--route", "oracle", "--n", "1", "--n-max", "1"), True)))
+def test_only_the_oracle_residual_forms_the_stencil(capsys, monkeypatch, argv, formed):
+    # an analytic solution carries its closed-form derivatives
+    calls, exact = [], routes._lagrange_rows
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+    monkeypatch.setattr(routes, "_lagrange_rows", counted)
+    code, _, _ = run_cli(capsys, *argv, "--coupling", "0.5")
+    assert code == EXIT_OK
+    assert bool(calls) == formed
+
+
 @pytest.mark.parametrize("points,r_min", ((5, "1e-300"), (7, "1e-300"), (12, "1e-300"),
                                           (2000, "1e-308")))
-def test_wavefunction_grid_whose_stencil_overflows_exits_2_before_the_solve(
+def test_oracle_wavefunction_grid_whose_stencil_overflows_exits_2_before_the_solve(
         capsys, monkeypatch, points, r_min):
     # the stencil's weights overflow: across the few points of a 1e-300 grid,
-    # and from the near-1e-308 spacings of the 2000-point one
+    # and from the near-1e-308 spacings of the 2000-point one; only the oracle
+    # residual reads the stencil, and an analytic route, which carries its
+    # derivatives, answers on the same grid
+    from heundirac import oracle
+
     def unreachable(*args, **kwargs):
         raise AssertionError("solved a grid whose residual overflows")
-    monkeypatch.setitem(routes.ROUTE_SOLVERS, "standard", unreachable)
+    monkeypatch.setattr(oracle, "integrate_radial", unreachable)
+    argv = ("wavefunction", "--coupling", "0.5", "--n", "1", "--n-max", "1",
+            "--grid-points", str(points), "--r-min", r_min, "--no-timestamp")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(capsys, "wavefunction", "--coupling", "0.5", "--n", "1",
-                                 "--n-max", "1", "--grid-points", str(points),
-                                 "--r-min", r_min)
+        code, out, err = run_cli(capsys, *argv, "--route", "oracle")
+        analytic_code, analytic_out, _ = run_cli(capsys, *argv)
     r_max = 40 / energy_closed_form(1, SystemParams(0.5, 1)).lam
     assert (code, out) == (EXIT_INVALID_PARAMS, "")
     assert err == (f"error: the derivative stencil overflows on the {points}-point grid "
                    f"from r_min={float(r_min)} to r_max={r_max}\n")
+    assert analytic_code == EXIT_OK
+    assert json.loads(analytic_out)["system_residual"] < 1e-8
 
 
 def test_wavefunction_on_a_20_point_grid_from_1e_300_keeps_its_table(capsys):
-    # no weight overflows on this grid, so it is served, its residual pinned
+    # served, its residual at the rounding floor (4.7e84 by the stencil)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, _ = run_cli(capsys, "wavefunction", "--coupling", "0.5", "--n", "1",
@@ -231,7 +257,7 @@ def test_wavefunction_on_a_20_point_grid_from_1e_300_keeps_its_table(capsys):
                                "--no-timestamp")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert len(doc["r"]) == 20 and doc["system_residual"] == 4.699536018480135e+84
+    assert len(doc["r"]) == 20 and doc["system_residual"] == 1.3801333693349587e-15
 
 
 def test_wavefunction_on_five_grid_points_exits_0(capsys):
@@ -822,16 +848,14 @@ def test_verify_passes_in_the_parity_minus_channel(capsys, coupling):
 
 def test_heavy_mass_verify_passes(capsys):
     # the system residual is dimensionless: the same level at m = 938.272
-    # reports the residual of m = 1
-    reports = {}
+    # reports a residual at the rounding floor, as at m = 1
     for mass in ("1", "938.272"):
         code, out, _ = run_cli(capsys, "verify", "--coupling", "1.0", "--j", "1.5",
                                "--n-max", "3", "--mass", mass)
         assert code == EXIT_OK
-        reports[mass] = [line for line in out.splitlines()
-                         if line.startswith("[PASS] wavefunction_residuals")]
-    assert reports["938.272"] == reports["1"] == [
-        "[PASS] wavefunction_residuals: max deviation 1.754e-09 (tolerance 1.000e-06)"]
+        [line] = [line for line in out.splitlines()
+                  if line.startswith("[PASS] wavefunction_residuals")]
+        assert float(line.split()[4]) < 1e-13, line
 
 
 @pytest.mark.parametrize("extra", (("--mass", "1e-150", "--grid-points", "5"),

@@ -36,7 +36,7 @@ SIGNATURES = {
     "MixingCase": "(case_id, sin_a, cos_a, cos_half, sin_half, singular_point, c_plus, "
                   "c_minus, s_plus, s_minus)",
     "RadialGrid": "(r)",
-    "RadialSolution": "(grid, f, g, E, route, params, _frame=None)",
+    "RadialSolution": "(grid, f, g, E, route, params, df=None, dg=None, _frame=None)",
     "StandardVars": "(lam, mu, eps, a_frob)",
     "SystemParams": "(e, nu, m=1.0, parity=1)",
     "default_grid": "(lam, points=2000, r_min=None, r_max=None)",

@@ -159,7 +159,7 @@ def test_mixed1_residual():
 def test_mixed1_forward_operator_reproduces_kummer_component():
     p = params_for(1)
     r, f_part, df, g_part, _, case, _ = solve_closed(mixed1_parts, p, 1)
-    implied = g_from_f(case, p, r, f_part, df())
+    implied = g_from_f(case, p, r, f_part, p.m * df)
     scale = np.max(np.abs(g_part))
     assert np.max(np.abs(implied - g_part)) / scale < 1e-7
 
@@ -176,9 +176,9 @@ def test_mixed1_round_trip_is_proportional_to_identity():
         for e, parity in ((0.5, 1), (0.5, -1), (1e-5, 1), (1e-5, -1)):
             p = SystemParams(e, 1, parity=parity)
             r, f_part, df, g_part, dg, case, _ = solve_closed(parts, p, 2)
-            g_implied = g_from_f(case, p, r, f_part, df())
+            g_implied = g_from_f(case, p, r, f_part, p.m * df)
             assert np.max(np.abs(g_implied - g_part)) / np.max(np.abs(g_part)) < 1e-12
-            f_back = f_from_g(case, p, r, g_part, dg())
+            f_back = f_from_g(case, p, r, g_part, p.m * dg)
             assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
             mask = np.abs(f_part) > 1e-3 * np.max(np.abs(f_part))
             ratio = f_back[mask] / f_part[mask]
@@ -205,7 +205,7 @@ def test_case1_g_to_f_relation_carries_the_nodeless_level():
     # and the relation gives the nodeless F that mixed1 builds from G
     p = params_for(0)
     r, f_part, _, g_part, dg, case, _ = solve_closed(mixed1_parts, p, 0)
-    f_back = f_from_g(case, p, r, g_part, dg())
+    f_back = f_from_g(case, p, r, g_part, p.m * dg)
     assert np.max(np.abs(f_back - f_part)) / np.max(np.abs(f_part)) < 1e-12
 
 
@@ -251,7 +251,7 @@ def test_mixed2_residual_and_relation():
     p = params_for(1)
     assert residual(solve_closed(solve_mixed_case2, p, 1)) < 1e-7
     r, f_part, _, g_part, dg, case, _ = solve_closed(mixed2_parts, p, 1)
-    implied = f_from_g(case, p, r, g_part, dg())
+    implied = f_from_g(case, p, r, g_part, p.m * dg)
     scale = np.max(np.abs(f_part))
     assert np.max(np.abs(implied - f_part)) / scale < 1e-7
 
@@ -380,6 +380,42 @@ def test_coefficient_ratio_sign_pattern(n, nu, e, monkeypatch):
 # residual and normalization utilities
 # ----------------------------------------------------------------------
 
+_STEPS = (2e-3, 1e-3)   # Richardson pair of relative half-steps
+
+
+def _richardson_slopes(solver, p, level):
+    """(closed, richardson) of (df/dr, dg/dr) in units of m at 20 radii of the
+    level: the solver's own derivatives against a Richardson-extrapolated
+    central difference of its values at r (1 +- h), h in _STEPS."""
+    centers = np.geomspace(0.05 / level.lam, 20.0 / level.lam, 20)
+    offsets = np.array([-_STEPS[0], -_STEPS[1], 0.0, _STEPS[1], _STEPS[0]])
+    sol = solver(p, level, RadialGrid((centers[:, None] * (1.0 + offsets)).ravel()))
+    closed, extrapolated = [], []
+    for y, dy in ((sol.f, sol.df), (sol.g, sol.dg)):
+        y = y.reshape(20, 5)
+        wide = (y[:, 4] - y[:, 0]) / (2.0 * _STEPS[0] * centers)
+        narrow = (y[:, 3] - y[:, 1]) / (2.0 * _STEPS[1] * centers)
+        closed.append(dy.reshape(20, 5)[:, 2])
+        extrapolated.append((4.0 * narrow - wide) / 3.0 / p.m)
+    return closed, extrapolated
+
+
+@pytest.mark.parametrize("parity", (1, -1))
+@pytest.mark.parametrize("nu", (1, 2, 3))
+@pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+def test_closed_form_derivatives_match_a_richardson_difference(route, nu, parity):
+    # every branch: the case-1 ratio (n = 0 at parity -1), case 2 with G = 0
+    # (ibid.), the standard route's comp2 = 0 (n = 0), and the Heun polynomials
+    for e in (0.0072973525693, 0.5 * nu, 0.9 * nu):
+        p = SystemParams(e, nu, parity=parity)
+        for n in range(0 if parity == -1 else 1, 7):
+            level = energy_closed_form(n, p)
+            closed, extrapolated = _richardson_slopes(ROUTE_SOLVERS[route], p, level)
+            scale = max(np.max(np.abs(d)) for d in closed)
+            for d, ref in zip(closed, extrapolated):
+                assert np.max(np.abs(d - ref)) < 1e-7 * scale, (route, e, n)
+
+
 def test_residual_zero_solution_is_zero():
     p = params_for(1)
     sol = solve_closed(solve_standard, p, 1)
@@ -407,9 +443,20 @@ def test_residual_of_a_non_finite_solution_is_nan(component, value):
     assert math.isnan(residual(bad))
 
 
-@pytest.mark.parametrize("nan_call", (0, 1), ids=("in-df", "in-dg"))
-def test_residual_carries_a_nan_of_either_equation(monkeypatch, nan_call):
+@pytest.mark.parametrize("component", ("df", "dg"))
+def test_residual_carries_a_nan_of_either_equation(component):
     sol = solve_closed(solve_standard, SystemParams(0.5, 1), 1)
+    finite = residual(sol)
+    bad = dataclasses.replace(sol, **{component: _with_value_at(getattr(sol, component), 10,
+                                                                  math.nan)})
+    assert math.isfinite(finite) and math.isnan(residual(bad))
+
+
+@pytest.mark.parametrize("nan_call", (0, 1), ids=("in-df", "in-dg"))
+def test_oracle_residual_carries_a_nan_of_either_equation(monkeypatch, nan_call):
+    # a table without closed-form derivatives takes them from the stencil
+    sol = dataclasses.replace(solve_closed(solve_standard, SystemParams(0.5, 1), 1),
+                              df=None, dg=None)
     finite = residual(sol)
     derivative, calls = routes._central_derivative, []
 
@@ -536,28 +583,38 @@ def _one_pass_stencil(r):
     return half, weights, wsum
 
 
-def _one_pass_residual(solution, stencil):
-    """The system residual as formed one array expression at a time."""
-    half, weights, wsum = stencil
+def _one_pass_residual(solution, stencil=None):
+    """The system residual as formed one array expression at a time: from the
+    solution's closed-form derivatives at every point, or, given a stencil,
+    from finite differences at its interior points."""
     r = solution.grid.r
     peak = np.max(np.abs(solution.f) + np.abs(solution.g))
     f, g = solution.f / peak, solution.g / peak
     params, E, m = solution.params, solution.E, solution.params.m
+    if stencil is None:
+        inner = slice(None)
+        df, dg = solution.df / peak, solution.dg / peak
+    else:
+        half, weights, wsum = stencil
+        inner = slice(half, len(r) - half)
 
-    def derivative(y):
-        total = np.zeros_like(wsum)
-        for j, w in weights.items():
-            total += w * y[j:len(y) - 2 * half + j]
-        total -= wsum * y[half:len(y) - half]
-        return total
+        def derivative(y):
+            total = np.zeros_like(wsum)
+            for j, w in weights.items():
+                total += w * y[j:len(y) - 2 * half + j]
+            total -= wsum * y[half:len(y) - half]
+            return total
 
-    df, dg = (derivative(y) / m for y in (f, g))
-    mr, fi, gi = (y[half:len(r) - half] for y in (m * r, f, g))
+        df, dg = (derivative(y) / m for y in (f, g))
+    mr, fi, gi = m * r[inner], f[inner], g[inner]
     w = E / m + params.e / mr
-    res1 = df + (params.nu / mr) * fi + (w + params.parity) * gi
-    res2 = dg - (params.nu / mr) * gi - (w - params.parity) * fi
-    scale = np.abs(fi) + np.abs(gi) + routes.RESIDUAL_FLOOR
-    return float(max(np.max(np.abs(res1) / scale), np.max(np.abs(res2) / scale)))
+    floor = np.abs(fi) + np.abs(gi) + routes.RESIDUAL_FLOOR
+    worst = 0.0
+    for terms in ((df, (params.nu / mr) * fi, (w + params.parity) * gi),
+                  (dg, -((params.nu / mr) * gi), -((w - params.parity) * fi))):
+        scale = np.maximum(np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]), floor)
+        worst = max(worst, float(np.max(np.abs(terms[0] + terms[1] + terms[2]) / scale)))
+    return worst
 
 
 def _bits(x):
@@ -593,7 +650,9 @@ def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(points, r_
                                                     f"from r_min={grid.r[0]}"):
                 residual(sol)
         else:
-            assert _bits(residual(sol)) == _bits(_one_pass_residual(sol, stencil))
+            assert _bits(residual(sol)) == _bits(_one_pass_residual(sol))
+            table = dataclasses.replace(sol, df=None, dg=None)   # the oracle's residual
+            assert _bits(residual(table)) == _bits(_one_pass_residual(table, stencil))
 
 
 def test_grid_stencils_across_levels_match_the_one_pass_formula_bit_for_bit():

@@ -307,8 +307,9 @@ def test_run_truncates_each_heun_map_once(monkeypatch):
     assert truncated == Counter(expected)
 
 
-def test_mixed_solves_form_no_derivative(monkeypatch):
-    # dF/dr and dG/dr are formed only where a relation reads them
+def test_mixed_solves_form_each_derivative_once(monkeypatch):
+    # each polynomial's value and slope are evaluated once per solve: dF/dr
+    # and dG/dr reuse the values that F and G were built from
     orders, inside, exact = Counter(), [], specfun.horner
 
     def counted(coeffs, x, order=0):
@@ -325,4 +326,6 @@ def test_mixed_solves_form_no_derivative(monkeypatch):
                 inside.pop()
         monkeypatch.setitem(routes.ROUTE_SOLVERS, route, solve)
     verify.run_verification(WORK_PARAMS, WORK_N_MAX, "all")
-    assert orders[0] > 0 and set(orders) == {0}
+    # one Heun and (but at the case-2 parity -1 nodeless level) one Kummer
+    # polynomial per mixed solve
+    assert orders[0] == orders[1] > 0 and set(orders) == {0, 1}

@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters
 (InvalidParams: the request has no answer), 3 solver non-convergence
 (NoConvergence: a solver stopped without an answer).  A non-finite or
 non-half-integer j, a negative n-max, a tol that is negative or not
-finite, a wavefunction grid of fewer than 5 points or with an overflowing
-stencil (checked before the solve), non-finite grid radii, an r-max past
-745/lambda and a level whose decay constant m e / sqrt(N^2 + e^2)
-underflows to 0 exit 2 with a message, as flags and as config keys alike.
+finite, a wavefunction grid of fewer than 5 points (checked before the
+solve), non-finite grid radii, an r-max past 745/lambda, an oracle grid
+outside [1e-12/lambda, 40/lambda] and a level whose decay constant
+m e / sqrt(N^2 + e^2) underflows to 0 exit 2 with a message, as flags and
+as config keys alike.
 
 Each subcommand accepts only the options it reads (`_OPTIONS`; its --help
 lists them).  A request in exact long flags is read from that table; argparse
@@ -263,9 +264,6 @@ def cmd_wavefunction(cfg: RunConfig, n: int) -> int:
     grid = routes.default_grid(level.lam, cfg.grid_points, cfg.r_min, cfg.r_max)
     if route == "oracle":
         from . import oracle
-        # the residual's finite-difference weights: InvalidParams here, before
-        # the solve, on overflow; an analytic solve carries its derivatives
-        grid._stencil
         sol = oracle.integrate_radial(params, level.E, grid)
     else:
         sol = routes.ROUTE_SOLVERS[route](params, level, grid)

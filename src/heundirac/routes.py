@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,80 +83,41 @@ class RadialGrid:
     def __len__(self):
         return len(self.r)
 
-    @cached_property
-    def _stencil(self):
-        """(half, weights, wsum) of the central first-derivative stencil,
-        built once per grid: 2*half+1 Lagrange nodes per interior point
-        (half = 3 from 9 points on, else 2), the weight of each off-center
-        node keyed by its offset, and their sum (the center weight is -wsum).
 
-        The rows are formed in runs of consecutive rows whose nodes span under
-        2**62, each run in units of 2**s, s the exponent of the center node of
-        its middle row; a row whose own nodes span 2**62 or more is a run of
-        its own, in units of its center.  Scaling by a power of two commutes
-        with every rounding whose operands and result are normal, and in a run
-        spanning under 2**62 every step is normal, so each weight, scaled back
-        in one rounding before it is summed, has the bits it has with every row
-        formed in units of its own center.
-        Raises InvalidParams where a weight overflows (r near 1e-308, far-apart nodes).
-        """
-        r = self.r
-        n = len(r)
-        half = 3 if n >= 9 else 2
-        exp = np.frexp(r)[1]
-        runs, start = [], 0
-        try:   # an overflow, or the inf/inf or x/0 it makes, voids the weights
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                while start < n - 2 * half:
-                    end = max(start + 1, int(np.searchsorted(exp, exp[start] + 62)) - 2 * half)
-                    s = exp[(start + end) // 2 + half]
-                    runs.append(_lagrange_rows(np.ldexp(r[start:end + 2 * half], -s), s, half))
-                    start = end
-        except FloatingPointError:
-            raise InvalidParams(f"the derivative stencil overflows on the {n}-point "
-                                f"grid from r_min={r[0]} to r_max={r[-1]}") from None
-        if len(runs) == 1:   # a one-run grid keeps its run's arrays
-            return half, *runs[0]
-        return (half, {j: np.concatenate([w[j] for w, _ in runs]) for j in runs[0][0]},
-                np.concatenate([wsum for _, wsum in runs]))
+def _stencil(r: np.ndarray):
+    """(half, weights, wsum) of the central first-derivative stencil on the
+    increasing radii r: 2*half+1 Lagrange nodes per interior point (half = 3
+    from 9 points on, else 2), the weight of each off-center node keyed by its
+    offset, and their sum (the center weight is -wsum).
 
-
-def _lagrange_rows(x, s, half):
-    """(weights, wsum) of the stencil rows whose nodes are x, in units of 2**s,
-    each weight scaled back to the grid's units before it is summed: each
-    factor x_a - x_b of a weight's products is a slice of the differences of
-    nodes |a - b| apart."""
-    n = len(x)
+    Each row is formed in units of 2**s, s the frexp exponent of its center
+    node, so its products stay in range wherever its own nodes allow, and each
+    weight is scaled back before it is summed.  Raises InvalidParams where a
+    weight overflows (r near 1e-308, far-apart nodes).
+    """
+    n = len(r)
+    half = 3 if n >= 9 else 2
     width = 2 * half + 1
-    rows = n - 2 * half
-    span = {}
-    for gap in range(1, width):
-        diff = x[gap:] - x[:n - gap]
-        for a in range(width - gap):
-            span[a, a + gap] = span[a + gap, a] = diff[a:a + rows]
-
-    def product(a, others, out):
-        """Write the product of |x_a - x_b| over b in others, in their order,
-        into out; return the number of its factors x_a - x_b < 0 (a < b)."""
-        np.multiply(span[a, others[0]], span[a, others[1]], out=out)
-        for b in others[2:]:
-            out *= span[a, b]
-        return sum(a < b for b in others)
-
-    weights = {}
-    wsum = np.zeros(rows)
-    den = np.empty(rows)
-    for j in range(width):
-        if j == half:
-            continue
-        num = np.empty(rows)
-        flips = (product(half, [k for k in range(width) if k not in (j, half)], num)
-                 + product(j, [k for k in range(width) if k != j], den))
-        weights[j] = np.divide(num, den, out=num)
-        if flips % 2:
-            np.negative(num, out=num)
-        wsum += np.ldexp(num, -s, out=num)
-    return weights, wsum
+    s = np.frexp(r[half:n - half])[1]
+    weights, wsum = {}, np.zeros(n - 2 * half)
+    try:   # an overflow, or the inf/inf or x/0 it makes, voids the weights
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x = [np.ldexp(r[j:n - width + 1 + j], -s) for j in range(width)]
+            for j in range(width):
+                if j == half:
+                    continue
+                num, den = np.ones_like(wsum), np.ones_like(wsum)
+                for k in range(width):
+                    if k != j and k != half:
+                        num *= x[half] - x[k]
+                    if k != j:
+                        den *= x[j] - x[k]
+                weights[j] = np.ldexp(num / den, -s)
+                wsum += weights[j]
+    except FloatingPointError:
+        raise InvalidParams(f"the derivative stencil overflows on the {n}-point "
+                            f"grid from r_min={r[0]} to r_max={r[-1]}") from None
+    return half, weights, wsum
 
 
 class _Frame(NamedTuple):
@@ -318,12 +278,11 @@ def _solve_rotated(parts, route: str, params: SystemParams, level: EnergyLevel,
     """Rotate a case's (F, G) back to (f, g) by the half angle A/2."""
     _require_channel_level(params, level)
     frame = parts(params, level, grid.r)
-    case = frame.case
-    f = case.cos_half * frame.f + case.sin_half * frame.g
-    g = -case.sin_half * frame.f + case.cos_half * frame.g
-    c, s = case.cos_half, case.sin_half
-    return RadialSolution(grid, f, g, level.E, route, params,
-                          c * frame.df + s * frame.dg, c * frame.dg - s * frame.df, frame)
+    c, s = frame.case.cos_half, frame.case.sin_half
+    with np.errstate(invalid="ignore"):   # 0 * inf where case 0's dG/dr overflows
+        df, dg = c * frame.df + s * frame.dg, c * frame.dg - s * frame.df
+    return RadialSolution(grid, c * frame.f + s * frame.g, c * frame.g - s * frame.f,
+                          level.E, route, params, df, dg, frame)
 
 
 def g_from_f(case: MixingCase, params: SystemParams, r: np.ndarray,
@@ -358,21 +317,26 @@ def _case0_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
     With N = r F' + nu cos A F - m_eff sin A r F, G = -N/(c_plus r + s_plus),
     so dG/dr = -(N' + c_plus G)/(c_plus r + s_plus), whose r F'' (in N') has
     no r^-2 factor: with F = pref p(z), z = k r and u = a - lam r,
-    r F'' = pref ((u^2 - a)/r p + 2 u k p' + k z p'')."""
+    r F'' = pref ((u^2 - a)/r p + 2 u k p' + k z p'').
+    Raises InvalidParams where G overflows (m near 1e300, high n); where only
+    r F'' does, dG/dr is NaN or infinite, and the residual says so."""
     E, lam, a, m = level.E, level.lam, params.frobenius_exponent, params.m
     case = mixing_case("0", params, E, lam)
     heun = _heun_polynomial(_heun_map(params, E, lam, case), level.n)
     pref = _envelope(lam, a, r)
     k = 1.0 / case.singular_point
     f_part, df = _enveloped(pref, heun, k, lam, a, r, 1.0)
-    g_part = g_from_f(case, params, r, f_part, df)
-    z = k * r
-    u = a - lam * r
-    r_d2f = pref * ((u * u - a) / r * horner(heun, z) + 2.0 * k * u * horner(heun, z, 1)
-                    + k * z * horner(heun, z, 2))
-    msa = params.m_eff * case.sin_a
-    dn = (1.0 + params.nu * case.cos_a) * df + r_d2f - msa * (f_part + r * df)
-    dg = -(dn + case.c_plus * g_part) / (case.c_plus * r + case.s_plus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_part = g_from_f(case, params, r, f_part, df)
+        z = k * r
+        u = a - lam * r
+        r_d2f = pref * ((u * u - a) / r * horner(heun, z) + 2.0 * k * u * horner(heun, z, 1)
+                        + k * z * horner(heun, z, 2))
+        msa = params.m_eff * case.sin_a
+        dn = (1.0 + params.nu * case.cos_a) * df + r_d2f - msa * (f_part + r * df)
+        dg = -(dn + case.c_plus * g_part) / (case.c_plus * r + case.s_plus)
+    if not np.isfinite(g_part).all():
+        raise InvalidParams(f"the case-0 G from dF/dr overflows at m={m}, n={level.n}")
     return _Frame(r, f_part, df / m, g_part, dg / m, case, heun)
 
 
@@ -396,8 +360,13 @@ def _case1_parts(params: SystemParams, level: EnergyLevel, r: np.ndarray) -> _Fr
         heun = _heun_polynomial(_heun_map(params, E, lam, case), n)
         # as r -> inf, G = g_from_f(F) tends to F (lam + m_eff sin A)/c_plus with
         # c_plus = -s_plus/R: match the leading terms r^(a+n) e^(-lam r)
-        t = (-case.s_plus * kummer[-1] * (2.0 * lam * R) ** n
-             / (R * heun[-1] * (lam + params.m_eff * case.sin_a)))
+        try:   # R heun[-1] underflows at m near 1e300 and high n
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                t = (-case.s_plus * kummer[-1] * (2.0 * lam * R) ** n
+                     / (R * heun[-1] * (lam + params.m_eff * case.sin_a)))
+        except FloatingPointError:
+            raise InvalidParams(f"the case-1 amplitude ratio of F to G overflows at "
+                                f"m={params.m}, n={n}") from None
         f_part, df = _enveloped(t * pref, heun, 1.0 / R, lam, a, r, params.m)
     else:
         # nodeless level: R diverges and the series route for F is empty,
@@ -472,9 +441,9 @@ ROUTE_SOLVERS = dict(zip(ANALYTIC_ROUTES, (solve_standard, solve_mixed_case1,
 # residual, normalization
 # ----------------------------------------------------------------------
 
-def _central_derivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
-    """First derivative of y at the grid's interior points, by its stencil."""
-    half, weights, wsum = grid._stencil
+def _central_derivative(stencil, y: np.ndarray) -> np.ndarray:
+    """First derivative of y at the interior points of the _stencil's grid."""
+    half, weights, wsum = stencil
     total, term = np.zeros_like(wsum), np.empty_like(wsum)
     for j, w in weights.items():
         total += np.multiply(w, y[j:len(y) - 2 * half + j], out=term)
@@ -487,14 +456,15 @@ def residual(solution: RadialSolution) -> float:
 
     An analytic solution carries its closed-form derivatives, read at every
     grid point; the oracle's table has none, so they are taken by central
-    finite differences on its own grid, at its interior points.  The terms
-    are taken in units of the peak of |f| + |g| and of 1/m (each term of the
-    system is f/length), which makes the result dimensionless; each
-    equation's residual is scaled by the larger of the sum of its terms'
-    magnitudes and |f| + |g| plus a small relative floor.  A zero solution
-    has residual 0.0, one holding a NaN or an infinity NaN.  Raises
-    InvalidParams where a term overflows or divides by zero (m r_min
-    underflows to 0 or near it).
+    finite differences on its own grid (one _stencil per call), at its
+    interior points.  The terms are taken in units of the peak of |f| + |g|
+    and of 1/m (each term of the system is f/length), which makes the
+    result dimensionless; each equation's residual is scaled by the larger
+    of the sum of its terms' magnitudes and |f| + |g| plus a small relative
+    floor.  A zero solution has residual 0.0, one holding a NaN or an
+    infinity NaN.  Raises InvalidParams where a term overflows or divides
+    by zero (m r_min underflows to 0 or near it), and where a stencil
+    weight overflows.
     """
     r = solution.grid.r
     if len(r) < 5:
@@ -517,11 +487,11 @@ def _scaled_residual(solution: RadialSolution, peak: float) -> float:
     params, E, m = solution.params, solution.E, solution.params.m
     f, g = solution.f / peak, solution.g / peak
     if solution.df is None:
-        half = solution.grid._stencil[0]
-        inner = slice(half, len(f) - half)
-        df = _central_derivative(solution.grid, f)
+        stencil = _stencil(solution.grid.r)
+        inner = slice(stencil[0], len(f) - stencil[0])
+        df = _central_derivative(stencil, f)
         df /= m
-        dg = _central_derivative(solution.grid, g)
+        dg = _central_derivative(stencil, g)
         dg /= m
     else:
         inner = slice(None)

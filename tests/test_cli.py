@@ -203,49 +203,63 @@ def test_wavefunction_grid_below_five_points_exits_2_before_the_solve(capsys, mo
 
 
 @pytest.mark.parametrize("argv, formed", (
-    (("wavefunction", "--route", "standard", "--n", "2", "--n-max", "2"), False),
+    (("wavefunction", "--route", "standard", "--n", "2", "--n-max", "2"), 0),
     (("wavefunction", "--route", "heun", "--n", "2", "--n-max", "2", "--grid-points", "20000"),
-     False),
-    (("verify", "--route", "all", "--n-max", "3"), False),
-    (("wavefunction", "--route", "oracle", "--n", "1", "--n-max", "1"), True)))
+     0),
+    (("verify", "--route", "all", "--n-max", "3"), 0),
+    (("wavefunction", "--route", "oracle", "--n", "1", "--n-max", "1"), 1)))
 def test_only_the_oracle_residual_forms_the_stencil(capsys, monkeypatch, argv, formed):
-    # an analytic solution carries its closed-form derivatives
-    calls, exact = [], routes._lagrange_rows
+    # an analytic solution carries its closed-form derivatives; the oracle's
+    # residual forms its grid's stencil once
+    calls, exact = [], routes._stencil
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
-    monkeypatch.setattr(routes, "_lagrange_rows", counted)
+    monkeypatch.setattr(routes, "_stencil", counted)
     code, _, _ = run_cli(capsys, *argv, "--coupling", "0.5")
     assert code == EXIT_OK
-    assert bool(calls) == formed
+    assert len(calls) == formed
 
 
 @pytest.mark.parametrize("points,r_min", ((5, "1e-300"), (7, "1e-300"), (12, "1e-300"),
                                           (2000, "1e-308")))
 def test_oracle_wavefunction_grid_whose_stencil_overflows_exits_2_before_the_solve(
         capsys, monkeypatch, points, r_min):
-    # the stencil's weights overflow: across the few points of a 1e-300 grid,
-    # and from the near-1e-308 spacings of the 2000-point one; only the oracle
-    # residual reads the stencil, and an analytic route, which carries its
-    # derivatives, answers on the same grid
+    # the stencil's weights would overflow: across the few points of a 1e-300
+    # grid, and from the near-1e-308 spacings of the 2000-point one; the oracle
+    # rejects both grids, which start below its seed radius, before its first
+    # propagator, and an analytic route, which carries its derivatives,
+    # answers on the same grid
     from heundirac import oracle
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("solved a grid whose residual overflows")
-    monkeypatch.setattr(oracle, "integrate_radial", unreachable)
+        raise AssertionError("integrated a grid outside the oracle's window")
+    monkeypatch.setattr(oracle, "_propagators", unreachable)
     argv = ("wavefunction", "--coupling", "0.5", "--n", "1", "--n-max", "1",
             "--grid-points", str(points), "--r-min", r_min, "--no-timestamp")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, *argv, "--route", "oracle")
         analytic_code, analytic_out, _ = run_cli(capsys, *argv)
-    r_max = 40 / energy_closed_form(1, SystemParams(0.5, 1)).lam
     assert (code, out) == (EXIT_INVALID_PARAMS, "")
-    assert err == (f"error: the derivative stencil overflows on the {points}-point grid "
-                   f"from r_min={float(r_min)} to r_max={r_max}\n")
+    assert err == "error: grid must lie within [r_seed, r_max] of the oracle\n"
     assert analytic_code == EXIT_OK
     assert json.loads(analytic_out)["system_residual"] < 1e-8
+
+
+def test_oracle_wavefunction_whose_stencil_overflows_in_the_window_exits_2(capsys):
+    # at m = 1e300 the oracle's window reaches below 1e-308, where the residual's
+    # weights, in units of length, overflow: the table is solved, then refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "wavefunction", "--route", "oracle", "--coupling",
+                                 "0.5", "--n", "1", "--n-max", "1", "--mass", "1e300",
+                                 "--r-min", "1e-311", "--grid-points", "50")
+    r_max = 40 / energy_closed_form(1, SystemParams(0.5, 1, m=1e300)).lam
+    assert (code, out) == (EXIT_INVALID_PARAMS, "")
+    assert err == ("error: the derivative stencil overflows on the 50-point grid "
+                   f"from r_min=1e-311 to r_max={r_max}\n")
 
 
 def test_wavefunction_on_a_20_point_grid_from_1e_300_keeps_its_table(capsys):
@@ -766,6 +780,23 @@ def test_input_at_the_edge_of_the_range_answers(capsys, tmp_path, base, option, 
         assert status["spectrum_route_equality"] == "PASS"
         assert status["quantization_residuals_at_levels"] == "PASS"
         assert status["scaled_variable_identities"] == "PASS"
+
+
+@pytest.mark.parametrize("route, message", (
+    ("heun", "the case-0 G from dF/dr overflows at m=1e+300, n=24"),
+    ("mixed1", "the case-1 amplitude ratio of F to G overflows at m=1e+300, n=24")))
+def test_heavy_mass_high_n_wavefunction_overflow_exits_2_naming_it(capsys, route, message):
+    # case 0 forms its slopes in units of 1/length, and case 1's ratio divides
+    # by R times the Heun polynomial's top coefficient, which underflows; the
+    # standard and mixed2 routes answer the same request
+    argv = ("wavefunction", "--coupling", "0.5", "--n", "24", "--n-max", "24",
+            "--mass", "1e300", "--no-timestamp")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--route", route)
+        answers = [run_cli(capsys, *argv, "--route", other)[0] for other in ("standard", "mixed2")]
+    assert (code, out, err) == (EXIT_INVALID_PARAMS, "", f"error: {message}\n")
+    assert answers == [EXIT_OK, EXIT_OK]
 
 
 ALPHA = "0.0072973525693"

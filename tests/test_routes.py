@@ -490,8 +490,8 @@ def test_residual_needs_enough_points():
 
 
 def _central_derivative_reference(r, y, half):
-    """The derivative as computed before the stencil moved onto the grid:
-    weights rebuilt on every call, applied in the same order."""
+    """The derivative as computed with weights in the grid's own units,
+    rebuilt on every call and applied in the same order."""
     n = len(r)
     width = 2 * half + 1
     centers = r[half:n - half]
@@ -522,12 +522,11 @@ def test_grid_stencil_derivative_is_bit_identical(points, half):
     p = params_for(2)
     grid = default_grid(energy_closed_form(2, p).lam, points=points)
     sol = solve_closed(solve_standard, p, 2, grid=grid)
-    assert grid._stencil[0] == half
+    stencil = routes._stencil(grid.r)
+    assert stencil[0] == half
     for y in (sol.f, sol.g):
-        assert np.array_equal(routes._central_derivative(grid, y),
+        assert np.array_equal(routes._central_derivative(stencil, y),
                               _central_derivative_reference(grid.r, y, half))
-    # built once: f, g and every later residual on this grid share it
-    assert grid._stencil is grid._stencil
 
 
 @pytest.mark.parametrize("k", (-900, -500, 500, 900))
@@ -536,8 +535,8 @@ def test_grid_stencil_is_exact_under_power_of_two_scaling(k):
     # the products of node differences would overflow or underflow
     p = params_for(2)
     grid = default_grid(energy_closed_form(2, p).lam, points=50)
-    half, weights, wsum = grid._stencil
-    s_half, s_weights, s_wsum = RadialGrid(np.ldexp(grid.r, k))._stencil
+    half, weights, wsum = routes._stencil(grid.r)
+    s_half, s_weights, s_wsum = routes._stencil(RadialGrid(np.ldexp(grid.r, k)).r)
     assert s_half == half and s_weights.keys() == weights.keys()
     for j, w in weights.items():
         assert np.array_equal(s_weights[j], np.ldexp(w, -k))
@@ -555,7 +554,38 @@ def test_grid_stencil_that_overflows_is_invalid_params(r):
     grid = RadialGrid(r)
     message = f"stencil overflows on the {len(r)}-point grid from r_min={r[0]} to r_max={r[-1]}"
     with pytest.raises(InvalidParams, match=re.escape(message)):
-        grid._stencil
+        routes._stencil(grid.r)
+
+
+#: (e, nu, n) of the levels whose oracle windows the stencil tests cover
+_WINDOW_LEVELS = ((1e-3, 1, 1), (0.5, 1, 0), (0.5, 1, 1), (0.5, 2, 3), (0.99, 1, 2))
+
+
+def _oracle_window_grid(e, nu, n, m, points):
+    """The level's grid from the oracle's seed radius R_SEED_SCALE/lam to 40/lam."""
+    from heundirac.oracle import R_SEED_SCALE
+    lam = energy_closed_form(n, level_channel(SystemParams(e, nu, m=m), n)).lam
+    return default_grid(lam, points=points, r_min=R_SEED_SCALE / lam)
+
+
+@pytest.mark.parametrize("points", (5, 7, 9, 2000, 20000))
+@pytest.mark.parametrize("m", (1e-300, 1.0, 1e250))
+def test_stencil_on_the_oracle_window_never_overflows(m, points):
+    # integrate_radial takes only grids inside [R_SEED_SCALE/lam, 40/lam], which
+    # span under 2**46, so every row forms in range; the weights, of order
+    # 1/spacing in units of length, stay finite while the seed radius is normal
+    for level in _WINDOW_LEVELS:
+        half, weights, wsum = routes._stencil(_oracle_window_grid(*level, m, points).r)
+        assert all(np.all(np.isfinite(w)) for w in weights.values())
+        assert np.all(np.isfinite(wsum))
+
+
+@pytest.mark.parametrize("points", (5, 7, 9, 2000, 20000))
+def test_stencil_on_the_oracle_window_from_a_subnormal_seed_overflows(points):
+    # at m = 1e300 the n = 0 seed radius is near 2e-312, and a weight passes
+    # 1.8e308: the stencil raises, as the residual of such a table does
+    with pytest.raises(InvalidParams, match="the derivative stencil overflows"):
+        routes._stencil(_oracle_window_grid(0.5, 1, 0, 1e300, points).r)
 
 
 def _one_pass_stencil(r):
@@ -640,7 +670,7 @@ _MASSES = (1e-300, 1e-150, 0.51099895, 1.0, 938.272, 1e150, 1e300)
 def test_stencil_and_residual_match_the_one_pass_formulas_bit_for_bit(points, r_min, m):
     p = params_for(1)._replace(m=m)
     grid = default_grid(energy_closed_form(1, p).lam, points=points, r_min=r_min)
-    half, weights, wsum = grid._stencil
+    half, weights, wsum = routes._stencil(grid.r)
     stencil = _one_pass_stencil(grid.r)
     _assert_same_bits((half, weights, wsum), stencil)
     for solver in ALL_SOLVERS:
@@ -665,14 +695,14 @@ def test_grid_stencils_across_levels_match_the_one_pass_formula_bit_for_bit():
         n = int(rng.integers(0, 17))
         level = energy_closed_form(n, level_channel(SystemParams(e, nu, m=m), n))
         grid = default_grid(level.lam, points=int(rng.choice((5, 9, 300, 2000))))
-        _assert_same_bits(grid._stencil, _one_pass_stencil(grid.r))
+        _assert_same_bits(routes._stencil(grid.r), _one_pass_stencil(grid.r))
     # masses where a product of the grid's node differences turns subnormal
     p = params_for(1)
     for m in 10.0 ** np.linspace(46.5, 50.5, 9):
         lam = energy_closed_form(1, p._replace(m=m)).lam
         for points in (2000, 20000):
             grid = default_grid(lam, points=points)
-            _assert_same_bits(grid._stencil, _one_pass_stencil(grid.r))
+            _assert_same_bits(routes._stencil(grid.r), _one_pass_stencil(grid.r))
 
 
 def _irregular_radii(rng):
@@ -695,9 +725,9 @@ def _irregular_radii(rng):
 
 
 def test_irregular_grid_stencils_match_the_one_pass_formula_bit_for_bit():
-    # runs of rows spanning under 2**62 and rows spanning more, one run each,
-    # give each row's own bits; where a row's formation overflows, or makes
-    # an inf/inf or x/0, the grid's stencil is invalid
+    # every row has its own bits, also one spanning 2**62 or more; where a
+    # row's formation overflows, or makes an inf/inf or x/0, the grid's
+    # stencil is invalid
     rng = np.random.default_rng(36)
     outcomes = {"same": 0, "invalid": 0}
     for _ in range(250):
@@ -710,10 +740,10 @@ def test_irregular_grid_stencils_match_the_one_pass_formula_bit_for_bit():
                 ref = _one_pass_stencil(r)
         except FloatingPointError:
             with pytest.raises(InvalidParams, match="the derivative stencil overflows"):
-                grid._stencil
+                routes._stencil(grid.r)
             outcomes["invalid"] += 1
         else:
-            _assert_same_bits(grid._stencil, ref)
+            _assert_same_bits(routes._stencil(grid.r), ref)
             outcomes["same"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
